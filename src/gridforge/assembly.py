@@ -408,13 +408,11 @@ class _Generator:
         barrier_owner = {
             c.children[BARRIER_ROLE]: c.id for c in self.asm.composites.values()
         }
+        node_server = {b.client: b.server for b in self.asm.bindings if b.interface == NODE}
         for service in self.asm.services:
-            comp = self.asm.components[service.id]
-            for binding in self.asm.bindings:
-                if binding.client == service.id and binding.interface == NODE:
-                    self.asm.node_assignment[service.id] = barrier_owner.get(
-                        binding.server, binding.server
-                    )
+            server = node_server.get(service.id)
+            if server is not None:
+                self.asm.node_assignment[service.id] = barrier_owner.get(server, server)
 
 
 def generate(config: ExpandedConfig, registry: Registry) -> AssemblyDescriptor:
@@ -599,6 +597,7 @@ def plan(asm: AssemblyDescriptor) -> DeploymentPlan:
     done: set = set()
     pending_nodes = [u for u in deps if u in node_units]
     pending_services = list(service_ids)
+    pending_set = set(service_ids)  # membership twin of pending_services
     stages: list[PlanStage] = []
     started = LifecycleState.STARTED
 
@@ -614,7 +613,7 @@ def plan(asm: AssemblyDescriptor) -> DeploymentPlan:
         def visit(u: str) -> bool:
             if u in done or u in visiting:
                 return True
-            if u != unit and u in pending_services:
+            if u != unit and u in pending_set:
                 return False
             visiting.add(u)
             for d in sorted(deps[u], key=order.get):
@@ -661,18 +660,25 @@ def plan(asm: AssemblyDescriptor) -> DeploymentPlan:
             continue
 
         emitted = False
+        # A group's verdict depends only on `done` and the pending services,
+        # which change only when a stage is emitted, and that ends the pass.
+        blocked_groups: set = set()
         for sid in pending_services:
             group = group_of[sid]
             if group is not None:
-                members = asm.groups[group]
-                closures = [nonservice_closure(m) for m in members]
-                if any(c is None for c in closures):
+                if group in blocked_groups:
                     continue
-                extra: list[str] = []
-                for closure in closures:
-                    for u in closure:
-                        if u not in done and u not in extra:
-                            extra.append(u)
+                members = asm.groups[group]
+                closures = []
+                for m in members:
+                    closure = nonservice_closure(m)
+                    if closure is None:
+                        break
+                    closures.append(closure)
+                if len(closures) < len(members):
+                    blocked_groups.add(group)
+                    continue
+                extra = list(dict.fromkeys(u for closure in closures for u in closure))
                 stages.append(
                     PlanStage(
                         label=group,
@@ -683,7 +689,8 @@ def plan(asm: AssemblyDescriptor) -> DeploymentPlan:
                 )
                 done.update(members)
                 done.update(extra)
-                pending_services = [s for s in pending_services if s not in members]
+                pending_set.difference_update(members)
+                pending_services = [s for s in pending_services if s in pending_set]
                 pending_nodes = [u for u in pending_nodes if u not in done]
                 emitted = True
                 break
@@ -696,6 +703,7 @@ def plan(asm: AssemblyDescriptor) -> DeploymentPlan:
             done.update(closure)
             done.add(sid)
             pending_services.remove(sid)
+            pending_set.discard(sid)
             pending_nodes = [u for u in pending_nodes if u not in done]
             emitted = True
             break

@@ -174,7 +174,8 @@ class Journal:
         return [r.line() for r in self.records()]
 
     def __len__(self) -> int:
-        return len(self._records)
+        with self._lock:
+            return len(self._records)
 
 
 def replay(records: list[JournalRecord]) -> dict[str, LifecycleState]:
@@ -322,10 +323,10 @@ class Assembly:
         composite = self.composites[composite_id]
         members = [cid for cid in composite.children.values() if cid in self.components]
         member_set = set(members)
-        deps: dict[str, set[str]] = {m: set() for m in members}
-        for b in self.bindings:
-            if b.client in member_set and b.server in member_set:
-                deps[b.client].add(b.server)
+        deps: dict[str, set[str]] = {
+            m: {b.server for b in self.components[m].bound.values() if b.server in member_set}
+            for m in members
+        }
         order: list[str] = []
         placed: set[str] = set()
         remaining = list(members)

@@ -8,6 +8,7 @@ virtual clock; local and ssh run the script through a real shell.
 from __future__ import annotations
 
 import os
+import shlex
 import subprocess
 import zlib
 from dataclasses import dataclass
@@ -159,5 +160,5 @@ class SshTransport(Transport):
         return proc.returncode, output
 
     def exists(self, access: NodeAccess, path: str) -> bool:
-        status, _ = self.send(access, Payload(steps=(), script=f"test -e {path}"))
+        status, _ = self.send(access, Payload(steps=(), script=f"test -e {shlex.quote(path)}"))
         return status == 0

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from configs import MINI, chain, reserved
+from configs import MINI, chain, paper_pair, reserved
 from conftest import DATA
 from gridforge.assembly import (
     AssemblyDescriptor,
     DescriptorBinding,
     DescriptorComponent,
+    DeploymentPlan,
     PlanAction,
+    PlanStage,
     ServiceEntry,
     emit_text,
     generate,
@@ -20,7 +22,7 @@ from gridforge.assembly import (
     validate,
 )
 from gridforge.core import LifecycleState, PortSpec
-from gridforge.dsl import load_config, parse, expand
+from gridforge.dsl import expand, load_config, merge, parse
 from gridforge.errors import (
     ArityMismatch,
     ConfigError,
@@ -449,6 +451,99 @@ class TestPlanShape:
         assert [s.label for s in stages] == ["node-prep", "node-prep-2"]
         assert [a.target for a in stages[0].actions] == ["a"]
         assert [a.target for a in stages[1].actions] == ["b"]
+
+
+    def test_paper_shape_with_reservation_second(self, registry_m):
+        app, reservation = paper_pair(5)
+        asm = generate(expand(merge(parse(app), parse(reservation))), registry_m)
+        stages = plan(asm).stages
+        assert [s.label for s in stages] == [
+            "services/reservation",
+            "node-prep",
+            "services/ns",
+            "services/dci",
+            "services/servers",
+        ]
+        targets = [
+            ([a.target for a in s.prelude], [a.target for a in s.actions], [a.target for a in s.postlude])
+            for s in stages
+        ]
+        assert targets == [
+            ([], ["nodes/oar_server", "services/reservation"], []),
+            (["nodes/hostname"], [f"nodes/node-{i}" for i in range(5)], []),
+            ([], ["services/ns"], []),
+            ([], ["services/dci"], []),
+            ([], [f"services/servers/server-{i}" for i in range(1, 5)], []),
+        ]
+
+    def test_blocked_group_does_not_hold_back_a_ready_one(self, registry_m):
+        """`early` waits on the reservation declared after it; `late` runs
+        on static hosts and goes first, pulling its node stacks along."""
+        asm = descriptor_for(
+            "app = OpenCCM.Deployment {\n"
+            "  nodes = {\n"
+            "    hostname = DynamicHost(~/nodelist)\n"
+            "    frontend = Grid5000_NODE {\n"
+            "      hostname = StaticHost(frontend.example)\n"
+            "    }\n"
+            "    apply FOR(i,0,1) {\n"
+            "      dyn-%{i} = Grid5000_NODE {\n"
+            "        hostname = nodes/hostname\n"
+            "      }\n"
+            "      st-%{i} = Grid5000_NODE {\n"
+            "        hostname = StaticHost(st-%{i}.example)\n"
+            "      }\n"
+            "    }\n"
+            "  }\n"
+            "  services = {\n"
+            "    early = ParallelRunner {\n"
+            "      apply FOR(i,0,1) {\n"
+            "        ns-%{i} = OpenCCM.NameService {\n"
+            "          node = nodes/dyn-%{i}\n"
+            "        }\n"
+            "      }\n"
+            "    }\n"
+            "    late = ParallelRunner {\n"
+            "      apply FOR(i,0,1) {\n"
+            "        ns-%{i} = OpenCCM.NameService {\n"
+            "          node = nodes/st-%{i}\n"
+            "        }\n"
+            "      }\n"
+            "    }\n"
+            "    reservation = OARGrid(site=2,~/nodelist) {\n"
+            "      node = nodes/frontend\n"
+            "    }\n"
+            "  }\n"
+            "}\n",
+            registry_m,
+        )
+        up = lambda *targets: tuple(PlanAction(t, LifecycleState.STARTED) for t in targets)  # noqa: E731
+        assert plan(asm) == DeploymentPlan(
+            (
+                PlanStage(
+                    "services/late",
+                    "parallel",
+                    up("services/late/ns-0", "services/late/ns-1"),
+                    prelude=up("nodes/st-0", "nodes/st-1"),
+                ),
+                PlanStage(
+                    "services/reservation",
+                    "sequential",
+                    up("nodes/frontend", "services/reservation"),
+                ),
+                PlanStage(
+                    "node-prep",
+                    "parallel",
+                    up("nodes/dyn-0", "nodes/dyn-1"),
+                    prelude=up("nodes/hostname"),
+                ),
+                PlanStage(
+                    "services/early",
+                    "parallel",
+                    up("services/early/ns-0", "services/early/ns-1"),
+                ),
+            )
+        )
 
 
 class TestPlanInvariants:

@@ -284,6 +284,29 @@ class TestComposites:
         assert pos["n/a"] < pos["n/b"] < pos["n/d"]
         assert pos["n/a"] < pos["n/c"] < pos["n/d"]
 
+    def test_child_order_ignores_external_servers(self):
+        """n/c also depends on a component outside the composite; that edge
+        is the planner's business, so n/c is ready at once and only
+        declaration order puts n/a before it."""
+        asm = Assembly()
+        asm.add(Component(id="ext", kind="Test", provides=frozenset({"I"})))
+        for cid in ("n/a", "n/b", "n/c"):
+            asm.add(
+                Component(
+                    id=cid,
+                    kind="Test",
+                    provides=frozenset({"I"}),
+                    ports=(PortSpec("dep", "I", required=False),),
+                    owner="n",
+                )
+            )
+        asm.add_composite(Composite(id="n", kind="Node", children={"a": "n/a", "b": "n/b", "c": "n/c"}))
+        asm.bind(("n/c", "dep"), "ext")
+        asm.bind(("n/b", "dep"), "n/a")
+        assert asm.child_order("n") == ["n/a", "n/c", "n/b"]
+        asm.add_composite(Composite(id="m", kind="Node", children={"c": "n/c", "b": "n/b", "a": "n/a"}))
+        assert asm.child_order("m") == ["n/c", "n/a", "n/b"]
+
     def test_cascade_up_then_down(self):
         asm = self.diamond()
         up = asm.ensure_composite("n", S.STARTED)

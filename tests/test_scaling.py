@@ -1,0 +1,54 @@
+"""Real overhead grows linearly in fleet size.
+
+The paper shape with its reservation merged second is built at 100 and 400
+nodes.  Linear work takes about 4x as long at four times the fleet; the gate
+allows 8x, well under the 16x of work that is quadratic in the fleet.
+Timings are interleaved and the best of three is kept, so a slow spell on
+a shared host hits both sizes or neither.
+"""
+
+import time
+
+from configs import paper_pair
+from gridforge.assembly import generate, instantiate, plan
+from gridforge.dsl import expand, merge, parse
+from gridforge.personalities import default_registry
+
+SMALL, LARGE = 100, 400
+ROUNDS = 3
+MAX_RATIO = 8.0
+
+
+def _best(fn, arg_small, arg_large) -> tuple[float, float]:
+    best = {SMALL: float("inf"), LARGE: float("inf")}
+    for _ in range(ROUNDS):
+        for n, arg in ((SMALL, arg_small), (LARGE, arg_large)):
+            t0 = time.perf_counter()
+            fn(arg)
+            best[n] = min(best[n], time.perf_counter() - t0)
+    return best[SMALL], best[LARGE]
+
+
+def _config(n):
+    app, reservation = paper_pair(n)
+    return expand(merge(parse(app), parse(reservation)))
+
+
+def test_generate_and_plan_grow_linearly():
+    registry = default_registry()
+    small, large = _best(lambda config: plan(generate(config, registry)), _config(SMALL), _config(LARGE))
+    assert large / small < MAX_RATIO, f"generate+plan: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
+
+
+def test_child_order_grows_linearly():
+    registry = default_registry()
+
+    def live(n):
+        return instantiate(generate(_config(n), registry), registry)
+
+    def order_all(assembly):
+        for composite_id in assembly.composites:
+            assembly.child_order(composite_id)
+
+    small, large = _best(order_all, live(SMALL), live(LARGE))
+    assert large / small < MAX_RATIO, f"child_order: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"

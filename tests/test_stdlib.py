@@ -1,7 +1,9 @@
 """Infrastructure kinds: hostname resolution, access, shells, transports."""
 
 import hashlib
+import shlex
 import shutil
+import subprocess
 
 import pytest
 
@@ -277,6 +279,21 @@ class TestSshCommand:
         assert "-i" in argv
         assert "aflissi@h.example" in argv
         assert "ConnectTimeout=3" in " ".join(argv)
+
+    def test_exists_quotes_the_path(self, monkeypatch):
+        sent = []
+
+        def fake_run(argv, **kwargs):
+            sent.append(argv)
+            return subprocess.CompletedProcess(argv, 1, "", "")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        path = "/opt/my dir;touch /tmp/pwned"
+        assert SshTransport().exists(NodeAccess("h.example"), path) is False
+        (argv,) = sent
+        assert argv[0] == "ssh"
+        assert argv[-1] == "set -e\ntest -e '/opt/my dir;touch /tmp/pwned'"
+        assert shlex.split(argv[-1].split("\n", 1)[1]) == ["test", "-e", path]
 
 
 class TestRegistryBuiltins:
