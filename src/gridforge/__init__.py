@@ -40,7 +40,7 @@ from .errors import (
 )
 from .personalities import Registry, default_registry
 from .pipeline import DeployContext, Deployment, build, build_from_text, make_context
-from .runtime import ExecOptions, ExecutionReport, execute, status
+from .runtime import ExecOptions, ExecutionReport, execute
 from .simgrid import Fleet, SimClockConfig, SimNode, VirtualClock, WallClock, replay_log
 from .steps import Step, StepKind, parse_sh, render_sh
 from .transports import LocalTransport, NodeAccess, Payload, SimTransport, SshTransport
@@ -103,7 +103,6 @@ __all__ = [
     "render_sh",
     "replay",
     "replay_log",
-    "status",
     "unparse",
     "validate",
 ]

@@ -91,6 +91,7 @@ class _Generator:
         self.config = config
         self.registry = registry
         self.asm = AssemblyDescriptor()
+        self._pending_roles: dict[str, dict[str, str]] = {}
 
     def run(self) -> AssemblyDescriptor:
         for entry in self.config.root.entries:
@@ -269,7 +270,6 @@ class _Generator:
             for iface in sorted(self.asm.components[child_id].provides):
                 composite.exports.setdefault(iface, child_id)
         composite.exports[NODE] = barrier_id
-        self._pending_roles = getattr(self, "_pending_roles", {})
         self._pending_roles[comp_id] = role_refs
 
     def _group(self, block: str, entry: Entry) -> None:
@@ -326,7 +326,7 @@ class _Generator:
         """Wire unbound ports inside composites by interface matching."""
         bound = {(b.client, b.port) for b in self.asm.bindings}
         for composite in self.asm.composites.values():
-            role_refs = getattr(self, "_pending_roles", {}).get(composite.id, {})
+            role_refs = self._pending_roles.get(composite.id, {})
             children = [
                 self.asm.components[cid]
                 for role, cid in composite.children.items()

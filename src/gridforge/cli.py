@@ -66,8 +66,14 @@ def save_state(deployment: Deployment) -> str:
         "journal": deployment.assembly.journal.export_lines(),
         "fleet": deployment.ctx.fleet.to_dict() if deployment.ctx.fleet else None,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    # Write beside the target, then rename over it: a crash mid-write
+    # leaves the previous state file whole.
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
     return path
 
 
@@ -170,7 +176,8 @@ def cmd_undeploy(args: argparse.Namespace) -> int:
 def cmd_status(args: argparse.Namespace) -> int:
     if args.config:
         deployment = _build(args)
-        load_state(deployment)
+        with _StateLock():
+            load_state(deployment)
         for cid, state in deployment.assembly.status().items():
             print(f"{cid} {state.name}")
         return EXIT_OK

@@ -22,7 +22,7 @@ from .assembly import (
     validate,
 )
 from .core import Assembly
-from .dsl import ExpandedConfig, load_config
+from .dsl import ExpandedConfig, expand, load_config, parse
 from .errors import ValidationFailed
 from .personalities import Registry, default_registry
 from .simgrid import Fleet, SimClockConfig, VirtualClock, WallClock
@@ -87,17 +87,7 @@ def build(
     """Full pipeline; raises ConfigError subclasses on bad input and
     ValidationFailed when the generated descriptor has diagnostics."""
     t0 = time.monotonic()
-    registry = registry or default_registry()
-    config = load_config(paths)
-    descriptor = generate(config, registry)
-    diagnostics = validate(descriptor)
-    if diagnostics:
-        raise ValidationFailed(diagnostics)
-    deployment_plan = plan(descriptor)
-    live = instantiate(descriptor, registry)
-    overhead_ms = (time.monotonic() - t0) * 1000.0
-    ctx = make_context(live, transport, fleet, sim_config, strict)
-    return Deployment(config, descriptor, deployment_plan, ctx, overhead_ms)
+    return _deploy(t0, load_config(paths), transport, registry, fleet, sim_config, strict)
 
 
 def build_from_text(
@@ -108,14 +98,20 @@ def build_from_text(
     sim_config: SimClockConfig | None = None,
 ) -> Deployment:
     """Same pipeline for in-memory sources (benchmarks, tests)."""
-    import tempfile
+    t0 = time.monotonic()
+    return _deploy(t0, expand(parse(text)), transport, registry, fleet, sim_config)
 
-    with tempfile.NamedTemporaryFile("w", suffix=".gdf", delete=False) as fh:
-        fh.write(text)
-        path = fh.name
-    try:
-        return build([path], transport, registry, fleet, sim_config)
-    finally:
-        import os
 
-        os.unlink(path)
+def _deploy(t0, config, transport, registry, fleet, sim_config, strict=False) -> Deployment:
+    """generate -> validate -> plan -> instantiate an expanded config;
+    overhead counts from `t0`, taken before the config was loaded."""
+    registry = registry or default_registry()
+    descriptor = generate(config, registry)
+    diagnostics = validate(descriptor)
+    if diagnostics:
+        raise ValidationFailed(diagnostics)
+    deployment_plan = plan(descriptor)
+    live = instantiate(descriptor, registry)
+    overhead_ms = (time.monotonic() - t0) * 1000.0
+    ctx = make_context(live, transport, fleet, sim_config, strict)
+    return Deployment(config, descriptor, deployment_plan, ctx, overhead_ms)

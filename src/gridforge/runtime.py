@@ -1,11 +1,15 @@
 """Plan execution: sequential stages in order, parallel stages on a
-bounded worker pool, with per-action and per-stage accounting.
+bounded set of worker slots, with per-action and per-stage accounting.
 
-Timing rules under the virtual clock: a sequential stage costs the sum
-of its action costs; a parallel stage costs the makespan of greedily
-assigning action costs to maxWorkers slots in dispatch order.  Action
-costs themselves are pure functions of configuration and seed, so
-reports and metrics are reproducible byte for byte.
+Under the virtual clock (the sim) no worker thread is started: a parallel
+stage runs its actions inline in dispatch order, each on the earliest-free
+of maxWorkers slots (Graham's list scheduling), and costs the latest slot
+end.  A sequential stage costs the sum of its action costs.  Action costs
+are pure functions of configuration and seed, so reports and metrics are
+reproducible byte for byte.  Real transports (local, ssh) run a parallel
+stage on a thread pool of maxWorkers threads.  Either way a failure stops
+dispatch at the failing action; on the pool, actions already running
+finish.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ class ActionOutcome:
     ok: bool
     millis: float
     error: str | None = None
+    start_ms: float = 0.0
 
 
 @dataclass
@@ -69,14 +74,16 @@ def _ensure(ctx, target: str, state: LifecycleState) -> None:
         ctx.assembly.ensure(target, state, ctx)
 
 
-def _measured(ctx, action: PlanAction) -> ActionOutcome:
+def _measured(ctx, action: PlanAction, start_ms: float | None = None) -> ActionOutcome:
     clock = ctx.clock
+    start_ms = clock.now_ms() if start_ms is None else start_ms
     clock.begin_action()
+    error = None
     try:
         _ensure(ctx, action.target, action.state)
     except DeploymentError as exc:
-        return ActionOutcome(action.target, action.state, False, clock.end_action(), str(exc))
-    return ActionOutcome(action.target, action.state, True, clock.end_action())
+        error = str(exc)
+    return ActionOutcome(action.target, action.state, error is None, clock.end_action(), error, start_ms)
 
 
 def _planned_actions(ctx, action: PlanAction) -> list[str]:
@@ -109,7 +116,6 @@ class _StageRunner:
             self._dry(stage)
             self.report.stages.append(StageMetric(index, stage.label, stage.mode, count, 0.0))
             return
-        failed: ActionOutcome | None = None
         failed = self._sequential(stage.prelude)
         if failed is None:
             if stage.mode == "parallel":
@@ -142,10 +148,37 @@ class _StageRunner:
         return None
 
     def _parallel(self, stage: PlanStage, stage_index: int) -> ActionOutcome | None:
-        clock = self.ctx.clock
         order = list(stage.actions)
         if self.options.seed is not None:
             random.Random(f"{self.options.seed}:{stage_index}").shuffle(order)
+        if self.ctx.clock.virtual:
+            return self._scheduled(order)
+        return self._pooled(order)
+
+    def _scheduled(self, order: list) -> ActionOutcome | None:
+        """Inline list schedule: each action lands on the earliest-free slot
+        and starts there; the stage costs the latest slot end."""
+        if self.options.max_workers < 1:  # as the pool would refuse it
+            raise ValueError("max_workers must be greater than 0")
+        clock = self.ctx.clock
+        start = clock.now_ms()
+        slots = [0.0] * self.options.max_workers
+        latest = 0.0
+        failed: ActionOutcome | None = None
+        for action in order:
+            free = heapq.heappop(slots)
+            outcome = _measured(self.ctx, action, start + free)
+            end = free + outcome.millis
+            latest = max(latest, end)
+            heapq.heappush(slots, end)
+            self.report.actions.append(outcome)
+            if not outcome.ok:
+                failed = outcome
+                break
+        clock.advance(latest)
+        return failed
+
+    def _pooled(self, order: list) -> ActionOutcome | None:
         outcomes: list[ActionOutcome | None] = [None] * len(order)
         first_failure: ActionOutcome | None = None
         with ThreadPoolExecutor(max_workers=self.options.max_workers) as pool:
@@ -159,23 +192,8 @@ class _StageRunner:
                     first_failure = outcome
                     for later in futures[i + 1 :]:
                         later.cancel()
-        executed = [o for o in outcomes if o is not None]
-        self.report.actions.extend(executed)
-        clock.advance(_makespan((o.millis for o in executed), self.options.max_workers))
+        self.report.actions.extend(o for o in outcomes if o is not None)
         return first_failure
-
-
-def _makespan(costs, workers: int) -> float:
-    """Greedy multi-slot schedule: each cost lands on the earliest-free
-    slot, in dispatch order; the wall time is the latest slot."""
-    slots = [0.0] * max(1, workers)
-    heapq.heapify(slots)
-    latest = 0.0
-    for cost in costs:
-        t = heapq.heappop(slots) + cost
-        latest = max(latest, t)
-        heapq.heappush(slots, t)
-    return latest
 
 
 def execute(plan: DeploymentPlan, ctx, options: ExecOptions | None = None) -> ExecutionReport:
@@ -192,7 +210,3 @@ def execute(plan: DeploymentPlan, ctx, options: ExecOptions | None = None) -> Ex
     finally:
         report.total_ms = clock.now_ms() - start
     return report
-
-
-def status(assembly) -> dict:
-    return assembly.status()

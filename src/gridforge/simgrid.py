@@ -49,7 +49,6 @@ class SimNode:
         self.files: set[str] = set()
         self.processes: set[str] = set()
         self.log: list[Step] = []
-        self._lock = threading.Lock()
 
     def observable(self) -> tuple[dict[str, str], set[str], set[str]]:
         return dict(self.env), set(self.files), set(self.processes)
@@ -66,11 +65,7 @@ class SimNode:
 
     def apply(self, step: Step) -> tuple[int, str]:
         """Apply one step, append it to the log, return (status, output)."""
-        with self._lock:
-            self.log.append(step)
-            return self._apply(step)
-
-    def _apply(self, step: Step) -> tuple[int, str]:
+        self.log.append(step)
         k = step.kind
         if k is StepKind.SET_VAR:
             if step.b == "":
@@ -147,7 +142,6 @@ class Fleet:
 
     def __init__(self) -> None:
         self.nodes: dict[str, SimNode] = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def create(cls, n: int, prefix: str = "simnode-") -> "Fleet":
@@ -160,11 +154,10 @@ class Fleet:
         return self.nodes.get(hostname)
 
     def get_or_create(self, hostname: str) -> SimNode:
-        with self._lock:
-            node = self.nodes.get(hostname)
-            if node is None:
-                node = self.nodes[hostname] = SimNode(hostname)
-            return node
+        node = self.nodes.get(hostname)
+        if node is None:
+            node = self.nodes[hostname] = SimNode(hostname)
+        return node
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -184,46 +177,40 @@ class Fleet:
 class VirtualClock:
     """Monotonic logical clock advanced by latency charges.
 
-    Charges made while an action meter is open (one per worker thread)
-    accumulate on that meter instead of moving global time; the executor
-    folds meter totals into global time stage by stage, which is how a
-    parallel stage costs its makespan rather than the sum of its actions.
+    Charges made while an action meter is open accumulate on that meter
+    instead of moving global time; the executor folds meter totals into
+    global time stage by stage, which is how a parallel stage costs its
+    slot schedule's latest end rather than the sum of its actions.  The sim
+    starts no worker threads (every action runs on the calling thread, and
+    a failure stops dispatch at the failing action), so one meter stack
+    serves all actions.
     """
 
     virtual = True
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._lock = threading.Lock()
-        self._meters = threading.local()
+        self._meters: list[float] = []
 
     def now_ms(self) -> float:
-        with self._lock:
-            return self._now
+        return self._now
 
     def charge(self, ms: float) -> None:
-        stack = getattr(self._meters, "stack", None)
-        if stack:
-            stack[-1] += ms
+        if self._meters:
+            self._meters[-1] += ms
         else:
-            with self._lock:
-                self._now += ms
-
-    def advance(self, ms: float) -> None:
-        with self._lock:
             self._now += ms
 
+    def advance(self, ms: float) -> None:
+        self._now += ms
+
     def begin_action(self) -> None:
-        stack = getattr(self._meters, "stack", None)
-        if stack is None:
-            stack = self._meters.stack = []
-        stack.append(0.0)
+        self._meters.append(0.0)
 
     def end_action(self) -> float:
-        stack = self._meters.stack
-        total = stack.pop()
-        if stack:
-            stack[-1] += total  # nested meters fold outward
+        total = self._meters.pop()
+        if self._meters:
+            self._meters[-1] += total  # nested meters fold outward
         return total
 
 

@@ -201,16 +201,10 @@ class ProtocolBehavior(Behavior):
     def __init__(self, args: dict):
         self.args = args
 
-    def send(self, ctx, component: Component, payload: Payload) -> tuple[int, str]:
-        return protocol_send(ctx, component, payload)
-
 
 class ShellBehavior(Behavior):
     def __init__(self, args: dict):
         self.args = args
-
-    def execute(self, ctx, component: Component, steps: list[Step]) -> tuple[int, str]:
-        return shell_execute(ctx, component, steps)
 
 
 class TransferBehavior(Behavior):

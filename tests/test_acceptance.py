@@ -209,16 +209,30 @@ def test_4_topological_oracle(capsys):
     _run(capsys, 4, body)
 
 
+def _plan_units(deployment_plan, live) -> dict[str, str]:
+    """Component id -> the plan action target (composite or component) that drives it."""
+    unit = {}
+    for stage in deployment_plan.stages:
+        for action in stage.prelude + stage.actions + stage.postlude:
+            if action.target in live.composites:
+                for child in live.composites[action.target].children.values():
+                    unit.setdefault(child, action.target)
+            else:
+                unit.setdefault(action.target, action.target)
+    return unit
+
+
 def test_5_order_under_parallelism(capsys, sim_home, paper_machine):
     def body():
         registry, descriptor, deployment_plan = paper_machine
         seed_nodelist(sim_home, 501)
         worker_grid = (1, 4, 16)
         state_maps = []
+        crossing = 0
         for i in range(100):
             live = instantiate(descriptor, registry)
             ctx = make_context(live)
-            execute(
+            report = execute(
                 deployment_plan,
                 ctx,
                 ExecOptions(max_workers=worker_grid[i % 3], seed=i),
@@ -231,10 +245,27 @@ def test_5_order_under_parallelism(capsys, sim_home, paper_machine):
                 assert started_at[binding.server] < started_at[binding.client], (
                     f"run {i}: {binding.client} started before {binding.server}"
                 )
+            # In virtual time, a server's plan unit ends before its client's starts.
+            unit = _plan_units(deployment_plan, live)
+            outcome = {a.target: a for a in report.actions}
+            crossing = 0
+            for binding in live.bindings:
+                server, client = unit[binding.server], unit[binding.client]
+                if server == client:
+                    continue
+                crossing += 1
+                server_end = outcome[server].start_ms + outcome[server].millis
+                assert server_end <= outcome[client].start_ms, (
+                    f"run {i}: {client} starts at {outcome[client].start_ms} "
+                    f"before {server} ends at {server_end}"
+                )
             state_maps.append({c: s.name for c, s in live.status().items()})
         assert all(m == state_maps[0] for m in state_maps)
         assert set(state_maps[0].values()) == {"STARTED"}
-        return "100 seeded runs at 1/4/16 workers: no client before its server"
+        return (
+            "100 seeded runs at 1/4/16 workers: no client before its server "
+            f"(journal order; virtual intervals of {crossing} cross-unit bindings)"
+        )
 
     _run(capsys, 5, body)
 

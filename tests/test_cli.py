@@ -136,6 +136,28 @@ class TestStatusListing:
         assert len(data["journal"]) == 12
         assert any(n["id"] == "simnode-0" for n in data["fleet"]["nodes"])
 
+    def test_crash_during_save_keeps_previous_state(self, workdir, capsys, monkeypatch):
+        cfg = str(workdir / "mini.gdf")
+        cli.main(["deploy", "-c", cfg])
+        capsys.readouterr()
+
+        def torn_dump(data, fh, **kwargs):
+            fh.write('{"descriptor": ')
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch, pytest.raises(OSError):
+            patch.setattr(cli.json, "dump", torn_dump)
+            cli.main(["undeploy", "-c", cfg])
+
+        (fname,) = state_files(workdir)
+        data = json.loads((workdir / "state" / fname).read_text())
+        assert set(data["states"].values()) == {"STARTED"}
+        assert cli.main(["status"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("deployment ") == 1
+        assert ".tmp" not in out
+        assert "  services/ns STARTED" in out.splitlines()
+
 
 class TestFailures:
     def test_config_error_exits_2(self, workdir, capsys):

@@ -11,8 +11,8 @@ from gridforge.assembly import DeploymentPlan, PlanAction, PlanStage
 from gridforge.core import Assembly, Behavior, Component, LifecycleState
 from gridforge.errors import StageFailed
 from gridforge.pipeline import DeployContext, build_from_text
-from gridforge.runtime import ExecOptions, _makespan, execute
-from gridforge.simgrid import SimClockConfig, VirtualClock
+from gridforge.runtime import ExecOptions, execute
+from gridforge.simgrid import SimClockConfig, VirtualClock, WallClock
 
 S = LifecycleState
 
@@ -26,6 +26,34 @@ SERVICE = 5 + 10  # one StartProcess session = 15
 
 def rounds(n, workers):
     return math.ceil(n / workers)
+
+
+class Charge(Behavior):
+    """Charges a fixed virtual cost per install."""
+
+    def __init__(self, cost):
+        self.cost = cost
+
+    def install(self, component, ctx=None):
+        ctx.clock.charge(self.cost)
+
+
+def wave(behaviors, mode="parallel", clock=None):
+    """Hand-built assembly of c0..cN plus one stage installing them all."""
+    asm = Assembly()
+    for i, behavior in enumerate(behaviors):
+        asm.add(Component(id=f"c{i}", kind="T", behavior=behavior))
+    stage = PlanStage(
+        label="wave",
+        mode=mode,
+        actions=tuple(PlanAction(f"c{i}", S.INSTALLED) for i in range(len(behaviors))),
+    )
+    return asm, DeploymentPlan((stage,)), DeployContext(asm, None, clock or VirtualClock())
+
+
+def charge_wave(costs, mode="parallel"):
+    _, plan, ctx = wave([Charge(cost) for cost in costs], mode)
+    return plan, ctx
 
 
 class TestVirtualTiming:
@@ -59,31 +87,57 @@ class TestVirtualTiming:
         [("sequential", 8, 21.0), ("parallel", 2, 14.0), ("parallel", 1, 21.0)],
     )
     def test_sequential_sums_parallel_makespans(self, mode, workers, expected):
-        class Charge(Behavior):
-            def install(self, component, ctx=None):
-                ctx.clock.charge(7.0)
-
-        asm = Assembly()
-        for i in range(3):
-            asm.add(Component(id=f"c{i}", kind="T", behavior=Charge()))
-        stage = PlanStage(
-            label="wave",
-            mode=mode,
-            actions=tuple(PlanAction(f"c{i}", S.INSTALLED) for i in range(3)),
-        )
-        ctx = DeployContext(asm, None, VirtualClock())
-        report = execute(DeploymentPlan((stage,)), ctx, ExecOptions(max_workers=workers))
+        plan, ctx = charge_wave([7.0] * 3, mode)
+        report = execute(plan, ctx, ExecOptions(max_workers=workers))
         assert report.stages[0].wall_ms == expected
         assert report.total_ms == expected
 
-    def test_makespan_oracle(self):
+    @pytest.mark.parametrize(
+        "costs,workers,expected",
+        [
+            ([], 4, 0.0),
+            ([7.0], 4, 7.0),
+            ([130.0] * 10, 10, 130.0),
+            ([130.0] * 10, 4, 390.0),
+            ([5.0, 9.0, 3.0], 1, 17.0),
+            ([10.0, 1.0, 1.0, 9.0], 2, 11.0),
+        ],
+    )
+    def test_makespan_oracle(self, costs, workers, expected):
         # greedy multi-slot schedule, checked against hand-computed cases
-        assert _makespan(iter([]), 4) == 0.0
-        assert _makespan(iter([7.0]), 4) == 7.0
-        assert _makespan(iter([130.0] * 10), 10) == 130.0
-        assert _makespan(iter([130.0] * 10), 4) == 390.0
-        assert _makespan(iter([5.0, 9.0, 3.0]), 1) == 17.0
-        assert _makespan(iter([10.0, 1.0, 1.0, 9.0]), 2) == 11.0
+        plan, ctx = charge_wave(costs)
+        report = execute(plan, ctx, ExecOptions(max_workers=workers))
+        assert report.stages[0].wall_ms == expected
+        assert report.total_ms == expected
+        assert max((a.start_ms + a.millis for a in report.actions), default=0.0) == expected
+
+    def test_zero_workers_refused_like_the_pool(self):
+        for clock in (VirtualClock(), WallClock()):
+            _, plan, ctx = wave([Charge(1.0)], clock=clock)
+            with pytest.raises(ValueError):
+                execute(plan, ctx, ExecOptions(max_workers=0))
+
+    def test_actions_start_on_earliest_free_slot(self):
+        plan, ctx = charge_wave([10.0, 1.0, 1.0, 9.0])
+        ctx.clock.advance(100.0)  # starts are absolute virtual times
+        report = execute(plan, ctx, ExecOptions(max_workers=2))
+        assert [a.start_ms for a in report.actions] == [100.0, 100.0, 101.0, 102.0]
+
+    def test_sequential_actions_start_back_to_back(self):
+        plan, ctx = charge_wave([5.0, 9.0, 3.0], mode="sequential")
+        report = execute(plan, ctx, ExecOptions(max_workers=4))
+        assert [a.start_ms for a in report.actions] == [0.0, 5.0, 14.0]
+
+    def test_parallel_hooks_run_on_calling_thread(self):
+        seen = set()
+
+        class Where(Behavior):
+            def install(self, component, ctx=None):
+                seen.add(threading.get_ident())
+
+        _, plan, ctx = wave([Where()] * 8)
+        execute(plan, ctx, ExecOptions(max_workers=4))
+        assert seen == {threading.get_ident()}
 
 
 class TestDeterminism:
@@ -116,8 +170,8 @@ class TestDeterminism:
         assert set(results[0].values()) == {"STARTED"}
 
 
-def counting_wave(count, concurrency_box=None, fail_at=None, delay=0.0):
-    """Hand-built assembly plus one parallel wave over `count` components."""
+def counting_wave(count, concurrency_box=None, fail_at=None, delay=0.0, clock=None):
+    """One parallel wave over `count` components that sleep, fail or count overlap."""
     lock = threading.Lock()
     live = {"value": 0}
 
@@ -135,30 +189,35 @@ def counting_wave(count, concurrency_box=None, fail_at=None, delay=0.0):
                 with lock:
                     live["value"] -= 1
 
-    asm = Assembly()
-    for i in range(count):
-        asm.add(Component(id=f"c{i}", kind="T", behavior=Probe()))
-    stage = PlanStage(
-        label="wave",
-        mode="parallel",
-        actions=tuple(PlanAction(f"c{i}", S.INSTALLED) for i in range(count)),
-    )
-    ctx = DeployContext(asm, None, VirtualClock())
-    return asm, DeploymentPlan((stage,)), ctx
+    return wave([Probe() for _ in range(count)], clock=clock)
 
 
 class TestWorkerPool:
+    """The thread pool serves real-time transports (WallClock) only."""
+
     def test_concurrency_never_exceeds_max_workers(self):
         box = [0]
-        asm, plan, ctx = counting_wave(12, concurrency_box=box, delay=0.005)
+        asm, plan, ctx = counting_wave(12, concurrency_box=box, delay=0.005, clock=WallClock())
         execute(plan, ctx, ExecOptions(max_workers=3))
         assert 1 <= box[0] <= 3
 
     def test_single_worker_serializes(self):
         box = [0]
-        asm, plan, ctx = counting_wave(6, concurrency_box=box, delay=0.002)
+        asm, plan, ctx = counting_wave(6, concurrency_box=box, delay=0.002, clock=WallClock())
         execute(plan, ctx, ExecOptions(max_workers=1))
         assert box[0] == 1
+
+    def test_stages_do_not_overlap(self):
+        asm, plan, ctx = counting_wave(6, delay=0.002, clock=WallClock())
+        second = PlanStage(
+            label="wave2",
+            mode="parallel",
+            actions=tuple(PlanAction(f"c{i}", S.STARTED) for i in range(6)),
+        )
+        report = execute(DeploymentPlan(plan.stages + (second,)), ctx, ExecOptions(max_workers=3))
+        first, later = report.actions[:6], report.actions[6:]
+        assert len(later) == 6
+        assert max(a.start_ms + a.millis for a in first) <= min(a.start_ms for a in later)
 
 
 class TestFailureHandling:
@@ -185,13 +244,23 @@ class TestFailureHandling:
     def test_parallel_failure_cancels_queued_actions(self):
         # each action sleeps, so the queue is still full when c2 breaks;
         # at most the one already-running action slips through the cancel
-        asm, plan, ctx = counting_wave(30, fail_at=2, delay=0.02)
+        asm, plan, ctx = counting_wave(30, fail_at=2, delay=0.02, clock=WallClock())
         with pytest.raises(StageFailed) as err:
             execute(plan, ctx, ExecOptions(max_workers=1))
         assert err.value.component_id == "c2"
         executed = err.value.report.actions
         assert 3 <= len(executed) <= 6
         assert asm.components["c29"].state == S.UNINSTALLED
+
+    def test_virtual_parallel_failure_stops_dispatch(self):
+        asm, plan, ctx = counting_wave(30, fail_at=2)
+        with pytest.raises(StageFailed) as err:
+            execute(plan, ctx, ExecOptions(max_workers=4))
+        assert err.value.component_id == "c2"
+        assert [a.target for a in err.value.report.actions] == ["c0", "c1", "c2"]
+        assert [a.ok for a in err.value.report.actions] == [True, True, False]
+        assert asm.components["c1"].state == S.INSTALLED
+        assert all(asm.components[f"c{i}"].state == S.UNINSTALLED for i in range(2, 30))
 
     def test_partial_report_still_carries_metrics(self):
         asm, plan, ctx = counting_wave(5, fail_at=0)
