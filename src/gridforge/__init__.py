@@ -7,14 +7,12 @@ transports.
 """
 
 from .assembly import (
-    AssemblyDescriptor,
     DeploymentPlan,
     Diagnostic,
     PlanAction,
     PlanStage,
     emit_text,
     generate,
-    instantiate,
     plan,
     plan_inverse,
     validate,
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assembly",
-    "AssemblyDescriptor",
     "Behavior",
     "Component",
     "Composite",
@@ -92,7 +89,6 @@ __all__ = [
     "execute",
     "expand",
     "generate",
-    "instantiate",
     "load_config",
     "make_context",
     "merge",

@@ -1,19 +1,20 @@
-"""Descriptor generation, validation, and deployment planning.
+"""Assembly generation, validation, and deployment planning.
 
 generate() compiles an expanded configuration against the kind registry
-into a flat descriptor: every component instance, every binding, every
-composite.  validate() returns diagnostics instead of raising so callers
-can show all problems at once.  plan() turns the binding graph into
-ordered stages; bindings are the only source of ordering constraints,
-declaration order is the only tie-break.
+into the live component model (`core.Assembly`): every component with its
+behaviour, every binding, every composite, plus the services, groups and
+shared units the planner reads.  The runtime executes that same object.
+validate() returns diagnostics instead of raising so callers can show all
+problems at once.  plan() turns the binding graph into ordered stages;
+bindings are the only source of ordering constraints, declaration order is
+the only tie-break.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import core
-from .core import LifecycleState, PortSpec
+from .core import Assembly, Binding, Component, Composite, LifecycleState, PortSpec
 from .dsl import Block, Ctor, Entry, ExpandedConfig, Ref
 from .errors import (
     ArityMismatch,
@@ -29,58 +30,10 @@ SERVICE_BLOCKS = frozenset({"services"})
 BARRIER_ROLE = "ready"
 
 
-@dataclass
-class DescriptorComponent:
-    id: str
-    kind: str
-    args: dict
-    provides: frozenset
-    ports: tuple
-    owner: str | None = None
-
-
-@dataclass(frozen=True)
-class DescriptorBinding:
-    client: str
-    port: str
-    server: str
-    interface: str
-
-
-@dataclass
-class DescriptorComposite:
-    id: str
-    kind: str
-    children: dict  # role -> component id (owned children only)
-    exports: dict  # interface -> component id
-    ordinal: int = 0
-
-
 @dataclass(frozen=True)
 class ServiceEntry:
     id: str
     group: str | None = None
-
-
-@dataclass
-class AssemblyDescriptor:
-    components: dict = field(default_factory=dict)  # id -> DescriptorComponent
-    bindings: list = field(default_factory=list)
-    composites: dict = field(default_factory=dict)  # id -> DescriptorComposite
-    services: list = field(default_factory=list)  # ServiceEntry, declaration order
-    groups: dict = field(default_factory=dict)  # group id -> [member ids]
-    shared: list = field(default_factory=list)  # top-level infra component ids
-    node_assignment: dict = field(default_factory=dict)  # service id -> composite id
-
-    def provider_id(self, target: str, interface: str) -> str | None:
-        """Resolve a component-or-composite id to the component serving
-        `interface` (composites answer through their exports)."""
-        if target in self.composites:
-            return self.composites[target].exports.get(interface)
-        comp = self.components.get(target)
-        if comp is not None and interface in comp.provides:
-            return comp.id
-        return None
 
 
 # -- generation ---------------------------------------------------------------
@@ -90,10 +43,10 @@ class _Generator:
     def __init__(self, config: ExpandedConfig, registry: Registry):
         self.config = config
         self.registry = registry
-        self.asm = AssemblyDescriptor()
+        self.asm = Assembly()
         self._pending_roles: dict[str, dict[str, str]] = {}
 
-    def run(self) -> AssemblyDescriptor:
+    def run(self) -> Assembly:
         for entry in self.config.root.entries:
             if not isinstance(entry.value, Block):
                 raise ConfigError(
@@ -145,7 +98,7 @@ class _Generator:
             )
         else:
             cid = f"{block}/{entry.name}"
-            self._component(cid, entry, spec, owner=None)
+            self._component(cid, spec, self._args(value, spec), None)
             if in_services:
                 self.asm.services.append(ServiceEntry(cid))
                 self._service_bindings(cid, entry, spec)
@@ -191,14 +144,16 @@ class _Generator:
                 args[param.name] = param.default
         return args
 
-    def _component(self, cid: str, entry: Entry, spec: KindSpec, owner: str | None) -> None:
-        value = entry.value
-        self.asm.components[cid] = DescriptorComponent(
+    def _component(
+        self, cid: str, spec: KindSpec, args: dict, owner: str | None, ports: tuple | None = None
+    ) -> None:
+        self.asm.components[cid] = Component(
             id=cid,
             kind=spec.name,
-            args=self._args(value, spec),
             provides=spec.provides,
-            ports=spec.ports,
+            ports=spec.ports if ports is None else ports,
+            behavior=spec.behavior(args),
+            args=args,
             owner=owner,
         )
 
@@ -216,12 +171,7 @@ class _Generator:
             if role not in declared:
                 roles.append((role, Entry(role, Ctor(kind_name), entry.span)))
 
-        composite = DescriptorComposite(
-            id=comp_id,
-            kind=spec.name,
-            children={},
-            exports={},
-        )
+        composite = Composite(id=comp_id, kind=spec.name)
         self.asm.composites[comp_id] = composite
         role_refs: dict[str, str] = {}
         for role, child in roles:
@@ -243,28 +193,19 @@ class _Generator:
                     child.span.column,
                 )
             child_id = f"{comp_id}/{role}"
-            self._component(child_id, child, child_spec, owner=comp_id)
+            self._component(child_id, child_spec, self._args(value, child_spec), comp_id)
             composite.children[role] = child_id
 
         barrier_id = f"{comp_id}/{BARRIER_ROLE}"
         barrier_ports = []
-        barrier_binds = []
         for role, child_id in composite.children.items():
-            child = self.asm.components[child_id]
-            iface = min(child.provides) if child.provides else ""
-            barrier_ports.append(PortSpec(role, iface, required=True))
-            barrier_binds.append(DescriptorBinding(barrier_id, role, child_id, iface))
+            provides = self.asm.components[child_id].provides
+            barrier_ports.append(PortSpec(role, min(provides) if provides else "", required=True))
         barrier_spec = self.registry.get("NodeReady")
-        self.asm.components[barrier_id] = DescriptorComponent(
-            id=barrier_id,
-            kind="NodeReady",
-            args={},
-            provides=barrier_spec.provides,
-            ports=tuple(barrier_ports),
-            owner=comp_id,
-        )
+        self._component(barrier_id, barrier_spec, {}, comp_id, tuple(barrier_ports))
+        for port, child_id in zip(barrier_ports, composite.children.values()):
+            self.asm.add_binding(Binding(barrier_id, port.name, child_id, port.interface))
         composite.children[BARRIER_ROLE] = barrier_id
-        self.asm.bindings.extend(barrier_binds)
 
         for role, child_id in composite.children.items():
             for iface in sorted(self.asm.components[child_id].provides):
@@ -285,7 +226,7 @@ class _Generator:
                 )
             spec = self._kind(child.value, child)
             cid = f"{group_id}/{child.name}"
-            self._component(cid, child, spec, owner=None)
+            self._component(cid, spec, self._args(child.value, spec), None)
             self.asm.services.append(ServiceEntry(cid, group=group_id))
             self._service_bindings(cid, child, spec)
             members.append(cid)
@@ -318,13 +259,10 @@ class _Generator:
                     child.span.line,
                     child.span.column,
                 )
-            self.asm.bindings.append(
-                DescriptorBinding(cid, port.name, server, port.interface)
-            )
+            self.asm.add_binding(Binding(cid, port.name, server, port.interface))
 
     def _autobind(self) -> None:
         """Wire unbound ports inside composites by interface matching."""
-        bound = {(b.client, b.port) for b in self.asm.bindings}
         for composite in self.asm.composites.values():
             role_refs = self._pending_roles.get(composite.id, {})
             children = [
@@ -334,15 +272,11 @@ class _Generator:
             ]
             for child in children:
                 for port in child.ports:
-                    if (child.id, port.name) in bound:
+                    if port.name in child.bound:
                         continue
                     server = self._find_provider(composite, role_refs, child, port)
-                    if server is None:
-                        continue
-                    self.asm.bindings.append(
-                        DescriptorBinding(child.id, port.name, server, port.interface)
-                    )
-                    bound.add((child.id, port.name))
+                    if server is not None:
+                        self.asm.add_binding(Binding(child.id, port.name, server, port.interface))
 
     def _find_provider(self, composite, role_refs, child, port) -> str | None:
         # Same-named role reference wins, then siblings, then any role
@@ -391,17 +325,14 @@ class _Generator:
             for c in self.asm.components.values()
             if NODELIST in c.provides and "nodelist" in c.args
         ]
-        bound = {(b.client, b.port) for b in self.asm.bindings}
         for comp in self.asm.components.values():
             port = next((p for p in comp.ports if p.interface == NODELIST), None)
-            if port is None or (comp.id, port.name) in bound:
+            if port is None or port.name in comp.bound:
                 continue
             path = comp.args.get("path")
             for provider in providers:
                 if provider.args["nodelist"] == path:
-                    self.asm.bindings.append(
-                        DescriptorBinding(comp.id, port.name, provider.id, NODELIST)
-                    )
+                    self.asm.add_binding(Binding(comp.id, port.name, provider.id, NODELIST))
                     break
 
     def _assign_nodes(self) -> None:
@@ -415,7 +346,7 @@ class _Generator:
                 self.asm.node_assignment[service.id] = barrier_owner.get(server, server)
 
 
-def generate(config: ExpandedConfig, registry: Registry) -> AssemblyDescriptor:
+def generate(config: ExpandedConfig, registry: Registry) -> Assembly:
     return _Generator(config, registry).run()
 
 
@@ -485,15 +416,7 @@ def _strongly_connected(graph: dict) -> list[list[str]]:
     return sccs
 
 
-def dependency_graph(asm: AssemblyDescriptor) -> dict:
-    graph: dict[str, list[str]] = {cid: [] for cid in asm.components}
-    for binding in asm.bindings:
-        if binding.client in graph and binding.server in asm.components:
-            graph[binding.client].append(binding.server)
-    return graph
-
-
-def validate(asm: AssemblyDescriptor) -> list[Diagnostic]:
+def validate(asm: Assembly) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for binding in asm.bindings:
         client = asm.components.get(binding.client)
@@ -510,15 +433,9 @@ def validate(asm: AssemblyDescriptor) -> list[Diagnostic]:
                     f"{binding.server} does not provide {binding.interface}",
                 )
             )
-    bound = {(b.client, b.port) for b in asm.bindings}
     for comp in asm.components.values():
-        for port in comp.ports:
-            if port.required and (comp.id, port.name) not in bound:
-                out.append(
-                    Diagnostic(
-                        "unbound-port", comp.id, f"required port {port.name} is unbound"
-                    )
-                )
+        for port in comp.unbound_required_ports():
+            out.append(Diagnostic("unbound-port", comp.id, f"required port {port} is unbound"))
     for service_id, node_id in asm.node_assignment.items():
         if node_id not in asm.composites and node_id not in asm.components:
             out.append(Diagnostic("dangling-node", service_id, f"unknown node {node_id}"))
@@ -526,7 +443,7 @@ def validate(asm: AssemblyDescriptor) -> list[Diagnostic]:
         for member in members:
             if member not in asm.components:
                 out.append(Diagnostic("unknown-component", member, f"listed in {group_id}"))
-    for scc in _strongly_connected(dependency_graph(asm)):
+    for scc in _strongly_connected(asm.dependency_graph()):
         out.append(
             Diagnostic("cycle", ", ".join(scc), "binding dependencies form a cycle")
         )
@@ -563,14 +480,14 @@ class DeploymentPlan:
         return seen
 
 
-def _unit_of(asm: AssemblyDescriptor, component_id: str) -> str:
+def _unit_of(asm: Assembly, component_id: str) -> str:
     comp = asm.components.get(component_id)
     if comp is not None and comp.owner:
         return comp.owner
     return component_id
 
 
-def _unit_graph(asm: AssemblyDescriptor) -> dict:
+def _unit_graph(asm: Assembly) -> dict:
     units: dict[str, set] = {}
     for composite_id in asm.composites:
         units[composite_id] = set()
@@ -586,7 +503,7 @@ def _unit_graph(asm: AssemblyDescriptor) -> dict:
     return units
 
 
-def plan(asm: AssemblyDescriptor) -> DeploymentPlan:
+def plan(asm: Assembly) -> DeploymentPlan:
     deps = _unit_graph(asm)
     order = {uid: i for i, uid in enumerate(deps)}
     node_units = set(asm.composites)
@@ -768,43 +685,10 @@ def plan_inverse(p: DeploymentPlan) -> DeploymentPlan:
     return DeploymentPlan(stages)
 
 
-# -- instantiation and inspection ---------------------------------------------
+# -- inspection ---------------------------------------------------------------
 
 
-def instantiate(asm: AssemblyDescriptor, registry: Registry) -> core.Assembly:
-    """Build the live component model the runtime executes against."""
-    live = core.Assembly()
-    for comp in asm.components.values():
-        spec = registry.get(comp.kind)
-        behavior = spec.behavior(comp.args) if spec else core.Behavior()
-        live.add(
-            core.Component(
-                id=comp.id,
-                kind=comp.kind,
-                provides=comp.provides,
-                ports=comp.ports,
-                behavior=behavior,
-                args=dict(comp.args),
-                owner=comp.owner,
-            )
-        )
-    for composite in asm.composites.values():
-        live.add_composite(
-            core.Composite(
-                id=composite.id,
-                kind=composite.kind,
-                children=dict(composite.children),
-                exports=dict(composite.exports),
-                provides=frozenset(composite.exports),
-                ordinal=composite.ordinal,
-            )
-        )
-    for binding in asm.bindings:
-        live.bind((binding.client, binding.port), binding.server)
-    return live
-
-
-def emit_text(asm: AssemblyDescriptor, deployment_plan: DeploymentPlan | None = None) -> str:
+def emit_text(asm: Assembly, deployment_plan: DeploymentPlan | None = None) -> str:
     """Stable, line-oriented rendering for inspection and golden tests."""
     lines: list[str] = ["[components]"]
     for comp in asm.components.values():

@@ -1,8 +1,8 @@
 """Scaling measurements on the simulated grid.
 
 Generates an N-node middleware configuration, runs the full pipeline,
-and reports the framework overhead (configuration loading and
-instantiation, real milliseconds) separately from the effective
+and reports the framework overhead (configuration loading, generation
+and planning, real milliseconds) separately from the effective
 deployment time (virtual milliseconds under the sim clock).
 """
 

@@ -1,6 +1,6 @@
 """Command-line front end: plan, deploy, undeploy, status, bench.
 
-Mutating subcommands persist a state file (descriptor hash, component
+Mutating subcommands persist a state file (assembly hash, component
 states, journal, simulated fleet) so status and undeploy work across
 processes; `GRIDFORGE_STATE_DIR` overrides its location.  Exit codes:
 0 success, 2 configuration or validation problems, 3 execution failure.
@@ -32,12 +32,13 @@ def state_dir() -> str:
     return os.environ.get("GRIDFORGE_STATE_DIR") or os.path.expanduser("~/.gridforge")
 
 
-def _descriptor_hash(deployment: Deployment) -> str:
-    return hashlib.sha256(emit_text(deployment.descriptor).encode()).hexdigest()[:16]
+def _state_key(deployment: Deployment) -> str:
+    """Hash of the generated assembly: one state file per configuration."""
+    return hashlib.sha256(emit_text(deployment.assembly).encode()).hexdigest()[:16]
 
 
 def _state_path(deployment: Deployment) -> str:
-    return os.path.join(state_dir(), _descriptor_hash(deployment) + ".json")
+    return os.path.join(state_dir(), _state_key(deployment) + ".json")
 
 
 def load_state(deployment: Deployment) -> None:
@@ -61,19 +62,25 @@ def save_state(deployment: Deployment) -> str:
     os.makedirs(state_dir(), exist_ok=True)
     path = _state_path(deployment)
     data = {
-        "descriptor": _descriptor_hash(deployment),
+        "descriptor": _state_key(deployment),  # key name kept for older state files
         "states": {cid: c.state.name for cid, c in deployment.assembly.components.items()},
         "journal": deployment.assembly.journal.export_lines(),
         "fleet": deployment.ctx.fleet.to_dict() if deployment.ctx.fleet else None,
     }
     # Write beside the target, then rename over it: a crash mid-write
-    # leaves the previous state file whole.
+    # leaves the previous state file whole, and a failed write its own
+    # temporary file removed.
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return path
 
 
@@ -125,7 +132,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         for action in stage.prelude + stage.actions + stage.postlude:
             print(f"  {action.target} -> {action.state.name.lower()}")
     if args.emit:
-        text = emit_text(deployment.descriptor, deployment.plan)
+        text = emit_text(deployment.assembly, deployment.plan)
         if args.emit == "-":
             sys.stdout.write(text)
         else:
@@ -226,6 +233,13 @@ def _sizes(text: str) -> tuple[int, int, int]:
     return lo, hi, step
 
 
+def _workers(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
     parser.add_argument(
         "-c",
@@ -242,7 +256,7 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -
 
 
 def _add_exec(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-workers", type=int, default=8)
+    parser.add_argument("--max-workers", type=_workers, default=8)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--dry-run", action="store_true")
     parser.add_argument("--metrics", help="write per-stage CSV to this path")
@@ -257,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="show the staged deployment plan")
     _add_common(p_plan)
-    p_plan.add_argument("--emit", help="write descriptor+plan text ('-' for stdout)")
+    p_plan.add_argument("--emit", help="write assembly+plan text ('-' for stdout)")
     p_plan.set_defaults(func=cmd_plan)
 
     p_deploy = sub.add_parser("deploy", help="execute the forward plan")
@@ -276,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run the sim scaling measurement")
     p_bench.add_argument("--sizes", type=_sizes, default=(10, 200, 10), help="lo:hi:step")
-    p_bench.add_argument("--max-workers", type=int, default=10)
+    p_bench.add_argument("--max-workers", type=_workers, default=10)
     p_bench.add_argument("--sequential", action="store_true", help="servers without ParallelRunner")
     p_bench.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
     p_bench.add_argument("--connect-latency", type=float, default=5.0)

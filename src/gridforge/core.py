@@ -93,7 +93,7 @@ class PortSpec:
     required: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class Binding:
     """Directed dependency: client's port is served by server's interface."""
 
@@ -138,8 +138,11 @@ class Composite:
     kind: str
     children: dict[str, str] = field(default_factory=dict)  # role -> component id
     exports: dict[str, str] = field(default_factory=dict)  # interface -> child id
-    provides: frozenset[str] = frozenset()
-    ordinal: int | None = None  # position among dynamic-host nodes, if any
+    ordinal: int = 0  # position among nodes sharing one hostname provider
+
+    @property
+    def provides(self) -> frozenset[str]:
+        return frozenset(self.exports)
 
 
 @dataclass
@@ -192,14 +195,20 @@ def replay(records: list[JournalRecord]) -> dict[str, LifecycleState]:
 class Assembly:
     """A set of components, composites and the bindings between them.
 
-    Owns the execution journal.  Lifecycle actions are single-writer per
-    component; the caller (normally the runtime executor) guarantees that.
+    Also carries the planner's inputs (services, groups, shared units, node
+    assignment), which generation fills in.  Owns the execution journal.
+    Lifecycle actions are single-writer per component; the caller (normally
+    the runtime executor) guarantees that.
     """
 
     def __init__(self) -> None:
         self.components: dict[str, Component] = {}
         self.composites: dict[str, Composite] = {}
         self.bindings: list[Binding] = []
+        self.services: list = []  # assembly.ServiceEntry, declaration order
+        self.groups: dict[str, list[str]] = {}  # group id -> member ids
+        self.shared: list[str] = []  # top-level infrastructure component ids
+        self.node_assignment: dict[str, str] = {}  # service id -> node id
         self.journal = Journal()
 
     # -- construction ----------------------------------------------------
@@ -223,6 +232,16 @@ class Assembly:
             return self.composites[entity_id].provides
         raise UnknownComponent(entity_id)
 
+    def provider_id(self, target: str, interface: str) -> str | None:
+        """Resolve a component-or-composite id to the component serving
+        `interface` (composites answer through their exports)."""
+        if target in self.composites:
+            return self.composites[target].exports.get(interface)
+        comp = self.components.get(target)
+        if comp is not None and interface in comp.provides:
+            return comp.id
+        return None
+
     def bind(self, client: tuple[str, str], server: str) -> Binding:
         """Bind a client (component id, port name) to a server entity."""
         client_id, port_name = client
@@ -240,17 +259,21 @@ class Assembly:
             raise InterfaceMismatch(
                 f"{server} does not provide {spec.interface!r} wanted by {client_id}.{port_name}"
             )
-        binding = Binding(client_id, port_name, server, spec.interface)
-        component.bound[port_name] = binding
+        return self.add_binding(Binding(client_id, port_name, server, spec.interface))
+
+    def add_binding(self, binding: Binding) -> Binding:
+        """Record a binding of an existing client without checking it;
+        validate() reports what is wrong with it."""
+        self.components[binding.client].bound[binding.port] = binding
         self.bindings.append(binding)
         return binding
 
-    def dependency_graph(self) -> dict[str, set[str]]:
-        """client id -> server ids, straight from the bindings."""
-        graph: dict[str, set[str]] = {cid: set() for cid in self.components}
-        for b in self.bindings:
-            graph.setdefault(b.client, set()).add(b.server)
-        return graph
+    def dependency_graph(self) -> dict[str, list[str]]:
+        """component id -> the components its ports are bound to, in binding order."""
+        return {
+            cid: [b.server for b in c.bound.values() if b.server in self.components]
+            for cid, c in self.components.items()
+        }
 
     # -- lifecycle -------------------------------------------------------
 

@@ -102,7 +102,7 @@ class CyclicDependency(DeploymentError):
 
 
 class ValidationFailed(DeploymentError):
-    """An operation that requires a clean descriptor got diagnostics."""
+    """An operation that requires a clean assembly got diagnostics."""
 
     def __init__(self, diagnostics):
         super().__init__("; ".join(str(d) for d in diagnostics))

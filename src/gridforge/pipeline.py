@@ -1,9 +1,10 @@
 """End-to-end wiring: configuration files in, executable deployment out.
 
-Bundles the parse -> expand -> generate -> validate -> plan -> instantiate
-chain and the transport/clock pairing for each backend.  The loading and
-instantiation cost is measured here (overhead), separate from the
-effective deployment time the executor reports.
+Bundles the parse -> expand -> generate -> validate -> plan chain and the
+transport/clock pairing for each backend.  generate() already builds the
+live assembly the executor drives.  The loading, generation and planning
+cost is measured here (overhead), separate from the effective deployment
+time the executor reports.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ import time
 from dataclasses import dataclass
 
 from . import runtime
-from .assembly import (
-    AssemblyDescriptor,
-    DeploymentPlan,
-    generate,
-    instantiate,
-    plan,
-    plan_inverse,
-    validate,
-)
+from .assembly import DeploymentPlan, generate, plan, plan_inverse, validate
 from .core import Assembly
 from .dsl import ExpandedConfig, expand, load_config, parse
 from .errors import ValidationFailed
@@ -42,7 +35,6 @@ class Deployment:
     """Everything a caller needs to inspect or run one configuration."""
 
     config: ExpandedConfig
-    descriptor: AssemblyDescriptor
     plan: DeploymentPlan
     ctx: DeployContext
     overhead_ms: float
@@ -85,7 +77,7 @@ def build(
     strict: bool = False,
 ) -> Deployment:
     """Full pipeline; raises ConfigError subclasses on bad input and
-    ValidationFailed when the generated descriptor has diagnostics."""
+    ValidationFailed when the generated assembly has diagnostics."""
     t0 = time.monotonic()
     return _deploy(t0, load_config(paths), transport, registry, fleet, sim_config, strict)
 
@@ -103,15 +95,14 @@ def build_from_text(
 
 
 def _deploy(t0, config, transport, registry, fleet, sim_config, strict=False) -> Deployment:
-    """generate -> validate -> plan -> instantiate an expanded config;
-    overhead counts from `t0`, taken before the config was loaded."""
+    """generate -> validate -> plan an expanded config; overhead counts
+    from `t0`, taken before the config was loaded."""
     registry = registry or default_registry()
-    descriptor = generate(config, registry)
-    diagnostics = validate(descriptor)
+    assembly = generate(config, registry)
+    diagnostics = validate(assembly)
     if diagnostics:
         raise ValidationFailed(diagnostics)
-    deployment_plan = plan(descriptor)
-    live = instantiate(descriptor, registry)
+    deployment_plan = plan(assembly)
     overhead_ms = (time.monotonic() - t0) * 1000.0
-    ctx = make_context(live, transport, fleet, sim_config, strict)
-    return Deployment(config, descriptor, deployment_plan, ctx, overhead_ms)
+    ctx = make_context(assembly, transport, fleet, sim_config, strict)
+    return Deployment(config, deployment_plan, ctx, overhead_ms)

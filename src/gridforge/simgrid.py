@@ -116,7 +116,7 @@ class SimNode:
             "env": dict(self.env),
             "files": sorted(self.files),
             "processes": sorted(self.processes),
-            "log": [[s.kind.value, s.a, s.b, s.node] for s in self.log],
+            "log": [[s.kind.value, s.a, s.b] for s in self.log],
         }
 
     @classmethod
@@ -125,7 +125,8 @@ class SimNode:
         node.env = dict(data["env"])
         node.files = set(data["files"])
         node.processes = set(data["processes"])
-        node.log = [Step(StepKind(k), a, b, n) for k, a, b, n in data["log"]]
+        # Entries saved by older versions carry a fourth, always-empty field.
+        node.log = [Step(StepKind(entry[0]), entry[1], entry[2]) for entry in data["log"]]
         return node
 
 

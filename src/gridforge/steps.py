@@ -29,39 +29,38 @@ class Step:
     kind: StepKind
     a: str = ""
     b: str = ""
-    node: str = ""  # target node id, informational
 
     def __str__(self) -> str:
         args = ", ".join(x for x in (self.a, self.b) if x)
         return f"{self.kind.value}({args})"
 
 
-def set_var(name: str, value: str, node: str = "") -> Step:
-    return Step(StepKind.SET_VAR, name, value, node)
+def set_var(name: str, value: str) -> Step:
+    return Step(StepKind.SET_VAR, name, value)
 
 
-def append_path(value: str, node: str = "") -> Step:
-    return Step(StepKind.APPEND_PATH, value, "", node)
+def append_path(value: str) -> Step:
+    return Step(StepKind.APPEND_PATH, value)
 
 
-def fetch(url: str, dest: str, node: str = "") -> Step:
-    return Step(StepKind.FETCH, url, dest, node)
+def fetch(url: str, dest: str) -> Step:
+    return Step(StepKind.FETCH, url, dest)
 
 
-def exec_cmd(command: str, node: str = "") -> Step:
-    return Step(StepKind.EXEC, command, "", node)
+def exec_cmd(command: str) -> Step:
+    return Step(StepKind.EXEC, command)
 
 
-def start_process(name: str, command: str, node: str = "") -> Step:
-    return Step(StepKind.START_PROCESS, name, command, node)
+def start_process(name: str, command: str) -> Step:
+    return Step(StepKind.START_PROCESS, name, command)
 
 
-def stop_process(name: str, node: str = "") -> Step:
-    return Step(StepKind.STOP_PROCESS, name, "", node)
+def stop_process(name: str) -> Step:
+    return Step(StepKind.STOP_PROCESS, name)
 
 
-def remove(path: str, node: str = "") -> Step:
-    return Step(StepKind.REMOVE, path, "", node)
+def remove(path: str) -> Step:
+    return Step(StepKind.REMOVE, path)
 
 
 # --- sh dialect ----------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from conftest import DATA, seed_nodelist
 from test_assembly import all_topological_orders, emitted_order, service_dag
 
-from gridforge.assembly import generate, instantiate, plan, plan_inverse, validate
+from gridforge.assembly import generate, plan, plan_inverse, validate
 from gridforge.bench import measure_scaling, r_squared, to_csv
 from gridforge.core import (
     ENSURE_PATHS,
@@ -63,11 +63,13 @@ def _run(capsys, number: int, body) -> None:
 
 @pytest.fixture(scope="module")
 def paper_machine():
-    """Descriptor and plan of the 501-node deployment, built once."""
+    """Configuration and plan of the 501-node deployment, built once; a
+    run generates its own assembly, which the plan addresses by id."""
     registry = default_registry()
-    descriptor = generate(load_config([PAPER]), registry)
-    assert validate(descriptor) == []
-    return registry, descriptor, plan(descriptor)
+    config = load_config([PAPER])
+    assembly = generate(config, registry)
+    assert validate(assembly) == []
+    return registry, config, plan(assembly)
 
 
 def test_1_config_fidelity(capsys):
@@ -224,13 +226,13 @@ def _plan_units(deployment_plan, live) -> dict[str, str]:
 
 def test_5_order_under_parallelism(capsys, sim_home, paper_machine):
     def body():
-        registry, descriptor, deployment_plan = paper_machine
+        registry, config, deployment_plan = paper_machine
         seed_nodelist(sim_home, 501)
         worker_grid = (1, 4, 16)
         state_maps = []
         crossing = 0
         for i in range(100):
-            live = instantiate(descriptor, registry)
+            live = generate(config, registry)
             ctx = make_context(live)
             report = execute(
                 deployment_plan,
@@ -272,9 +274,9 @@ def test_5_order_under_parallelism(capsys, sim_home, paper_machine):
 
 def test_6_deploy_undeploy_involution(capsys, sim_home, paper_machine):
     def body():
-        registry, descriptor, deployment_plan = paper_machine
+        registry, config, deployment_plan = paper_machine
         seed_nodelist(sim_home, 501)
-        live = instantiate(descriptor, registry)
+        live = generate(config, registry)
         ctx = make_context(live)
 
         execute(deployment_plan, ctx, ExecOptions(max_workers=16))
@@ -301,8 +303,8 @@ def test_6_deploy_undeploy_involution(capsys, sim_home, paper_machine):
 
 def test_7_transport_boundary(capsys, paper_machine):
     def body():
-        registry, descriptor, _ = paper_machine
-        live = instantiate(descriptor, registry)
+        registry, config, _ = paper_machine
+        live = generate(config, registry)
         jre = live.components["nodes/node-0/jre"]
         steps, _guard = jre.behavior._steps("start")
         script = render_sh(steps)

@@ -1,5 +1,6 @@
-"""Descriptor generation, validation, and plan order against brute-force oracles."""
+"""Assembly generation, validation, and plan order against brute-force oracles."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,21 +8,18 @@ import pytest
 from configs import MINI, chain, paper_pair, reserved
 from conftest import DATA
 from gridforge.assembly import (
-    AssemblyDescriptor,
-    DescriptorBinding,
-    DescriptorComponent,
     DeploymentPlan,
     PlanAction,
     PlanStage,
     ServiceEntry,
     emit_text,
     generate,
-    instantiate,
     plan,
     plan_inverse,
     validate,
 )
-from gridforge.core import LifecycleState, PortSpec
+from gridforge.cli import _state_key
+from gridforge.core import Assembly, Binding, Component, Composite, LifecycleState, PortSpec
 from gridforge.dsl import expand, load_config, merge, parse
 from gridforge.errors import (
     ArityMismatch,
@@ -32,7 +30,7 @@ from gridforge.errors import (
     ValidationFailed,
 )
 from gridforge.personalities import ScriptBehavior, default_registry
-from gridforge.pipeline import build_from_text
+from gridforge.pipeline import build, build_from_text
 from gridforge.stdlib import BarrierBehavior
 
 
@@ -43,7 +41,7 @@ def registry_m():
 
 @pytest.fixture(scope="module")
 def combined(registry_m):
-    """Descriptor for the full deployment plus its reservation fragment."""
+    """Assembly of the full deployment plus its reservation fragment."""
     config = load_config([str(DATA / "paper.gdf"), str(DATA / "reservation.gdf")])
     return generate(config, registry_m)
 
@@ -53,7 +51,7 @@ def combined_plan(combined):
     return plan(combined)
 
 
-def descriptor_for(text, registry):
+def assembly_for(text, registry):
     return generate(expand(parse(text)), registry)
 
 
@@ -111,19 +109,20 @@ def is_topological(order, edges):
 
 def service_dag(n, edges):
     """Services s0..s{n-1}; an edge (i, j) makes sj depend on si."""
-    asm = AssemblyDescriptor()
+    asm = Assembly()
     needs = {j: sorted(i for i, jj in edges if jj == j) for j in range(n)}
     for i in range(n):
-        asm.components[f"s{i}"] = DescriptorComponent(
-            id=f"s{i}",
-            kind="Svc",
-            args={},
-            provides=frozenset({f"I{i}"}),
-            ports=tuple(PortSpec(f"d{k}", f"I{k}") for k in needs.get(i, [])),
+        asm.add(
+            Component(
+                id=f"s{i}",
+                kind="Svc",
+                provides=frozenset({f"I{i}"}),
+                ports=tuple(PortSpec(f"d{k}", f"I{k}") for k in needs.get(i, [])),
+            )
         )
         asm.services.append(ServiceEntry(f"s{i}"))
     for i, j in edges:
-        asm.bindings.append(DescriptorBinding(f"s{j}", f"d{i}", f"s{i}", f"I{i}"))
+        asm.add_binding(Binding(f"s{j}", f"d{i}", f"s{i}", f"I{i}"))
     return asm
 
 
@@ -168,13 +167,11 @@ class TestGeneration:
 
     def test_explicit_bindings(self, combined):
         assert (
-            DescriptorBinding("services/dci", "ns", "services/ns", "NameService")
+            Binding("services/dci", "ns", "services/ns", "NameService")
             in combined.bindings
         )
         assert (
-            DescriptorBinding(
-                "services/servers/server-250", "dci", "services/dci", "DCI"
-            )
+            Binding("services/servers/server-250", "dci", "services/dci", "DCI")
             in combined.bindings
         )
 
@@ -190,7 +187,7 @@ class TestGeneration:
 
     def test_nodelist_binding_derived_from_path_equality(self, combined):
         assert (
-            DescriptorBinding("nodes/hostname", "nodelist", "services/reservation", "NodeList")
+            Binding("nodes/hostname", "nodelist", "services/reservation", "NodeList")
             in combined.bindings
         )
 
@@ -200,7 +197,7 @@ class TestGeneration:
         assert combined.composites["nodes/oar_server"].ordinal == 0  # own static host
 
     def test_ordinals_unaffected_by_earlier_static_nodes(self, registry_m):
-        asm = descriptor_for(reserved(3, granted=3), registry_m)
+        asm = assembly_for(reserved(3, granted=3), registry_m)
         for i in range(3):
             assert asm.composites[f"nodes/node-{i}"].ordinal == i
 
@@ -234,27 +231,27 @@ class TestGeneration:
 class TestGenerationErrors:
     def test_unknown_kind(self, registry_m):
         with pytest.raises(UnknownKind):
-            descriptor_for("a = K {\n  nodes = {\n    x = Bogus(1)\n  }\n  services = {\n  }\n}\n", registry_m)
+            assembly_for("a = K {\n  nodes = {\n    x = Bogus(1)\n  }\n  services = {\n  }\n}\n", registry_m)
 
     def test_missing_required_argument(self, registry_m):
         text = MINI.replace("Jre(/opt/java/jre)", "Jre")
         with pytest.raises(ArityMismatch):
-            descriptor_for(text, registry_m)
+            assembly_for(text, registry_m)
 
     def test_int_parameter_wants_integer(self, registry_m):
         text = MINI.replace("hostname = StaticHost(simnode-0)", "hostname = StaticHost(simnode-0)\n      port = Port(twenty)")
         with pytest.raises(ArityMismatch):
-            descriptor_for(text, registry_m)
+            assembly_for(text, registry_m)
 
     def test_service_body_must_hold_references(self, registry_m):
         text = MINI.replace("node = nodes/node-0", "node = Port(1)")
         with pytest.raises(ConfigError):
-            descriptor_for(text, registry_m)
+            assembly_for(text, registry_m)
 
     def test_unknown_service_port(self, registry_m):
         text = MINI.replace("node = nodes/node-0", "nod = nodes/node-0")
         with pytest.raises(ConfigError):
-            descriptor_for(text, registry_m)
+            assembly_for(text, registry_m)
 
     def test_node_ref_must_provide_the_interface(self, registry_m):
         text = (
@@ -273,13 +270,13 @@ class TestGenerationErrors:
             "}\n"
         )
         with pytest.raises(DanglingNodeRef):
-            descriptor_for(text, registry_m)
+            assembly_for(text, registry_m)
 
 
 class TestValidation:
     def test_unbound_required_port_reported(self, registry_m):
         text = MINI.replace("node = nodes/node-0", "")
-        asm = descriptor_for(text, registry_m)
+        asm = assembly_for(text, registry_m)
         codes = {d.code for d in validate(asm)}
         assert "unbound-port" in codes
 
@@ -291,25 +288,25 @@ class TestValidation:
     def test_cycle_reported(self):
         asm = service_dag(2, [(0, 1)])
         asm.components["s0"].ports = (PortSpec("back", "I1"),)
-        asm.bindings.append(DescriptorBinding("s0", "back", "s1", "I1"))
+        asm.add_binding(Binding("s0", "back", "s1", "I1"))
         diagnostics = validate(asm)
         cycles = [d for d in diagnostics if d.code == "cycle"]
         assert len(cycles) == 1
         assert "s0" in cycles[0].subject and "s1" in cycles[0].subject
 
     def test_dangling_node_reported(self, registry_m):
-        asm = descriptor_for(MINI, registry_m)
+        asm = assembly_for(MINI, registry_m)
         asm.node_assignment["services/ns"] = "nodes/ghost"
         assert any(d.code == "dangling-node" for d in validate(asm))
 
     def test_binding_to_missing_component(self):
         asm = service_dag(1, [])
-        asm.bindings.append(DescriptorBinding("s0", "x", "ghost", "I9"))
+        asm.add_binding(Binding("s0", "x", "ghost", "I9"))
         assert any(d.code == "unknown-component" for d in validate(asm))
 
     def test_interface_mismatch(self):
         asm = service_dag(2, [])
-        asm.bindings.append(DescriptorBinding("s1", "d0", "s0", "NotProvided"))
+        asm.add_binding(Binding("s1", "d0", "s0", "NotProvided"))
         assert any(d.code == "interface-mismatch" for d in validate(asm))
 
     def test_group_member_missing(self):
@@ -374,14 +371,14 @@ class TestRandomDags:
     def test_service_cycle_refused(self):
         asm = service_dag(2, [(0, 1)])
         asm.components["s0"].ports = (PortSpec("back", "I1"),)
-        asm.bindings.append(DescriptorBinding("s0", "back", "s1", "I1"))
+        asm.add_binding(Binding("s0", "back", "s1", "I1"))
         with pytest.raises(CyclicDependency):
             plan(asm)
 
 
 class TestPlanShape:
     def test_reservation_comes_first(self, registry_m):
-        asm = descriptor_for(reserved(3, granted=3), registry_m)
+        asm = assembly_for(reserved(3, granted=3), registry_m)
         stages = plan(asm).stages
         assert [s.label for s in stages] == [
             "services/reservation",
@@ -398,13 +395,13 @@ class TestPlanShape:
         assert len(stages[1].actions) == 3
 
     def test_minimal_plan(self, registry_m):
-        asm = descriptor_for(MINI, registry_m)
+        asm = assembly_for(MINI, registry_m)
         stages = plan(asm).stages
         assert [s.label for s in stages] == ["node-prep", "services/ns"]
         assert stages[0].actions == (PlanAction("nodes/node-0", LifecycleState.STARTED),)
 
     def test_group_forms_one_parallel_stage(self, registry_m):
-        asm = descriptor_for(chain(4), registry_m)
+        asm = assembly_for(chain(4), registry_m)
         stages = plan(asm).stages
         assert [s.label for s in stages] == [
             "node-prep",
@@ -417,7 +414,7 @@ class TestPlanShape:
         assert len(servers.actions) == 3
 
     def test_unreferenced_shared_component_swept(self, registry_m):
-        asm = descriptor_for(
+        asm = assembly_for(
             "app = OpenCCM.Deployment {\n"
             "  nodes = {\n"
             "    lone = StaticHost(unused.example)\n"
@@ -434,19 +431,12 @@ class TestPlanShape:
     def test_cross_node_dependency_waves(self):
         """A node stack depending on another node's stack cannot share its
         wave; the planner falls back to successive partial waves."""
-        from gridforge.assembly import DescriptorComposite
-
-        asm = AssemblyDescriptor()
+        asm = Assembly()
         for name in ("a", "b"):
-            asm.components[f"{name}/c"] = DescriptorComponent(
-                id=f"{name}/c", kind="T", args={}, provides=frozenset({f"I{name}"}),
-                ports=(), owner=name,
-            )
-            asm.composites[name] = DescriptorComposite(
-                id=name, kind="Node", children={"c": f"{name}/c"}, exports={}
-            )
+            asm.add(Component(id=f"{name}/c", kind="T", provides=frozenset({f"I{name}"}), owner=name))
+            asm.add_composite(Composite(id=name, kind="Node", children={"c": f"{name}/c"}))
         asm.components["b/c"].ports = (PortSpec("dep", "Ia"),)
-        asm.bindings.append(DescriptorBinding("b/c", "dep", "a/c", "Ia"))
+        asm.add_binding(Binding("b/c", "dep", "a/c", "Ia"))
         stages = plan(asm).stages
         assert [s.label for s in stages] == ["node-prep", "node-prep-2"]
         assert [a.target for a in stages[0].actions] == ["a"]
@@ -479,7 +469,7 @@ class TestPlanShape:
     def test_blocked_group_does_not_hold_back_a_ready_one(self, registry_m):
         """`early` waits on the reservation declared after it; `late` runs
         on static hosts and goes first, pulling its node stacks along."""
-        asm = descriptor_for(
+        asm = assembly_for(
             "app = OpenCCM.Deployment {\n"
             "  nodes = {\n"
             "    hostname = DynamicHost(~/nodelist)\n"
@@ -609,7 +599,7 @@ class TestPlanInvariants:
         assert plan_inverse(plan_inverse(combined_plan)) == combined_plan
 
     def test_inverse_swaps_preludes(self, registry_m):
-        asm = descriptor_for(reserved(2, granted=2), registry_m)
+        asm = assembly_for(reserved(2, granted=2), registry_m)
         forward = plan(asm)
         backward = plan_inverse(forward)
         assert backward.stages[0].label == forward.stages[-1].label
@@ -618,34 +608,66 @@ class TestPlanInvariants:
         assert node_prep.prelude == ()
 
 
-# -- instantiation and emission -------------------------------------------
+# -- the generated assembly and its text -----------------------------------
 
 
-class TestInstantiate:
-    def test_live_assembly_mirrors_descriptor(self, registry_m):
-        asm = descriptor_for(MINI, registry_m)
-        live = instantiate(asm, registry_m)
-        assert set(live.components) == set(asm.components)
-        assert set(live.composites) == set(asm.composites)
-        assert len(live.bindings) == len(asm.bindings)
-        assert all(c.state is LifecycleState.UNINSTALLED for c in live.components.values())
+class TestGeneratedAssembly:
+    def test_every_component_starts_uninstalled(self, registry_m):
+        asm = assembly_for(MINI, registry_m)
+        assert isinstance(asm, Assembly)
+        assert asm.components and asm.bindings
+        assert all(c.state is LifecycleState.UNINSTALLED for c in asm.components.values())
+        assert asm.journal.records() == []
 
     def test_behaviors_match_kinds(self, registry_m):
-        asm = descriptor_for(MINI, registry_m)
-        live = instantiate(asm, registry_m)
-        assert isinstance(live.components["nodes/node-0/jre"].behavior, ScriptBehavior)
-        assert isinstance(live.components["nodes/node-0/ready"].behavior, BarrierBehavior)
+        asm = assembly_for(MINI, registry_m)
+        assert isinstance(asm.components["nodes/node-0/jre"].behavior, ScriptBehavior)
+        assert isinstance(asm.components["nodes/node-0/ready"].behavior, BarrierBehavior)
 
     def test_ports_arrive_bound(self, registry_m):
-        asm = descriptor_for(MINI, registry_m)
-        live = instantiate(asm, registry_m)
-        ns = live.components["services/ns"]
+        asm = assembly_for(MINI, registry_m)
+        ns = asm.components["services/ns"]
         assert ns.bound["node"].server == "nodes/node-0/ready"
+        recorded = [b for c in asm.components.values() for b in c.bound.values()]
+        assert sorted(map(str, recorded)) == sorted(map(str, asm.bindings))
+
+    def test_bad_binding_is_a_diagnostic(self, registry_m):
+        """Generation records bindings unchecked; validate() names the fault."""
+        asm = assembly_for(MINI, registry_m)
+        asm.add_binding(Binding("services/ns", "node", "nodes/node-0/jre", "Node"))
+        assert [d.code for d in validate(asm)] == ["interface-mismatch"]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGolden:
+    """emit_text hashes of the shipped configurations, pinned so that a
+    refactoring of the model cannot change its output unnoticed.  The first
+    16 hex characters of an assembly's hash are its CLI state key."""
+
+    PAPER = str(DATA / "paper.gdf")
+
+    def test_paper_state_key(self, registry_m):
+        asm = generate(load_config([self.PAPER]), registry_m)
+        assert sha256(emit_text(asm))[:16] == "521530787f73582a"
+        assert _state_key(build([self.PAPER], registry=registry_m)) == "521530787f73582a"
+
+    def test_paper_with_plan(self, registry_m):
+        asm = generate(load_config([self.PAPER]), registry_m)
+        digest = sha256(emit_text(asm, plan(asm)))
+        assert digest == "155fedd6a27b57b367e70829fc22776d9da5936580cb5eb5326913ffb2ba4d39"
+
+    def test_paper_and_reservation_with_plan(self, combined, combined_plan):
+        digest = sha256(emit_text(combined, combined_plan))
+        assert digest == "7c3a2126d3dd5df2106b954d98758a27689f45c417387d083c8886d63cf96d73"
+        assert sha256(emit_text(combined))[:16] == "99285d5015b6bfef"
 
 
 class TestEmission:
     def test_sections_and_determinism(self, registry_m):
-        asm = descriptor_for(MINI, registry_m)
+        asm = assembly_for(MINI, registry_m)
         deployment_plan = plan(asm)
         text = emit_text(asm, deployment_plan)
         assert text == emit_text(asm, deployment_plan)

@@ -152,6 +152,7 @@ class TestStatusListing:
         (fname,) = state_files(workdir)
         data = json.loads((workdir / "state" / fname).read_text())
         assert set(data["states"].values()) == {"STARTED"}
+        assert list((workdir / "state").glob("*.tmp")) == []
         assert cli.main(["status"]) == 0
         out = capsys.readouterr().out
         assert out.count("deployment ") == 1
@@ -192,6 +193,15 @@ class TestFailures:
     def test_malformed_sizes_rejected(self, workdir):
         with pytest.raises(SystemExit):
             cli.main(["bench", "--sizes", "30:10:10"])
+
+    @pytest.mark.parametrize("command", ["deploy", "undeploy", "bench"])
+    def test_zero_workers_exits_2(self, workdir, capsys, command):
+        config = [] if command == "bench" else ["-c", str(workdir / "mini.gdf")]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, *config, "--max-workers", "0"])
+        assert exit_info.value.code == 2
+        assert "--max-workers: must be at least 1, got 0" in capsys.readouterr().err
+        assert state_files(workdir) == []
 
 
 class TestBench:

@@ -210,7 +210,7 @@ class TestBindings:
         asm = self.make()
         binding = asm.bind(("cli", "dep"), "srv")
         assert binding.client == "cli" and binding.server == "srv"
-        assert asm.dependency_graph()["cli"] == {"srv"}
+        assert asm.dependency_graph()["cli"] == ["srv"]
 
     def test_double_bind_rejected(self):
         asm = self.make()

@@ -10,7 +10,7 @@ a shared host hits both sizes or neither.
 import time
 
 from configs import paper_pair
-from gridforge.assembly import generate, instantiate, plan
+from gridforge.assembly import generate, plan
 from gridforge.dsl import expand, merge, parse
 from gridforge.personalities import default_registry
 
@@ -44,7 +44,7 @@ def test_child_order_grows_linearly():
     registry = default_registry()
 
     def live(n):
-        return instantiate(generate(_config(n), registry), registry)
+        return generate(_config(n), registry)
 
     def order_all(assembly):
         for composite_id in assembly.composites:

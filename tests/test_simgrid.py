@@ -80,6 +80,25 @@ class TestSimNode:
         clone = SimNode.from_dict(node.to_dict())
         assert clone.observable() == node.observable()
         assert clone.id == node.id
+        assert clone.log == node.log
+
+    def test_log_entries_are_kind_and_two_operands(self):
+        node = SimNode("n")
+        node.apply(set_var("A", "1"))
+        assert node.to_dict()["log"] == [["SetVar", "A", "1"]]
+
+    def test_loads_four_field_log_entries(self):
+        """State files written before steps lost their node field still load."""
+        saved = {
+            "id": "n",
+            "env": {"A": "1"},
+            "files": ["/f"],
+            "processes": [],
+            "log": [["SetVar", "A", "1", ""], ["Fetch", "u", "/f", ""]],
+        }
+        node = SimNode.from_dict(saved)
+        assert node.log == [set_var("A", "1"), fetch("u", "/f")]
+        assert replay_log(node.log).observable() == node.observable()
 
 
 def random_steps(rng, count):
