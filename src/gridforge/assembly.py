@@ -175,6 +175,12 @@ class _Generator:
         self.asm.composites[comp_id] = composite
         role_refs: dict[str, str] = {}
         for role, child in roles:
+            if role == BARRIER_ROLE:
+                raise ConfigError(
+                    f"{comp_id}/{role}: role name {BARRIER_ROLE!r} is reserved for the node's readiness barrier",
+                    child.span.line,
+                    child.span.column,
+                )
             value = child.value
             if isinstance(value, Ref):
                 role_refs[role] = "/".join(value.path)

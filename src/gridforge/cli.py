@@ -37,12 +37,12 @@ def _state_key(deployment: Deployment) -> str:
     return hashlib.sha256(emit_text(deployment.assembly).encode()).hexdigest()[:16]
 
 
-def _state_path(deployment: Deployment) -> str:
-    return os.path.join(state_dir(), _state_key(deployment) + ".json")
+def _state_path(key: str) -> str:
+    return os.path.join(state_dir(), key + ".json")
 
 
-def load_state(deployment: Deployment) -> None:
-    path = _state_path(deployment)
+def load_state(deployment: Deployment, key: str) -> None:
+    path = _state_path(key)
     if not os.path.exists(path):
         return
     with open(path, encoding="utf-8") as fh:
@@ -53,19 +53,18 @@ def load_state(deployment: Deployment) -> None:
             comp.state = LifecycleState[state_name]
     fleet_data = data.get("fleet")
     if fleet_data and deployment.ctx.fleet is not None:
-        restored = Fleet.from_dict(fleet_data)
-        deployment.ctx.fleet.nodes = restored.nodes
-        deployment.ctx.transport.fleet = deployment.ctx.fleet
+        deployment.ctx.fleet.nodes = Fleet.from_dict(fleet_data).nodes
 
 
-def save_state(deployment: Deployment) -> str:
+def save_state(deployment: Deployment, key: str) -> str:
     os.makedirs(state_dir(), exist_ok=True)
-    path = _state_path(deployment)
+    path = _state_path(key)
+    fleet = deployment.ctx.fleet
     data = {
-        "descriptor": _state_key(deployment),  # key name kept for older state files
+        "descriptor": key,  # key name kept for older state files
         "states": {cid: c.state.name for cid, c in deployment.assembly.components.items()},
         "journal": deployment.assembly.journal.export_lines(),
-        "fleet": deployment.ctx.fleet.to_dict() if deployment.ctx.fleet else None,
+        "fleet": fleet.to_dict() if fleet is not None and fleet.nodes else None,
     }
     # Write beside the target, then rename over it: a crash mid-write
     # leaves the previous state file whole, and a failed write its own
@@ -143,8 +142,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def _run(args: argparse.Namespace, inverse: bool) -> int:
     deployment = _build(args)
+    key = _state_key(deployment)
     with _StateLock():
-        load_state(deployment)
+        load_state(deployment, key)
         options = _exec_options(args)
         try:
             if inverse:
@@ -156,14 +156,14 @@ def _run(args: argparse.Namespace, inverse: bool) -> int:
             if report is not None:
                 _write_metrics(args, report)
             if not options.dry_run:
-                save_state(deployment)
+                save_state(deployment, key)
             print(f"stage {exc.stage_index} failed at {exc.component_id}: {exc.cause}", file=sys.stderr)
             return EXIT_RUNTIME
         _write_metrics(args, report)
         if not options.dry_run:
-            save_state(deployment)
+            save_state(deployment, key)
     verb = "planned" if options.dry_run else "performed"
-    transitions = sum(1 for _ in deployment.assembly.journal.export_lines())
+    transitions = len(deployment.assembly.journal)
     print(
         f"{'undeploy' if inverse else 'deploy'} complete: "
         f"{len(report.actions)} action(s), {transitions} transition(s) {verb}, "
@@ -184,7 +184,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     if args.config:
         deployment = _build(args)
         with _StateLock():
-            load_state(deployment)
+            load_state(deployment, _state_key(deployment))
         for cid, state in deployment.assembly.status().items():
             print(f"{cid} {state.name}")
         return EXIT_OK

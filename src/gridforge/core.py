@@ -303,38 +303,38 @@ class Assembly:
         self._journal(component_id, action, True, millis)
         return component.state
 
-    def ensure(self, component_id: str, target: LifecycleState, ctx=None) -> list[LifecycleAction]:
-        """Drive a component to `target` along the shortest legal path.
+    def transitions_to(self, target_id: str, target: LifecycleState) -> list[tuple[str, LifecycleAction]]:
+        """The (component id, action) pairs that drive a component or a
+        composite to `target` from the current states, in order.
+
+        A component follows its shortest legal path; a composite cascades
+        over its children in dependency order, reversed when tearing down.
+        Children already at `target` contribute nothing, so driving a shared
+        child through a second parent is a no-op.
+        """
+        if target_id in self.composites:
+            order = self.child_order(target_id)
+            if target is LifecycleState.UNINSTALLED:
+                order.reverse()
+        elif target_id in self.components:
+            order = [target_id]
+        else:
+            raise UnknownComponent(target_id)
+        return [
+            (cid, action)
+            for cid in order
+            for action in ENSURE_PATHS[(self.components[cid].state, target)]
+        ]
+
+    def ensure(self, target_id: str, target: LifecycleState, ctx=None) -> list[tuple[str, LifecycleAction]]:
+        """Perform transitions_to(target_id, target) and return the pairs.
 
         Idempotent: returns [] when already there.  On a hook failure the
-        component stays in the last state it actually reached.
+        failing component stays in the last state it actually reached.
         """
-        component = self.components.get(component_id)
-        if component is None:
-            raise UnknownComponent(component_id)
-        path = ENSURE_PATHS[(component.state, target)]
-        performed: list[LifecycleAction] = []
-        for action in path:
-            self.transition(component_id, action, ctx)
-            performed.append(action)
-        return performed
-
-    def ensure_composite(self, composite_id: str, target: LifecycleState, ctx=None) -> list[tuple[str, LifecycleAction]]:
-        """Cascade ensure() over a composite's children in dependency order.
-
-        Shared children already at `target` contribute nothing, so driving
-        the same child through a second parent is a no-op.
-        """
-        composite = self.composites.get(composite_id)
-        if composite is None:
-            raise UnknownComponent(composite_id)
-        order = self.child_order(composite_id)
-        if target is LifecycleState.UNINSTALLED:
-            order = list(reversed(order))
-        performed: list[tuple[str, LifecycleAction]] = []
-        for child_id in order:
-            for action in self.ensure(child_id, target, ctx):
-                performed.append((child_id, action))
+        performed = self.transitions_to(target_id, target)
+        for cid, action in performed:
+            self.transition(cid, action, ctx)
         return performed
 
     def child_order(self, composite_id: str) -> list[str]:

@@ -133,10 +133,6 @@ class RemoteError(TransportError):
         self.output = output
 
 
-class FetchFailed(TransportError):
-    pass
-
-
 class NodeListMissing(DeploymentError):
     """Dynamic hostname file absent; the reservation likely has not run."""
 

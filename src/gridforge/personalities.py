@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import re
 from importlib import resources as importlib_resources
+from pathlib import Path
 
 import yaml
 
@@ -77,8 +78,7 @@ class ScriptBehavior(Behavior):
     on the node (installation idempotency).
     """
 
-    def __init__(self, kind: str, scripts: dict, params: dict):
-        self.kind = kind
+    def __init__(self, scripts: dict, params: dict):
         self.scripts = scripts
         self.params = params
 
@@ -167,10 +167,6 @@ class OarGridBehavior(ScriptBehavior):
                 pass
 
 
-class StubBehavior(Behavior):
-    """Registered kind with no deployable semantics; every action no-ops."""
-
-
 _BEHAVIOR_CLASSES = {"script": ScriptBehavior, "oargrid": OarGridBehavior}
 
 _PARAM_TYPES = {"str", "int", "path", "resources"}
@@ -196,11 +192,10 @@ def _load_kind(data: dict) -> KindSpec:
             raise ConfigError(f"{name}: unknown parameter type {p.kind!r}")
     scripts = data.get("scripts", {})
     behavior_name = data.get("behavior", "script")
-    if behavior_name == "noop":
-        factory = lambda args: StubBehavior()  # noqa: E731
-    else:
+    factory = None  # noop: the base Behavior
+    if behavior_name != "noop":
         cls = _BEHAVIOR_CLASSES[behavior_name]
-        factory = lambda args, _c=cls, _n=name, _s=scripts: _c(_n, _s, args)  # noqa: E731
+        factory = lambda args, _c=cls, _s=scripts: _c(_s, args)  # noqa: E731
     return KindSpec(
         name=name,
         provides=frozenset(data.get("provides", [])),
@@ -214,9 +209,10 @@ def _load_kind(data: dict) -> KindSpec:
     )
 
 
-def load_personality_file(path: str) -> list[KindSpec]:
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+def load_personality_file(path) -> list[KindSpec]:
+    """Kinds declared in one YAML file: a path, or a package resource."""
+    source = Path(path) if isinstance(path, str) else path
+    doc = yaml.safe_load(source.read_text(encoding="utf-8"))
     return [_load_kind(item) for item in doc.get("kinds", [])]
 
 
@@ -240,19 +236,11 @@ def default_registry(extra_dirs: list[str] | None = None) -> Registry:
     registry = Registry()
     for spec in BUILTIN_KINDS:
         registry.add(spec)
-    data_root = importlib_resources.files("gridforge") / "data"
-    for entry in sorted(data_root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".yaml"):
-            for spec in _load_kinds_from_text(entry.read_text(encoding="utf-8")):
-                registry.add(spec)
-    for directory in extra_dirs or []:
-        for fname in sorted(os.listdir(directory)):
-            if fname.endswith(".yaml"):
-                for spec in load_personality_file(os.path.join(directory, fname)):
+    roots = [importlib_resources.files("gridforge") / "data"]
+    roots += [Path(directory) for directory in extra_dirs or []]
+    for root in roots:
+        for entry in sorted(root.iterdir(), key=lambda e: e.name):
+            if entry.name.endswith(".yaml"):
+                for spec in load_personality_file(entry):
                     registry.add(spec)
     return registry
-
-
-def _load_kinds_from_text(text: str) -> list[KindSpec]:
-    doc = yaml.safe_load(text)
-    return [_load_kind(item) for item in doc.get("kinds", [])]

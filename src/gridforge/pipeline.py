@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import runtime
 from .assembly import DeploymentPlan, generate, plan, plan_inverse, validate
 from .core import Assembly
-from .dsl import ExpandedConfig, expand, load_config, parse
+from .dsl import expand, load_config, parse
 from .errors import ValidationFailed
 from .personalities import Registry, default_registry
 from .simgrid import Fleet, SimClockConfig, VirtualClock, WallClock
@@ -34,7 +34,6 @@ class DeployContext:
 class Deployment:
     """Everything a caller needs to inspect or run one configuration."""
 
-    config: ExpandedConfig
     plan: DeploymentPlan
     ctx: DeployContext
     overhead_ms: float
@@ -105,4 +104,4 @@ def _deploy(t0, config, transport, registry, fleet, sim_config, strict=False) ->
     deployment_plan = plan(assembly)
     overhead_ms = (time.monotonic() - t0) * 1000.0
     ctx = make_context(assembly, transport, fleet, sim_config, strict)
-    return Deployment(config, deployment_plan, ctx, overhead_ms)
+    return Deployment(deployment_plan, ctx, overhead_ms)

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .assembly import DeploymentPlan, PlanAction, PlanStage
-from .core import ENSURE_PATHS, LifecycleState
+from .core import LifecycleState
 from .errors import DeploymentError, StageFailed
 
 
@@ -55,7 +55,6 @@ class ExecutionReport:
     actions: list = field(default_factory=list)  # ActionOutcome
     stages: list = field(default_factory=list)  # StageMetric
     total_ms: float = 0.0
-    failure: tuple | None = None  # (component id, message)
     dry_run: bool = False
 
     def metrics_csv(self) -> str:
@@ -67,39 +66,16 @@ class ExecutionReport:
         return "\n".join(lines) + "\n"
 
 
-def _ensure(ctx, target: str, state: LifecycleState) -> None:
-    if target in ctx.assembly.composites:
-        ctx.assembly.ensure_composite(target, state, ctx)
-    else:
-        ctx.assembly.ensure(target, state, ctx)
-
-
 def _measured(ctx, action: PlanAction, start_ms: float | None = None) -> ActionOutcome:
     clock = ctx.clock
     start_ms = clock.now_ms() if start_ms is None else start_ms
     clock.begin_action()
     error = None
     try:
-        _ensure(ctx, action.target, action.state)
+        ctx.assembly.ensure(action.target, action.state, ctx)
     except DeploymentError as exc:
         error = str(exc)
     return ActionOutcome(action.target, action.state, error is None, clock.end_action(), error, start_ms)
-
-
-def _planned_actions(ctx, action: PlanAction) -> list[str]:
-    assembly = ctx.assembly
-    targets = (
-        [assembly.components[c] for c in assembly.child_order(action.target)]
-        if action.target in assembly.composites
-        else [assembly.components[action.target]]
-    )
-    if action.state is LifecycleState.UNINSTALLED:
-        targets = list(reversed(targets))
-    out = []
-    for comp in targets:
-        for step in ENSURE_PATHS[(comp.state, action.state)]:
-            out.append(f"{comp.id}:{step.name.lower()}")
-    return out
 
 
 class _StageRunner:
@@ -127,14 +103,13 @@ class _StageRunner:
         wall = clock.now_ms() - start
         self.report.stages.append(StageMetric(index, stage.label, stage.mode, count, wall))
         if failed is not None:
-            self.report.failure = (failed.target, failed.error or "action failed")
             raise StageFailed(index, failed.target, failed.error, self.report)
 
     def _dry(self, stage: PlanStage) -> None:
         for action in stage.prelude + stage.actions + stage.postlude:
-            for label in _planned_actions(self.ctx, action):
+            for cid, step in self.ctx.assembly.transitions_to(action.target, action.state):
                 self.report.actions.append(
-                    ActionOutcome(label, action.state, True, 0.0)
+                    ActionOutcome(f"{cid}:{step.name.lower()}", action.state, True, 0.0)
                 )
 
     def _sequential(self, actions: tuple) -> ActionOutcome | None:

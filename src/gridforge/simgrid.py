@@ -160,9 +160,6 @@ class Fleet:
             node = self.nodes[hostname] = SimNode(hostname)
         return node
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def to_dict(self) -> dict:
         return {"nodes": [n.to_dict() for n in self.nodes.values()]}
 

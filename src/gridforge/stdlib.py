@@ -1,9 +1,11 @@
 """Reusable infrastructure components: hosts, ports, users, protocols, shells.
 
-Each kind is an ordinary lifecycle component; what makes them useful is the
-service API their behaviors expose to other behaviors (hostname.get,
-protocol.send, shell.execute, transfer.fetch).  Cross-component calls
-resolve through bindings, never through globals.
+Each kind is an ordinary lifecycle component.  Host, port and user
+behaviors answer queries (`get`, `key_path`); protocols, shells, file
+transfer and the node-ready barrier run the base `Behavior`, because their
+mechanism is the transport itself.  Other behaviors reach a node through
+the module functions `resolve_access`, `protocol_send`, `shell_execute`,
+`shell_access` and `node_shell`, which follow bindings, never globals.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from dataclasses import dataclass
 
 from .core import Behavior, Component, PortSpec
 from .errors import (
-    FetchFailed,
     IndexOutOfRange,
     NodeListMissing,
     RemoteError,
     UnboundPort,
 )
-from .steps import Step, fetch, set_var
+from .steps import Step, set_var
 from .transports import NodeAccess, Payload
 
 # Interface names (what a provided port is called on the wire).
@@ -50,7 +51,7 @@ class KindSpec:
     provides: frozenset
     ports: tuple = ()
     params: tuple = ()
-    factory: object = None  # callable(args: dict) -> Behavior
+    factory: object = None  # callable(args: dict) -> Behavior; None: the base Behavior
     composite: bool = False  # node template: children + defaults
     group: bool = False  # members deploy as one parallel stage
     root: bool = False  # deployment container
@@ -195,38 +196,6 @@ class UserBehavior(Behavior):
         return ""
 
 
-class ProtocolBehavior(Behavior):
-    """SSH (or local/sim stand-in); delivery itself is the transport's job."""
-
-    def __init__(self, args: dict):
-        self.args = args
-
-
-class ShellBehavior(Behavior):
-    def __init__(self, args: dict):
-        self.args = args
-
-
-class TransferBehavior(Behavior):
-    """File transfer over the node's shell; existing destinations short-circuit."""
-
-    def __init__(self, args: dict):
-        self.args = args
-
-    def fetch(self, ctx, component: Component, url: str, dest: str) -> list[Step]:
-        shell = bound_component(ctx.assembly, component, "shell")
-        if shell is None:
-            raise UnboundPort(f"{component.id}: shell port unbound")
-        if ctx.transport.exists(shell_access(ctx, shell), dest):
-            return []
-        step = fetch(url, dest)
-        try:
-            shell_execute(ctx, shell, [step])
-        except RemoteError as exc:
-            raise FetchFailed(f"{url} -> {dest}: {exc}") from exc
-        return [step]
-
-
 class VariableBehavior(Behavior):
     """Sets a shell variable on start, clears it on stop."""
 
@@ -241,10 +210,6 @@ class VariableBehavior(Behavior):
     def stop(self, component: Component, ctx=None) -> None:
         shell = bound_component(ctx.assembly, component, "shell")
         shell_execute(ctx, shell, [set_var(self.name, "")])
-
-
-class BarrierBehavior(Behavior):
-    """Readiness marker for a node stack; all actions are pure no-ops."""
 
 
 def _spec(name, provides, ports=(), params=(), factory=None, **kw) -> KindSpec:
@@ -287,20 +252,9 @@ BUILTIN_KINDS: tuple[KindSpec, ...] = (
             PortSpec("port", PORT, required=False),
             PortSpec("user", USER, required=False),
         ],
-        factory=ProtocolBehavior,
     ),
-    _spec(
-        "SH",
-        [SHELL],
-        ports=[PortSpec("protocol", PROTOCOL)],
-        factory=ShellBehavior,
-    ),
-    _spec(
-        "FileTransfer",
-        [TRANSFER],
-        ports=[PortSpec("shell", SHELL)],
-        factory=TransferBehavior,
-    ),
+    _spec("SH", [SHELL], ports=[PortSpec("protocol", PROTOCOL)]),
+    _spec("FileTransfer", [TRANSFER], ports=[PortSpec("shell", SHELL)]),
     _spec(
         "Variable",
         [VARIABLE],
@@ -308,7 +262,7 @@ BUILTIN_KINDS: tuple[KindSpec, ...] = (
         params=[ParamSpec("name"), ParamSpec("value", required=False, default="")],
         factory=VariableBehavior,
     ),
-    _spec("NodeReady", [NODE], factory=lambda args: BarrierBehavior()),
+    _spec("NodeReady", [NODE]),
     # Reserved: listed for completeness, refuse at action time.
     _spec("Telnet", [PROTOCOL], ports=[PortSpec("hostname", HOSTNAME)], reserved=True),
     _spec("CSH", [SHELL], ports=[PortSpec("protocol", PROTOCOL)], reserved=True),

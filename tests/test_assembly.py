@@ -19,7 +19,7 @@ from gridforge.assembly import (
     validate,
 )
 from gridforge.cli import _state_key
-from gridforge.core import Assembly, Binding, Component, Composite, LifecycleState, PortSpec
+from gridforge.core import Assembly, Behavior, Binding, Component, Composite, LifecycleState, PortSpec
 from gridforge.dsl import expand, load_config, merge, parse
 from gridforge.errors import (
     ArityMismatch,
@@ -31,7 +31,6 @@ from gridforge.errors import (
 )
 from gridforge.personalities import ScriptBehavior, default_registry
 from gridforge.pipeline import build, build_from_text
-from gridforge.stdlib import BarrierBehavior
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +251,14 @@ class TestGenerationErrors:
         text = MINI.replace("node = nodes/node-0", "nod = nodes/node-0")
         with pytest.raises(ConfigError):
             assembly_for(text, registry_m)
+
+    def test_ready_role_is_reserved(self, registry_m):
+        """`ready` names the node's readiness barrier; a user role of that
+        name is refused where it is written, not replaced by the barrier."""
+        text = MINI.replace("jre = Jre(/opt/java/jre)", "ready = Jre(/opt/java/jre)")
+        with pytest.raises(ConfigError, match="'ready' is reserved") as info:
+            assembly_for(text, registry_m)
+        assert (info.value.line, info.value.column) == (6, 7)
 
     def test_node_ref_must_provide_the_interface(self, registry_m):
         text = (
@@ -622,7 +629,7 @@ class TestGeneratedAssembly:
     def test_behaviors_match_kinds(self, registry_m):
         asm = assembly_for(MINI, registry_m)
         assert isinstance(asm.components["nodes/node-0/jre"].behavior, ScriptBehavior)
-        assert isinstance(asm.components["nodes/node-0/ready"].behavior, BarrierBehavior)
+        assert type(asm.components["nodes/node-0/ready"].behavior) is Behavior
 
     def test_ports_arrive_bound(self, registry_m):
         asm = assembly_for(MINI, registry_m)

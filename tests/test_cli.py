@@ -95,6 +95,17 @@ class TestDeployCycle:
             "deploy complete: 2 action(s), 0 transition(s) performed, effective 0.0 ms"
         )
 
+    def test_state_key_rendered_once_per_command(self, workdir, capsys, monkeypatch):
+        """The state key hashes the whole assembly text: render it once."""
+        cfg = str(workdir / "mini.gdf")
+        calls = []
+        render = cli.emit_text
+        monkeypatch.setattr(cli, "emit_text", lambda *a: calls.append(a) or render(*a))
+        for command in ("deploy", "undeploy"):
+            calls.clear()
+            assert cli.main([command, "-c", cfg]) == 0
+            assert len(calls) == 1, command
+
     def test_dry_run_touches_nothing(self, workdir, capsys):
         cfg = str(workdir / "mini.gdf")
         assert cli.main(["deploy", "-c", cfg, "--dry-run"]) == 0

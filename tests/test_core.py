@@ -111,9 +111,13 @@ class TestEnsure:
 
     def test_full_cycle(self):
         asm, comp = fresh()
-        assert asm.ensure("c", S.STARTED) == [A.INSTALL, A.START]
-        assert asm.ensure("c", S.UNINSTALLED) == [A.STOP, A.UNINSTALL]
+        assert asm.ensure("c", S.STARTED) == [("c", A.INSTALL), ("c", A.START)]
+        assert asm.ensure("c", S.UNINSTALLED) == [("c", A.STOP), ("c", A.UNINSTALL)]
         assert comp.state == S.UNINSTALLED
+
+    def test_unknown_target(self):
+        with pytest.raises(UnknownComponent):
+            Assembly().ensure("ghost", S.STARTED)
 
 
 class TestRandomWalks:
@@ -309,10 +313,13 @@ class TestComposites:
 
     def test_cascade_up_then_down(self):
         asm = self.diamond()
-        up = asm.ensure_composite("n", S.STARTED)
+        listed = asm.transitions_to("n", S.STARTED)
+        assert asm.composite_state("n") == S.UNINSTALLED  # listing performs nothing
+        up = asm.ensure("n", S.STARTED)
+        assert up == listed
         assert [cid for cid, _ in up][:2] == ["n/a", "n/a"]  # a installed+started first
         assert asm.composite_state("n") == S.STARTED
-        down = asm.ensure_composite("n", S.UNINSTALLED)
+        down = asm.ensure("n", S.UNINSTALLED)
         assert [cid for cid, _ in down][:2] == ["n/d", "n/d"]  # teardown reversed
         assert asm.composite_state("n") == S.UNINSTALLED
 
@@ -329,5 +336,5 @@ class TestComposites:
         asm.add(Component(id="shared", kind="Test", provides=frozenset({"I"})))
         asm.add_composite(Composite(id="p1", kind="Node", children={"s": "shared"}))
         asm.add_composite(Composite(id="p2", kind="Node", children={"s": "shared"}))
-        assert asm.ensure_composite("p1", S.STARTED) != []
-        assert asm.ensure_composite("p2", S.STARTED) == []
+        assert asm.ensure("p1", S.STARTED) != []
+        assert asm.ensure("p2", S.STARTED) == []

@@ -3,12 +3,11 @@
 import pytest
 
 from configs import MINI, chain, reserved
-from gridforge.core import Component, LifecycleState
+from gridforge.core import Behavior, Component, LifecycleState
 from gridforge.errors import ConfigError, StageFailed, UnboundPort
 from gridforge.personalities import (
     Registry,
     ScriptBehavior,
-    StubBehavior,
     default_registry,
     load_personality_file,
     parse_resource_request,
@@ -42,7 +41,7 @@ class TestRegistry:
 
     def test_kadeploy_is_a_stub(self, registry):
         spec = registry.get("Kadeploy")
-        assert isinstance(spec.behavior({}), StubBehavior)
+        assert type(spec.behavior({})) is Behavior
         spec.behavior({}).install(None)  # no-op, no context needed
 
     def test_extra_dir_kinds_load(self, tmp_path):
@@ -96,18 +95,18 @@ class TestRegistry:
 
 class TestScriptBehavior:
     def test_script_without_context_refuses(self):
-        behavior = ScriptBehavior("K", {"start": {"steps": [["SetVar", "A", "1"]]}}, {})
+        behavior = ScriptBehavior({"start": {"steps": [["SetVar", "A", "1"]]}}, {})
         component = Component(id="k", kind="K")
         with pytest.raises(UnboundPort):
             behavior.start(component, None)
 
     def test_unknown_placeholder_rejected(self):
-        behavior = ScriptBehavior("K", {"start": {"steps": [["SetVar", "A", "${missing}"]]}}, {})
+        behavior = ScriptBehavior({"start": {"steps": [["SetVar", "A", "${missing}"]]}}, {})
         with pytest.raises(ConfigError):
             behavior._steps("start")
 
     def test_actions_without_scripts_are_noops(self):
-        behavior = ScriptBehavior("K", {}, {})
+        behavior = ScriptBehavior({}, {})
         behavior.install(None, None)  # empty script list, context unused
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from configs import MINI, chain
+from configs import MINI, chain, reserved
 from gridforge.assembly import DeploymentPlan, PlanAction, PlanStage
 from gridforge.core import Assembly, Behavior, Component, LifecycleState
 from gridforge.errors import StageFailed
@@ -302,6 +302,20 @@ class TestDryRun:
         assert labels.index("services/ns:stop") < stop
         # planning only: everything still deployed
         assert deployment.assembly.status()["services/ns"] == S.STARTED
+
+
+    @pytest.mark.parametrize("config", [MINI, reserved(6, granted=6)], ids=["mini", "reserved-6"])
+    def test_dry_run_lists_what_execution_performs(self, config, sim_home):
+        """At one worker a dry run's labels are the transitions the real run
+        journals, in the same order, for deploy and for undeploy."""
+        deployment = build_from_text(config)
+        journal = deployment.assembly.journal
+        for run in (deployment.execute, deployment.execute_inverse):
+            listed = [a.target for a in run(ExecOptions(max_workers=1, dry_run=True)).actions]
+            before = len(journal)
+            run(ExecOptions(max_workers=1))
+            performed = [f"{r.component_id}:{r.action.name.lower()}" for r in journal.records()[before:]]
+            assert listed and listed == performed
 
 
 class TestReportShape:

@@ -7,7 +7,7 @@ import subprocess
 
 import pytest
 
-from gridforge.core import Assembly, Component, Composite, PortSpec
+from gridforge.core import Assembly, Behavior, Component, Composite, PortSpec
 from gridforge.errors import ConnectFailed, IndexOutOfRange, NodeListMissing, RemoteError
 from gridforge.pipeline import DeployContext
 from gridforge.simgrid import Fleet, VirtualClock
@@ -18,7 +18,6 @@ from gridforge.stdlib import (
     PortBehavior,
     ReservedBehavior,
     StaticHostBehavior,
-    TransferBehavior,
     UserBehavior,
     VariableBehavior,
     node_ordinal,
@@ -192,17 +191,9 @@ class TestShellExecution:
         assert ctx.clock.now_ms() == 5.0
 
 
-class TestTransferAndVariables:
+class TestVariables:
     def wire(self):
         asm = node_stack()
-        asm.add(
-            Component(
-                id="xfer", kind="FileTransfer", provides=frozenset({"Transfer"}),
-                ports=(PortSpec("shell", "Shell"),),
-                behavior=TransferBehavior({}),
-            )
-        )
-        asm.bind(("xfer", "shell"), "sh")
         asm.add(
             Component(
                 id="var", kind="Variable", provides=frozenset({"Variable"}),
@@ -212,17 +203,6 @@ class TestTransferAndVariables:
         )
         asm.bind(("var", "shell"), "sh")
         return asm, sim_ctx(asm)
-
-    def test_fetch_then_short_circuit(self):
-        asm, ctx = self.wire()
-        xfer = asm.components["xfer"]
-        first = xfer.behavior.fetch(ctx, xfer, "http://m/x.tar.gz", "/opt/x.tar.gz")
-        assert len(first) == 1
-        assert "/opt/x.tar.gz" in ctx.fleet.get("simnode-0").files
-        log_len = len(ctx.fleet.get("simnode-0").log)
-        again = xfer.behavior.fetch(ctx, xfer, "http://m/x.tar.gz", "/opt/x.tar.gz")
-        assert again == []
-        assert len(ctx.fleet.get("simnode-0").log) == log_len  # nothing re-sent
 
     def test_variable_sets_then_clears(self):
         asm, ctx = self.wire()
@@ -309,6 +289,12 @@ class TestRegistryBuiltins:
         names = {k.name for k in BUILTIN_KINDS}
         assert {"StaticHost", "DynamicHost", "Port", "User", "SSH", "SH",
                 "FileTransfer", "Variable", "NodeReady"} <= names
+
+    @pytest.mark.parametrize("kind", ["SSH", "SH", "FileTransfer", "NodeReady"])
+    def test_transport_kinds_run_the_base_behavior(self, kind):
+        """Their mechanism is the transport: every action is a no-op."""
+        (spec,) = [k for k in BUILTIN_KINDS if k.name == kind]
+        assert type(spec.behavior({})) is Behavior
 
     def test_payload_digest_tracks_script(self):
         a = Payload.of([set_var("A", "1")])
