@@ -1,9 +1,11 @@
 """Command-line front end: plan, deploy, undeploy, status, bench.
 
 Mutating subcommands persist a state file (assembly hash, component
-states, journal, simulated fleet) so status and undeploy work across
-processes; `GRIDFORGE_STATE_DIR` overrides its location.  Exit codes:
-0 success, 2 configuration or validation problems, 3 execution failure.
+states, journal, simulated fleet) as compact JSON so status and undeploy
+work across processes; `GRIDFORGE_STATE_DIR` overrides its location.  A
+command that performs no transition leaves an existing file untouched, so
+it keeps the journal of the last command that did.  Exit codes: 0
+success, 2 configuration or validation problems, 3 execution failure.
 """
 
 from __future__ import annotations
@@ -41,19 +43,22 @@ def _state_path(key: str) -> str:
     return os.path.join(state_dir(), key + ".json")
 
 
-def load_state(deployment: Deployment, key: str) -> None:
-    path = _state_path(key)
-    if not os.path.exists(path):
-        return
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+def load_state(deployment: Deployment, key: str, with_fleet: bool = True) -> bool:
+    """Apply the saved component states, and unless `with_fleet` is false
+    the saved SimNodes; False when there is no state file."""
+    try:
+        with open(_state_path(key), encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        return False
     for cid, state_name in data.get("states", {}).items():
         comp = deployment.assembly.components.get(cid)
         if comp is not None:
             comp.state = LifecycleState[state_name]
     fleet_data = data.get("fleet")
-    if fleet_data and deployment.ctx.fleet is not None:
+    if with_fleet and fleet_data and deployment.ctx.fleet is not None:
         deployment.ctx.fleet.nodes = Fleet.from_dict(fleet_data).nodes
+    return True
 
 
 def save_state(deployment: Deployment, key: str) -> str:
@@ -72,7 +77,7 @@ def save_state(deployment: Deployment, key: str) -> str:
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
+            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -140,11 +145,19 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _save_if_changed(deployment: Deployment, key: str, found: bool) -> None:
+    """Save unless the loaded file is already current: an empty journal
+    means no hook ran, so no component state and no SimNode changed."""
+    if found and len(deployment.assembly.journal) == 0:
+        return
+    save_state(deployment, key)
+
+
 def _run(args: argparse.Namespace, inverse: bool) -> int:
     deployment = _build(args)
     key = _state_key(deployment)
     with _StateLock():
-        load_state(deployment, key)
+        found = load_state(deployment, key)
         options = _exec_options(args)
         try:
             if inverse:
@@ -156,12 +169,12 @@ def _run(args: argparse.Namespace, inverse: bool) -> int:
             if report is not None:
                 _write_metrics(args, report)
             if not options.dry_run:
-                save_state(deployment, key)
+                _save_if_changed(deployment, key, found)
             print(f"stage {exc.stage_index} failed at {exc.component_id}: {exc.cause}", file=sys.stderr)
             return EXIT_RUNTIME
         _write_metrics(args, report)
         if not options.dry_run:
-            save_state(deployment, key)
+            _save_if_changed(deployment, key, found)
     verb = "planned" if options.dry_run else "performed"
     transitions = len(deployment.assembly.journal)
     print(
@@ -184,7 +197,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     if args.config:
         deployment = _build(args)
         with _StateLock():
-            load_state(deployment, _state_key(deployment))
+            load_state(deployment, _state_key(deployment), with_fleet=False)
         for cid, state in deployment.assembly.status().items():
             print(f"{cid} {state.name}")
         return EXIT_OK

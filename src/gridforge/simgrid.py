@@ -38,6 +38,7 @@ class SimClockConfig:
 
 
 _VAR = re.compile(r"\$\{(\w+)\}|\$(\w+)")
+_STEP_KINDS = {k.value: k for k in StepKind}  # saved name -> kind, without an Enum call per step
 
 
 class SimNode:
@@ -126,7 +127,7 @@ class SimNode:
         node.files = set(data["files"])
         node.processes = set(data["processes"])
         # Entries saved by older versions carry a fourth, always-empty field.
-        node.log = [Step(StepKind(entry[0]), entry[1], entry[2]) for entry in data["log"]]
+        node.log = [Step(_STEP_KINDS[entry[0]], entry[1], entry[2]) for entry in data["log"]]
         return node
 
 

@@ -24,7 +24,7 @@ class StepKind(Enum):
     REMOVE = "Remove"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     kind: StepKind
     a: str = ""

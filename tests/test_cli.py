@@ -171,6 +171,62 @@ class TestStatusListing:
         assert "  services/ns STARTED" in out.splitlines()
 
 
+MINI_STATUS = [
+    "nodes/node-0/hostname STARTED",
+    "nodes/node-0/jre STARTED",
+    "nodes/node-0/protocol STARTED",
+    "nodes/node-0/shell STARTED",
+    "nodes/node-0/ready STARTED",
+    "services/ns STARTED",
+]
+
+
+class TestStateFile:
+    @pytest.fixture()
+    def deployed(self, workdir, capsys):
+        """MINI deployed once; returns (config path, state file path)."""
+        cfg = str(workdir / "mini.gdf")
+        assert cli.main(["deploy", "-c", cfg]) == 0
+        capsys.readouterr()
+        (fname,) = state_files(workdir)
+        return cfg, workdir / "state" / fname
+
+    def test_resume_leaves_file_untouched(self, deployed, capsys):
+        cfg, path = deployed
+        before, mtime = path.read_bytes(), path.stat().st_mtime_ns
+        assert cli.main(["deploy", "-c", cfg]) == 0
+        assert "0 transition(s) performed" in capsys.readouterr().out
+        assert path.read_bytes() == before
+        assert path.stat().st_mtime_ns == mtime
+        assert len(json.loads(before)["journal"]) == 12
+
+    def test_transitions_rewrite_the_file(self, deployed, capsys):
+        cfg, path = deployed
+        before = path.read_bytes()
+        assert cli.main(["undeploy", "-c", cfg]) == 0
+        data = json.loads(path.read_bytes())
+        assert path.read_bytes() != before
+        assert set(data["states"].values()) == {"UNINSTALLED"}
+        assert len(data["journal"]) == 12
+
+    def test_compact_json(self, deployed):
+        _, path = deployed
+        assert "\n" not in path.read_text()
+
+    def test_indented_file_still_loads(self, deployed, capsys):
+        cfg, path = deployed
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=1, sort_keys=True))
+        assert cli.main(["deploy", "-c", cfg]) == 0
+        assert "0 transition(s) performed" in capsys.readouterr().out
+        assert cli.main(["status", "-c", cfg]) == 0
+        assert capsys.readouterr().out.splitlines() == MINI_STATUS
+
+    def test_status_lines(self, deployed, capsys):
+        cfg, _ = deployed
+        assert cli.main(["status", "-c", cfg]) == 0
+        assert capsys.readouterr().out.splitlines() == MINI_STATUS
+
+
 class TestFailures:
     def test_config_error_exits_2(self, workdir, capsys):
         cfg = write_config(

@@ -1,8 +1,12 @@
 """Software personalities: scripted lifecycles, reservations, the registry."""
 
+from importlib import resources as importlib_resources
+
 import pytest
+import yaml
 
 from configs import MINI, chain, reserved
+from gridforge import personalities
 from gridforge.core import Behavior, Component, LifecycleState
 from gridforge.errors import ConfigError, StageFailed, UnboundPort
 from gridforge.personalities import (
@@ -13,6 +17,7 @@ from gridforge.personalities import (
     parse_resource_request,
 )
 from gridforge.pipeline import build_from_text
+from gridforge.stdlib import BUILTIN_KINDS
 from conftest import seed_nodelist
 
 PAPER_KINDS = [
@@ -91,6 +96,66 @@ class TestRegistry:
         registry = Registry()
         assert registry.get("Nope") is None
         assert "Nope" not in registry
+
+
+class TestMalformedPersonalityFiles:
+    """A broken file in an extra directory is a ConfigError naming it."""
+
+    def _load(self, tmp_path, text):
+        (tmp_path / "broken.yaml").write_text(text)
+        with pytest.raises(ConfigError) as info:
+            default_registry([str(tmp_path)])
+        assert "broken.yaml" in str(info.value)
+        return str(info.value)
+
+    @pytest.mark.parametrize("text", ["", "- just\n- a list\n"])
+    def test_empty_or_non_mapping_document(self, tmp_path, text):
+        assert "expected a mapping" in self._load(tmp_path, text)
+
+    def test_unknown_behavior(self, tmp_path):
+        message = self._load(tmp_path, "kinds:\n  - kind: Wizard\n    behavior: magic\n")
+        assert "Wizard: unknown behavior 'magic'" in message
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("kinds:\n  - provides: [X]\n", "'kind'"),
+            ("kinds:\n  - kind: P\n    ports:\n      - {interface: Shell}\n", "'name'"),
+        ],
+    )
+    def test_missing_field(self, tmp_path, text, field):
+        assert f"missing field {field}" in self._load(tmp_path, text)
+
+    def test_yaml_syntax_error(self, tmp_path):
+        assert "malformed YAML" in self._load(tmp_path, "kinds: [unclosed\n")
+
+
+def _bundled_files():
+    data = importlib_resources.files("gridforge") / "data"
+    return sorted((e for e in data.iterdir() if e.name.endswith(".yaml")), key=lambda e: e.name)
+
+
+class TestYamlLoader:
+    """libyaml's loader, where PyYAML has it, reads what SafeLoader reads."""
+
+    @pytest.mark.parametrize("entry", _bundled_files(), ids=lambda e: e.name)
+    def test_bundled_file_same_document(self, entry):
+        text = entry.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=personalities._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_registry_same_with_pure_python_loader(self, monkeypatch):
+        fast = default_registry()
+        monkeypatch.setattr(personalities, "_YAML_LOADER", yaml.SafeLoader)
+        slow = default_registry()
+        assert list(fast.kinds) == list(slow.kinds)
+        builtin = {spec.name for spec in BUILTIN_KINDS}
+        for name in fast.kinds.keys() - builtin:
+            a, b = fast.get(name), slow.get(name)
+            assert (a.provides, a.ports, a.params, a.defaults) == (b.provides, b.ports, b.params, b.defaults)
+            assert (a.composite, a.group, a.root) == (b.composite, b.group, b.root)
+            behavior_a, behavior_b = a.behavior({}), b.behavior({})
+            assert type(behavior_a) is type(behavior_b)
+            assert getattr(behavior_a, "scripts", None) == getattr(behavior_b, "scripts", None)
 
 
 class TestScriptBehavior:

@@ -1,7 +1,8 @@
 """Real overhead grows linearly in fleet size.
 
 The paper shape with its reservation merged second is built at 100 and 400
-nodes.  Linear work takes about 4x as long at four times the fleet; the gate
+nodes, and a deployed reservation-backed fleet of each size is saved to and
+loaded from the CLI's state file.  Linear work takes about 4x as long at four times the fleet; the gate
 allows 8x, well under the 16x of work that is quadratic in the fleet.
 Timings are interleaved and the best of three is kept, so a slow spell on
 a shared host hits both sizes or neither.
@@ -9,10 +10,12 @@ a shared host hits both sizes or neither.
 
 import time
 
-from configs import paper_pair
+from configs import paper_pair, reserved
 from gridforge.assembly import generate, plan
+from gridforge.cli import load_state, save_state
 from gridforge.dsl import expand, merge, parse
 from gridforge.personalities import default_registry
+from gridforge.pipeline import build_from_text
 
 SMALL, LARGE = 100, 400
 ROUNDS = 3
@@ -52,3 +55,20 @@ def test_child_order_grows_linearly():
 
     small, large = _best(order_all, live(SMALL), live(LARGE))
     assert large / small < MAX_RATIO, f"child_order: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
+
+
+def test_state_save_and_load_grow_linearly(sim_home, monkeypatch):
+    monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(sim_home / "state"))
+
+    def deployed(n):
+        deployment = build_from_text(reserved(n, n))
+        deployment.execute()
+        return deployment
+
+    def round_trip(deployment):
+        key = f"reserved-{len(deployment.ctx.fleet.nodes)}"
+        save_state(deployment, key)
+        load_state(deployment, key)
+
+    small, large = _best(round_trip, deployed(SMALL), deployed(LARGE))
+    assert large / small < MAX_RATIO, f"save+load state: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
