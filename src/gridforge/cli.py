@@ -61,23 +61,38 @@ def load_state(deployment: Deployment, key: str, with_fleet: bool = True) -> boo
     return True
 
 
+# json.dump streams through the pure-Python encoder; encode() takes the C one.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def save_state(deployment: Deployment, key: str) -> str:
+    """Write the state file: the bytes json.dumps(document, sort_keys=True,
+    separators=(",", ":")) gives, encoded one SimNode at a time so that the
+    document is never held as one string."""
     os.makedirs(state_dir(), exist_ok=True)
     path = _state_path(key)
     fleet = deployment.ctx.fleet
-    data = {
-        "descriptor": key,  # key name kept for older state files
-        "states": {cid: c.state.name for cid, c in deployment.assembly.components.items()},
-        "journal": deployment.assembly.journal.export_lines(),
-        "fleet": fleet.to_dict() if fleet is not None and fleet.nodes else None,
-    }
+    states = {cid: c.state.name for cid, c in deployment.assembly.components.items()}
     # Write beside the target, then rename over it: a crash mid-write
     # leaves the previous state file whole, and a failed write its own
     # temporary file removed.
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+            # The document's keys in sorted order; "descriptor" is the key
+            # name older state files use.
+            fh.write(f'{{"descriptor":{_encode(key)},"fleet":')
+            if fleet is not None and fleet.nodes:
+                separator = '{"nodes":['
+                for node in fleet.nodes.values():
+                    fh.write(separator)
+                    fh.write(_encode(node.to_dict()))
+                    separator = ","
+                fh.write("]}")
+            else:
+                fh.write("null")
+            fh.write(f',"journal":{_encode(deployment.assembly.journal.export_lines())}')
+            fh.write(f',"states":{_encode(states)}}}')
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

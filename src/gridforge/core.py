@@ -10,7 +10,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
 
 from .errors import (
@@ -23,10 +22,16 @@ from .errors import (
 )
 
 
+# Members hash by identity, in C, instead of through Enum's Python-level
+# __hash__: the transition tables below are looked up on every action.
+# Identity hashes follow memory addresses, so no set of members may be
+# iterated where its order could reach an output.
 class LifecycleState(Enum):
     UNINSTALLED = "Uninstalled"
     INSTALLED = "Installed"
     STARTED = "Started"
+
+    __hash__ = object.__hash__
 
 
 class LifecycleAction(Enum):
@@ -34,6 +39,8 @@ class LifecycleAction(Enum):
     START = "Start"
     STOP = "Stop"
     UNINSTALL = "Uninstall"
+
+    __hash__ = object.__hash__
 
 
 S = LifecycleState
@@ -60,6 +67,9 @@ ENSURE_PATHS: dict[tuple[LifecycleState, LifecycleState], tuple[LifecycleAction,
     (S.STARTED, S.STARTED): (),
 }
 
+# The Behavior method that performs each action.
+_HOOKS: dict[LifecycleAction, str] = {action: action.name.lower() for action in LifecycleAction}
+
 
 class Behavior:
     """Per-kind lifecycle implementation.  Hooks may raise to abort an action.
@@ -81,7 +91,7 @@ class Behavior:
         pass
 
     def hook(self, action: LifecycleAction):
-        return getattr(self, action.name.lower())
+        return getattr(self, _HOOKS[action])
 
 
 @dataclass
@@ -164,6 +174,16 @@ class Journal:
     def __init__(self) -> None:
         self._records: list[JournalRecord] = []
         self._lock = threading.Lock()
+        self._second: tuple[int, str] = (-1, "")  # last second stamped, formatted
+
+    def stamp(self) -> str:
+        """The UTC time now, as isoformat(timespec="milliseconds") writes it;
+        the date and time of day are formatted once per second."""
+        second, ms = divmod(time.time_ns() // 1_000_000, 1000)
+        cached = self._second
+        if cached[0] != second:
+            cached = self._second = (second, time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(second)))
+        return f"{cached[1]}.{ms:03d}+00:00"
 
     def append(self, record: JournalRecord) -> None:
         with self._lock:
@@ -282,8 +302,8 @@ class Assembly:
         component = self.components.get(component_id)
         if component is None:
             raise UnknownComponent(component_id)
-        key = (component.state, action)
-        if key not in TRANSITIONS:
+        reached = TRANSITIONS.get((component.state, action))
+        if reached is None:
             raise IllegalTransition(component_id, component.state, action)
         missing = component.unbound_required_ports()
         if missing:
@@ -299,7 +319,7 @@ class Assembly:
             self._journal(component_id, action, False, millis)
             raise ActionFailed(component_id, action, exc) from exc
         millis = self._action_millis(clock, started)
-        component.state = TRANSITIONS[key]
+        component.state = reached
         self._journal(component_id, action, True, millis)
         return component.state
 
@@ -387,5 +407,4 @@ class Assembly:
         return (time.monotonic() - wall_started) * 1000.0
 
     def _journal(self, component_id: str, action: LifecycleAction, ok: bool, millis: float) -> None:
-        stamp = datetime.now(timezone.utc).isoformat(timespec="milliseconds")
-        self.journal.append(JournalRecord(stamp, component_id, action, ok, millis))
+        self.journal.append(JournalRecord(self.journal.stamp(), component_id, action, ok, millis))

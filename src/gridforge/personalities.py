@@ -43,8 +43,8 @@ from .stdlib import (
     ParamSpec,
     bound_component,
     node_shell,
+    send_steps,
     shell_access,
-    shell_execute,
 )
 
 _PLACEHOLDER = re.compile(r"\$\{(\w+)\}")
@@ -109,10 +109,10 @@ class ScriptBehavior(Behavior):
             return
         if ctx is None:
             raise UnboundPort(f"{component.id}: {action} needs an execution context")
-        shell = self._shell(ctx, component)
-        if guard and ctx.transport.exists(shell_access(ctx, shell), guard):
+        access = shell_access(ctx, self._shell(ctx, component))
+        if guard and ctx.transport.exists(access, guard):
             return
-        shell_execute(ctx, shell, steps)
+        send_steps(ctx, access, steps)
 
     def install(self, component: Component, ctx=None) -> None:
         self._run("install", component, ctx)
@@ -176,11 +176,28 @@ _BEHAVIOR_CLASSES = {"script": ScriptBehavior, "oargrid": OarGridBehavior}
 _PARAM_TYPES = {"str", "int", "path", "resources"}
 
 
+def _typed(data: dict, field: str, kind: type, owner):
+    """data[field], an empty `kind` when absent; ConfigError when it is
+    present but not a `kind` (a list or a dict)."""
+    value = data.get(field, kind())
+    if not isinstance(value, kind):
+        raise ConfigError(f"{owner}: {field!r} must be a {'list' if kind is list else 'mapping'}")
+    return value
+
+
+def _rows(data: dict, field: str, owner) -> list[dict]:
+    """A field that holds a list of mappings (kinds, ports, params)."""
+    rows = _typed(data, field, list, owner)
+    if not all(isinstance(row, dict) for row in rows):
+        raise ConfigError(f"{owner}: {field!r} must be a list of mappings")
+    return rows
+
+
 def _load_kind(data: dict) -> KindSpec:
     name = data["kind"]
     ports = tuple(
         PortSpec(p["name"], p["interface"], p.get("required", True))
-        for p in data.get("ports", [])
+        for p in _rows(data, "ports", name)
     )
     params = tuple(
         ParamSpec(
@@ -189,12 +206,12 @@ def _load_kind(data: dict) -> KindSpec:
             required=p.get("required", True),
             default=p.get("default"),
         )
-        for p in data.get("params", [])
+        for p in _rows(data, "params", name)
     )
     for p in params:
         if p.kind not in _PARAM_TYPES:
             raise ConfigError(f"{name}: unknown parameter type {p.kind!r}")
-    scripts = data.get("scripts", {})
+    scripts = _typed(data, "scripts", dict, name)
     behavior_name = data.get("behavior", "script")
     factory = None  # noop: the base Behavior
     if behavior_name != "noop":
@@ -204,14 +221,14 @@ def _load_kind(data: dict) -> KindSpec:
         factory = lambda args, _c=cls, _s=scripts: _c(_s, args)  # noqa: E731
     return KindSpec(
         name=name,
-        provides=frozenset(data.get("provides", [])),
+        provides=frozenset(_typed(data, "provides", list, name)),
         ports=ports,
         params=params,
         factory=factory,
         composite=data.get("composite", False),
         group=data.get("group", False),
         root=data.get("root", False),
-        defaults=tuple((k, v) for k, v in data.get("defaults", {}).items()),
+        defaults=tuple(_typed(data, "defaults", dict, name).items()),
     )
 
 
@@ -224,8 +241,9 @@ def load_personality_file(path) -> list[KindSpec]:
         raise ConfigError(f"{source}: malformed YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: expected a mapping with a 'kinds' list")
+    kinds = _rows(doc, "kinds", source)
     try:
-        return [_load_kind(item) for item in doc.get("kinds", [])]
+        return [_load_kind(item) for item in kinds]
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     except KeyError as exc:

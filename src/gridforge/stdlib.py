@@ -4,8 +4,8 @@ Each kind is an ordinary lifecycle component.  Host, port and user
 behaviors answer queries (`get`, `key_path`); protocols, shells, file
 transfer and the node-ready barrier run the base `Behavior`, because their
 mechanism is the transport itself.  Other behaviors reach a node through
-the module functions `resolve_access`, `protocol_send`, `shell_execute`,
-`shell_access` and `node_shell`, which follow bindings, never globals.
+the module functions `resolve_access`, `shell_access`, `send_steps`,
+`shell_execute` and `node_shell`, which follow bindings, never globals.
 """
 
 from __future__ import annotations
@@ -94,30 +94,27 @@ def resolve_access(assembly, protocol: Component) -> NodeAccess:
     return NodeAccess(hostname=hostname, port=port, user=login, identity=identity)
 
 
-def protocol_send(ctx, protocol: Component, payload: Payload) -> tuple[int, str]:
-    """Deliver a payload through the active transport; nonzero status raises."""
-    access = resolve_access(ctx.assembly, protocol)
-    status, output = ctx.transport.send(access, payload)
+def shell_access(ctx, shell: Component) -> NodeAccess:
+    protocol = bound_component(ctx.assembly, shell, "protocol")
+    if protocol is None:
+        raise UnboundPort(f"{shell.id}: protocol port unbound")
+    return resolve_access(ctx.assembly, protocol)
+
+
+def send_steps(ctx, access: NodeAccess, steps: list[Step]) -> tuple[int, str]:
+    """Render steps for the shell dialect and deliver them as one session
+    through the active transport; nonzero status raises."""
+    status, output = ctx.transport.send(access, Payload.of(steps))
     if status != 0:
         raise RemoteError(status, output)
     return status, output
 
 
 def shell_execute(ctx, shell: Component, steps: list[Step]) -> tuple[int, str]:
-    """Render steps for the shell dialect and send them as one session."""
+    """send_steps to the node a shell component reaches."""
     if not steps:
         return 0, ""
-    protocol = bound_component(ctx.assembly, shell, "protocol")
-    if protocol is None:
-        raise UnboundPort(f"{shell.id}: protocol port unbound")
-    return protocol_send(ctx, protocol, Payload.of(steps))
-
-
-def shell_access(ctx, shell: Component) -> NodeAccess:
-    protocol = bound_component(ctx.assembly, shell, "protocol")
-    if protocol is None:
-        raise UnboundPort(f"{shell.id}: protocol port unbound")
-    return resolve_access(ctx.assembly, protocol)
+    return send_steps(ctx, shell_access(ctx, shell), steps)
 
 
 def node_shell(ctx, component: Component, port: str = "node") -> Component:

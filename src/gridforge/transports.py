@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AuthFailed, ConnectFailed, TransportError
 from .simgrid import Fleet, SimClockConfig, VirtualClock
@@ -41,7 +42,7 @@ class Payload:
     def of(cls, steps: list[Step] | tuple[Step, ...]) -> "Payload":
         return cls(tuple(steps), render_sh(list(steps)))
 
-    @property
+    @cached_property
     def digest(self) -> str:
         return format(zlib.crc32(self.script.encode()), "08x")
 
@@ -89,10 +90,12 @@ class SimTransport(Transport):
     def send(self, access: NodeAccess, payload: Payload) -> tuple[int, str]:
         node = self._node(access)
         cfg = self.config
-        self.clock.charge(cfg.latency(cfg.connect_latency, node.id, payload.digest, "connect"))
+        charge = self.clock.charge
+        charge(cfg.latency(cfg.connect_latency, node.id, payload.digest, "connect"))
+        step_ms = cfg.latencies(cfg.step_latency, len(payload.steps), node.id, payload.digest)
         outputs: list[str] = []
-        for i, step in enumerate(payload.steps):
-            self.clock.charge(cfg.latency(cfg.step_latency, node.id, payload.digest, str(i)))
+        for ms, step in zip(step_ms, payload.steps):
+            charge(ms)
             status, out = node.apply(step)
             if out:
                 outputs.append(out)

@@ -1,11 +1,13 @@
 """Command-line behavior: subcommands, exit codes, persisted state."""
 
 import json
+import pathlib
 
 import pytest
 
 from configs import MINI, reserved
 from gridforge import cli
+from gridforge.pipeline import build_from_text
 
 
 @pytest.fixture()
@@ -152,12 +154,16 @@ class TestStatusListing:
         cli.main(["deploy", "-c", cfg])
         capsys.readouterr()
 
-        def torn_dump(data, fh, **kwargs):
-            fh.write('{"descriptor": ')
-            raise OSError("disk full")
+        encode = cli._encode
+
+        def torn_encode(value):
+            # The document's head is already written when a SimNode fails.
+            if isinstance(value, dict) and "log" in value:
+                raise OSError("disk full")
+            return encode(value)
 
         with monkeypatch.context() as patch, pytest.raises(OSError):
-            patch.setattr(cli.json, "dump", torn_dump)
+            patch.setattr(cli, "_encode", torn_encode)
             cli.main(["undeploy", "-c", cfg])
 
         (fname,) = state_files(workdir)
@@ -225,6 +231,37 @@ class TestStateFile:
         cfg, _ = deployed
         assert cli.main(["status", "-c", cfg]) == 0
         assert capsys.readouterr().out.splitlines() == MINI_STATUS
+
+
+def _reference_bytes(deployment, key):
+    """The state document as one json.dumps call writes it."""
+    fleet = deployment.ctx.fleet
+    document = {
+        "descriptor": key,
+        "states": {cid: c.state.name for cid, c in deployment.assembly.components.items()},
+        "journal": deployment.assembly.journal.export_lines(),
+        "fleet": fleet.to_dict() if fleet is not None and fleet.nodes else None,
+    }
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+class TestStateWriter:
+    """save_state writes, piece by piece, exactly the bytes of json.dumps."""
+
+    @pytest.mark.parametrize("text", [MINI, reserved(6, 6)], ids=["mini", "reserved-6-6"])
+    def test_deployed_fleet(self, workdir, text):
+        deployment = build_from_text(text)
+        deployment.execute()
+        assert len(deployment.assembly.journal) > 0 and deployment.ctx.fleet.nodes
+        path = pathlib.Path(cli.save_state(deployment, "deployed"))
+        assert path.read_text(encoding="utf-8") == _reference_bytes(deployment, "deployed")
+
+    def test_empty_fleet(self, workdir):
+        deployment = build_from_text(MINI)
+        assert not deployment.ctx.fleet.nodes
+        text = pathlib.Path(cli.save_state(deployment, "empty")).read_text(encoding="utf-8")
+        assert '"fleet":null' in text
+        assert text == _reference_bytes(deployment, "empty")
 
 
 class TestFailures:

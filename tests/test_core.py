@@ -2,9 +2,11 @@
 
 import re
 from collections import deque
+from datetime import datetime, timezone
 
 import pytest
 
+from gridforge import core
 from gridforge.core import (
     ENSURE_PATHS,
     TRANSITIONS,
@@ -12,6 +14,7 @@ from gridforge.core import (
     Behavior,
     Component,
     Composite,
+    Journal,
     LifecycleAction,
     LifecycleState,
     PortSpec,
@@ -258,6 +261,16 @@ class TestJournal:
         asm.ensure("c", S.STARTED)
         actions = [r.action for r in asm.journal.records()]
         assert actions == [A.INSTALL, A.START]
+
+    def test_stamp_matches_datetime_isoformat(self, monkeypatch):
+        """Stamps read as datetime's UTC isoformat, also where the cached
+        second, minute and day roll over."""
+        journal = Journal()
+        for ms in (1_700_000_000_998, 1_700_000_000_999, 1_700_000_001_000, 1_700_000_059_999,
+                   1_700_000_060_000, 1_700_006_399_999, 1_700_006_400_001, 1_700_000_001_500):
+            monkeypatch.setattr(core.time, "time_ns", lambda ms=ms: ms * 1_000_000 + 123_456)
+            want = datetime.fromtimestamp(ms / 1000, timezone.utc).isoformat(timespec="milliseconds")
+            assert journal.stamp() == want
 
 
 class TestComposites:

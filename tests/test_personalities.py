@@ -129,6 +129,22 @@ class TestMalformedPersonalityFiles:
     def test_yaml_syntax_error(self, tmp_path):
         assert "malformed YAML" in self._load(tmp_path, "kinds: [unclosed\n")
 
+    @pytest.mark.parametrize(
+        "text, complaint",
+        [
+            ("kinds: abc\n", "'kinds' must be a list"),
+            ("kinds:\n  - kind: P\n    ports: 5\n", "P: 'ports' must be a list"),
+            ("kinds:\n  - kind: P\n    ports: [5]\n", "P: 'ports' must be a list of mappings"),
+            ("kinds:\n  - kind: P\n    params: x\n", "P: 'params' must be a list"),
+            ("kinds:\n  - kind: P\n    provides: 5\n", "P: 'provides' must be a list"),
+            ("kinds:\n  - kind: P\n    defaults: 5\n", "P: 'defaults' must be a mapping"),
+            ("kinds:\n  - kind: P\n    scripts: [install]\n", "P: 'scripts' must be a mapping"),
+        ],
+        ids=["kinds-str", "ports-int", "port-row-int", "params-str", "provides-int", "defaults-int", "scripts-list"],
+    )
+    def test_wrongly_typed_field(self, tmp_path, text, complaint):
+        assert complaint in self._load(tmp_path, text)
+
 
 def _bundled_files():
     data = importlib_resources.files("gridforge") / "data"

@@ -1,9 +1,10 @@
 """Real overhead grows linearly in fleet size.
 
 The paper shape with its reservation merged second is built at 100 and 400
-nodes, and a deployed reservation-backed fleet of each size is saved to and
-loaded from the CLI's state file.  Linear work takes about 4x as long at four times the fleet; the gate
-allows 8x, well under the 16x of work that is quadratic in the fleet.
+nodes; a reservation-backed fleet of each size is deployed and undeployed
+on the sim, and saved to and loaded from the CLI's state file.  Linear work
+takes about 4x as long at four times the fleet; the gate allows 8x, well
+under the 16x of work that is quadratic in the fleet.
 Timings are interleaved and the best of three is kept, so a slow spell on
 a shared host hits both sizes or neither.
 """
@@ -72,3 +73,18 @@ def test_state_save_and_load_grow_linearly(sim_home, monkeypatch):
 
     small, large = _best(round_trip, deployed(SMALL), deployed(LARGE))
     assert large / small < MAX_RATIO, f"save+load state: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
+
+
+def test_execute_and_undeploy_grow_linearly(sim_home):
+    texts = {SMALL: reserved(SMALL, SMALL), LARGE: reserved(LARGE, LARGE)}
+    best = {(verb, n): float("inf") for verb in ("execute", "undeploy") for n in texts}
+    for _ in range(ROUNDS):
+        for n, text in texts.items():
+            deployment = build_from_text(text)
+            for verb, run in (("execute", deployment.execute), ("undeploy", deployment.execute_inverse)):
+                t0 = time.perf_counter()
+                run()
+                best[verb, n] = min(best[verb, n], time.perf_counter() - t0)
+    for verb in ("execute", "undeploy"):
+        small, large = best[verb, SMALL], best[verb, LARGE]
+        assert large / small < MAX_RATIO, f"{verb}: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"

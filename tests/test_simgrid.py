@@ -3,7 +3,11 @@
 import random
 import threading
 import tracemalloc
+import zlib
 
+from configs import reserved
+from gridforge.pipeline import build_from_text
+from gridforge.runtime import ExecOptions
 from gridforge.simgrid import Fleet, SimClockConfig, SimNode, VirtualClock, WallClock, replay_log
 from gridforge.steps import (
     append_path,
@@ -14,6 +18,7 @@ from gridforge.steps import (
     start_process,
     stop_process,
 )
+from gridforge.transports import NodeAccess, Payload, SimTransport
 
 
 class TestSimNode:
@@ -247,3 +252,39 @@ class TestJitter:
         a = SimClockConfig(jitter_seed=1).latency(10.0, "n", "0")
         b = SimClockConfig(jitter_seed=2).latency(10.0, "n", "0")
         assert a != b
+
+
+class TestSimCharges:
+    """What the sim transport charges, pinned to the latency model."""
+
+    def _send(self, steps):
+        cfg = SimClockConfig(connect_latency=5.0, step_latency=10.0, jitter_seed=7)
+        clock = VirtualClock()
+        payload = Payload.of(steps)
+        status, _ = SimTransport(Fleet(), clock, cfg).send(NodeAccess("simnode-3"), payload)
+        digest = format(zlib.crc32(payload.script.encode()), "08x")
+        return cfg, digest, clock.now_ms(), status
+
+    def test_send_charges_connect_plus_every_step(self):
+        steps = [set_var(f"V{i}", str(i)) for i in range(6)]
+        cfg, digest, charged, status = self._send(steps)
+        expected = cfg.latency(5.0, "simnode-3", digest, "connect")
+        for i in range(len(steps)):
+            expected += cfg.latency(10.0, "simnode-3", digest, str(i))
+        assert status == 0
+        assert charged == expected
+
+    def test_failing_step_is_the_last_charged(self):
+        steps = [set_var("A", "1"), set_var("B", "2"), exec_cmd("exit 3"), set_var("C", "3")]
+        cfg, digest, charged, status = self._send(steps)
+        expected = cfg.latency(5.0, "simnode-3", digest, "connect")
+        for i in range(3):
+            expected += cfg.latency(10.0, "simnode-3", digest, str(i))
+        assert status == 3
+        assert charged == expected
+
+    def test_reserved_fleet_total_ms(self, sim_home):
+        deployment = build_from_text(reserved(20, 20), sim_config=SimClockConfig(jitter_seed=99))
+        options = ExecOptions(max_workers=4)
+        assert deployment.execute(options).total_ms == 305.3461830142993
+        assert deployment.execute_inverse(options).total_ms == 232.80716291996828
