@@ -45,6 +45,7 @@ class _Generator:
         self.registry = registry
         self.asm = Assembly()
         self._pending_roles: dict[str, dict[str, str]] = {}
+        self._barrier_ports: dict[tuple, tuple[PortSpec, ...]] = {}  # (role, interface) pairs -> ports
 
     def run(self) -> Assembly:
         for entry in self.config.root.entries:
@@ -117,7 +118,7 @@ class _Generator:
 
     def _args(self, value: Ctor, spec: KindSpec) -> dict:
         params = spec.params
-        required = sum(1 for p in params if p.required)
+        required = spec.required_params
         if not (required <= len(value.args) <= len(params)):
             raise ArityMismatch(
                 f"{spec.name} takes {required}..{len(params)} arguments, got {len(value.args)}",
@@ -203,12 +204,17 @@ class _Generator:
             composite.children[role] = child_id
 
         barrier_id = f"{comp_id}/{BARRIER_ROLE}"
-        barrier_ports = []
-        for role, child_id in composite.children.items():
-            provides = self.asm.components[child_id].provides
-            barrier_ports.append(PortSpec(role, min(provides) if provides else "", required=True))
+        signature = tuple(
+            (role, min(self.asm.components[child_id].provides, default=""))
+            for role, child_id in composite.children.items()
+        )
+        barrier_ports = self._barrier_ports.get(signature)
+        if barrier_ports is None:
+            barrier_ports = self._barrier_ports[signature] = tuple(
+                PortSpec(role, iface, required=True) for role, iface in signature
+            )
         barrier_spec = self.registry.get("NodeReady")
-        self._component(barrier_id, barrier_spec, {}, comp_id, tuple(barrier_ports))
+        self._component(barrier_id, barrier_spec, {}, comp_id, barrier_ports)
         for port, child_id in zip(barrier_ports, composite.children.values()):
             self.asm.add_binding(Binding(barrier_id, port.name, child_id, port.interface))
         composite.children[BARRIER_ROLE] = barrier_id
@@ -268,43 +274,56 @@ class _Generator:
             self.asm.add_binding(Binding(cid, port.name, server, port.interface))
 
     def _autobind(self) -> None:
-        """Wire unbound ports inside composites by interface matching."""
+        """Wire unbound ports inside composites by interface matching.
+
+        A same-named role reference wins, then a sibling, then any role
+        reference, then a shared component of the composite's block.
+        """
+        components = self.asm.components
+        shared_of: dict[str, dict[str, str]] = {}  # block -> interface -> first shared provider
         for composite in self.asm.composites.values():
             role_refs = self._pending_roles.get(composite.id, {})
-            children = [
-                self.asm.components[cid]
-                for role, cid in composite.children.items()
-                if role != BARRIER_ROLE
-            ]
-            for child in children:
+            siblings: dict[str, list[str]] = {}  # interface -> children providing it, in order
+            for cid in composite.children.values():
+                for iface in components[cid].provides:
+                    siblings.setdefault(iface, []).append(cid)
+            block = composite.id.rsplit("/", 1)[0]
+            shared = shared_of.get(block)
+            if shared is None:
+                shared = shared_of[block] = self._shared_providers(block)
+            for role, cid in composite.children.items():
+                if role == BARRIER_ROLE:
+                    continue
+                child = components[cid]
                 for port in child.ports:
                     if port.name in child.bound:
                         continue
-                    server = self._find_provider(composite, role_refs, child, port)
+                    server = self._find_provider(role_refs, siblings, shared, cid, port)
                     if server is not None:
-                        self.asm.add_binding(Binding(child.id, port.name, server, port.interface))
+                        self.asm.add_binding(Binding(cid, port.name, server, port.interface))
 
-    def _find_provider(self, composite, role_refs, child, port) -> str | None:
-        # Same-named role reference wins, then siblings, then any role
-        # reference, then block-level shared components.
+    def _shared_providers(self, block: str) -> dict[str, str]:
+        """interface -> the first shared component of `block` providing it."""
+        providers: dict[str, str] = {}
+        for cid in self.asm.shared:
+            if cid.startswith(block + "/"):
+                for iface in self.asm.components[cid].provides:
+                    providers.setdefault(iface, cid)
+        return providers
+
+    def _find_provider(self, role_refs, siblings, shared, client_id, port) -> str | None:
         if port.name in role_refs:
             server = self.asm.provider_id(role_refs[port.name], port.interface)
             if server is not None:
                 return server
-        for role, cid in composite.children.items():
-            comp = self.asm.components[cid]
-            if cid != child.id and port.interface in comp.provides:
+        for cid in siblings.get(port.interface, ()):
+            if cid != client_id:
                 return cid
         for target in role_refs.values():
             server = self.asm.provider_id(target, port.interface)
             if server is not None:
                 return server
-        block = composite.id.rsplit("/", 1)[0]
-        for cid in self.asm.shared:
-            comp = self.asm.components[cid]
-            if cid.startswith(block + "/") and port.interface in comp.provides:
-                return cid
-        return None
+        return shared.get(port.interface)
 
     def _assign_ordinals(self) -> None:
         """Number each composite among those resolving hostnames through
@@ -331,9 +350,15 @@ class _Generator:
             for c in self.asm.components.values()
             if NODELIST in c.provides and "nodelist" in c.args
         ]
+        if not providers:
+            return
         for comp in self.asm.components.values():
-            port = next((p for p in comp.ports if p.interface == NODELIST), None)
-            if port is None or port.name in comp.bound:
+            for port in comp.ports:
+                if port.interface == NODELIST:
+                    break
+            else:
+                continue
+            if port.name in comp.bound:
                 continue
             path = comp.args.get("path")
             for provider in providers:
@@ -369,9 +394,32 @@ class Diagnostic:
         return f"{self.code}: {self.subject}: {self.detail}"
 
 
+def _acyclic(graph: dict) -> bool:
+    """Kahn's algorithm: can every node be peeled off with no edge left
+    into it?  Edges to nodes outside the graph do not count."""
+    indegree = dict.fromkeys(graph, 0)
+    for succs in graph.values():
+        for succ in succs:
+            if succ in indegree:
+                indegree[succ] += 1
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for succ in graph[ready.pop()]:
+            if succ in indegree:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    ready.append(succ)
+    return peeled == len(indegree)
+
+
 def _strongly_connected(graph: dict) -> list[list[str]]:
     """Tarjan's algorithm, iterative; returns components of size > 1
-    (plus self-loop singletons)."""
+    (plus self-loop singletons).  An acyclic graph, the usual case, is
+    recognised by the cheaper _acyclic() first."""
+    if _acyclic(graph):
+        return []
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set = set()
@@ -486,13 +534,6 @@ class DeploymentPlan:
         return seen
 
 
-def _unit_of(asm: Assembly, component_id: str) -> str:
-    comp = asm.components.get(component_id)
-    if comp is not None and comp.owner:
-        return comp.owner
-    return component_id
-
-
 def _unit_graph(asm: Assembly) -> dict:
     units: dict[str, set] = {}
     for composite_id in asm.composites:
@@ -501,9 +542,10 @@ def _unit_graph(asm: Assembly) -> dict:
         units[cid] = set()
     for service in asm.services:
         units[service.id] = set()
+    unit_of = {cid: c.owner or cid for cid, c in asm.components.items()}
     for binding in asm.bindings:
-        client = _unit_of(asm, binding.client)
-        server = _unit_of(asm, binding.server)
+        client = unit_of.get(binding.client, binding.client)
+        server = unit_of.get(binding.server, binding.server)
         if client != server and client in units and server in units:
             units[client].add(server)
     return units
@@ -698,7 +740,7 @@ def emit_text(asm: Assembly, deployment_plan: DeploymentPlan | None = None) -> s
     """Stable, line-oriented rendering for inspection and golden tests."""
     lines: list[str] = ["[components]"]
     for comp in asm.components.values():
-        args = ",".join(f"{k}={comp.args[k]}" for k in sorted(comp.args))
+        args = ",".join([f"{k}={comp.args[k]}" for k in sorted(comp.args)]) if comp.args else ""
         owner = comp.owner or "-"
         lines.append(f"{comp.id} kind={comp.kind} owner={owner} args=({args})")
     lines.append("[bindings]")

@@ -11,6 +11,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     ActionFailed,
@@ -103,9 +104,12 @@ class PortSpec:
     required: bool = True
 
 
-@dataclass(frozen=True)
-class Binding:
-    """Directed dependency: client's port is served by server's interface."""
+class Binding(NamedTuple):
+    """Directed dependency: client's port is served by server's interface.
+
+    A named tuple, not a frozen dataclass: generation builds one per port,
+    and a tuple is built in C rather than by a setattr per field.
+    """
 
     client: str
     port: str
@@ -165,7 +169,8 @@ class JournalRecord:
 
     def line(self) -> str:
         outcome = "ok" if self.ok else "fail"
-        return f"{self.timestamp} {self.component_id} {self.action.value} {outcome} {self.millis:.3f}"
+        # `_value_` is the member's value, read without Enum's Python-level property.
+        return f"{self.timestamp} {self.component_id} {self.action._value_} {outcome} {self.millis:.3f}"
 
 
 class Journal:
@@ -333,6 +338,10 @@ class Assembly:
         child through a second parent is a no-op.
         """
         if target_id in self.composites:
+            components = self.components
+            children = self.composites[target_id].children.values()
+            if all(components[c].state is target for c in children if c in components):
+                return []
             order = self.child_order(target_id)
             if target is LifecycleState.UNINSTALLED:
                 order.reverse()

@@ -345,6 +345,9 @@ class ExpandedConfig:
 
 
 def _interpolate(text: str, env: dict[str, int], span: Span) -> str:
+    if "%" not in text:
+        return text
+
     def repl(m: re.Match) -> str:
         var = m.group(1)
         if var not in env:
@@ -356,29 +359,59 @@ def _interpolate(text: str, env: dict[str, int], span: Span) -> str:
     return _INTERP.sub(repl, text)
 
 
-def _expand_entries(entries, env: dict[str, int]) -> list[Entry]:
-    out: list[Entry] = []
-    for entry in entries:
-        if isinstance(entry, Loop):
-            inner = dict(env)
-            for i in range(entry.lo, entry.hi + 1):
-                inner[entry.var] = i
-                out.extend(_expand_entries(entry.body, inner))
-            continue
-        name = _interpolate(entry.name, env, entry.span)
-        out.append(Entry(name, _expand_value(entry.value, env), entry.span))
-    return out
+class _Expander:
+    """One expansion.  A source subtree with no `%` in any name, argument
+    or path segment and no loop inside is the same in every iteration, so
+    it is reused as it is instead of being copied."""
 
+    def __init__(self) -> None:
+        self._invariant: dict[int, bool] = {}  # id(source node) -> loop-invariant
 
-def _expand_value(value, env: dict[str, int]):
-    if isinstance(value, Ref):
-        path = tuple(_interpolate(p, env, value.span) for p in value.path)
-        return Ref(path, value.span)
-    if isinstance(value, Block):
-        return Block(_expand_entries(value.entries, env), value.span)
-    args = [Arg(_interpolate(a.text, env, a.span), a.span) for a in value.args]
-    body = _expand_value(value.body, env) if value.body is not None else None
-    return Ctor(value.kind, args, body, value.span)
+    def invariant(self, node) -> bool:
+        known = self._invariant.get(id(node))
+        if known is None:
+            known = self._invariant[id(node)] = self._scan(node)
+        return known
+
+    def _scan(self, node) -> bool:
+        if isinstance(node, Entry):
+            return "%" not in node.name and self.invariant(node.value)
+        if isinstance(node, Ref):
+            return not any("%" in p for p in node.path)
+        if isinstance(node, Block):
+            return all(self.invariant(e) for e in node.entries)
+        if isinstance(node, Ctor):
+            return not any("%" in a.text for a in node.args) and (
+                node.body is None or self.invariant(node.body)
+            )
+        return False  # a Loop
+
+    def entries(self, entries, env: dict[str, int]) -> list[Entry]:
+        out: list[Entry] = []
+        for entry in entries:
+            if isinstance(entry, Loop):
+                inner = dict(env)
+                for i in range(entry.lo, entry.hi + 1):
+                    inner[entry.var] = i
+                    out.extend(self.entries(entry.body, inner))
+            elif self.invariant(entry):
+                out.append(entry)
+            else:
+                name = _interpolate(entry.name, env, entry.span)
+                out.append(Entry(name, self.value(entry.value, env), entry.span))
+        return out
+
+    def value(self, value, env: dict[str, int]):
+        if self.invariant(value):
+            return value
+        if isinstance(value, Ref):
+            path = tuple(_interpolate(p, env, value.span) for p in value.path)
+            return Ref(path, value.span)
+        if isinstance(value, Block):
+            return Block(self.entries(value.entries, env), value.span)
+        args = [Arg(_interpolate(a.text, env, a.span), a.span) for a in value.args]
+        body = self.value(value.body, env) if value.body is not None else None
+        return Ctor(value.kind, args, body, value.span)
 
 
 def _check_unique(block: Block, prefix: str) -> None:
@@ -415,12 +448,15 @@ def _check_refs(block: Block, config: ExpandedConfig) -> None:
 
 
 def expand(ast: ConfigAST) -> ExpandedConfig:
-    """Unroll loops, substitute interpolations, verify names and references."""
+    """Unroll loops, substitute interpolations, verify names and references.
+
+    The result shares every loop-invariant subtree with `ast`, so neither
+    may be mutated afterwards; `merge` fragments in before expanding."""
     roots = ast.entries
     if len(roots) != 1 or not isinstance(roots[0].value, Ctor) or roots[0].value.body is None:
         raise ConfigError("configuration needs exactly one root block `Name = Kind { ... }`")
     root_entry = roots[0]
-    body = _expand_value(root_entry.value.body, {})
+    body = _Expander().value(root_entry.value.body, {})
     _check_unique(body, "")
     config = ExpandedConfig(root_entry.name, root_entry.value.kind, body)
     _build_table(body, "", config.table)

@@ -127,7 +127,8 @@ class SimNode:
             "env": dict(self.env),
             "files": sorted(self.files),
             "processes": sorted(self.processes),
-            "log": [[s.kind.value, s.a, s.b] for s in self.log],
+            # `_value_` is the step kind's name, read without Enum's Python-level property.
+            "log": [[s.kind._value_, s.a, s.b] for s in self.log],
         }
 
     @classmethod

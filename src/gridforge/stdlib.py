@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import Behavior, Component, PortSpec
 from .errors import (
@@ -57,6 +58,11 @@ class KindSpec:
     root: bool = False  # deployment container
     reserved: bool = False
     defaults: tuple = ()  # (role, kind) pairs filled into composites
+
+    @cached_property
+    def required_params(self) -> int:
+        """How many arguments a constructor call must give at least."""
+        return sum(1 for p in self.params if p.required)
 
     def behavior(self, args: dict) -> Behavior:
         if self.reserved:

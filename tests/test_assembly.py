@@ -31,6 +31,7 @@ from gridforge.errors import (
 )
 from gridforge.personalities import ScriptBehavior, default_registry
 from gridforge.pipeline import build, build_from_text
+from gridforge.stdlib import KindSpec
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +227,36 @@ class TestGeneration:
     def test_validates_clean(self, combined):
         assert validate(combined) == []
 
+    def test_autobind_precedence(self):
+        """A same-named role reference, then a sibling other than the client
+        itself, then any role reference, then the block's first shared
+        provider."""
+        registry = default_registry()
+        registry.add(KindSpec("Relay", frozenset({"Link"}), ports=(PortSpec("link", "Link", required=False),)))
+        registry.add(KindSpec("Rack", frozenset({"Node"}), composite=True))
+        asm = assembly_for(
+            "app = OpenCCM.Deployment {\n"
+            "  nodes = {\n"
+            "    hub = Relay\n"
+            "    spare = Relay\n"
+            "    rack = Rack { a = Relay\n b = Relay }\n"
+            "    solo = Rack { c = Relay }\n"
+            "    tied = Rack { link = nodes/spare\n e = Relay\n f = Relay }\n"
+            "    ref = Rack { up = nodes/spare\n g = Relay }\n"
+            "  }\n"
+            "}\n",
+            registry,
+        )
+        served = {b.client: b.server for b in asm.bindings if b.port == "link"}
+        assert served == {
+            "nodes/rack/a": "nodes/rack/b",
+            "nodes/rack/b": "nodes/rack/a",
+            "nodes/solo/c": "nodes/hub",
+            "nodes/tied/e": "nodes/spare",
+            "nodes/tied/f": "nodes/spare",
+            "nodes/ref/g": "nodes/spare",
+        }
+
 
 class TestGenerationErrors:
     def test_unknown_kind(self, registry_m):
@@ -300,6 +331,28 @@ class TestValidation:
         cycles = [d for d in diagnostics if d.code == "cycle"]
         assert len(cycles) == 1
         assert "s0" in cycles[0].subject and "s1" in cycles[0].subject
+
+    def test_cycles_keep_their_discovery_order(self):
+        """Depth first from s0: s0 -> s5 -> s2 closes s2 <-> s3 before
+        s0 <-> s4 closes; the self-loop on s1 comes last."""
+        asm = service_dag(6, [(4, 0), (0, 4), (1, 1), (3, 2), (2, 3), (2, 5), (5, 0)])
+        assert [d.subject for d in validate(asm) if d.code == "cycle"] == ["s2, s3", "s0, s4", "s1"]
+
+    def test_cycle_reported_iff_a_service_reaches_itself(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            n, edges = random_dag(rng)
+            edges += [(j, i) for i, j in edges if rng.random() < 0.1]
+            edges += [(i, i) for i in range(n) if rng.random() < 0.05]
+            reach = {i: {j for a, j in edges if a == i} for i in range(n)}
+            for k in range(n):  # transitive closure, Floyd-Warshall order
+                for i in range(n):
+                    if k in reach[i]:
+                        reach[i] |= reach[k]
+            on_cycle = {f"s{i}" for i in range(n) if i in reach[i]}
+            reported = [d.subject.split(", ") for d in validate(service_dag(n, edges)) if d.code == "cycle"]
+            assert {s for subject in reported for s in subject} == on_cycle
+            assert sum(map(len, reported)) == len(on_cycle)
 
     def test_dangling_node_reported(self, registry_m):
         asm = assembly_for(MINI, registry_m)

@@ -12,6 +12,7 @@ from gridforge.core import (
     TRANSITIONS,
     Assembly,
     Behavior,
+    Binding,
     Component,
     Composite,
     Journal,
@@ -243,6 +244,19 @@ class TestBindings:
         with pytest.raises(PortAlreadyBound):
             asm.add(Component(id="srv", kind="Test"))
 
+    def test_binding_value_semantics(self):
+        binding = Binding(client="cli", port="dep", server="srv", interface="I")
+        assert binding == Binding("cli", "dep", "srv", "I")
+        assert binding != Binding("cli", "dep", "srv", "J")
+        assert hash(binding) == hash(Binding("cli", "dep", "srv", "I"))
+        assert len({binding, Binding("cli", "dep", "srv", "I")}) == 1
+        assert str(binding) == "cli.dep -> srv [I]"
+        assert (binding.client, binding.port, binding.server, binding.interface) == ("cli", "dep", "srv", "I")
+        for name in ("client", "port", "server", "interface"):
+            with pytest.raises(AttributeError):
+                setattr(binding, name, "x")
+        assert binding.server == "srv"
+
 
 class TestJournal:
     LINE = re.compile(
@@ -343,6 +357,19 @@ class TestComposites:
         for cid in ("n/b", "n/c", "n/d"):
             asm.ensure(cid, S.INSTALLED)
         assert asm.composite_state("n") == S.INSTALLED
+
+    def test_composite_at_target_skips_child_order(self, monkeypatch):
+        asm = self.diamond()
+        asm.ensure("n", S.STARTED)
+
+        def no_sort(composite_id):
+            raise AssertionError("child_order called for a composite already at its target")
+
+        monkeypatch.setattr(asm, "child_order", no_sort)
+        assert asm.transitions_to("n", S.STARTED) == []
+        asm.components["n/d"].state = S.INSTALLED
+        with pytest.raises(AssertionError):
+            asm.transitions_to("n", S.STARTED)
 
     def test_shared_child_second_cascade_noop(self):
         asm = Assembly()

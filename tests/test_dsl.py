@@ -1,11 +1,16 @@
 """Configuration language: parsing, loop expansion, merging, diagnostics."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridforge.dsl import (
+    Arg,
+    Block,
     Ctor,
+    Entry,
     Loop,
     Ref,
     expand,
@@ -189,6 +194,157 @@ class TestExpansion:
     def test_root_must_be_single_block(self):
         with pytest.raises(ConfigError):
             expand(parse("a = Port(1)\n"))
+
+
+PINNED_APP = """
+app = Root {
+  nodes = {
+    apply FOR(i,0,1) {
+      node-%{i} = Node(host-%{i}) {
+        jre = Jre(/opt/jre)
+        peer = nodes/node-%{i}
+        apply FOR(j,1,2) {
+          disk-%{i}-%{j} = Disk(%{j},/dev/sd%{j})
+        }
+      }
+    }
+  }
+  services = {
+    ns = NameService {
+      node = nodes/node-1
+    }
+  }
+}
+"""
+
+PINNED_FRAGMENT = """
+services = {
+  extra = Extra(x) {
+    node = nodes/node-0
+  }
+}
+"""
+
+
+def _pinned_ast():
+    return merge(parse(PINNED_APP), parse(PINNED_FRAGMENT))
+
+
+def _node(i):
+    """The hand-expanded `node-%{i}` of PINNED_APP."""
+    disks = [
+        Entry(f"disk-{i}-{j}", Ctor("Disk", [Arg(str(j)), Arg(f"/dev/sd{j}")]))
+        for j in (1, 2)
+    ]
+    body = Block(
+        [
+            Entry("jre", Ctor("Jre", [Arg("/opt/jre")])),
+            Entry("peer", Ref(("nodes", f"node-{i}"))),
+            *disks,
+        ]
+    )
+    return Entry(f"node-{i}", Ctor("Node", [Arg(f"host-{i}")], body))
+
+
+class TestExpansionPinned:
+    """expand() on a config with a nested loop, interpolated names, args and
+    reference paths, a loop-invariant subtree and a merged fragment."""
+
+    def test_result_equals_hand_expansion(self):
+        config = expand(_pinned_ast())
+        expected = Block(
+            [
+                Entry("nodes", Block([_node(0), _node(1)])),
+                Entry(
+                    "services",
+                    Block(
+                        [
+                            Entry("ns", Ctor("NameService", [], Block([Entry("node", Ref(("nodes", "node-1")))]))),
+                            Entry("extra", Ctor("Extra", [Arg("x")], Block([Entry("node", Ref(("nodes", "node-0")))]))),
+                        ]
+                    ),
+                ),
+            ]
+        )
+        assert (config.root_name, config.root_kind) == ("app", "Root")
+        assert config.root == expected
+        assert list(config.table) == [
+            "nodes",
+            "nodes/node-0",
+            "nodes/node-0/jre",
+            "nodes/node-0/peer",
+            "nodes/node-0/disk-0-1",
+            "nodes/node-0/disk-0-2",
+            "nodes/node-1",
+            "nodes/node-1/jre",
+            "nodes/node-1/peer",
+            "nodes/node-1/disk-1-1",
+            "nodes/node-1/disk-1-2",
+            "services",
+            "services/ns",
+            "services/ns/node",
+            "services/extra",
+            "services/extra/node",
+        ]
+
+    def test_loop_invariant_subtree_is_shared(self):
+        ast = _pinned_ast()
+        loop = ast.entries[0].value.body.entries[0].value.entries[0]
+        source_jre = loop.body[0].value.body.entries[0]
+        config = expand(ast)
+        jre_0 = config.resolve(("nodes", "node-0", "jre"))
+        assert jre_0 is config.resolve(("nodes", "node-1", "jre")) is source_jre
+        # What varies is copied, per iteration.
+        assert config.resolve(("nodes", "node-0")) is not config.resolve(("nodes", "node-1"))
+        assert config.resolve(("nodes", "node-0", "peer")) is not loop.body[0].value.body.entries[1]
+
+    def test_parse_tree_unchanged_by_expand(self):
+        ast = _pinned_ast()
+        before = copy.deepcopy(ast)
+        expand(ast)
+        assert ast == before
+        assert unparse(ast) == unparse(before)
+
+    def test_unbound_variable_position_and_message(self):
+        cases = {
+            "name": ("    apply FOR(i,0,1) {\n      x-%{j} = T\n    }\n", 4, 7),
+            "argument": ("    apply FOR(i,0,1) {\n      x-%{i} = T(a,%{j})\n    }\n", 4, 20),
+            "path": ("    apply FOR(i,0,1) {\n      x-%{i} = T { p = items/y-%{j} }\n    }\n", 4, 24),
+        }
+        for where, (loop, line, column) in cases.items():
+            with pytest.raises(UnboundLoopVariable) as err:
+                expand_text("app = K {\n  items = {\n" + loop + "    y-0 = T\n  }\n}\n")
+            assert err.value.args[0] == "%{j} is not bound by any enclosing FOR", where
+            assert (err.value.line, err.value.column) == (line, column), where
+
+    def test_duplicate_name_position_and_message(self):
+        with pytest.raises(DuplicateName) as err:
+            expand_text(
+                "app = K {\n"
+                "  items = {\n"
+                "    apply FOR(i,0,1) {\n"
+                "      item-%{i} = Thing { jre = Jre(/opt/jre) }\n"
+                "    }\n"
+                "    item-1 = Thing\n"
+                "  }\n"
+                "}\n"
+            )
+        assert err.value.args[0] == "items/item-1 declared twice"
+        assert (err.value.line, err.value.column) == (6, 5)
+
+    def test_dangling_reference_message(self):
+        with pytest.raises(DanglingReference) as err:
+            expand_text(
+                "app = K {\n"
+                "  nodes = {\n"
+                "    apply FOR(i,0,1) {\n"
+                "      n-%{i} = T { peer = nodes/n-%{i}-spare }\n"
+                "    }\n"
+                "  }\n"
+                "}\n"
+            )
+        assert err.value.args[0] == "reference nodes/n-0-spare resolves to nothing"
+        assert (err.value.line, err.value.column) == (0, 0)
 
 
 class TestMerge:

@@ -1,7 +1,8 @@
 """Real overhead grows linearly in fleet size.
 
 The paper shape with its reservation merged second is built at 100 and 400
-nodes; a reservation-backed fleet of each size is deployed and undeployed
+nodes, from parsing its text to the emit_text that keys the state file; a
+reservation-backed fleet of each size is deployed and undeployed
 on the sim, and saved to and loaded from the CLI's state file.  Linear work
 takes about 4x as long at four times the fleet; the gate allows 8x, well
 under the 16x of work that is quadratic in the fleet.
@@ -12,7 +13,7 @@ a shared host hits both sizes or neither.
 import time
 
 from configs import paper_pair, reserved
-from gridforge.assembly import generate, plan
+from gridforge.assembly import emit_text, generate, plan, validate
 from gridforge.cli import load_state, save_state
 from gridforge.dsl import expand, merge, parse
 from gridforge.personalities import default_registry
@@ -42,6 +43,21 @@ def test_generate_and_plan_grow_linearly():
     registry = default_registry()
     small, large = _best(lambda config: plan(generate(config, registry)), _config(SMALL), _config(LARGE))
     assert large / small < MAX_RATIO, f"generate+plan: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
+
+
+def test_whole_build_grows_linearly():
+    """Every command's build: parse, expand, generate, validate, plan and
+    the emit_text that keys the state file."""
+    registry = default_registry()
+
+    def build(texts):
+        app, reservation = texts
+        assembly = generate(expand(merge(parse(app), parse(reservation))), registry)
+        assert validate(assembly) == []
+        emit_text(assembly, plan(assembly))
+
+    small, large = _best(build, paper_pair(SMALL), paper_pair(LARGE))
+    assert large / small < MAX_RATIO, f"build: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
 
 
 def test_child_order_grows_linearly():
