@@ -5,9 +5,17 @@ into the live component model (`core.Assembly`): every component with its
 behaviour, every binding, every composite, plus the services, groups and
 shared units the planner reads.  The runtime executes that same object.
 validate() returns diagnostics instead of raising so callers can show all
-problems at once.  plan() turns the binding graph into ordered stages;
-bindings are the only source of ordering constraints, declaration order is
-the only tie-break.
+problems at once.
+
+plan() orders the units (node stacks, shared units, services) by their
+bindings, ties broken by declaration order.  The next stage is the first of:
+1. all pending node stacks, when each dependency of each is done or is a
+   shared unit whose own dependencies are done: a parallel `node-prep`
+   (then `node-prep-k`) stage with those shared units as its prelude;
+2. the first ungrouped service or group that needs no other pending service,
+   after the not-yet-done units it needs, dependencies first, under its id;
+3. the ready node stacks, as a partial wave; 4. CyclicDependency.
+Shared units that nothing needs come last, in an `unreferenced` stage.
 """
 
 from __future__ import annotations
@@ -424,49 +432,42 @@ def _strongly_connected(graph: dict) -> list[list[str]]:
     lowlink: dict[str, int] = {}
     on_stack: set = set()
     stack: list[str] = []
-    counter = [0]
+    work: list = []  # (node, iterator over its successors) of the DFS path
     sccs: list[list[str]] = []
+
+    def enter(node: str) -> None:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(graph[node])))
 
     for root in graph:
         if root in index:
             continue
-        work = [(root, iter(graph[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+        enter(root)
         while work:
             node, it = work[-1]
-            advanced = False
             for succ in it:
-                if succ not in graph:
-                    continue
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph[succ])))
-                    advanced = True
+                if succ in graph and succ not in index:
+                    enter(succ)
                     break
                 if succ in on_stack:
                     lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                scc = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                if len(scc) > 1 or node in graph.get(node, ()):
-                    sccs.append(sorted(scc))
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    scc = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        scc.append(member)
+                        if member == node:
+                            break
+                    if len(scc) > 1 or node in graph.get(node, ()):
+                        sccs.append(sorted(scc))
     return sccs
 
 
@@ -501,6 +502,41 @@ def validate(asm: Assembly) -> list[Diagnostic]:
         out.append(
             Diagnostic("cycle", ", ".join(scc), "binding dependencies form a cycle")
         )
+    return out + _group_cycles(asm)
+
+
+def _group_cycles(asm: Assembly) -> list[Diagnostic]:
+    """A group starts in one stage, so no member may need a sibling, directly
+    or through other units: a cycle once each group is one vertex of the unit
+    graph.  Unless something needs a member, no group can be on a cycle."""
+    vertex = {m: group for group, members in asm.groups.items() for m in members}
+    if not any(b.server in vertex for b in asm.bindings):
+        return []
+    deps = _unit_graph(asm)
+    graph: dict[str, list[str]] = {}
+    for unit, needs in deps.items():
+        graph.setdefault(vertex.get(unit, unit), []).extend(vertex.get(d, d) for d in needs)
+
+    def sibling_needed(member: str, inside: set) -> str | None:
+        stack, seen = [member], {vertex[member]}
+        while stack:
+            unit = stack.pop()
+            for dep in (d for u in asm.groups.get(unit, [unit]) for d in deps.get(u, ())):
+                here = vertex.get(dep, dep)
+                if here == vertex[member] and dep != member:
+                    return dep
+                if here in inside and here not in seen:
+                    seen.add(here)
+                    stack.append(here)
+        return None
+
+    out = []
+    for scc in _strongly_connected(graph):
+        inside = set(scc)
+        for member in (m for unit in scc for m in asm.groups.get(unit, ())):
+            sibling = sibling_needed(member, inside)
+            if sibling is not None:
+                out.append(Diagnostic("group-cycle", member, f"needs {sibling} of its own group {vertex[member]}"))
     return out
 
 
@@ -521,186 +557,105 @@ class PlanStage:
     prelude: tuple = ()  # run sequentially before parallel dispatch
     postlude: tuple = ()  # run sequentially after the actions
 
+    @property
+    def all_actions(self) -> tuple:
+        """The prelude, the actions and the postlude, in that order."""
+        return self.prelude + self.actions + self.postlude
+
 
 @dataclass(frozen=True)
 class DeploymentPlan:
     stages: tuple
 
     def coverage(self) -> list[str]:
-        seen: list[str] = []
-        for stage in self.stages:
-            for action in stage.prelude + stage.actions + stage.postlude:
-                seen.append(action.target)
-        return seen
+        return [action.target for stage in self.stages for action in stage.all_actions]
 
 
-def _unit_graph(asm: Assembly) -> dict:
-    units: dict[str, set] = {}
-    for composite_id in asm.composites:
-        units[composite_id] = set()
-    for cid in asm.shared:
-        units[cid] = set()
-    for service in asm.services:
-        units[service.id] = set()
+def _unit_graph(asm: Assembly) -> dict[str, list[str]]:
+    """unit -> the other units it needs, in unit order: node stacks, then
+    shared units, then services, each in declaration order."""
+    order = {uid: i for i, uid in enumerate([*asm.composites, *asm.shared, *(s.id for s in asm.services)])}
+    needs: dict[str, set] = {uid: set() for uid in order}
     unit_of = {cid: c.owner or cid for cid, c in asm.components.items()}
     for binding in asm.bindings:
         client = unit_of.get(binding.client, binding.client)
         server = unit_of.get(binding.server, binding.server)
-        if client != server and client in units and server in units:
-            units[client].add(server)
-    return units
+        if client != server and client in needs and server in needs:
+            needs[client].add(server)
+    return {uid: sorted(units, key=order.__getitem__) for uid, units in needs.items()}
 
 
 def plan(asm: Assembly) -> DeploymentPlan:
+    """Order the units into stages by the rule in the module docstring."""
     deps = _unit_graph(asm)
-    order = {uid: i for i, uid in enumerate(deps)}
-    node_units = set(asm.composites)
-    shared_units = set(asm.shared)
-    service_ids = [s.id for s in asm.services]
-    group_of = {s.id: s.group for s in asm.services}
-
+    shared = set(asm.shared)
+    services = {s.id for s in asm.services}
+    # stage label -> the services it starts: each ungrouped service, each group once
+    candidates = {s.group or s.id: asm.groups[s.group] if s.group else [s.id] for s in asm.services}
     done: set = set()
-    pending_nodes = [u for u in deps if u in node_units]
-    pending_services = list(service_ids)
-    pending_set = set(service_ids)  # membership twin of pending_services
+    nodes = list(asm.composites)  # node stacks not yet done
     stages: list[PlanStage] = []
-    started = LifecycleState.STARTED
+    waves = 0
 
-    def unblocked(unit: str, horizon: set) -> bool:
-        return all(d in horizon for d in deps[unit])
+    def up(units) -> tuple:
+        return tuple(PlanAction(u, LifecycleState.STARTED) for u in units)
 
-    def nonservice_closure(unit: str) -> list[str] | None:
-        """Not-yet-done units this one needs, topo-ordered; None when the
-        closure contains another pending service (must wait for it)."""
-        seen: list[str] = []
-        visiting: set = set()
-
-        def visit(u: str) -> bool:
-            if u in done or u in visiting:
-                return True
-            if u != unit and u in pending_set:
+    def pull(unit: str, seen: dict, out: list) -> bool:
+        """Append to `out` the not-done units `unit` needs, dependencies first,
+        then `unit`; False if one is a service.  `seen`: unit -> pull finished."""
+        seen[unit] = False
+        for dep in deps[unit]:
+            if dep in done:
+                continue
+            if seen.get(dep) is False:
+                raise CyclicDependency(f"dependency cycle through {dep} and {unit}")
+            if dep in services or (dep not in seen and not pull(dep, seen, out)):
                 return False
-            visiting.add(u)
-            for d in sorted(deps[u], key=order.get):
-                if not visit(d):
-                    return False
-            if u != unit:
-                seen.append(u)
-            return True
+        seen[unit] = True
+        out.append(unit)
+        return True
 
-        return seen if visit(unit) else None
+    def ready(node: str) -> bool:
+        return all(d in done or (d in shared and all(e in done for e in deps[d])) for d in deps[node])
 
-    prep_waves = 0
+    def node_wave(wave: list[str]) -> PlanStage:
+        nonlocal waves
+        waves += 1
+        needed = {d for n in wave for d in deps[n]}
+        prelude = [u for u in asm.shared if u in needed and u not in done]
+        return PlanStage("node-prep" if waves == 1 else f"node-prep-{waves}", "parallel", up(wave), up(prelude))
 
-    def emit_wave(ready_nodes: list[str], shared_ready: set) -> None:
-        nonlocal prep_waves, pending_nodes
-        prelude_units = sorted(
-            {d for u in ready_nodes for d in deps[u] if d in shared_ready},
-            key=order.get,
-        )
-        prep_waves += 1
-        label = "node-prep" if prep_waves == 1 else f"node-prep-{prep_waves}"
-        stages.append(
-            PlanStage(
-                label=label,
-                mode="parallel",
-                actions=tuple(PlanAction(u, started) for u in ready_nodes),
-                prelude=tuple(PlanAction(u, started) for u in prelude_units),
-            )
-        )
-        done.update(ready_nodes)
-        done.update(prelude_units)
-        pending_nodes = [u for u in pending_nodes if u not in done]
+    def next_stage() -> PlanStage:
+        wave = [n for n in nodes if ready(n)]
+        if wave and len(wave) == len(nodes):
+            return node_wave(wave)
+        for label, members in candidates.items():
+            seen, out = {}, []
+            if all(pull(m, seen, out) for m in members):
+                if label in asm.groups:
+                    return PlanStage(label, "parallel", up(members), up(u for u in out if u not in services))
+                return PlanStage(label, "sequential", up(out))
+        if wave:
+            return node_wave(wave)
+        pending = [s.id for s in asm.services if s.id not in done]
+        raise CyclicDependency("no deployable unit among: " + ", ".join(pending + nodes))
 
-    while pending_nodes or pending_services:
-        # Eager node preparation: when every remaining node stack is
-        # unblocked, they all deploy in one parallel wave before any
-        # further service stage.  While some are still blocked (waiting
-        # on a reservation, say), services go first and pull the node
-        # stacks they personally need into their own stage.
-        shared_ready = {u for u in shared_units if u not in done and unblocked(u, done)}
-        ready_nodes = [u for u in pending_nodes if unblocked(u, done | shared_ready)]
-        if pending_nodes and len(ready_nodes) == len(pending_nodes):
-            emit_wave(ready_nodes, shared_ready)
-            continue
+    while candidates or nodes:
+        stage = next_stage()
+        stages.append(stage)
+        done.update(a.target for a in stage.all_actions)
+        candidates = {label: members for label, members in candidates.items() if members[0] not in done}
+        nodes = [n for n in nodes if n not in done]
 
-        emitted = False
-        # A group's verdict depends only on `done` and the pending services,
-        # which change only when a stage is emitted, and that ends the pass.
-        blocked_groups: set = set()
-        for sid in pending_services:
-            group = group_of[sid]
-            if group is not None:
-                if group in blocked_groups:
-                    continue
-                members = asm.groups[group]
-                closures = []
-                for m in members:
-                    closure = nonservice_closure(m)
-                    if closure is None:
-                        break
-                    closures.append(closure)
-                if len(closures) < len(members):
-                    blocked_groups.add(group)
-                    continue
-                extra = list(dict.fromkeys(u for closure in closures for u in closure))
-                stages.append(
-                    PlanStage(
-                        label=group,
-                        mode="parallel",
-                        actions=tuple(PlanAction(m, started) for m in members),
-                        prelude=tuple(PlanAction(u, started) for u in extra),
-                    )
-                )
-                done.update(members)
-                done.update(extra)
-                pending_set.difference_update(members)
-                pending_services = [s for s in pending_services if s in pending_set]
-                pending_nodes = [u for u in pending_nodes if u not in done]
-                emitted = True
-                break
-            closure = nonservice_closure(sid)
-            if closure is None:
-                continue
-            actions = [PlanAction(u, started) for u in closure]
-            actions.append(PlanAction(sid, started))
-            stages.append(PlanStage(label=sid, mode="sequential", actions=tuple(actions)))
-            done.update(closure)
-            done.add(sid)
-            pending_services.remove(sid)
-            pending_set.discard(sid)
-            pending_nodes = [u for u in pending_nodes if u not in done]
-            emitted = True
-            break
-        if not emitted:
-            if ready_nodes:
-                # No service can move yet; release what node stacks we can
-                # (cross-node dependency chains resolve wave by wave).
-                emit_wave(ready_nodes, shared_ready)
-                continue
-            raise CyclicDependency(
-                "no deployable unit among: "
-                + ", ".join(pending_services + pending_nodes)
-            )
-
-    leftovers = [u for u in deps if u not in done and u in shared_units]
-    ordered: list[str] = []
-    while leftovers:
-        ready = [u for u in leftovers if all(d in done for d in deps[u])]
-        if not ready:
+    swept: list[str] = []
+    while leftovers := [u for u in asm.shared if u not in done]:
+        ready_now = [u for u in leftovers if all(d in done for d in deps[u])]
+        if not ready_now:
             raise CyclicDependency("unreferenced components form a cycle: " + ", ".join(leftovers))
-        ordered.extend(ready)
-        done.update(ready)
-        leftovers = [u for u in leftovers if u not in done]
-    if ordered:
-        stages.append(
-            PlanStage(
-                label="unreferenced",
-                mode="sequential",
-                actions=tuple(PlanAction(u, started) for u in ordered),
-            )
-        )
-
+        swept += ready_now
+        done.update(ready_now)
+    if swept:
+        stages.append(PlanStage("unreferenced", "sequential", up(swept)))
     return DeploymentPlan(tuple(stages))
 
 
@@ -759,10 +714,6 @@ def emit_text(asm: Assembly, deployment_plan: DeploymentPlan | None = None) -> s
         lines.append("[plan]")
         for i, stage in enumerate(deployment_plan.stages):
             lines.append(f"stage {i} label={stage.label} mode={stage.mode}")
-            for action in stage.prelude:
-                lines.append(f"  prelude {action.target} -> {action.state.name}")
-            for action in stage.actions:
-                lines.append(f"  action {action.target} -> {action.state.name}")
-            for action in stage.postlude:
-                lines.append(f"  postlude {action.target} -> {action.state.name}")
+            for part, actions in (("prelude", stage.prelude), ("action", stage.actions), ("postlude", stage.postlude)):
+                lines.extend(f"  {part} {a.target} -> {a.state.name}" for a in actions)
     return "\n".join(lines) + "\n"

@@ -146,9 +146,8 @@ def _write_metrics(args: argparse.Namespace, report) -> None:
 def cmd_plan(args: argparse.Namespace) -> int:
     deployment = _build(args)
     for i, stage in enumerate(deployment.plan.stages):
-        total = len(stage.prelude) + len(stage.actions) + len(stage.postlude)
-        print(f"stage {i}: {stage.label} [{stage.mode}] {total} action(s)")
-        for action in stage.prelude + stage.actions + stage.postlude:
+        print(f"stage {i}: {stage.label} [{stage.mode}] {len(stage.all_actions)} action(s)")
+        for action in stage.all_actions:
             print(f"  {action.target} -> {action.state.name.lower()}")
     if args.emit:
         text = emit_text(deployment.assembly, deployment.plan)

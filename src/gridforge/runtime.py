@@ -87,7 +87,7 @@ class _StageRunner:
     def run(self, index: int, stage: PlanStage) -> None:
         clock = self.ctx.clock
         start = clock.now_ms()
-        count = len(stage.prelude) + len(stage.actions) + len(stage.postlude)
+        count = len(stage.all_actions)
         if self.options.dry_run:
             self._dry(stage)
             self.report.stages.append(StageMetric(index, stage.label, stage.mode, count, 0.0))
@@ -106,7 +106,7 @@ class _StageRunner:
             raise StageFailed(index, failed.target, failed.error, self.report)
 
     def _dry(self, stage: PlanStage) -> None:
-        for action in stage.prelude + stage.actions + stage.postlude:
+        for action in stage.all_actions:
             for cid, step in self.ctx.assembly.transitions_to(action.target, action.state):
                 self.report.actions.append(
                     ActionOutcome(f"{cid}:{step.name.lower()}", action.state, True, 0.0)

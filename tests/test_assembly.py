@@ -130,7 +130,7 @@ def emitted_order(deployment_plan):
     return [
         action.target
         for stage in deployment_plan.stages
-        for action in stage.prelude + stage.actions + stage.postlude
+        for action in stage.all_actions
     ]
 
 
@@ -138,6 +138,88 @@ def random_dag(rng):
     n = rng.randint(2, 12)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     return n, edges
+
+
+def random_assembly(rng):
+    """Node stacks of two children, shared units, services in up to three
+    groups, bound along a random order of the units, each group counting
+    as one unit: acyclic, and no group member needs a sibling.  A node's
+    second child may also need its first."""
+    asm = Assembly()
+    units = []  # the components of each unit, a group's members as one
+
+    def bind(client, server):
+        asm.add_binding(Binding(client, f"p{len(asm.components[client].bound)}", server, "I"))
+
+    for i in range(rng.randint(0, 4)):
+        node = f"n{i}"
+        children = {role: f"{node}/{role}" for role in ("a", "b")}
+        for cid in children.values():
+            asm.add(Component(id=cid, kind="T", owner=node))
+        asm.add_composite(Composite(id=node, kind="Node", children=children))
+        units.append(list(children.values()))
+        if rng.random() < 0.5:
+            bind(children["b"], children["a"])
+    for i in range(rng.randint(0, 3)):
+        asm.add(Component(id=f"x{i}", kind="T"))
+        asm.shared.append(f"x{i}")
+        units.append([f"x{i}"])
+    for i in range(rng.randint(1, 6)):
+        sid, group = f"s{i}", rng.choice([None, None, None, "g0", "g1", "g2"])
+        asm.add(Component(id=sid, kind="T"))
+        asm.services.append(ServiceEntry(sid, group))
+        if group is None:
+            units.append([sid])
+        elif group in asm.groups:
+            asm.groups[group].append(sid)
+        else:
+            asm.groups[group] = [sid]
+            units.append(asm.groups[group])
+    rng.shuffle(units)
+    for k, clients in enumerate(units):
+        for servers in units[:k]:
+            if rng.random() < 0.3:
+                bind(rng.choice(clients), rng.choice(servers))
+    return asm
+
+
+def unit_edges(asm):
+    """(client unit, server unit) for every binding between two units."""
+    unit_of = lambda cid: asm.components[cid].owner or cid  # noqa: E731
+    edges = set()
+    for b in asm.bindings:
+        client, server = unit_of(b.client), unit_of(b.server)
+        if client != server:
+            edges.add((client, server))
+    return edges
+
+
+def reachable(edges):
+    """unit -> every unit it needs, directly or not."""
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(a, set()).add(b)
+    reach = {}
+    for start in succ:
+        frontier, seen = [start], set()
+        while frontier:
+            for nxt in succ.get(frontier.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        reach[start] = seen
+    return reach
+
+
+def parallel_members_independent(deployment_plan, edges):
+    reach = reachable(edges)
+    for stage in deployment_plan.stages:
+        if stage.mode == "parallel":
+            members = {a.target for a in stage.actions}
+            for start in members:
+                if reach.get(start, set()) & (members - {start}):
+                    return False
+    return True
 
 
 # -- generation ----------------------------------------------------------
@@ -369,6 +451,27 @@ class TestValidation:
         asm.add_binding(Binding("s1", "d0", "s0", "NotProvided"))
         assert any(d.code == "interface-mismatch" for d in validate(asm))
 
+    @pytest.mark.parametrize(
+        "edges, groups, expected",
+        [
+            ([(0, 1)], {"g": ["s0", "s1"]}, ["s1: needs s0 of its own group g"]),
+            ([(0, 2), (2, 1)], {"g": ["s0", "s1"]}, ["s1: needs s0 of its own group g"]),
+            (
+                [(0, 2), (3, 1)],
+                {"g": ["s0", "s1"], "h": ["s2", "s3"]},
+                ["s1: needs s0 of its own group g", "s2: needs s3 of its own group h"],
+            ),
+            ([(0, 2), (1, 3)], {"g": ["s0", "s1"], "h": ["s2", "s3"]}, []),
+        ],
+    )
+    def test_group_member_needing_a_sibling(self, edges, groups, expected):
+        """A group starts in one stage: a member may not need a sibling,
+        directly, through another unit, or through another group that in
+        turn needs this one."""
+        asm = service_dag(4, edges)
+        asm.groups.update(groups)
+        assert [f"{d.subject}: {d.detail}" for d in validate(asm) if d.code == "group-cycle"] == expected
+
     def test_group_member_missing(self):
         asm = service_dag(1, [])
         asm.groups["g"] = ["s0", "ghost"]
@@ -425,7 +528,7 @@ class TestRandomDags:
             backward = plan_inverse(forward)
             assert emitted_order(backward) == list(reversed(emitted_order(forward)))
             for stage in backward.stages:
-                for action in stage.prelude + stage.actions + stage.postlude:
+                for action in stage.all_actions:
                     assert action.state is LifecycleState.UNINSTALLED
 
     def test_service_cycle_refused(self):
@@ -434,6 +537,45 @@ class TestRandomDags:
         asm.add_binding(Binding("s0", "back", "s1", "I1"))
         with pytest.raises(CyclicDependency):
             plan(asm)
+
+    def test_cycle_through_a_shared_unit_refused(self):
+        """s needs shared x and x needs s: no order of the two honours both."""
+        asm = service_dag(1, [])
+        asm.add(Component(id="x", kind="Shared"))
+        asm.shared.append("x")
+        asm.add_binding(Binding("s0", "x", "x", "Ix"))
+        asm.add_binding(Binding("x", "s", "s0", "I0"))
+        with pytest.raises(CyclicDependency):
+            plan(asm)
+
+
+class TestRandomAssemblies:
+    """Plans of 500 seeded random assemblies: the invariants every plan
+    keeps, and a digest of the plans (or refusals) that pins their exact
+    shape."""
+
+    DIGEST = "4878832137b13a82688fd5df090440c9fd07853789843d18fb33e5bf87a79384"
+
+    def test_plans_keep_invariants_and_digest(self):
+        rng = random.Random(9151)
+        texts = []
+        for _ in range(500):
+            asm = random_assembly(rng)
+            try:
+                deployment_plan = plan(asm)
+            except CyclicDependency as err:
+                texts.append(f"refused: {err}\n")
+                continue
+            texts.append(emit_text(asm, deployment_plan))
+            assert plan(asm) == deployment_plan
+            order = emitted_order(deployment_plan)
+            assert sorted(order) == sorted([*asm.composites, *asm.shared, *(s.id for s in asm.services)])
+            position = {unit: i for i, unit in enumerate(order)}
+            edges = unit_edges(asm)
+            assert all(position[server] < position[client] for client, server in edges)
+            assert parallel_members_independent(deployment_plan, edges)
+        assert sum(text.startswith("refused") for text in texts) < 25
+        assert sha256("".join(texts)) == self.DIGEST
 
 
 class TestPlanShape:
@@ -597,15 +739,6 @@ class TestPlanShape:
 
 
 class TestPlanInvariants:
-    def unit_edges(self, asm):
-        unit_of = lambda cid: asm.components[cid].owner or cid  # noqa: E731
-        edges = set()
-        for b in asm.bindings:
-            client, server = unit_of(b.client), unit_of(b.server)
-            if client != server:
-                edges.add((client, server))
-        return edges
-
     def test_every_unit_exactly_once(self, combined, combined_plan):
         covered = combined_plan.coverage()
         assert len(covered) == len(set(covered))
@@ -629,28 +762,10 @@ class TestPlanInvariants:
     def test_parallel_stages_hold_independent_units(self, combined, combined_plan):
         """No unit in a parallel wave may reach another unit of the same
         wave through the dependency graph."""
-        edges = self.unit_edges(combined)
-        succ = {}
-        for a, b in edges:
-            succ.setdefault(a, set()).add(b)
-        for stage in combined_plan.stages:
-            if stage.mode != "parallel":
-                continue
-            members = {a.target for a in stage.actions}
-            for start in members:
-                frontier = [start]
-                seen = set()
-                while frontier:
-                    cur = frontier.pop()
-                    for nxt in succ.get(cur, ()):
-                        if nxt in seen:
-                            continue
-                        seen.add(nxt)
-                        frontier.append(nxt)
-                assert not (seen & (members - {start}))
+        assert parallel_members_independent(combined_plan, unit_edges(combined))
 
     def test_clients_never_precede_their_servers(self, combined, combined_plan):
-        edges = self.unit_edges(combined)
+        edges = unit_edges(combined)
         order = {t: i for i, t in enumerate(emitted_order(combined_plan))}
         for client, server in edges:
             assert order[server] < order[client], (client, server)

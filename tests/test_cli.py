@@ -22,6 +22,34 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+GROUP_WITH_SIBLING_NEED = """
+app = OpenCCM.Deployment {
+  nodes = {
+    node-0 = Grid5000_NODE {
+      hostname = StaticHost(simnode-0)
+      jre = Jre(/opt/java/jre)
+      openccm = OpenCCM(/opt/OpenCCM,/opt/CORBA/JacORB)
+    }
+  }
+  services = {
+    ns = OpenCCM.NameService {
+      node = nodes/node-0
+    }
+    servers = ParallelRunner {
+      dci-a = OpenCCM.DCIManager(MyDCI) {
+        ns = services/ns
+        node = nodes/node-0
+      }
+      srv = OpenCCM.DCI_NODE(NM_1) {
+        dci = services/servers/dci-a
+        node = nodes/node-0
+      }
+    }
+  }
+}
+"""
+
+
 def write_config(workdir, name, text):
     path = workdir / name
     path.write_text(text)
@@ -286,6 +314,15 @@ class TestFailures:
         )
         assert cli.main(["plan", "-c", cfg]) == 2
         assert "NoSuchKind" in capsys.readouterr().err
+
+    def test_group_member_needing_a_sibling_exits_2(self, workdir, capsys):
+        """Both members start in the group's one stage, so srv cannot have
+        dci-a started first: a configuration error, not a runtime one."""
+        cfg = write_config(workdir, "sibling.gdf", GROUP_WITH_SIBLING_NEED)
+        assert cli.main(["plan", "-c", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "group-cycle: services/servers/srv: needs services/servers/dci-a" in err
+        assert "of its own group services/servers" in err
 
     def test_oversubscribed_reservation_exits_3(self, workdir, capsys):
         cfg = write_config(workdir, "over.gdf", reserved(3, granted=2))
