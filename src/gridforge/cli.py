@@ -23,7 +23,6 @@ from .errors import ConfigError, DeploymentError, StageFailed, ValidationFailed
 from .pipeline import Deployment, build
 from .runtime import ExecOptions
 from .simgrid import Fleet, SimClockConfig
-from . import bench as bench_mod
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -231,6 +230,7 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench as bench_mod  # statistics and its imports stay off the deploy path
     lo, hi, step = args.sizes
     sizes = list(range(lo, hi + 1, step))
     points = bench_mod.measure_scaling(

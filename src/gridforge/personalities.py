@@ -46,6 +46,7 @@ from .stdlib import (
     send_steps,
     shell_access,
 )
+from .transports import Payload
 
 _PLACEHOLDER = re.compile(r"\$\{(\w+)\}")
 
@@ -64,14 +65,49 @@ _STEP_FACTORIES = {
 }
 
 
-def _substitute(text: str, params: dict) -> str:
-    def repl(m: re.Match) -> str:
-        name = m.group(1)
-        if name not in params:
-            raise ConfigError(f"script placeholder ${{{name}}} has no parameter")
-        return str(params[name])
+def _placeholders(action: str, script) -> tuple[str, ...]:
+    """The parameter names an action's cells and guard use, in first-use order."""
+    if not isinstance(script, dict):
+        raise ConfigError(f"script {action!r} must be a mapping")
+    texts = [str(cell) for row in script.get("steps", []) for cell in row[1:]]
+    texts.append(str(script.get("unless_exists") or ""))
+    return tuple(dict.fromkeys(_PLACEHOLDER.findall("\n".join(texts))))
 
-    return _PLACEHOLDER.sub(repl, text)
+
+def _substitute(text: str, values: dict) -> str:
+    return _PLACEHOLDER.sub(lambda m: values[m.group(1)], text)
+
+
+class Scripts(dict):
+    """A kind's `scripts` mapping, compiled once per registry: `names` holds
+    each action's placeholder names, and `build` memoises the action's
+    frozen Payload (None without steps) and guard by those parameters'
+    values, so components with equal values send the very same Payload.
+    On the thread pool a race only builds one payload twice."""
+
+    def __init__(self, scripts: dict):
+        super().__init__(scripts)
+        self.names = {action: _placeholders(action, script or {}) for action, script in scripts.items()}
+        self._built: dict[tuple, tuple[Payload | None, str | None]] = {}
+
+    def build(self, action: str, params: dict) -> tuple[Payload | None, str | None]:
+        names = self.names.get(action, ())
+        try:
+            key = (action, *[str(params[name]) for name in names])
+        except KeyError as exc:
+            raise ConfigError(f"script placeholder ${{{exc.args[0]}}} has no parameter") from None
+        built = self._built.get(key)
+        if built is None:
+            values = dict(zip(names, key[1:]))
+            script = self.get(action) or {}
+            steps = [
+                _STEP_FACTORIES[row[0]]([_substitute(str(cell), values) for cell in row[1:]])
+                for row in script.get("steps", [])
+            ]
+            guard = script.get("unless_exists")
+            payload = Payload.of(steps) if steps else None
+            built = self._built[key] = (payload, _substitute(guard, values) if guard else None)
+        return built
 
 
 class ScriptBehavior(Behavior):
@@ -83,7 +119,7 @@ class ScriptBehavior(Behavior):
     """
 
     def __init__(self, scripts: dict, params: dict):
-        self.scripts = scripts
+        self.scripts = scripts if isinstance(scripts, Scripts) else Scripts(scripts)
         self.params = params
 
     def _shell(self, ctx, component: Component) -> Component:
@@ -95,24 +131,19 @@ class ScriptBehavior(Behavior):
         raise UnboundPort(f"{component.id}: no shell reachable through bound ports")
 
     def _steps(self, action: str) -> tuple[list[Step], str | None]:
-        script = self.scripts.get(action) or {}
-        steps = [
-            _STEP_FACTORIES[row[0]]([_substitute(str(cell), self.params) for cell in row[1:]])
-            for row in script.get("steps", [])
-        ]
-        guard = script.get("unless_exists")
-        return steps, _substitute(guard, self.params) if guard else None
+        payload, guard = self.scripts.build(action, self.params)
+        return (list(payload.steps) if payload else []), guard
 
     def _run(self, action: str, component: Component, ctx) -> None:
-        steps, guard = self._steps(action)
-        if not steps:
+        payload, guard = self.scripts.build(action, self.params)
+        if payload is None:
             return
         if ctx is None:
             raise UnboundPort(f"{component.id}: {action} needs an execution context")
         access = shell_access(ctx, self._shell(ctx, component))
         if guard and ctx.transport.exists(access, guard):
             return
-        send_steps(ctx, access, steps)
+        send_steps(ctx, access, payload)
 
     def install(self, component: Component, ctx=None) -> None:
         self._run("install", component, ctx)
@@ -211,7 +242,12 @@ def _load_kind(data: dict) -> KindSpec:
     for p in params:
         if p.kind not in _PARAM_TYPES:
             raise ConfigError(f"{name}: unknown parameter type {p.kind!r}")
-    scripts = _typed(data, "scripts", dict, name)
+    scripts = Scripts(_typed(data, "scripts", dict, name))
+    declared = {p.name for p in params}
+    for action, names in scripts.names.items():
+        undeclared = [n for n in names if n not in declared]
+        if undeclared:
+            raise ConfigError(f"{name}: action {action!r} uses undeclared ${{{undeclared[0]}}}")
     behavior_name = data.get("behavior", "script")
     factory = None  # noop: the base Behavior
     if behavior_name != "noop":

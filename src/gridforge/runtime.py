@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .assembly import DeploymentPlan, PlanAction, PlanStage
@@ -154,6 +153,7 @@ class _StageRunner:
         return failed
 
     def _pooled(self, order: list) -> ActionOutcome | None:
+        from concurrent.futures import ThreadPoolExecutor  # real transports only
         outcomes: list[ActionOutcome | None] = [None] * len(order)
         first_failure: ActionOutcome | None = None
         with ThreadPoolExecutor(max_workers=self.options.max_workers) as pool:

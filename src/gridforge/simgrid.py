@@ -32,18 +32,11 @@ class SimClockConfig:
     def latency(self, base: float, *salt: str) -> float:
         if self.jitter_seed == 0 or base == 0.0:
             return base
-        return _jittered(base, zlib.crc32("|".join((str(self.jitter_seed),) + salt).encode()))
-
-    def latencies(self, base: float, count: int, *salt: str) -> list[float]:
-        """latency(base, *salt, str(i)) for i in range(count); the shared
-        key prefix is hashed once and each index continues its crc32."""
-        if self.jitter_seed == 0 or base == 0.0:
-            return [base] * count
-        prefix = zlib.crc32("|".join((str(self.jitter_seed),) + salt + ("",)).encode())
-        return [_jittered(base, zlib.crc32(str(i).encode(), prefix)) for i in range(count)]
+        return jittered(base, zlib.crc32("|".join((str(self.jitter_seed),) + salt).encode()))
 
 
-def _jittered(base: float, key_crc: int) -> float:
+def jittered(base: float, key_crc: int) -> float:
+    """base scaled into [0.9, 1.1] by a key's crc32."""
     return base * (0.9 + 0.2 * (key_crc / 0xFFFFFFFF))
 
 

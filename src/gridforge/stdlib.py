@@ -107,20 +107,20 @@ def shell_access(ctx, shell: Component) -> NodeAccess:
     return resolve_access(ctx.assembly, protocol)
 
 
-def send_steps(ctx, access: NodeAccess, steps: list[Step]) -> tuple[int, str]:
-    """Render steps for the shell dialect and deliver them as one session
-    through the active transport; nonzero status raises."""
-    status, output = ctx.transport.send(access, Payload.of(steps))
+def send_steps(ctx, access: NodeAccess, payload: Payload) -> tuple[int, str]:
+    """Deliver a payload as one session through the active transport;
+    nonzero status raises."""
+    status, output = ctx.transport.send(access, payload)
     if status != 0:
         raise RemoteError(status, output)
     return status, output
 
 
 def shell_execute(ctx, shell: Component, steps: list[Step]) -> tuple[int, str]:
-    """send_steps to the node a shell component reaches."""
+    """send_steps of the steps' payload to the node a shell component reaches."""
     if not steps:
         return 0, ""
-    return send_steps(ctx, shell_access(ctx, shell), steps)
+    return send_steps(ctx, shell_access(ctx, shell), Payload.of(steps))
 
 
 def node_shell(ctx, component: Component, port: str = "node") -> Component:

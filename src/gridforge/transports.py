@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import os
 import shlex
-import subprocess
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AuthFailed, ConnectFailed, TransportError
-from .simgrid import Fleet, SimClockConfig, VirtualClock
+from .simgrid import Fleet, SimClockConfig, VirtualClock, jittered
 from .steps import Step, render_sh
 
 
@@ -88,14 +87,22 @@ class SimTransport(Transport):
         return self.fleet.get_or_create(access.hostname)
 
     def send(self, access: NodeAccess, payload: Payload) -> tuple[int, str]:
+        """Jitter keys `seed|node|digest|connect` and `seed|node|digest|<i>`
+        share a prefix: its crc32 is taken once and continued with each
+        suffix, which equals the crc32 of the whole key."""
         node = self._node(access)
         cfg = self.config
         charge = self.clock.charge
-        charge(cfg.latency(cfg.connect_latency, node.id, payload.digest, "connect"))
-        step_ms = cfg.latencies(cfg.step_latency, len(payload.steps), node.id, payload.digest)
+        seed = cfg.jitter_seed
+        if seed:
+            prefix = zlib.crc32(f"{seed}|{node.id}|{payload.digest}|".encode())
+            charge(jittered(cfg.connect_latency, zlib.crc32(b"connect", prefix)))
+        else:
+            charge(cfg.connect_latency)
+        step_ms = cfg.step_latency
         outputs: list[str] = []
-        for ms, step in zip(step_ms, payload.steps):
-            charge(ms)
+        for i, step in enumerate(payload.steps):
+            charge(jittered(step_ms, zlib.crc32(str(i).encode(), prefix)) if seed else step_ms)
             status, out = node.apply(step)
             if out:
                 outputs.append(out)
@@ -118,6 +125,7 @@ class LocalTransport(Transport):
     def send(self, access: NodeAccess, payload: Payload) -> tuple[int, str]:
         if not payload.script:
             return 0, ""
+        import subprocess
         proc = subprocess.run(
             ["sh", "-c", "set -e\n" + payload.script],
             capture_output=True,
@@ -150,6 +158,7 @@ class SshTransport(Transport):
     def send(self, access: NodeAccess, payload: Payload) -> tuple[int, str]:
         if not payload.script:
             return 0, ""
+        import subprocess
         argv = self.command(access, "set -e\n" + payload.script)
         try:
             proc = subprocess.run(argv, capture_output=True, text=True)

@@ -1,7 +1,10 @@
 """Command-line behavior: subcommands, exit codes, persisted state."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +64,18 @@ def state_files(workdir):
     if not directory.is_dir():
         return []
     return sorted(p.name for p in directory.iterdir() if p.suffix == ".json")
+
+
+def test_cold_import_leaves_out_what_the_sim_path_never_runs():
+    """`bench`'s statistics, the thread pool and subprocess load on demand."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, gridforge.cli; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src}
+    ).stdout.split()
+    assert "gridforge.cli" in out
+    loaded = {"statistics", "fractions", "decimal", "concurrent.futures", "logging", "subprocess"} & set(out)
+    assert loaded == set()
 
 
 class TestPlan:

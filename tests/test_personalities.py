@@ -18,6 +18,7 @@ from gridforge.personalities import (
 )
 from gridforge.pipeline import build_from_text
 from gridforge.stdlib import BUILTIN_KINDS
+from gridforge.steps import set_var, start_process
 from conftest import seed_nodelist
 
 PAPER_KINDS = [
@@ -145,6 +146,31 @@ class TestMalformedPersonalityFiles:
     def test_wrongly_typed_field(self, tmp_path, text, complaint):
         assert complaint in self._load(tmp_path, text)
 
+    @pytest.mark.parametrize(
+        "script, action, placeholder",
+        [
+            ("start:\n        steps:\n          - [StartProcess, NS, \"${lanch}\"]\n", "start", "${lanch}"),
+            ("install:\n        unless_exists: \"${root}\"\n        steps: []\n", "install", "${root}"),
+        ],
+        ids=["cell", "guard"],
+    )
+    def test_undeclared_placeholder_refused_at_load(self, tmp_path, script, action, placeholder):
+        text = (
+            "kinds:\n"
+            "  - kind: Typo\n"
+            "    params:\n"
+            "      - {name: launch, type: str, required: false, default: ns_start}\n"
+            "    scripts:\n"
+            "      " + script
+        )
+        message = self._load(tmp_path, text)
+        assert f"Typo: action '{action}' uses undeclared {placeholder}" in message
+
+    def test_script_not_a_mapping(self, tmp_path):
+        assert "script 'start' must be a mapping" in self._load(
+            tmp_path, "kinds:\n  - kind: P\n    scripts:\n      start: [SetVar, A, B]\n"
+        )
+
 
 def _bundled_files():
     data = importlib_resources.files("gridforge") / "data"
@@ -189,6 +215,66 @@ class TestScriptBehavior:
     def test_actions_without_scripts_are_noops(self):
         behavior = ScriptBehavior({}, {})
         behavior.install(None, None)  # empty script list, context unused
+
+
+def _sent(deployment) -> list:
+    """(hostname, payload) of every send the deployment's transport makes."""
+    sent = []
+    send = deployment.ctx.transport.send
+
+    def recording(access, payload):
+        sent.append((access.hostname, payload))
+        return send(access, payload)
+
+    deployment.ctx.transport.send = recording
+    return sent
+
+
+class TestCompiledScripts:
+    """A payload is built once per (kind, action, argument values) and registry."""
+
+    def test_equal_args_send_the_same_payload(self):
+        deployment = build_from_text(chain(3))
+        sent = _sent(deployment)
+        deployment.execute()
+        jre_installs = {host: p for host, p in sent if any(s.b.endswith("/jre.tar.gz") for s in p.steps)}
+        assert sorted(jre_installs) == ["simnode-0", "simnode-1", "simnode-2"]
+        assert jre_installs["simnode-1"] is jre_installs["simnode-0"]
+        assert jre_installs["simnode-2"] is jre_installs["simnode-0"]
+
+    def test_different_args_get_their_own_payloads(self):
+        deployment = build_from_text(chain(3))
+        sent = _sent(deployment)
+        deployment.execute()
+        servers = {host: p for host, p in sent if p.steps and p.steps[0].a.startswith("NM_")}
+        assert servers["simnode-1"].steps == (start_process("NM_1", "component_server_start NM_1"),)
+        assert servers["simnode-2"].steps == (start_process("NM_2", "component_server_start NM_2"),)
+        assert servers["simnode-1"].digest != servers["simnode-2"].digest
+
+    def test_fresh_registry_fresh_memo(self):
+        args = {"install_root": "/opt/java/jre", "archive_url": "http://mirror.invalid/jre.tar.gz"}
+        registry = default_registry()
+        first = registry.get("Jre").behavior(dict(args))
+        again = registry.get("Jre").behavior(dict(args))
+        fresh = default_registry().get("Jre").behavior(dict(args))
+        payload, guard = first.scripts.build("install", first.params)
+        assert first.scripts is again.scripts
+        assert again.scripts.build("install", again.params) == (payload, guard)
+        assert again.scripts.build("install", again.params)[0] is payload
+        assert fresh.scripts is not first.scripts
+        fresh_payload, fresh_guard = fresh.scripts.build("install", fresh.params)
+        assert fresh_payload == payload and fresh_payload is not payload
+        assert fresh_guard == guard == "/opt/java/jre"
+
+    def test_missing_parameter_raises_at_action_time_and_is_not_memoised(self):
+        scripts = {"start": {"steps": [["SetVar", "A", "${x}"]]}}
+        broken = ScriptBehavior(scripts, {})
+        with pytest.raises(ConfigError, match=r"\$\{x\} has no parameter"):
+            broken.scripts.build("start", broken.params)
+        assert broken.scripts._built == {}
+        whole = ScriptBehavior(broken.scripts, {"x": 1})
+        assert whole.scripts is broken.scripts
+        assert whole._steps("start") == ([set_var("A", "1")], None)
 
 
 class TestMiddlewareStack:

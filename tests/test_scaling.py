@@ -18,6 +18,7 @@ from gridforge.cli import load_state, save_state
 from gridforge.dsl import expand, merge, parse
 from gridforge.personalities import default_registry
 from gridforge.pipeline import build_from_text
+from gridforge.transports import Payload
 
 SMALL, LARGE = 100, 400
 ROUNDS = 3
@@ -104,3 +105,20 @@ def test_execute_and_undeploy_grow_linearly(sim_home):
     for verb in ("execute", "undeploy"):
         small, large = best[verb, SMALL], best[verb, LARGE]
         assert large / small < MAX_RATIO, f"{verb}: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
+
+
+def test_payloads_do_not_grow_with_the_fleet(sim_home, monkeypatch):
+    """Each action's payload is built once per argument values, not once per
+    node: a sim deploy and undeploy of 4 and of 16 reserved nodes build the
+    same number of payloads."""
+    built = []
+    of = Payload.of.__func__
+    monkeypatch.setattr(Payload, "of", classmethod(lambda cls, steps: built.append(steps) or of(cls, steps)))
+    counts = {}
+    for n in (4, 16):
+        built.clear()
+        deployment = build_from_text(reserved(n, n))
+        deployment.execute()
+        deployment.execute_inverse()
+        counts[n] = len(built)
+    assert counts[4] == counts[16], counts

@@ -283,6 +283,33 @@ class TestSimCharges:
         assert status == 3
         assert charged == expected
 
+    def test_one_prefix_latencies_equal_whole_keys(self):
+        """Each charge equals `latency` over the whole key, for random seeds
+        (0 among them), node ids, digests, step counts and 0 ms bases."""
+
+        class Recording(VirtualClock):
+            def __init__(self):
+                super().__init__()
+                self.charges = []
+
+            def charge(self, ms):
+                self.charges.append(ms)
+
+        rng = random.Random(20261018)
+        bases = [(5.0, 10.0), (0.0, 10.0), (5.0, 0.0), (0.0, 0.0)]
+        for trial in range(300):
+            seed = rng.choice([0, rng.randrange(-(2**31), 2**31)])
+            connect, step = bases[trial % 4] if trial < 40 else (rng.uniform(0, 50), rng.uniform(0, 50))
+            node = f"node-{rng.randrange(10**6)}.site{rng.randrange(4)}"
+            count = rng.randrange(0, 15)
+            payload = Payload(tuple(set_var(f"V{i}", "") for i in range(count)), f"# {rng.random()}")
+            cfg = SimClockConfig(connect_latency=connect, step_latency=step, jitter_seed=seed)
+            clock = Recording()
+            SimTransport(Fleet(), clock, cfg).send(NodeAccess(node), payload)
+            whole = [cfg.latency(connect, node, payload.digest, "connect")]
+            whole += [cfg.latency(step, node, payload.digest, str(i)) for i in range(count)]
+            assert clock.charges == whole, (seed, node, payload.digest, count)
+
     def test_reserved_fleet_total_ms(self, sim_home):
         deployment = build_from_text(reserved(20, 20), sim_config=SimClockConfig(jitter_seed=99))
         options = ExecOptions(max_workers=4)
