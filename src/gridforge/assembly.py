@@ -2,8 +2,9 @@
 
 generate() compiles an expanded configuration against the kind registry
 into the live component model (`core.Assembly`): every component with its
-behaviour, every binding, every composite, plus the services, groups and
-shared units the planner reads.  The runtime executes that same object.
+arguments and its kind's behaviour (one per kind per build, shared), every
+binding, every composite, plus the services, groups and shared units the
+planner reads.  The runtime executes that same object.
 validate() returns diagnostics instead of raising so callers can show all
 problems at once.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Assembly, Binding, Component, Composite, LifecycleState, PortSpec
+from .core import Assembly, Behavior, Binding, Component, Composite, LifecycleState, PortSpec
 from .dsl import Block, Ctor, Entry, ExpandedConfig, Ref
 from .errors import (
     ArityMismatch,
@@ -54,6 +55,7 @@ class _Generator:
         self.asm = Assembly()
         self._pending_roles: dict[str, dict[str, str]] = {}
         self._barrier_ports: dict[tuple, tuple[PortSpec, ...]] = {}  # (role, interface) pairs -> ports
+        self._behaviors: dict[str, Behavior] = {}  # kind -> the behaviour its components share
 
     def run(self) -> Assembly:
         for entry in self.config.root.entries:
@@ -156,12 +158,15 @@ class _Generator:
     def _component(
         self, cid: str, spec: KindSpec, args: dict, owner: str | None, ports: tuple | None = None
     ) -> None:
+        behavior = self._behaviors.get(spec.name)
+        if behavior is None:
+            behavior = self._behaviors[spec.name] = spec.factory()
         self.asm.components[cid] = Component(
             id=cid,
             kind=spec.name,
             provides=spec.provides,
             ports=spec.ports if ports is None else ports,
-            behavior=spec.behavior(args),
+            behavior=behavior,
             args=args,
             owner=owner,
         )

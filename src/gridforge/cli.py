@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .assembly import emit_text
 from .core import LifecycleState
@@ -117,11 +118,7 @@ class _StateLock:
 
 
 def _sim_config(args: argparse.Namespace) -> SimClockConfig:
-    return SimClockConfig(
-        connect_latency=args.connect_latency,
-        step_latency=args.step_latency,
-        jitter_seed=args.jitter_seed,
-    )
+    return SimClockConfig(**{field.name: getattr(args, field.name) for field in fields(SimClockConfig)})
 
 
 def _build(args: argparse.Namespace) -> Deployment:
@@ -277,9 +274,14 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -
         help="configuration file (.gdf); repeat to merge fragments",
     )
     parser.add_argument("--transport", choices=("sim", "local", "ssh"), default="sim")
-    parser.add_argument("--connect-latency", type=float, default=5.0)
-    parser.add_argument("--step-latency", type=float, default=10.0)
-    parser.add_argument("--jitter-seed", type=int, default=0)
+    _add_sim_clock(parser)
+
+
+def _add_sim_clock(parser: argparse.ArgumentParser) -> None:
+    """--connect-latency, --step-latency and --jitter-seed, one per
+    SimClockConfig field, typed and defaulted by the field's default."""
+    for field in fields(SimClockConfig):
+        parser.add_argument(f"--{field.name.replace('_', '-')}", type=type(field.default), default=field.default)
 
 
 def _add_exec(parser: argparse.ArgumentParser) -> None:
@@ -320,9 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-workers", type=_workers, default=10)
     p_bench.add_argument("--sequential", action="store_true", help="servers without ParallelRunner")
     p_bench.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
-    p_bench.add_argument("--connect-latency", type=float, default=5.0)
-    p_bench.add_argument("--step-latency", type=float, default=10.0)
-    p_bench.add_argument("--jitter-seed", type=int, default=0)
+    _add_sim_clock(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

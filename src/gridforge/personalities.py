@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import re
+from functools import partial
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from .errors import (
     UnboundPort,
 )
 from .steps import (
-    Step,
     append_path,
     exec_cmd,
     fetch,
@@ -54,21 +54,29 @@ _PLACEHOLDER = re.compile(r"\$\{(\w+)\}")
 # SafeLoader, parsed about ten times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-_STEP_FACTORIES = {
-    "SetVar": lambda a: set_var(a[0], a[1] if len(a) > 1 else ""),
-    "AppendPath": lambda a: append_path(a[0]),
-    "Fetch": lambda a: fetch(a[0], a[1]),
-    "Exec": lambda a: exec_cmd(a[0]),
-    "StartProcess": lambda a: start_process(a[0], a[1] if len(a) > 1 else a[0]),
-    "StopProcess": lambda a: stop_process(a[0]),
-    "Remove": lambda a: remove(a[0]),
+# Step kind -> (fewest cells, most cells, factory over the substituted cells).
+_STEP_KINDS = {
+    "SetVar": (1, 2, lambda name, value="": set_var(name, value)),
+    "AppendPath": (1, 1, append_path),
+    "Fetch": (2, 2, fetch),
+    "Exec": (1, 1, exec_cmd),
+    "StartProcess": (1, 2, lambda name, command=None: start_process(name, name if command is None else command)),
+    "StopProcess": (1, 1, stop_process),
+    "Remove": (1, 1, remove),
 }
 
 
 def _placeholders(action: str, script) -> tuple[str, ...]:
-    """The parameter names an action's cells and guard use, in first-use order."""
+    """The parameter names an action's cells and guard use, in first-use
+    order; ConfigError for a step row of unknown kind or cell count."""
     if not isinstance(script, dict):
         raise ConfigError(f"script {action!r} must be a mapping")
+    for row in script.get("steps", []):
+        if not (isinstance(row, list) and row and isinstance(row[0], str) and row[0] in _STEP_KINDS):
+            raise ConfigError(f"action {action!r}: unknown step {row!r}")
+        fewest, most, _ = _STEP_KINDS[row[0]]
+        if not fewest <= len(row) - 1 <= most:
+            raise ConfigError(f"action {action!r}: {row[0]} takes {fewest}..{most} cells, got {len(row) - 1}")
     texts = [str(cell) for row in script.get("steps", []) for cell in row[1:]]
     texts.append(str(script.get("unless_exists") or ""))
     return tuple(dict.fromkeys(_PLACEHOLDER.findall("\n".join(texts))))
@@ -101,7 +109,7 @@ class Scripts(dict):
             values = dict(zip(names, key[1:]))
             script = self.get(action) or {}
             steps = [
-                _STEP_FACTORIES[row[0]]([_substitute(str(cell), values) for cell in row[1:]])
+                _STEP_KINDS[row[0]][2](*[_substitute(str(cell), values) for cell in row[1:]])
                 for row in script.get("steps", [])
             ]
             guard = script.get("unless_exists")
@@ -113,14 +121,14 @@ class Scripts(dict):
 class ScriptBehavior(Behavior):
     """Runs declared step scripts through the component's shell.
 
-    Scripts come from the personality data file; an `unless_exists` guard
-    on an action skips its steps when the guard path is already present
-    on the node (installation idempotency).
+    Scripts come from the personality data file, and the component's
+    `args` fill their placeholders; an `unless_exists` guard on an action
+    skips its steps when the guard path is already present on the node
+    (installation idempotency).
     """
 
-    def __init__(self, scripts: dict, params: dict):
+    def __init__(self, scripts: dict):
         self.scripts = scripts if isinstance(scripts, Scripts) else Scripts(scripts)
-        self.params = params
 
     def _shell(self, ctx, component: Component) -> Component:
         for port in component.ports:
@@ -130,12 +138,8 @@ class ScriptBehavior(Behavior):
                 return node_shell(ctx, component, port.name)
         raise UnboundPort(f"{component.id}: no shell reachable through bound ports")
 
-    def _steps(self, action: str) -> tuple[list[Step], str | None]:
-        payload, guard = self.scripts.build(action, self.params)
-        return (list(payload.steps) if payload else []), guard
-
     def _run(self, action: str, component: Component, ctx) -> None:
-        payload, guard = self.scripts.build(action, self.params)
+        payload, guard = self.scripts.build(action, component.args)
         if payload is None:
             return
         if ctx is None:
@@ -178,10 +182,10 @@ class OarGridBehavior(ScriptBehavior):
     """
 
     def start(self, component: Component, ctx=None) -> None:
-        sites = parse_resource_request(self.params["request"])
-        total = sum(count for _, count in sites)
+        request = component.args["request"]
+        total = sum(count for _, count in parse_resource_request(request))
         if total <= 0:
-            raise InsufficientNodes(f"request {self.params['request']!r} allocates no nodes")
+            raise InsufficientNodes(f"request {request!r} allocates no nodes")
         try:
             self._run("start", component, ctx)
         except (RemoteError, TransportError) as exc:
@@ -190,13 +194,13 @@ class OarGridBehavior(ScriptBehavior):
             hostnames = [f"simnode-{i}" for i in range(total)]
         else:
             hostnames = ["localhost"] * total
-        path = os.path.expanduser(self.params["nodelist"])
+        path = os.path.expanduser(component.args["nodelist"])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(hostnames) + "\n")
 
     def stop(self, component: Component, ctx=None) -> None:
         self._run("stop", component, ctx)
-        path = os.path.expanduser(self.params["nodelist"])
+        path = os.path.expanduser(component.args["nodelist"])
         if os.path.exists(path):
             with open(path, "w", encoding="utf-8"):
                 pass
@@ -242,19 +246,23 @@ def _load_kind(data: dict) -> KindSpec:
     for p in params:
         if p.kind not in _PARAM_TYPES:
             raise ConfigError(f"{name}: unknown parameter type {p.kind!r}")
-    scripts = Scripts(_typed(data, "scripts", dict, name))
+    declared_scripts = _typed(data, "scripts", dict, name)
+    try:
+        scripts = Scripts(declared_scripts)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
     declared = {p.name for p in params}
     for action, names in scripts.names.items():
         undeclared = [n for n in names if n not in declared]
         if undeclared:
             raise ConfigError(f"{name}: action {action!r} uses undeclared ${{{undeclared[0]}}}")
     behavior_name = data.get("behavior", "script")
-    factory = None  # noop: the base Behavior
+    factory = Behavior  # noop
     if behavior_name != "noop":
         cls = _BEHAVIOR_CLASSES.get(behavior_name)
         if cls is None:
             raise ConfigError(f"{name}: unknown behavior {behavior_name!r}")
-        factory = lambda args, _c=cls, _s=scripts: _c(_s, args)  # noqa: E731
+        factory = partial(cls, scripts)
     return KindSpec(
         name=name,
         provides=frozenset(_typed(data, "provides", list, name)),

@@ -54,12 +54,11 @@ def make_context(
     transport: str = "sim",
     fleet: Fleet | None = None,
     sim_config: SimClockConfig | None = None,
-    strict: bool = False,
 ) -> DeployContext:
     if transport == "sim":
         fleet = fleet if fleet is not None else Fleet()
         clock = VirtualClock()
-        return DeployContext(assembly, SimTransport(fleet, clock, sim_config, strict), clock, fleet)
+        return DeployContext(assembly, SimTransport(fleet, clock, sim_config), clock, fleet)
     if transport == "local":
         return DeployContext(assembly, LocalTransport(), WallClock())
     if transport == "ssh":
@@ -73,12 +72,11 @@ def build(
     registry: Registry | None = None,
     fleet: Fleet | None = None,
     sim_config: SimClockConfig | None = None,
-    strict: bool = False,
 ) -> Deployment:
     """Full pipeline; raises ConfigError subclasses on bad input and
     ValidationFailed when the generated assembly has diagnostics."""
     t0 = time.monotonic()
-    return _deploy(t0, load_config(paths), transport, registry, fleet, sim_config, strict)
+    return _deploy(t0, load_config(paths), transport, registry, fleet, sim_config)
 
 
 def build_from_text(
@@ -93,7 +91,7 @@ def build_from_text(
     return _deploy(t0, expand(parse(text)), transport, registry, fleet, sim_config)
 
 
-def _deploy(t0, config, transport, registry, fleet, sim_config, strict=False) -> Deployment:
+def _deploy(t0, config, transport, registry, fleet, sim_config) -> Deployment:
     """generate -> validate -> plan an expanded config; overhead counts
     from `t0`, taken before the config was loaded."""
     registry = registry or default_registry()
@@ -103,5 +101,5 @@ def _deploy(t0, config, transport, registry, fleet, sim_config, strict=False) ->
         raise ValidationFailed(diagnostics)
     deployment_plan = plan(assembly)
     overhead_ms = (time.monotonic() - t0) * 1000.0
-    ctx = make_context(assembly, transport, fleet, sim_config, strict)
+    ctx = make_context(assembly, transport, fleet, sim_config)
     return Deployment(deployment_plan, ctx, overhead_ms)

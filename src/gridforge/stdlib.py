@@ -1,11 +1,13 @@
 """Reusable infrastructure components: hosts, ports, users, protocols, shells.
 
-Each kind is an ordinary lifecycle component.  Host, port and user
-behaviors answer queries (`get`, `key_path`); protocols, shells, file
-transfer and the node-ready barrier run the base `Behavior`, because their
-mechanism is the transport itself.  Other behaviors reach a node through
-the module functions `resolve_access`, `shell_access`, `send_steps`,
-`shell_execute` and `node_shell`, which follow bindings, never globals.
+Each kind is an ordinary lifecycle component.  A build makes one behavior
+per kind, shared by every component of that kind, so hooks and queries
+read the component's own `args`.  Host, port and user behaviors answer
+queries (`get`, `key_path`); protocols, shells, file transfer and the
+node-ready barrier run the base `Behavior`, because their mechanism is the
+transport itself.  Other behaviors reach a node through the module
+functions `resolve_access`, `shell_access`, `send_steps`, `shell_execute`
+and `node_shell`, which follow bindings, never globals.
 """
 
 from __future__ import annotations
@@ -52,22 +54,16 @@ class KindSpec:
     provides: frozenset
     ports: tuple = ()
     params: tuple = ()
-    factory: object = None  # callable(args: dict) -> Behavior; None: the base Behavior
+    factory: object = Behavior  # callable() -> Behavior, called once per kind per build
     composite: bool = False  # node template: children + defaults
     group: bool = False  # members deploy as one parallel stage
     root: bool = False  # deployment container
-    reserved: bool = False
     defaults: tuple = ()  # (role, kind) pairs filled into composites
 
     @cached_property
     def required_params(self) -> int:
         """How many arguments a constructor call must give at least."""
         return sum(1 for p in self.params if p.required)
-
-    def behavior(self, args: dict) -> Behavior:
-        if self.reserved:
-            return ReservedBehavior(self.name)
-        return self.factory(args) if self.factory else Behavior()
 
 
 # -- binding resolution helpers --------------------------------------------
@@ -138,62 +134,49 @@ def node_shell(ctx, component: Component, port: str = "node") -> Component:
 class ReservedBehavior(Behavior):
     """Declared-but-unimplemented kinds fail loudly at action time."""
 
-    def __init__(self, kind: str):
-        self.kind = kind
-
     def _refuse(self, component, ctx=None):
-        raise NotImplementedError(f"kind {self.kind} is reserved, not implemented")
+        raise NotImplementedError(f"kind {component.kind} is reserved, not implemented")
 
     install = start = stop = uninstall = _refuse
 
 
 class StaticHostBehavior(Behavior):
-    def __init__(self, args: dict):
-        self.value = args["value"]
-
     def get(self, component: Component, index: int = 0) -> str:
-        return self.value
+        return component.args["value"]
 
 
 class DynamicHostBehavior(Behavior):
-    """Hostname provider backed by a nodelist file, read lazily, memoized."""
+    """Hostname provider backed by nodelist files, each read on first use
+    and kept for the rest of the build: a snapshot per `path` argument."""
 
-    def __init__(self, args: dict):
-        self.path = args["path"]
-        self._lines: list[str] | None = None
+    def __init__(self) -> None:
+        self._lines: dict[str, list[str]] = {}
 
     def get(self, component: Component, index: int = 0) -> str:
-        if self._lines is None:
-            path = os.path.expanduser(self.path)
+        raw = component.args["path"]
+        lines = self._lines.get(raw)
+        if lines is None:
+            path = os.path.expanduser(raw)
             if not os.path.exists(path):
-                raise NodeListMissing(
-                    f"nodelist {self.path} absent; has the reservation run?"
-                )
+                raise NodeListMissing(f"nodelist {raw} absent; has the reservation run?")
             with open(path, encoding="utf-8") as fh:
-                self._lines = [ln.strip() for ln in fh if ln.strip()]
-        if index >= len(self._lines):
+                lines = self._lines[raw] = [ln.strip() for ln in fh if ln.strip()]
+        if index >= len(lines):
             raise IndexOutOfRange(
-                f"node index {index} but nodelist {self.path} has {len(self._lines)} entries"
+                f"node index {index} but nodelist {raw} has {len(lines)} entries"
             )
-        return self._lines[index]
+        return lines[index]
 
 
 class PortBehavior(Behavior):
-    def __init__(self, args: dict):
-        self.value = int(args["value"])
-
-    def get(self, component: Component | None = None) -> int:
-        return self.value
+    def get(self, component: Component) -> int:
+        return int(component.args["value"])
 
 
 class UserBehavior(Behavior):
-    def __init__(self, args: dict):
-        self.login = args["login"]
-        self.credential = args.get("credential", "")
-
-    def key_path(self, component: Component | None = None) -> str:
+    def key_path(self, component: Component) -> str:
         # Heuristic: path-shaped credentials are key files, others passwords.
-        cred = self.credential
+        cred = component.args.get("credential", "")
         if cred.startswith(("~", "/", ".")) or "/" in cred:
             return cred
         return ""
@@ -202,26 +185,21 @@ class UserBehavior(Behavior):
 class VariableBehavior(Behavior):
     """Sets a shell variable on start, clears it on stop."""
 
-    def __init__(self, args: dict):
-        self.name = args["name"]
-        self.value = args.get("value", "")
-
     def start(self, component: Component, ctx=None) -> None:
         shell = bound_component(ctx.assembly, component, "shell")
-        shell_execute(ctx, shell, [set_var(self.name, self.value)])
+        shell_execute(ctx, shell, [set_var(component.args["name"], component.args.get("value", ""))])
 
     def stop(self, component: Component, ctx=None) -> None:
         shell = bound_component(ctx.assembly, component, "shell")
-        shell_execute(ctx, shell, [set_var(self.name, "")])
+        shell_execute(ctx, shell, [set_var(component.args["name"], "")])
 
 
-def _spec(name, provides, ports=(), params=(), factory=None, **kw) -> KindSpec:
+def _spec(name, provides, ports=(), params=(), **kw) -> KindSpec:
     return KindSpec(
         name=name,
         provides=frozenset(provides),
         ports=tuple(ports),
         params=tuple(params),
-        factory=factory,
         **kw,
     )
 
@@ -267,7 +245,7 @@ BUILTIN_KINDS: tuple[KindSpec, ...] = (
     ),
     _spec("NodeReady", [NODE]),
     # Reserved: listed for completeness, refuse at action time.
-    _spec("Telnet", [PROTOCOL], ports=[PortSpec("hostname", HOSTNAME)], reserved=True),
-    _spec("CSH", [SHELL], ports=[PortSpec("protocol", PROTOCOL)], reserved=True),
-    _spec("WindowsCmd", [SHELL], ports=[PortSpec("protocol", PROTOCOL)], reserved=True),
+    _spec("Telnet", [PROTOCOL], ports=[PortSpec("hostname", HOSTNAME)], factory=ReservedBehavior),
+    _spec("CSH", [SHELL], ports=[PortSpec("protocol", PROTOCOL)], factory=ReservedBehavior),
+    _spec("WindowsCmd", [SHELL], ports=[PortSpec("protocol", PROTOCOL)], factory=ReservedBehavior),
 )

@@ -306,7 +306,7 @@ def test_7_transport_boundary(capsys, paper_machine):
         registry, config, _ = paper_machine
         live = generate(config, registry)
         jre = live.components["nodes/node-0/jre"]
-        steps, _guard = jre.behavior._steps("start")
+        steps = jre.behavior.scripts.build("start", jre.args)[0].steps
         script = render_sh(steps)
         assert "export JAVA_HOME=/opt/java/jdk-1.5.0_05" in script, script
 

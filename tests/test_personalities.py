@@ -47,8 +47,8 @@ class TestRegistry:
 
     def test_kadeploy_is_a_stub(self, registry):
         spec = registry.get("Kadeploy")
-        assert type(spec.behavior({})) is Behavior
-        spec.behavior({}).install(None)  # no-op, no context needed
+        assert type(spec.factory()) is Behavior
+        spec.factory().install(None)  # no-op, no context needed
 
     def test_extra_dir_kinds_load(self, tmp_path):
         (tmp_path / "custom.yaml").write_text(
@@ -166,6 +166,18 @@ class TestMalformedPersonalityFiles:
         message = self._load(tmp_path, text)
         assert f"Typo: action '{action}' uses undeclared {placeholder}" in message
 
+    @pytest.mark.parametrize(
+        "row, complaint",
+        [
+            ('[Sleep, "5"]', "unknown step ['Sleep', '5']"),
+            ("[Fetch, x]", "Fetch takes 2..2 cells, got 1"),
+        ],
+        ids=["unknown-kind", "short-row"],
+    )
+    def test_malformed_step_row_refused_at_load(self, tmp_path, row, complaint):
+        text = "kinds:\n  - kind: Slow\n    scripts:\n      start:\n        steps:\n          - " + row + "\n"
+        assert f"Slow: action 'start': {complaint}" in self._load(tmp_path, text)
+
     def test_script_not_a_mapping(self, tmp_path):
         assert "script 'start' must be a mapping" in self._load(
             tmp_path, "kinds:\n  - kind: P\n    scripts:\n      start: [SetVar, A, B]\n"
@@ -195,26 +207,26 @@ class TestYamlLoader:
             a, b = fast.get(name), slow.get(name)
             assert (a.provides, a.ports, a.params, a.defaults) == (b.provides, b.ports, b.params, b.defaults)
             assert (a.composite, a.group, a.root) == (b.composite, b.group, b.root)
-            behavior_a, behavior_b = a.behavior({}), b.behavior({})
+            behavior_a, behavior_b = a.factory(), b.factory()
             assert type(behavior_a) is type(behavior_b)
             assert getattr(behavior_a, "scripts", None) == getattr(behavior_b, "scripts", None)
 
 
 class TestScriptBehavior:
     def test_script_without_context_refuses(self):
-        behavior = ScriptBehavior({"start": {"steps": [["SetVar", "A", "1"]]}}, {})
+        behavior = ScriptBehavior({"start": {"steps": [["SetVar", "A", "1"]]}})
         component = Component(id="k", kind="K")
         with pytest.raises(UnboundPort):
             behavior.start(component, None)
 
     def test_unknown_placeholder_rejected(self):
-        behavior = ScriptBehavior({"start": {"steps": [["SetVar", "A", "${missing}"]]}}, {})
+        behavior = ScriptBehavior({"start": {"steps": [["SetVar", "A", "${missing}"]]}})
         with pytest.raises(ConfigError):
-            behavior._steps("start")
+            behavior.scripts.build("start", {})
 
     def test_actions_without_scripts_are_noops(self):
-        behavior = ScriptBehavior({}, {})
-        behavior.install(None, None)  # empty script list, context unused
+        behavior = ScriptBehavior({})
+        behavior.install(Component(id="k", kind="K"), None)  # empty script list, context unused
 
 
 def _sent(deployment) -> list:
@@ -254,27 +266,28 @@ class TestCompiledScripts:
     def test_fresh_registry_fresh_memo(self):
         args = {"install_root": "/opt/java/jre", "archive_url": "http://mirror.invalid/jre.tar.gz"}
         registry = default_registry()
-        first = registry.get("Jre").behavior(dict(args))
-        again = registry.get("Jre").behavior(dict(args))
-        fresh = default_registry().get("Jre").behavior(dict(args))
-        payload, guard = first.scripts.build("install", first.params)
+        first = registry.get("Jre").factory()
+        again = registry.get("Jre").factory()
+        fresh = default_registry().get("Jre").factory()
+        payload, guard = first.scripts.build("install", dict(args))
         assert first.scripts is again.scripts
-        assert again.scripts.build("install", again.params) == (payload, guard)
-        assert again.scripts.build("install", again.params)[0] is payload
+        assert again.scripts.build("install", dict(args)) == (payload, guard)
+        assert again.scripts.build("install", dict(args))[0] is payload
         assert fresh.scripts is not first.scripts
-        fresh_payload, fresh_guard = fresh.scripts.build("install", fresh.params)
+        fresh_payload, fresh_guard = fresh.scripts.build("install", dict(args))
         assert fresh_payload == payload and fresh_payload is not payload
         assert fresh_guard == guard == "/opt/java/jre"
 
     def test_missing_parameter_raises_at_action_time_and_is_not_memoised(self):
         scripts = {"start": {"steps": [["SetVar", "A", "${x}"]]}}
-        broken = ScriptBehavior(scripts, {})
+        broken = ScriptBehavior(scripts)
         with pytest.raises(ConfigError, match=r"\$\{x\} has no parameter"):
-            broken.scripts.build("start", broken.params)
+            broken.scripts.build("start", {})
         assert broken.scripts._built == {}
-        whole = ScriptBehavior(broken.scripts, {"x": 1})
+        whole = ScriptBehavior(broken.scripts)
         assert whole.scripts is broken.scripts
-        assert whole._steps("start") == ([set_var("A", "1")], None)
+        payload, guard = whole.scripts.build("start", {"x": 1})
+        assert (list(payload.steps), guard) == ([set_var("A", "1")], None)
 
 
 class TestMiddlewareStack:

@@ -13,7 +13,9 @@ a shared host hits both sizes or neither.
 import time
 
 from configs import paper_pair, reserved
+from conftest import seed_nodelist
 from gridforge.assembly import emit_text, generate, plan, validate
+from gridforge.bench import middleware_config
 from gridforge.cli import load_state, save_state
 from gridforge.dsl import expand, merge, parse
 from gridforge.personalities import default_registry
@@ -122,3 +124,32 @@ def test_payloads_do_not_grow_with_the_fleet(sim_home, monkeypatch):
         deployment.execute_inverse()
         counts[n] = len(built)
     assert counts[4] == counts[16], counts
+
+
+def test_one_behaviour_per_kind_per_build(sim_home):
+    """Every component of a kind shares the kind's behaviour, so a build
+    makes as many behaviours at 400 nodes as at 100.  Each build makes its
+    own: a nodelist rewritten between two builds is read again, while one
+    build keeps the snapshot it read first."""
+    registry = default_registry()
+    counts = {}
+    for n in (SMALL, LARGE):
+        assembly = generate(expand(parse(middleware_config(n))), registry)
+        by_kind = {}
+        for component in assembly.components.values():
+            by_kind.setdefault(component.kind, set()).add(component.behavior)
+        shared = {kind: len(behaviors) for kind, behaviors in by_kind.items() if len(behaviors) > 1}
+        assert shared == {}, f"{n} nodes: behaviours per kind {shared}"
+        counts[n] = len({c.behavior for c in assembly.components.values()})
+    assert counts[SMALL] == counts[LARGE], counts
+
+    seed_nodelist(sim_home, 2, prefix="first-")
+    first = generate(expand(parse(reserved(2, 2))), registry)
+    host = first.components["nodes/hostname"]
+    assert host.behavior.get(host, 1) == "first-1"
+    seed_nodelist(sim_home, 2, prefix="second-")
+    assert host.behavior.get(host, 1) == "first-1"
+    second = generate(expand(parse(reserved(2, 2))), registry)
+    again = second.components["nodes/hostname"]
+    assert again.behavior is not host.behavior
+    assert again.behavior.get(again, 1) == "second-1"

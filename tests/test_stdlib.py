@@ -27,45 +27,48 @@ from gridforge.stdlib import (
 from gridforge.transports import LocalTransport, NodeAccess, Payload, SimTransport, SshTransport
 
 
+def component(kind, **args):
+    return Component(id=kind.lower(), kind=kind, args=args)
+
+
 class TestHostnameProviders:
     def test_static_ignores_ordinal(self):
-        behavior = StaticHostBehavior({"value": "oar.lille.example"})
-        assert behavior.get(None, 0) == "oar.lille.example"
-        assert behavior.get(None, 400) == "oar.lille.example"
+        host = component("StaticHost", value="oar.lille.example")
+        assert StaticHostBehavior().get(host, 0) == "oar.lille.example"
+        assert StaticHostBehavior().get(host, 400) == "oar.lille.example"
 
     def test_dynamic_indexes_nodelist(self, tmp_path):
         path = tmp_path / "nodelist"
         path.write_text("alpha\nbeta\n\ngamma\n")
-        behavior = DynamicHostBehavior({"path": str(path)})
-        assert behavior.get(None, 0) == "alpha"
-        assert behavior.get(None, 2) == "gamma"  # blank lines skipped
+        behavior, host = DynamicHostBehavior(), component("DynamicHost", path=str(path))
+        assert behavior.get(host, 0) == "alpha"
+        assert behavior.get(host, 2) == "gamma"  # blank lines skipped
 
     def test_dynamic_missing_file(self, tmp_path):
-        behavior = DynamicHostBehavior({"path": str(tmp_path / "nope")})
+        host = component("DynamicHost", path=str(tmp_path / "nope"))
         with pytest.raises(NodeListMissing):
-            behavior.get(None, 0)
+            DynamicHostBehavior().get(host, 0)
 
     def test_dynamic_index_out_of_range(self, tmp_path):
         path = tmp_path / "nodelist"
         path.write_text("only\n")
-        behavior = DynamicHostBehavior({"path": str(path)})
+        host = component("DynamicHost", path=str(path))
         with pytest.raises(IndexOutOfRange):
-            behavior.get(None, 1)
+            DynamicHostBehavior().get(host, 1)
 
     def test_dynamic_reads_once(self, tmp_path):
         """The allocation is a snapshot; later file edits do not move nodes."""
         path = tmp_path / "nodelist"
         path.write_text("first\n")
-        behavior = DynamicHostBehavior({"path": str(path)})
-        assert behavior.get(None, 0) == "first"
+        behavior, host = DynamicHostBehavior(), component("DynamicHost", path=str(path))
+        assert behavior.get(host, 0) == "first"
         path.write_text("changed\n")
-        assert behavior.get(None, 0) == "first"
+        assert behavior.get(host, 0) == "first"
 
     def test_dynamic_expands_home(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))
         (tmp_path / "nodelist").write_text("home-node\n")
-        behavior = DynamicHostBehavior({"path": "~/nodelist"})
-        assert behavior.get(None, 0) == "home-node"
+        assert DynamicHostBehavior().get(component("DynamicHost", path="~/nodelist"), 0) == "home-node"
 
 
 def node_stack(ordinal=None, with_port=None, with_user=None):
@@ -76,7 +79,7 @@ def node_stack(ordinal=None, with_port=None, with_user=None):
             id="host",
             kind="StaticHost",
             provides=frozenset({"Hostname"}),
-            behavior=StaticHostBehavior({"value": "simnode-0"}),
+            args={"value": "simnode-0"}, behavior=StaticHostBehavior(),
         )
     )
     proto_ports = [
@@ -103,7 +106,7 @@ def node_stack(ordinal=None, with_port=None, with_user=None):
         asm.add(
             Component(
                 id="p", kind="Port", provides=frozenset({"Port"}),
-                behavior=PortBehavior({"value": with_port}),
+                args={"value": with_port}, behavior=PortBehavior(),
             )
         )
         asm.bind(("proto", "port"), "p")
@@ -111,7 +114,7 @@ def node_stack(ordinal=None, with_port=None, with_user=None):
         asm.add(
             Component(
                 id="u", kind="User", provides=frozenset({"User"}),
-                args=with_user, behavior=UserBehavior(with_user),
+                args=with_user, behavior=UserBehavior(),
             )
         )
         asm.bind(("proto", "user"), "u")
@@ -136,8 +139,8 @@ class TestAccessResolution:
         assert access.target == "aflissi@simnode-0"
 
     def test_password_credentials_are_not_identity_files(self):
-        behavior = UserBehavior({"login": "u", "credential": "hunter2"})
-        assert behavior.key_path() == ""
+        user = component("User", login="u", credential="hunter2")
+        assert UserBehavior().key_path(user) == ""
 
     def test_ordinal_comes_from_owning_composite(self):
         asm = node_stack(ordinal=7)
@@ -198,7 +201,7 @@ class TestVariables:
             Component(
                 id="var", kind="Variable", provides=frozenset({"Variable"}),
                 ports=(PortSpec("shell", "Shell"),),
-                behavior=VariableBehavior({"name": "MODE", "value": "grid"}),
+                args={"name": "MODE", "value": "grid"}, behavior=VariableBehavior(),
             )
         )
         asm.bind(("var", "shell"), "sh")
@@ -278,12 +281,12 @@ class TestSshCommand:
 
 class TestRegistryBuiltins:
     def test_reserved_kinds_refuse_actions(self):
-        reserved = [k for k in BUILTIN_KINDS if k.reserved]
+        reserved = [k for k in BUILTIN_KINDS if k.factory is ReservedBehavior]
         assert {k.name for k in reserved} == {"Telnet", "CSH", "WindowsCmd"}
-        behavior = reserved[0].behavior({})
+        behavior = reserved[0].factory()
         assert isinstance(behavior, ReservedBehavior)
-        with pytest.raises(NotImplementedError):
-            behavior.install(None)
+        with pytest.raises(NotImplementedError, match=f"kind {reserved[0].name} is reserved"):
+            behavior.install(component(reserved[0].name))
 
     def test_builtin_names(self):
         names = {k.name for k in BUILTIN_KINDS}
@@ -294,7 +297,7 @@ class TestRegistryBuiltins:
     def test_transport_kinds_run_the_base_behavior(self, kind):
         """Their mechanism is the transport: every action is a no-op."""
         (spec,) = [k for k in BUILTIN_KINDS if k.name == kind]
-        assert type(spec.behavior({})) is Behavior
+        assert type(spec.factory()) is Behavior
 
     def test_payload_digest_tracks_script(self):
         a = Payload.of([set_var("A", "1")])
