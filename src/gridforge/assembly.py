@@ -5,6 +5,14 @@ into the live component model (`core.Assembly`): every component with its
 arguments and its kind's behaviour (one per kind per build, shared), every
 binding, every composite, plus the services, groups and shared units the
 planner reads.  The runtime executes that same object.
+generate() compiles each node body once per build into a template: every
+role's kind, checked arguments and ports, the default roles, the readiness
+barrier's ports and the export order.  Each node written with that body is
+then stamped from the template, which only makes ids, components, the
+composite and bindings; a role whose arguments vary per node
+(`StaticHost(simnode-%{i})`) is checked per node, its siblings are not.
+Components stamped from one role share its `args` dict, which nothing
+mutates.  Autobind decisions are memoised per body shape and block.
 validate() returns diagnostics instead of raising so callers can show all
 problems at once.
 
@@ -22,6 +30,7 @@ Shared units that nothing needs come last, in an `unreferenced` stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Assembly, Behavior, Binding, Component, Composite, LifecycleState, PortSpec
 from .dsl import Block, Ctor, Entry, ExpandedConfig, Ref
@@ -48,14 +57,48 @@ class ServiceEntry:
 # -- generation ---------------------------------------------------------------
 
 
+class _Role(NamedTuple):
+    """One role of a node body, checked once per `Entry`."""
+
+    key: tuple  # (role, kind, None), or (role, None, referenced path) for a role reference
+    part: tuple | None  # (role, kind, provides, ports, behavior, args) it stamps; None for a reference
+
+
+class _Shape(NamedTuple):
+    """What the roles, kinds and role references of a node body fix,
+    whatever its arguments.  `_shapes` keeps each one for the build, so its
+    id keys the autobind memo."""
+
+    barrier: tuple  # the readiness barrier's part
+    bindings: tuple  # (port, interface, child index) per barrier binding
+    exports: tuple  # (interface, child index) in export order
+    role_refs: dict  # role -> referenced path
+
+
+class _Template(NamedTuple):
+    """A node body compiled once per build: each node written with it is
+    stamped from it."""
+
+    kind: str
+    children: tuple  # each child's part, the barrier last
+    shape: _Shape
+
+
 class _Generator:
     def __init__(self, config: ExpandedConfig, registry: Registry):
         self.config = config
         self.registry = registry
         self.asm = Assembly()
-        self._pending_roles: dict[str, dict[str, str]] = {}
-        self._barrier_ports: dict[tuple, tuple[PortSpec, ...]] = {}  # (role, interface) pairs -> ports
         self._behaviors: dict[str, Behavior] = {}  # kind -> the behaviour its components share
+        # Compiled node bodies, keyed by object identity: `expand` shares the
+        # loop-invariant parts of a body between nodes.  The config and
+        # `_default_roles` keep every keyed object alive while the build lasts.
+        self._templates: dict[int, _Template] = {}  # id(composite Ctor) -> template
+        self._roles: dict[int, _Role] = {}  # id(role Entry) -> its checked role
+        self._default_roles: dict[tuple, Entry] = {}  # (composite kind, role) -> its default
+        self._shapes: dict[tuple, _Shape] = {}  # the roles' keys, in order -> shape
+        self._wirings: dict[tuple, list] = {}  # (id(shape), block) -> autobind decisions
+        self._stamped: list[tuple] = []  # (block, template, child components) per composite
 
     def run(self) -> Assembly:
         for entry in self.config.root.entries:
@@ -78,6 +121,10 @@ class _Generator:
 
     def _block_entry(self, block: str, entry: Entry, in_services: bool) -> None:
         value = entry.value
+        template = self._templates.get(id(value))
+        if template is not None:
+            self._stamp(block, entry.name, template)
+            return
         if isinstance(value, Ref):
             raise ConfigError(
                 f"{block}/{entry.name}: references are only valid inside component bodies",
@@ -92,7 +139,7 @@ class _Generator:
             )
         spec = self._kind(value, entry)
         if spec.composite:
-            self._composite(block, entry, spec)
+            self._stamp(block, entry.name, self._template(f"{block}/{entry.name}", entry, spec))
         elif spec.group:
             if not in_services:
                 raise ConfigError(
@@ -155,88 +202,119 @@ class _Generator:
                 args[param.name] = param.default
         return args
 
-    def _component(
-        self, cid: str, spec: KindSpec, args: dict, owner: str | None, ports: tuple | None = None
-    ) -> None:
+    def _behavior(self, spec: KindSpec) -> Behavior:
         behavior = self._behaviors.get(spec.name)
         if behavior is None:
             behavior = self._behaviors[spec.name] = spec.factory()
+        return behavior
+
+    def _component(self, cid: str, spec: KindSpec, args: dict, owner: str | None) -> None:
         self.asm.components[cid] = Component(
             id=cid,
             kind=spec.name,
             provides=spec.provides,
-            ports=spec.ports if ports is None else ports,
-            behavior=behavior,
+            ports=spec.ports,
+            behavior=self._behavior(spec),
             args=args,
             owner=owner,
         )
 
-    # composites
+    # composites: each node body is compiled once, then every node is stamped
 
-    def _composite(self, block: str, entry: Entry, spec: KindSpec) -> None:
-        comp_id = f"{block}/{entry.name}"
-        body = entry.value.body or Block()
-        roles: list[tuple[str, object]] = []
-        declared = set()
-        for child in body.entries:
-            declared.add(child.name)
-            roles.append((child.name, child))
+    def _template(self, comp_id: str, entry: Entry, spec: KindSpec) -> _Template:
+        """Compile the body of `entry`, the first composite written with it.
+
+        The roles are checked in the order they are written, then the
+        kind's default roles, so the first node with a fault reports it.  A
+        role `Entry` checked for an earlier body is not checked again, nor
+        is a role list laid out twice."""
+        body = entry.value.body.entries if entry.value.body is not None else []
+        roles = [self._checked(comp_id, child) for child in body]
+        declared = {child.name for child in body}
         for role, kind_name in spec.defaults:
             if role not in declared:
-                roles.append((role, Entry(role, Ctor(kind_name), entry.span)))
+                default = self._default_roles.get((spec.name, role))
+                if default is None:
+                    default = self._default_roles[spec.name, role] = Entry(role, Ctor(kind_name), entry.span)
+                roles.append(self._checked(comp_id, default))
+        key = tuple([r.key for r in roles])
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes[key] = self._shape(roles)
+        template = _Template(spec.name, (*[r.part for r in roles if r.part], shape.barrier), shape)
+        self._templates[id(entry.value)] = template
+        return template
 
-        composite = Composite(id=comp_id, kind=spec.name)
-        self.asm.composites[comp_id] = composite
-        role_refs: dict[str, str] = {}
-        for role, child in roles:
-            if role == BARRIER_ROLE:
-                raise ConfigError(
-                    f"{comp_id}/{role}: role name {BARRIER_ROLE!r} is reserved for the node's readiness barrier",
-                    child.span.line,
-                    child.span.column,
-                )
-            value = child.value
-            if isinstance(value, Ref):
-                role_refs[role] = "/".join(value.path)
-                continue
-            if isinstance(value, Block):
-                raise ConfigError(
-                    f"{comp_id}/{role}: plain blocks are not valid node roles",
-                    child.span.line,
-                    child.span.column,
-                )
-            child_spec = self._kind(value, child)
-            if value.body is not None and value.body.entries:
-                raise ConfigError(
-                    f"{comp_id}/{role}: nested bodies are not supported here",
-                    child.span.line,
-                    child.span.column,
-                )
-            child_id = f"{comp_id}/{role}"
-            self._component(child_id, child_spec, self._args(value, child_spec), comp_id)
-            composite.children[role] = child_id
+    def _checked(self, comp_id: str, child: Entry) -> _Role:
+        role = self._roles.get(id(child))
+        if role is None:
+            role = self._roles[id(child)] = self._role(comp_id, child)
+        return role
 
-        barrier_id = f"{comp_id}/{BARRIER_ROLE}"
-        signature = tuple(
-            (role, min(self.asm.components[child_id].provides, default=""))
-            for role, child_id in composite.children.items()
-        )
-        barrier_ports = self._barrier_ports.get(signature)
-        if barrier_ports is None:
-            barrier_ports = self._barrier_ports[signature] = tuple(
-                PortSpec(role, iface, required=True) for role, iface in signature
+    def _role(self, comp_id: str, child: Entry) -> _Role:
+        role = child.name
+        if role == BARRIER_ROLE:
+            raise ConfigError(
+                f"{comp_id}/{role}: role name {BARRIER_ROLE!r} is reserved for the node's readiness barrier",
+                child.span.line,
+                child.span.column,
             )
-        barrier_spec = self.registry.get("NodeReady")
-        self._component(barrier_id, barrier_spec, {}, comp_id, barrier_ports)
-        for port, child_id in zip(barrier_ports, composite.children.values()):
-            self.asm.add_binding(Binding(barrier_id, port.name, child_id, port.interface))
-        composite.children[BARRIER_ROLE] = barrier_id
+        value = child.value
+        if isinstance(value, Ref):
+            return _Role((role, None, "/".join(value.path)), None)
+        if isinstance(value, Block):
+            raise ConfigError(
+                f"{comp_id}/{role}: plain blocks are not valid node roles",
+                child.span.line,
+                child.span.column,
+            )
+        spec = self._kind(value, child)
+        if value.body is not None and value.body.entries:
+            raise ConfigError(
+                f"{comp_id}/{role}: nested bodies are not supported here",
+                child.span.line,
+                child.span.column,
+            )
+        args = self._args(value, spec)
+        return _Role((role, spec.name, None), (role, spec.name, spec.provides, spec.ports, self._behavior(spec), args))
 
-        for role, child_id in composite.children.items():
-            for iface in sorted(self.asm.components[child_id].provides):
-                composite.exports.setdefault(iface, child_id)
-        composite.exports[NODE] = barrier_id
-        self._pending_roles[comp_id] = role_refs
+    def _shape(self, roles: list[_Role]) -> _Shape:
+        """The barrier guards every child; each interface is exported by its
+        first provider, in sorted order per child, and Node by the barrier."""
+        children = [r.part for r in roles if r.part]
+        ports = tuple(PortSpec(part[0], min(part[2], default=""), required=True) for part in children)
+        spec = self.registry.get("NodeReady")
+        barrier = (BARRIER_ROLE, spec.name, spec.provides, ports, self._behavior(spec), {})
+        exports: dict[str, int] = {}
+        for i, part in enumerate([*children, barrier]):
+            for iface in sorted(part[2]):
+                exports.setdefault(iface, i)
+        exports[NODE] = len(children)
+        return _Shape(
+            barrier,
+            tuple((port.name, port.interface, i) for i, port in enumerate(ports)),
+            tuple(exports.items()),
+            {r.key[0]: r.key[2] for r in roles if not r.part},
+        )
+
+    def _stamp(self, block: str, name: str, template: _Template) -> None:
+        """Make one composite's ids, components and barrier bindings."""
+        comp_id = f"{block}/{name}"
+        components = self.asm.components
+        children: dict[str, str] = {}
+        comps = []
+        for role, kind, provides, ports, behavior, args in template.children:
+            cid = children[role] = f"{comp_id}/{role}"
+            component = components[cid] = Component(cid, kind, provides, ports, behavior, args, comp_id)
+            comps.append(component)
+        barrier = comps[-1]
+        bindings = self.asm.bindings
+        for port, iface, i in template.shape.bindings:
+            binding = barrier.bound[port] = Binding(barrier.id, port, comps[i].id, iface)
+            bindings.append(binding)
+        exports = {iface: comps[i].id for iface, i in template.shape.exports}
+        self.asm.composites[comp_id] = Composite(comp_id, template.kind, children, exports)
+        self._stamped.append((block, template, comps))
 
     def _group(self, block: str, entry: Entry) -> None:
         group_id = f"{block}/{entry.name}"
@@ -290,30 +368,40 @@ class _Generator:
         """Wire unbound ports inside composites by interface matching.
 
         A same-named role reference wins, then a sibling, then any role
-        reference, then a shared component of the composite's block.
+        reference, then a shared component of the composite's block.  The
+        choice is made once per body shape (roles, kinds, role references)
+        and block.
         """
-        components = self.asm.components
-        shared_of: dict[str, dict[str, str]] = {}  # block -> interface -> first shared provider
-        for composite in self.asm.composites.values():
-            role_refs = self._pending_roles.get(composite.id, {})
-            siblings: dict[str, list[str]] = {}  # interface -> children providing it, in order
-            for cid in composite.children.values():
-                for iface in components[cid].provides:
-                    siblings.setdefault(iface, []).append(cid)
-            block = composite.id.rsplit("/", 1)[0]
-            shared = shared_of.get(block)
-            if shared is None:
-                shared = shared_of[block] = self._shared_providers(block)
-            for role, cid in composite.children.items():
-                if role == BARRIER_ROLE:
-                    continue
-                child = components[cid]
-                for port in child.ports:
-                    if port.name in child.bound:
-                        continue
-                    server = self._find_provider(role_refs, siblings, shared, cid, port)
-                    if server is not None:
-                        self.asm.add_binding(Binding(cid, port.name, server, port.interface))
+        wirings = self._wirings
+        bindings = self.asm.bindings
+        for block, template, comps in self._stamped:
+            key = (id(template.shape), block)
+            decisions = wirings.get(key)
+            if decisions is None:
+                decisions = wirings[key] = self._wiring(template, block)
+            for client, port, iface, sibling, server in decisions:
+                component = comps[client]
+                binding = component.bound[port] = Binding(
+                    component.id, port, comps[sibling].id if server is None else server, iface
+                )
+                bindings.append(binding)
+
+    def _wiring(self, template: _Template, block: str) -> list[tuple]:
+        """(client index, port, interface, sibling index, server id) for each
+        port that autobind binds: a sibling serves it, or the server id does."""
+        role_refs = template.shape.role_refs
+        siblings: dict[str, list[int]] = {}  # interface -> children providing it, in order
+        for i, child in enumerate(template.children):
+            for iface in child[2]:
+                siblings.setdefault(iface, []).append(i)
+        shared = self._shared_providers(block)
+        decisions = []
+        for i, child in enumerate(template.children[:-1]):  # not the barrier
+            for port in child[3]:
+                server = self._find_provider(role_refs, siblings, shared, i, port)
+                if server is not None:
+                    decisions.append((i, port.name, port.interface, *server))
+        return decisions
 
     def _shared_providers(self, block: str) -> dict[str, str]:
         """interface -> the first shared component of `block` providing it."""
@@ -324,19 +412,22 @@ class _Generator:
                     providers.setdefault(iface, cid)
         return providers
 
-    def _find_provider(self, role_refs, siblings, shared, client_id, port) -> str | None:
+    def _find_provider(self, role_refs, siblings, shared, client: int, port) -> tuple | None:
+        """(sibling index, None) or (None, server id) serving `port` of child
+        `client`; None if nothing does."""
         if port.name in role_refs:
             server = self.asm.provider_id(role_refs[port.name], port.interface)
             if server is not None:
-                return server
-        for cid in siblings.get(port.interface, ()):
-            if cid != client_id:
-                return cid
+                return None, server
+        for i in siblings.get(port.interface, ()):
+            if i != client:
+                return i, None
         for target in role_refs.values():
             server = self.asm.provider_id(target, port.interface)
             if server is not None:
-                return server
-        return shared.get(port.interface)
+                return None, server
+        server = shared.get(port.interface)
+        return None if server is None else (None, server)
 
     def _assign_ordinals(self) -> None:
         """Number each composite among those resolving hostnames through
@@ -697,10 +788,17 @@ def plan_inverse(p: DeploymentPlan) -> DeploymentPlan:
 
 
 def emit_text(asm: Assembly, deployment_plan: DeploymentPlan | None = None) -> str:
-    """Stable, line-oriented rendering for inspection and golden tests."""
+    """Stable, line-oriented rendering for inspection and golden tests.
+
+    Its sha256 keys the CLI's state file, so the text must not change.
+    Components stamped from one template share their `args` dict, which is
+    rendered once per call."""
     lines: list[str] = ["[components]"]
+    rendered: dict[int, str] = {}  # id(args) -> "k=v,..."
     for comp in asm.components.values():
-        args = ",".join([f"{k}={comp.args[k]}" for k in sorted(comp.args)]) if comp.args else ""
+        args = rendered.get(id(comp.args))
+        if args is None:
+            args = rendered[id(comp.args)] = ",".join([f"{k}={comp.args[k]}" for k in sorted(comp.args)])
         owner = comp.owner or "-"
         lines.append(f"{comp.id} kind={comp.kind} owner={owner} args=({args})")
     lines.append("[bindings]")

@@ -95,7 +95,7 @@ class Behavior:
         return getattr(self, _HOOKS[action])
 
 
-@dataclass
+@dataclass(slots=True)
 class PortSpec:
     """A client port: a named requirement on some interface."""
 
@@ -120,7 +120,7 @@ class Binding(NamedTuple):
         return f"{self.client}.{self.port} -> {self.server} [{self.interface}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class Component:
     """A named deployable unit with lifecycle state and typed ports."""
 
@@ -144,7 +144,7 @@ class Component:
         return [p.name for p in self.ports if p.required and p.name not in self.bound]
 
 
-@dataclass
+@dataclass(slots=True)
 class Composite:
     """Hierarchical grouping; children may be shared with other composites."""
 

@@ -18,6 +18,7 @@ from gridforge.assembly import (
     plan_inverse,
     validate,
 )
+from gridforge.bench import middleware_config
 from gridforge.cli import _state_key
 from gridforge.core import Assembly, Behavior, Binding, Component, Composite, LifecycleState, PortSpec
 from gridforge.dsl import expand, load_config, merge, parse
@@ -372,6 +373,45 @@ class TestGenerationErrors:
         with pytest.raises(ConfigError, match="'ready' is reserved") as info:
             assembly_for(text, registry_m)
         assert (info.value.line, info.value.column) == (6, 7)
+
+    LOOP = (
+        "app = OpenCCM.Deployment {{\n"
+        "  nodes = {{\n"
+        "    hostname = DynamicHost(~/nodelist)\n"
+        "    apply FOR(i,0,3) {{\n"
+        "      node-%{{i}} = Grid5000_NODE {{\n"
+        "        hostname = {host}\n"
+        "        {role}\n"
+        "      }}\n"
+        "    }}\n"
+        "  }}\n"
+        "}}\n"
+    )
+
+    @pytest.mark.parametrize("host", ["nodes/hostname", "StaticHost(simnode-%{i})"], ids=["shared", "varying"])
+    @pytest.mark.parametrize(
+        "role, error, position, message",
+        [
+            ("jre = Jre", ArityMismatch, (7, 15), "Jre takes 1..2 arguments, got 0"),
+            ("port = Port(twenty)", ArityMismatch, (7, 21), "Port: parameter value wants an integer, got 'twenty'"),
+            (
+                "ready = Jre(/opt/java/jre)",
+                ConfigError,
+                (7, 9),
+                "nodes/node-0/ready: role name 'ready' is reserved for the node's readiness barrier",
+            ),
+        ],
+        ids=["missing-argument", "not-an-integer", "reserved-role"],
+    )
+    def test_errors_in_a_loop_body_name_where_they_are_written(self, registry_m, host, role, error, position, message):
+        """A fault in a node body shared by every node of a loop, or in one
+        whose hostname varies per node, is reported at its place in the
+        source, for the first node that has it."""
+        with pytest.raises(error) as info:
+            assembly_for(self.LOOP.format(host=host, role=role), registry_m)
+        assert type(info.value) is error
+        assert (info.value.line, info.value.column) == position
+        assert str(info.value) == f"{position[0]}:{position[1]}: {message}"
 
     def test_node_ref_must_provide_the_interface(self, registry_m):
         text = (
@@ -838,6 +878,76 @@ class TestGolden:
         digest = sha256(emit_text(combined, combined_plan))
         assert digest == "7c3a2126d3dd5df2106b954d98758a27689f45c417387d083c8886d63cf96d73"
         assert sha256(emit_text(combined))[:16] == "99285d5015b6bfef"
+
+
+# One node overrides a default role (its `protocol` comes before `user`), one
+# node is written outside any loop, and one has no body: it sits in a block
+# with no shared hostname, so validate() reports its SSH's unbound port.
+MIXED = """
+Mixed = OpenCCM.Deployment {
+  nodes = {
+    hostname = DynamicHost(~/nodelist)
+    gateway = Grid5000_NODE {
+      hostname = StaticHost(gw.example)
+      port = Port(2222)
+    }
+    apply FOR(i,0,3) {
+      node-%{i} = Grid5000_NODE {
+        hostname = nodes/hostname
+        jre = Jre(/opt/java/jre)
+      }
+    }
+    special = Grid5000_NODE {
+      hostname = nodes/hostname
+      protocol = SSH
+      user = User(alice,~/.ssh/id_rsa.pub)
+      jre = Jre(/opt/java/jre)
+    }
+  }
+  spare = {
+    bare = Grid5000_NODE
+  }
+  services = {
+    ns = OpenCCM.NameService {
+      node = nodes/gateway
+    }
+  }
+}
+"""
+
+NO_DIAGNOSTICS = sha256("")
+
+
+class TestGoldenShapes:
+    """Digests of emit_text with the plan and of validate()'s report for
+    node bodies that vary per node, are shared by every node, or mix
+    both with written-out and bodiless nodes."""
+
+    @pytest.mark.parametrize(
+        "text, emitted, diagnostics",
+        [
+            (
+                middleware_config(50),
+                "eb9dbcfd9d4f06bc0a09c5a67e4d86e41513d883cb07859eab0171786bb5dd07",
+                NO_DIAGNOSTICS,
+            ),
+            (
+                reserved(50, 50),
+                "f589f4adc3f578cc44a457328c6860c4c33f80772ec06fce44c767635f493b13",
+                NO_DIAGNOSTICS,
+            ),
+            (
+                MIXED,
+                "6a4d80424aab35858b6f5103410400fbce59b7f8a352d2b52c0bef1024cdeba1",
+                "28371fbc1312d4e69526ad38d60d7e457a658e92643d137e43c099263055ce52",
+            ),
+        ],
+        ids=["varying-body", "shared-body", "mixed"],
+    )
+    def test_digests(self, registry_m, text, emitted, diagnostics):
+        asm = assembly_for(text, registry_m)
+        assert sha256("".join(f"{d}\n" for d in validate(asm))) == diagnostics
+        assert sha256(emit_text(asm, plan(asm))) == emitted
 
 
 class TestEmission:

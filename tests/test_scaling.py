@@ -10,11 +10,12 @@ Timings are interleaved and the best of three is kept, so a slow spell on
 a shared host hits both sizes or neither.
 """
 
+import collections
 import time
 
 from configs import paper_pair, reserved
 from conftest import seed_nodelist
-from gridforge.assembly import emit_text, generate, plan, validate
+from gridforge.assembly import _Generator, emit_text, generate, plan, validate
 from gridforge.bench import middleware_config
 from gridforge.cli import load_state, save_state
 from gridforge.dsl import expand, merge, parse
@@ -61,6 +62,32 @@ def test_whole_build_grows_linearly():
 
     small, large = _best(build, paper_pair(SMALL), paper_pair(LARGE))
     assert large / small < MAX_RATIO, f"build: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
+
+
+def test_generate_checks_each_node_body_once(monkeypatch):
+    """Nodes are stamped from one compiled body per loop: 400 reserved
+    nodes take as many kind and argument checks as 100, and a body whose
+    hostname varies per node compiles that one role again per extra node."""
+    registry = default_registry()
+    calls = collections.Counter()
+    for name in ("_kind", "_args", "_role", "_shape"):
+
+        def counted(self, *args, _original=getattr(_Generator, name), _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(_Generator, name, counted)
+
+    def counts(text):
+        calls.clear()
+        generate(expand(parse(text)), registry)
+        return dict(calls)
+
+    small, large = counts(reserved(SMALL, SMALL)), counts(reserved(LARGE, LARGE))
+    assert small == large, (small, large)
+    small, large = counts(middleware_config(SMALL)), counts(middleware_config(LARGE))
+    assert large["_role"] - small["_role"] == LARGE - SMALL, (small, large)
+    assert large["_shape"] == small["_shape"], (small, large)
 
 
 def test_child_order_grows_linearly():
