@@ -6,6 +6,12 @@ work across processes; `GRIDFORGE_STATE_DIR` overrides its location.  A
 command that performs no transition leaves an existing file untouched, so
 it keeps the journal of the last command that did.  Exit codes: 0
 success, 2 configuration or validation problems, 3 execution failure.
+
+Commands read the file by section.  `deploy`, `undeploy` and `status -c`
+decode the component states; `status` decodes each file's descriptor and
+states.  The saved SimNodes are decoded the first time the run contacts a
+node, so a resume deploy, a dry run and `status -c` never decode them.  No
+command decodes the saved journal.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .core import LifecycleState
 from .errors import ConfigError, DeploymentError, StageFailed, ValidationFailed
 from .pipeline import Deployment, build
 from .runtime import ExecOptions
-from .simgrid import Fleet, SimClockConfig
+from .simgrid import SimClockConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,21 +49,51 @@ def _state_path(key: str) -> str:
     return os.path.join(state_dir(), key + ".json")
 
 
-def load_state(deployment: Deployment, key: str, with_fleet: bool = True) -> bool:
-    """Apply the saved component states, and unless `with_fleet` is false
-    the saved SimNodes; False when there is no state file."""
+# save_state writes {"descriptor":…,"fleet":…,"journal":[…],"states":{…}}
+# with sorted keys and no whitespace.  JSON escapes every '"' inside a
+# string, and the only objects with free-form keys (a SimNode's env, the
+# states) have string values, so ,"journal":[ and ,"states":{ can only be
+# top-level keys.
+_HEAD, _FLEET, _JOURNAL, _STATES = '{"descriptor":', ',"fleet":', ',"journal":[', ',"states":{'
+_decoder = json.JSONDecoder()
+_STATE_NAMES = {state.name: state for state in LifecycleState}
+
+
+def _read_state(text: str) -> dict:
+    """The state document's "descriptor", "states" and "fleet".
+
+    In save_state's layout only the descriptor and the states are decoded:
+    "fleet" is the fleet's undecoded text (None for null), and the journal
+    is skipped.  Any other text, such as the indented files of older
+    versions, is decoded whole."""
+    states_at = text.rfind(_STATES)
+    journal_at = text.rfind(_JOURNAL, 0, max(states_at, 0))
+    if journal_at > 0 and text.startswith(_HEAD):
+        states, end = _decoder.raw_decode(text, states_at + len(_STATES) - 1)
+        descriptor, fleet_at = _decoder.raw_decode(text, len(_HEAD))
+        if end == len(text) - 1 and text[end] == "}" and text.startswith(_FLEET, fleet_at):
+            fleet = text[fleet_at + len(_FLEET) : journal_at]
+            return {"descriptor": descriptor, "fleet": None if fleet == "null" else fleet, "states": states}
+    return json.loads(text)
+
+
+def load_state(deployment: Deployment, key: str) -> bool:
+    """Apply the saved component states and hand the saved fleet to the
+    deployment's, which decodes it on first use; False when there is no
+    state file."""
     try:
         with open(_state_path(key), encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _read_state(fh.read())
     except FileNotFoundError:
         return False
+    components = deployment.assembly.components
     for cid, state_name in data.get("states", {}).items():
-        comp = deployment.assembly.components.get(cid)
+        comp = components.get(cid)
         if comp is not None:
-            comp.state = LifecycleState[state_name]
-    fleet_data = data.get("fleet")
-    if with_fleet and fleet_data and deployment.ctx.fleet is not None:
-        deployment.ctx.fleet.nodes = Fleet.from_dict(fleet_data).nodes
+            comp.state = _STATE_NAMES[state_name]
+    saved_fleet = data.get("fleet")
+    if saved_fleet and deployment.ctx.fleet is not None:
+        deployment.ctx.fleet.restore(saved_fleet)
     return True
 
 
@@ -207,7 +243,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     if args.config:
         deployment = _build(args)
         with _StateLock():
-            load_state(deployment, _state_key(deployment), with_fleet=False)
+            load_state(deployment, _state_key(deployment))
         for cid, state in deployment.assembly.status().items():
             print(f"{cid} {state.name}")
         return EXIT_OK
@@ -219,7 +255,7 @@ def cmd_status(args: argparse.Namespace) -> int:
         if not fname.endswith(".json"):
             continue
         with open(os.path.join(directory, fname), encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _read_state(fh.read())
         print(f"deployment {data.get('descriptor', fname)}:")
         for cid, state in data.get("states", {}).items():
             print(f"  {cid} {state}")
@@ -242,8 +278,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
-    fit = bench_mod.r_squared([p.n_nodes for p in points], [p.effective_ms for p in points])
-    print(f"linear fit over {len(points)} sizes: r^2 = {fit:.4f}", file=sys.stderr)
+    fit = bench_mod.r_squared([p.n_nodes for p in points], [p.overhead_ms for p in points])
+    print(f"linear fit of overhead_ms over {len(points)} sizes: r^2 = {fit:.4f}", file=sys.stderr)
     return EXIT_OK
 
 

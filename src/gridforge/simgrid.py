@@ -8,6 +8,7 @@ so identical configuration and seed give identical reported durations.
 
 from __future__ import annotations
 
+import json
 import re
 import threading
 import zlib
@@ -125,13 +126,23 @@ class SimNode:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SimNode":
+    def from_dict(cls, data: dict, steps: dict[tuple, Step] | None = None) -> "SimNode":
+        """Rebuild a saved node.  `steps` maps each (kind, a, b) log entry
+        already built to its Step, so the nodes of one fleet share them."""
         node = cls(data["id"])
         node.env = dict(data["env"])
         node.files = set(data["files"])
         node.processes = set(data["processes"])
-        # Entries saved by older versions carry a fourth, always-empty field.
-        node.log = [Step(_STEP_KINDS[entry[0]], entry[1], entry[2]) for entry in data["log"]]
+        if steps is None:
+            steps = {}
+        log = node.log
+        for entry in data["log"]:
+            # Entries saved by older versions carry a fourth, always-empty field.
+            key = (entry[0], entry[1], entry[2])
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = Step(_STEP_KINDS[key[0]], key[1], key[2])
+            log.append(step)
         return node
 
 
@@ -144,10 +155,30 @@ def replay_log(log: list[Step]) -> SimNode:
 
 
 class Fleet:
-    """A set of SimNodes, keyed by hostname."""
+    """A set of SimNodes, keyed by hostname.
+
+    A fleet restored from a state file keeps what was saved and builds its
+    SimNodes the first time `nodes`, `get` or `get_or_create` is used, so a
+    command that contacts no node never decodes them.
+    """
 
     def __init__(self) -> None:
-        self.nodes: dict[str, SimNode] = {}
+        self._nodes: dict[str, SimNode] | None = {}
+        self._saved: str | dict | None = None
+
+    @property
+    def nodes(self) -> dict[str, SimNode]:
+        # The sim starts no threads, so decoding on first use needs no lock.
+        if self._nodes is None:
+            saved = self._saved
+            self._nodes = Fleet.from_dict(json.loads(saved) if isinstance(saved, str) else saved).nodes
+            self._saved = None
+        return self._nodes
+
+    def restore(self, saved: str | dict) -> None:
+        """Replace the nodes by a saved fleet, `to_dict`'s document or its
+        JSON text, decoded the first time the nodes are used."""
+        self._nodes, self._saved = None, saved
 
     @classmethod
     def create(cls, n: int, prefix: str = "simnode-") -> "Fleet":
@@ -171,9 +202,11 @@ class Fleet:
     @classmethod
     def from_dict(cls, data: dict) -> "Fleet":
         fleet = cls()
+        nodes = fleet.nodes
+        steps: dict[tuple, Step] = {}
         for nd in data["nodes"]:
-            node = SimNode.from_dict(nd)
-            fleet.nodes[node.id] = node
+            node = SimNode.from_dict(nd, steps)
+            nodes[node.id] = node
         return fleet
 
 

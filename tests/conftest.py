@@ -1,5 +1,6 @@
 """Shared fixtures: kind registry, sample configurations, seeded sim homes."""
 
+import json
 import pathlib
 
 import pytest
@@ -37,3 +38,30 @@ def seed_nodelist(home: pathlib.Path, count: int, prefix: str = "simnode-") -> p
     path = home / "nodelist"
     path.write_text("".join(f"{prefix}{i}\n" for i in range(count)))
     return path
+
+
+def record_decodes(monkeypatch) -> list:
+    """Every value a JSON decoder returns from now on, json.loads included."""
+    decoded = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def recording(self, s, idx=0):
+        value, end = raw_decode(self, s, idx)
+        decoded.append(value)
+        return value, end
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", recording)
+    return decoded
+
+
+def count_decoded(values, is_counted) -> int:
+    """How many values, nested ones included, `is_counted` accepts."""
+    count, pending = 0, list(values)
+    while pending:
+        value = pending.pop()
+        count += bool(is_counted(value))
+        if isinstance(value, dict):
+            pending.extend(value.values())
+        elif isinstance(value, list):
+            pending.extend(value)
+    return count

@@ -9,8 +9,10 @@ import sys
 import pytest
 
 from configs import MINI, reserved
+from conftest import record_decodes
 from gridforge import cli
 from gridforge.pipeline import build_from_text
+from gridforge.simgrid import SimNode
 
 
 @pytest.fixture()
@@ -183,6 +185,23 @@ class TestStatusListing:
         assert out.startswith("deployment ")
         assert "  services/ns STARTED" in out.splitlines()
 
+    @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
+    def test_listing_reads_the_states_alone(self, workdir, capsys, monkeypatch, indent):
+        """A compact file is read by section, so its journal and fleet stay
+        undecoded; an indented one is decoded whole, with the same lines."""
+        cli.main(["deploy", "-c", str(workdir / "mini.gdf")])
+        capsys.readouterr()
+        (fname,) = state_files(workdir)
+        path = workdir / "state" / fname
+        if indent:
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=indent, sort_keys=True))
+        decoded = record_decodes(monkeypatch)
+        assert cli.main(["status"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"deployment {fname[: -len('.json')]}:", *(f"  {line}" for line in sorted(MINI_STATUS))]
+        whole = [value for value in decoded if isinstance(value, dict) and "journal" in value]
+        assert len(whole) == (1 if indent else 0)
+
     def test_state_file_contents(self, workdir, capsys):
         cli.main(["deploy", "-c", str(workdir / "mini.gdf")])
         (fname,) = state_files(workdir)
@@ -276,6 +295,109 @@ class TestStateFile:
         assert capsys.readouterr().out.splitlines() == MINI_STATUS
 
 
+def _saved_and_loaded(text, key, edit=None):
+    """A deployed assembly saved under `key`, after `edit(fleet)`, and a
+    fresh build of the same text that loaded it."""
+    deployment = build_from_text(text)
+    deployment.execute()
+    if edit is not None:
+        edit(deployment.ctx.fleet)
+    cli.save_state(deployment, key)
+    loaded = build_from_text(text)
+    assert cli.load_state(loaded, key)
+    return deployment, loaded
+
+
+def _state_keys_in_env(fleet):
+    fleet.nodes["simnode-0"].env.update(states="{", journal="[")
+
+
+def _state_key_in_path(fleet):
+    fleet.nodes["simnode-0"].files.add('/opt/a,"states":{"x')
+
+
+class TestStateReader:
+    """load_state reads save_state's layout by section and decodes any other
+    text whole; both give the same states and SimNodes."""
+
+    @pytest.mark.parametrize("edit", [_state_keys_in_env, _state_key_in_path], ids=["env-keys", "file-path"])
+    def test_round_trip(self, workdir, edit):
+        deployment, loaded = _saved_and_loaded(MINI, "edited", edit)
+        path = pathlib.Path(cli._state_path("edited"))
+        text = path.read_text(encoding="utf-8")
+        assert isinstance(cli._read_state(text)["fleet"], str)
+        assert loaded.assembly.status() == deployment.assembly.status()
+        assert loaded.ctx.fleet.to_dict() == deployment.ctx.fleet.to_dict()
+        cli.save_state(loaded, "edited")
+        resaved = json.loads(path.read_text(encoding="utf-8"))
+        assert {**resaved, "journal": None} == {**json.loads(text), "journal": None}
+
+        path.write_text(json.dumps(json.loads(text), indent=1, sort_keys=True))
+        whole = build_from_text(MINI)
+        assert cli.load_state(whole, "edited")
+        assert whole.assembly.status() == deployment.assembly.status()
+        assert whole.ctx.fleet.to_dict() == deployment.ctx.fleet.to_dict()
+
+    @pytest.mark.parametrize("tail", ["}\n", ',"zz":{"states":{"b":"STOPPED"}}}'], ids=["newline", "later-key"])
+    def test_other_text_is_decoded_whole(self, tail):
+        head = '{"descriptor":"k","fleet":null,"journal":["x"],"states":{"a":"STARTED"}'
+        assert cli._read_state(head + "}") == {"descriptor": "k", "fleet": None, "states": {"a": "STARTED"}}
+        assert cli._read_state(head + tail) == json.loads(head + tail)
+
+    def test_four_field_log_entries(self, workdir):
+        """Entries of older versions carry a fourth, empty field; every
+        distinct step is built once and shared by the nodes that logged it."""
+        deployment, _ = _saved_and_loaded(reserved(2, 2), "four")
+        path = pathlib.Path(cli._state_path("four"))
+        data = json.loads(path.read_text())
+        for node in data["fleet"]["nodes"]:
+            node["log"] = [[*entry, ""] for entry in node["log"]]
+        path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")))
+        loaded = build_from_text(reserved(2, 2))
+        assert cli.load_state(loaded, "four")
+        assert loaded.ctx.fleet.to_dict() == deployment.ctx.fleet.to_dict()
+        steps = [step for node in loaded.ctx.fleet.nodes.values() for step in node.log]
+        assert len({id(step) for step in steps}) == len(set(steps)) < len(steps)
+
+    def test_failed_deploy_saves_the_fleet_it_decoded(self, workdir, capsys, monkeypatch):
+        """A deploy that decodes the saved fleet on its first node contact
+        and fails partway saves every SimNode, reached or not; a rerun
+        resumes from there to the nodes a whole deploy leaves."""
+        cfg = write_config(workdir, "reserved.gdf", reserved(3, 3))
+        assert cli.main(["deploy", "-c", cfg]) == 0
+        (fname,) = state_files(workdir)
+        path = workdir / "state" / fname
+
+        def saved_nodes():
+            return {node["id"]: node for node in json.loads(path.read_text())["fleet"]["nodes"]}
+
+        def observable():
+            return {node_id: (node["env"], node["files"], node["processes"]) for node_id, node in saved_nodes().items()}
+
+        deployed = observable()
+        assert cli.main(["undeploy", "-c", cfg]) == 0
+        before = saved_nodes()
+        reached = set()
+        apply = SimNode.apply
+
+        def failing(node, step):
+            reached.add(node.id)
+            return (1, "injected") if node.id == "simnode-1" else apply(node, step)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SimNode, "apply", failing)
+            assert cli.main(["deploy", "-c", cfg]) == 3
+        after = saved_nodes()
+        assert list(after) == list(before)
+        unreached = set(before) - reached
+        assert reached and unreached
+        for node_id in unreached:
+            assert after[node_id] == before[node_id]
+
+        assert cli.main(["deploy", "-c", cfg]) == 0
+        assert observable() == deployed
+
+
 def _reference_bytes(deployment, key):
     """The state document as one json.dumps call writes it."""
     fleet = deployment.ctx.fleet
@@ -361,12 +483,27 @@ class TestFailures:
 
 
 class TestBench:
-    def test_csv_and_fit(self, workdir, capsys):
+    def test_csv_and_fit(self, workdir, capsys, monkeypatch):
+        """The fit is over real overhead; the virtual effective times are
+        linear by construction and would always fit perfectly."""
+        from gridforge import bench
+
+        points = [bench.ScalingPoint(n, overhead, 15.0 * n) for n, overhead in ((10, 1.0), (20, 2.0), (30, 4.0))]
+        monkeypatch.setattr(bench, "measure_scaling", lambda sizes, **_: points)
         out_path = workdir / "scaling.csv"
-        code = cli.main(["bench", "--sizes", "10:30:10", "--out", str(out_path)])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "linear fit over 3 sizes: r^2 = 1.0000" in err
+        assert cli.main(["bench", "--sizes", "10:30:10", "--out", str(out_path)]) == 0
+        assert capsys.readouterr().err == "linear fit of overhead_ms over 3 sizes: r^2 = 0.9643\n"
+        assert out_path.read_text().splitlines() == [
+            "n_nodes,overhead_ms,effective_ms",
+            "10,1.000,150.000",
+            "20,2.000,300.000",
+            "30,4.000,450.000",
+        ]
+
+    def test_measured_effective_times(self, workdir, capsys):
+        out_path = workdir / "scaling.csv"
+        assert cli.main(["bench", "--sizes", "10:30:10", "--out", str(out_path)]) == 0
+        assert "linear fit of overhead_ms over 3 sizes: r^2 = " in capsys.readouterr().err
         rows = out_path.read_text().splitlines()
         assert rows[0] == "n_nodes,overhead_ms,effective_ms"
         # 130 ms per ten-node wave plus 30 ms fixed services, 15 per server wave

@@ -11,10 +11,12 @@ a shared host hits both sizes or neither.
 """
 
 import collections
+import json
 import time
 
 from configs import paper_pair, reserved
-from conftest import seed_nodelist
+from conftest import count_decoded, record_decodes, seed_nodelist
+from gridforge import cli
 from gridforge.assembly import _Generator, emit_text, generate, plan, validate
 from gridforge.bench import middleware_config
 from gridforge.cli import load_state, save_state
@@ -119,6 +121,34 @@ def test_state_save_and_load_grow_linearly(sim_home, monkeypatch):
 
     small, large = _best(round_trip, deployed(SMALL), deployed(LARGE))
     assert large / small < MAX_RATIO, f"save+load state: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
+
+
+def test_state_reads_decode_only_what_each_command_uses(sim_home, monkeypatch):
+    """A resume deploy and `status -c` decode no SimNode and no journal
+    line at 100 or at 400 reserved nodes; an undeploy, which contacts every
+    node, decodes each saved SimNode once and the journal never."""
+    monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(sim_home / "state"))
+    for n in (SMALL, LARGE):
+        config = sim_home / f"reserved-{n}.gdf"
+        config.write_text(reserved(n, n))
+        assert cli.main(["deploy", "-c", str(config)]) == 0
+        (path,) = (sim_home / "state").glob("*.json")
+        saved = json.loads(path.read_text())
+        journal = set(saved["journal"])
+        assert journal and saved["fleet"]["nodes"]
+        with monkeypatch.context() as patch:
+            decoded = record_decodes(patch)
+            for argv, nodes_expected in (
+                (["deploy"], 0),
+                (["status"], 0),
+                (["undeploy"], len(saved["fleet"]["nodes"])),
+            ):
+                decoded.clear()
+                assert cli.main([*argv, "-c", str(config)]) == 0
+                nodes = count_decoded(decoded, lambda v: isinstance(v, dict) and "log" in v)
+                lines = count_decoded(decoded, lambda v: isinstance(v, str) and v in journal)
+                assert (nodes, lines) == (nodes_expected, 0), (n, argv)
+        path.unlink()
 
 
 def test_execute_and_undeploy_grow_linearly(sim_home):

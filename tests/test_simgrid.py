@@ -1,9 +1,12 @@
 """Simulated fleet: node semantics, log replay, virtual time, jitter."""
 
+import json
 import random
 import threading
 import tracemalloc
 import zlib
+
+import pytest
 
 from configs import reserved
 from gridforge.pipeline import build_from_text
@@ -186,6 +189,20 @@ class TestFleet:
         clone = Fleet.from_dict(fleet.to_dict())
         assert sorted(clone.nodes) == sorted(fleet.nodes)
         assert clone.get("simnode-0").observable() == fleet.get("simnode-0").observable()
+
+    def test_restore_decodes_on_first_use(self):
+        """A restored fleet decodes its saved text when a node is first
+        looked up; a text that does not decode fails every lookup alike."""
+        fleet = Fleet.create(1)
+        fleet.restore("{not json")
+        for _ in range(2):
+            with pytest.raises(json.JSONDecodeError):
+                fleet.get("simnode-0")
+        saved = Fleet.create(2)
+        saved.get("simnode-1").apply(set_var("A", "1"))
+        fleet.restore(json.dumps(saved.to_dict()))
+        assert fleet.get_or_create("simnode-1").env == {"A": "1"}
+        assert fleet.to_dict() == saved.to_dict()
 
 
 class TestVirtualClock:
