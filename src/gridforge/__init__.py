@@ -37,7 +37,7 @@ from .errors import (
     ValidationFailed,
 )
 from .personalities import Registry, default_registry
-from .pipeline import DeployContext, Deployment, build, build_from_text, make_context
+from .pipeline import DeployContext, Deployment, assemble, build, build_from_text, make_context
 from .runtime import ExecOptions, ExecutionReport, execute
 from .simgrid import Fleet, SimClockConfig, SimNode, VirtualClock, WallClock, replay_log
 from .steps import Step, StepKind, parse_sh, render_sh
@@ -82,6 +82,7 @@ __all__ = [
     "ValidationFailed",
     "VirtualClock",
     "WallClock",
+    "assemble",
     "build",
     "build_from_text",
     "default_registry",

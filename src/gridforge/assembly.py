@@ -567,6 +567,31 @@ def _strongly_connected(graph: dict) -> list[list[str]]:
     return sccs
 
 
+def _component_cycles(asm: Assembly) -> list[list[str]]:
+    """_strongly_connected of the component graph.  Kahn's peel reads each
+    component's bound ports directly; the graph is built, and Tarjan run,
+    only when the peel leaves components behind."""
+    components = asm.components
+    indegree = dict.fromkeys(components, 0)
+    for comp in components.values():
+        for binding in comp.bound.values():
+            if binding.server in indegree:
+                indegree[binding.server] += 1
+    ready = [cid for cid, degree in indegree.items() if degree == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for binding in components[ready.pop()].bound.values():
+            server = binding.server
+            if server in indegree:
+                indegree[server] -= 1
+                if indegree[server] == 0:
+                    ready.append(server)
+    if peeled == len(indegree):
+        return []
+    return _strongly_connected(asm.dependency_graph())
+
+
 def validate(asm: Assembly) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for binding in asm.bindings:
@@ -594,7 +619,7 @@ def validate(asm: Assembly) -> list[Diagnostic]:
         for member in members:
             if member not in asm.components:
                 out.append(Diagnostic("unknown-component", member, f"listed in {group_id}"))
-    for scc in _strongly_connected(asm.dependency_graph()):
+    for scc in _component_cycles(asm):
         out.append(
             Diagnostic("cycle", ", ".join(scc), "binding dependencies form a cycle")
         )

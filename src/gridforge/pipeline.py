@@ -1,10 +1,12 @@
 """End-to-end wiring: configuration files in, executable deployment out.
 
-Bundles the parse -> expand -> generate -> validate -> plan chain and the
-transport/clock pairing for each backend.  generate() already builds the
-live assembly the executor drives.  The loading, generation and planning
-cost is measured here (overhead), separate from the effective deployment
-time the executor reports.
+Two stages: `assemble` runs parse -> expand -> generate -> validate and
+returns the checked assembly, and `build` plans that assembly and pairs it
+with a transport and clock for its backend.  generate() already builds the
+live assembly the executor drives, so a caller that only reads component
+states (`status -c`) stops after `assemble`.  The loading, generation and
+planning cost is measured here (overhead), separate from the effective
+deployment time the executor reports.
 """
 
 from __future__ import annotations
@@ -66,6 +68,13 @@ def make_context(
     raise ValueError(f"unknown transport {transport!r}")
 
 
+def assemble(paths: list[str], registry: Registry | None = None) -> Assembly:
+    """Load, expand, generate and validate; raises ConfigError subclasses
+    on bad input and ValidationFailed when the generated assembly has
+    diagnostics."""
+    return _checked(load_config(paths), registry)
+
+
 def build(
     paths: list[str],
     transport: str = "sim",
@@ -73,10 +82,10 @@ def build(
     fleet: Fleet | None = None,
     sim_config: SimClockConfig | None = None,
 ) -> Deployment:
-    """Full pipeline; raises ConfigError subclasses on bad input and
-    ValidationFailed when the generated assembly has diagnostics."""
+    """`assemble`, then plan; raises as `assemble` does, and
+    CyclicDependency when the planner finds no order."""
     t0 = time.monotonic()
-    return _deploy(t0, load_config(paths), transport, registry, fleet, sim_config)
+    return _deploy(t0, assemble(paths, registry), transport, fleet, sim_config)
 
 
 def build_from_text(
@@ -88,17 +97,21 @@ def build_from_text(
 ) -> Deployment:
     """Same pipeline for in-memory sources (benchmarks, tests)."""
     t0 = time.monotonic()
-    return _deploy(t0, expand(parse(text)), transport, registry, fleet, sim_config)
+    return _deploy(t0, _checked(expand(parse(text)), registry), transport, fleet, sim_config)
 
 
-def _deploy(t0, config, transport, registry, fleet, sim_config) -> Deployment:
-    """generate -> validate -> plan an expanded config; overhead counts
-    from `t0`, taken before the config was loaded."""
-    registry = registry or default_registry()
-    assembly = generate(config, registry)
+def _checked(config, registry: Registry | None) -> Assembly:
+    """generate -> validate an expanded config."""
+    assembly = generate(config, registry or default_registry())
     diagnostics = validate(assembly)
     if diagnostics:
         raise ValidationFailed(diagnostics)
+    return assembly
+
+
+def _deploy(t0, assembly, transport, fleet, sim_config) -> Deployment:
+    """Plan a checked assembly; overhead counts from `t0`, taken before
+    the config was loaded."""
     deployment_plan = plan(assembly)
     overhead_ms = (time.monotonic() - t0) * 1000.0
     ctx = make_context(assembly, transport, fleet, sim_config)

@@ -31,7 +31,7 @@ from gridforge.errors import (
     ValidationFailed,
 )
 from gridforge.personalities import ScriptBehavior, default_registry
-from gridforge.pipeline import build, build_from_text
+from gridforge.pipeline import assemble, build, build_from_text
 from gridforge.stdlib import KindSpec
 
 
@@ -867,7 +867,8 @@ class TestGolden:
     def test_paper_state_key(self, registry_m):
         asm = generate(load_config([self.PAPER]), registry_m)
         assert sha256(emit_text(asm))[:16] == "521530787f73582a"
-        assert _state_key(build([self.PAPER], registry=registry_m)) == "521530787f73582a"
+        assert _state_key(build([self.PAPER], registry=registry_m).assembly) == "521530787f73582a"
+        assert _state_key(assemble([self.PAPER], registry=registry_m)) == "521530787f73582a"
 
     def test_paper_with_plan(self, registry_m):
         asm = generate(load_config([self.PAPER]), registry_m)

@@ -55,6 +55,29 @@ app = OpenCCM.Deployment {
 """
 
 
+# node-0's openccm needs the JRE its jre role names, the service myjre, and
+# myjre needs node-0's shell.  The cycle runs between units (node-0, myjre)
+# and not between components, so the configuration validates and the
+# planner finds no order.
+UNPLANNABLE = """
+app = OpenCCM.Deployment {
+  nodes = {
+    node-0 = Grid5000_NODE {
+      hostname = StaticHost(simnode-0)
+      shell = SH
+      jre = services/myjre
+      openccm = OpenCCM(/opt/OpenCCM,/opt/CORBA/JacORB)
+    }
+  }
+  services = {
+    myjre = Jre(/opt/java/jre) {
+      shell = nodes/node-0/shell
+    }
+  }
+}
+"""
+
+
 def write_config(workdir, name, text):
     path = workdir / name
     path.write_text(text)
@@ -83,13 +106,13 @@ def test_cold_import_leaves_out_what_the_sim_path_never_runs():
 class TestPlan:
     def test_stage_listing(self, workdir, capsys):
         assert cli.main(["plan", "-c", str(workdir / "mini.gdf")]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out == [
-            "stage 0: node-prep [parallel] 1 action(s)",
-            "  nodes/node-0 -> started",
-            "stage 1: services/ns [sequential] 1 action(s)",
-            "  services/ns -> started",
-        ]
+        out = capsys.readouterr().out
+        assert out == (
+            "stage 0: node-prep [parallel] 1 action(s)\n"
+            "  nodes/node-0 -> started\n"
+            "stage 1: services/ns [sequential] 1 action(s)\n"
+            "  services/ns -> started\n"
+        )
 
     def test_emit_to_stdout(self, workdir, capsys):
         assert cli.main(["plan", "-c", str(workdir / "mini.gdf"), "--emit", "-"]) == 0
@@ -148,7 +171,7 @@ class TestDeployCycle:
         calls = []
         render = cli.emit_text
         monkeypatch.setattr(cli, "emit_text", lambda *a: calls.append(a) or render(*a))
-        for command in ("deploy", "undeploy"):
+        for command in ("deploy", "status", "undeploy"):
             calls.clear()
             assert cli.main([command, "-c", cfg]) == 0
             assert len(calls) == 1, command
@@ -239,6 +262,69 @@ class TestStatusListing:
         assert "  services/ns STARTED" in out.splitlines()
 
 
+# `status -c` of reserved(3, granted=2) after its deploy failed at node-2.
+PARTIAL_STATUS = [
+    "nodes/hostname STARTED",
+    "nodes/frontend/hostname STARTED",
+    "nodes/frontend/protocol STARTED",
+    "nodes/frontend/shell STARTED",
+    "nodes/frontend/ready STARTED",
+    "nodes/node-0/jre STARTED",
+    "nodes/node-0/protocol STARTED",
+    "nodes/node-0/shell STARTED",
+    "nodes/node-0/ready STARTED",
+    "nodes/node-1/jre STARTED",
+    "nodes/node-1/protocol STARTED",
+    "nodes/node-1/shell STARTED",
+    "nodes/node-1/ready STARTED",
+    "nodes/node-2/jre UNINSTALLED",
+    "nodes/node-2/protocol STARTED",
+    "nodes/node-2/shell STARTED",
+    "nodes/node-2/ready UNINSTALLED",
+    "services/reservation STARTED",
+    "services/ns UNINSTALLED",
+]
+
+
+def _indent(path):
+    """Rewrite a state file in the indented layout of older versions."""
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=1, sort_keys=True))
+
+
+class TestStatusWithConfig:
+    """`status -c` assembles the configuration and applies the saved states;
+    it never plans."""
+
+    @pytest.mark.parametrize("indent", [False, True], ids=["compact", "indented"])
+    def test_listing_bytes(self, workdir, capsys, indent):
+        cfg = write_config(workdir, "over.gdf", reserved(3, granted=2))
+        assert cli.main(["deploy", "-c", cfg]) == 3
+        if indent:
+            (fname,) = state_files(workdir)
+            _indent(workdir / "state" / fname)
+        capsys.readouterr()
+        assert cli.main(["status", "-c", cfg]) == 0
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in PARTIAL_STATUS)
+
+    def test_configuration_the_planner_refuses(self, workdir, capsys):
+        """plan and deploy exit 3; status lists every component, none ever
+        deployed."""
+        cfg = write_config(workdir, "unplannable.gdf", UNPLANNABLE)
+        for command in ("plan", "deploy"):
+            assert cli.main([command, "-c", cfg]) == 3
+            assert "dependency cycle through services/myjre and nodes/node-0" in capsys.readouterr().err
+        assert cli.main(["status", "-c", cfg]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "nodes/node-0/hostname UNINSTALLED",
+            "nodes/node-0/shell UNINSTALLED",
+            "nodes/node-0/openccm UNINSTALLED",
+            "nodes/node-0/protocol UNINSTALLED",
+            "nodes/node-0/ready UNINSTALLED",
+            "services/myjre UNINSTALLED",
+        ]
+        assert state_files(workdir) == []
+
+
 MINI_STATUS = [
     "nodes/node-0/hostname STARTED",
     "nodes/node-0/jre STARTED",
@@ -283,7 +369,7 @@ class TestStateFile:
 
     def test_indented_file_still_loads(self, deployed, capsys):
         cfg, path = deployed
-        path.write_text(json.dumps(json.loads(path.read_text()), indent=1, sort_keys=True))
+        _indent(path)
         assert cli.main(["deploy", "-c", cfg]) == 0
         assert "0 transition(s) performed" in capsys.readouterr().out
         assert cli.main(["status", "-c", cfg]) == 0
@@ -293,6 +379,32 @@ class TestStateFile:
         cfg, _ = deployed
         assert cli.main(["status", "-c", cfg]) == 0
         assert capsys.readouterr().out.splitlines() == MINI_STATUS
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[:-40],
+            lambda text: json.dumps(json.loads(text), indent=1, sort_keys=True)[:-40],
+            lambda text: text.replace('"services/ns":"STARTED"', '"services/ns":"RUNNING"'),
+        ],
+        ids=["truncated-compact", "truncated-indented", "unknown-state"],
+    )
+    def test_damaged_file_exits_3(self, deployed, capsys, damage):
+        """Every command that reads the file names it in one line of stderr,
+        exits 3 and leaves the file as it was."""
+        cfg, path = deployed
+        damaged = damage(path.read_text())
+        assert damaged != path.read_text()
+        path.write_text(damaged)
+        mtime = path.stat().st_mtime_ns
+        for argv in (["status"], ["status", "-c", cfg], ["deploy", "-c", cfg], ["undeploy", "-c", cfg]):
+            assert cli.main(argv) == 3, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.splitlines()) == 1 and str(path) in err, (argv, err)
+            assert path.read_text() == damaged
+            assert path.stat().st_mtime_ns == mtime
+        assert list(path.parent.glob("*.tmp")) == []
 
 
 def _saved_and_loaded(text, key, edit=None):
@@ -304,7 +416,7 @@ def _saved_and_loaded(text, key, edit=None):
         edit(deployment.ctx.fleet)
     cli.save_state(deployment, key)
     loaded = build_from_text(text)
-    assert cli.load_state(loaded, key)
+    assert cli.load_state(loaded.assembly, key, loaded.ctx.fleet)
     return deployment, loaded
 
 
@@ -334,7 +446,7 @@ class TestStateReader:
 
         path.write_text(json.dumps(json.loads(text), indent=1, sort_keys=True))
         whole = build_from_text(MINI)
-        assert cli.load_state(whole, "edited")
+        assert cli.load_state(whole.assembly, "edited", whole.ctx.fleet)
         assert whole.assembly.status() == deployment.assembly.status()
         assert whole.ctx.fleet.to_dict() == deployment.ctx.fleet.to_dict()
 
@@ -354,7 +466,7 @@ class TestStateReader:
             node["log"] = [[*entry, ""] for entry in node["log"]]
         path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")))
         loaded = build_from_text(reserved(2, 2))
-        assert cli.load_state(loaded, "four")
+        assert cli.load_state(loaded.assembly, "four", loaded.ctx.fleet)
         assert loaded.ctx.fleet.to_dict() == deployment.ctx.fleet.to_dict()
         steps = [step for node in loaded.ctx.fleet.nodes.values() for step in node.log]
         assert len({id(step) for step in steps}) == len(set(steps)) < len(steps)

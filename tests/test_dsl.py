@@ -1,6 +1,7 @@
 """Configuration language: parsing, loop expansion, merging, diagnostics."""
 
 import copy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ def expand_text(text):
 
 class TestParsing:
     def test_full_deployment_shape(self, paper_config):
-        ast = parse(open(paper_config).read())
+        ast = parse(Path(paper_config).read_text())
         assert len(ast.entries) == 1
         root = ast.entries[0]
         assert root.name == "MyDeployment"
@@ -44,7 +45,7 @@ class TestParsing:
         assert names == ["nodes", "services"]
 
     def test_loop_header(self, paper_config):
-        ast = parse(open(paper_config).read())
+        ast = parse(Path(paper_config).read_text())
         nodes = ast.entries[0].value.body.entries[0].value
         loops = [e for e in nodes.entries if isinstance(e, Loop)]
         assert len(loops) == 1
@@ -97,7 +98,7 @@ class TestParsing:
 class TestRoundTrip:
     def test_unparse_parse_is_identity(self, paper_config, reservation_config):
         for path in (paper_config, reservation_config):
-            ast = parse(open(path).read())
+            ast = parse(Path(path).read_text())
             assert parse(unparse(ast)).entries == ast.entries
 
 
@@ -357,7 +358,7 @@ class TestMerge:
 
     def test_merge_preserves_primary_order(self, paper_config, reservation_config):
         merged = merge(
-            parse(open(paper_config).read()), parse(open(reservation_config).read())
+            parse(Path(paper_config).read_text()), parse(Path(reservation_config).read_text())
         )
         names = [e.name for e in merged.entries[0].value.body.entries]
         assert names == ["nodes", "services"]

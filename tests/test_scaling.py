@@ -12,11 +12,12 @@ a shared host hits both sizes or neither.
 
 import collections
 import json
+import sys
 import time
 
 from configs import paper_pair, reserved
 from conftest import count_decoded, record_decodes, seed_nodelist
-from gridforge import cli
+from gridforge import assembly, cli
 from gridforge.assembly import _Generator, emit_text, generate, plan, validate
 from gridforge.bench import middleware_config
 from gridforge.cli import load_state, save_state
@@ -117,7 +118,7 @@ def test_state_save_and_load_grow_linearly(sim_home, monkeypatch):
     def round_trip(deployment):
         key = f"reserved-{len(deployment.ctx.fleet.nodes)}"
         save_state(deployment, key)
-        load_state(deployment, key)
+        load_state(deployment.assembly, key, deployment.ctx.fleet)
 
     small, large = _best(round_trip, deployed(SMALL), deployed(LARGE))
     assert large / small < MAX_RATIO, f"save+load state: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
@@ -149,6 +150,31 @@ def test_state_reads_decode_only_what_each_command_uses(sim_home, monkeypatch):
                 lines = count_decoded(decoded, lambda v: isinstance(v, str) and v in journal)
                 assert (nodes, lines) == (nodes_expected, 0), (n, argv)
         path.unlink()
+
+
+def test_status_never_plans(sim_home, monkeypatch):
+    """At 100 and at 400 reserved nodes, `status -c` generates and validates
+    once and plans never, while `plan` and `deploy` plan once each."""
+    monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(sim_home / "state"))
+    calls = collections.Counter()
+    for name in ("generate", "validate", "plan"):
+        original = getattr(assembly, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        # Every module that imported the function by name calls it there.
+        for module in [m for k, m in sys.modules.items() if k.startswith("gridforge") and m is not None]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for n in (SMALL, LARGE):
+        config = sim_home / f"reserved-{n}.gdf"
+        config.write_text(reserved(n, n))
+        for command, plans in (("plan", 1), ("deploy", 1), ("status", 0)):
+            calls.clear()
+            assert cli.main([command, "-c", str(config)]) == 0
+            assert (calls["generate"], calls["validate"], calls["plan"]) == (1, 1, plans), (n, command)
 
 
 def test_execute_and_undeploy_grow_linearly(sim_home):
