@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Assembly, Behavior, Binding, Component, Composite, LifecycleState, PortSpec
+from .core import Assembly, Behavior, Binding, ChildLayout, Component, Composite, LifecycleState, PortSpec
 from .dsl import Block, Ctor, Entry, ExpandedConfig, Ref
 from .errors import (
     ArityMismatch,
@@ -97,8 +97,8 @@ class _Generator:
         self._roles: dict[int, _Role] = {}  # id(role Entry) -> its checked role
         self._default_roles: dict[tuple, Entry] = {}  # (composite kind, role) -> its default
         self._shapes: dict[tuple, _Shape] = {}  # the roles' keys, in order -> shape
-        self._wirings: dict[tuple, list] = {}  # (id(shape), block) -> autobind decisions
-        self._stamped: list[tuple] = []  # (block, template, child components) per composite
+        self._wirings: dict[tuple, tuple] = {}  # (id(shape), block) -> (autobind decisions, child layout)
+        self._stamped: list[tuple] = []  # (block, template, composite, child components) per composite
 
     def run(self) -> Assembly:
         for entry in self.config.root.entries:
@@ -313,8 +313,8 @@ class _Generator:
             binding = barrier.bound[port] = Binding(barrier.id, port, comps[i].id, iface)
             bindings.append(binding)
         exports = {iface: comps[i].id for iface, i in template.shape.exports}
-        self.asm.composites[comp_id] = Composite(comp_id, template.kind, children, exports)
-        self._stamped.append((block, template, comps))
+        composite = self.asm.composites[comp_id] = Composite(comp_id, template.kind, children, exports)
+        self._stamped.append((block, template, composite, comps))
 
     def _group(self, block: str, entry: Entry) -> None:
         group_id = f"{block}/{entry.name}"
@@ -370,21 +370,27 @@ class _Generator:
         A same-named role reference wins, then a sibling, then any role
         reference, then a shared component of the composite's block.  The
         choice is made once per body shape (roles, kinds, role references)
-        and block.
+        and block, and the composites it wires share one child layout,
+        except one that a role reference binds to its own child.
         """
         wirings = self._wirings
         bindings = self.asm.bindings
-        for block, template, comps in self._stamped:
+        components = self.asm.components
+        for block, template, composite, comps in self._stamped:
             key = (id(template.shape), block)
-            decisions = wirings.get(key)
-            if decisions is None:
-                decisions = wirings[key] = self._wiring(template, block)
+            wiring = wirings.get(key)
+            if wiring is None:
+                wiring = wirings[key] = (self._wiring(template, block), ChildLayout())
+            decisions, layout = wiring
             for client, port, iface, sibling, server in decisions:
                 component = comps[client]
-                binding = component.bound[port] = Binding(
-                    component.id, port, comps[sibling].id if server is None else server, iface
-                )
+                if server is None:
+                    server = comps[sibling].id
+                elif components[server].owner == composite.id:
+                    layout = None
+                binding = component.bound[port] = Binding(component.id, port, server, iface)
                 bindings.append(binding)
+            composite.layout = layout
 
     def _wiring(self, template: _Template, block: str) -> list[tuple]:
         """(client index, port, interface, sibling index, server id) for each

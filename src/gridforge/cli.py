@@ -20,7 +20,8 @@ states.  The saved SimNodes are decoded the first time the run contacts a
 node, so a resume deploy, a dry run and `status -c` never decode them.  No
 command decodes the saved journal.  A state file that cannot be decoded, or
 that names an unknown component state, is a DeploymentError naming the
-file (exit 3), and is left as it is.
+file (exit 3), and is left as it is; so is one whose saved SimNodes fail
+to decode when a command that contacted a node saves.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def save_state(deployment: Deployment, key: str) -> str:
     os.makedirs(state_dir(), exist_ok=True)
     path = _state_path(key)
     fleet = deployment.ctx.fleet
+    try:
+        nodes = fleet.nodes if fleet is not None else {}
+    except (ValueError, TypeError, LookupError, AttributeError) as exc:
+        # The fleet loaded from `path` is decoded on first use; a damaged
+        # one is reported against that file, which is left as it is.
+        raise DeploymentError(f"state file {path} is unreadable: {exc}") from None
     states = {cid: c.state.name for cid, c in deployment.assembly.components.items()}
     # Write beside the target, then rename over it: a crash mid-write
     # leaves the previous state file whole, and a failed write its own
@@ -144,9 +151,9 @@ def save_state(deployment: Deployment, key: str) -> str:
             # The document's keys in sorted order; "descriptor" is the key
             # name older state files use.
             fh.write(f'{{"descriptor":{_encode(key)},"fleet":')
-            if fleet is not None and fleet.nodes:
+            if nodes:
                 separator = '{"nodes":['
-                for node in fleet.nodes.values():
+                for node in nodes.values():
                     fh.write(separator)
                     fh.write(_encode(node.to_dict()))
                     separator = ","
@@ -383,7 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec(p_undeploy)
     p_undeploy.set_defaults(func=cmd_undeploy)
 
-    p_status = sub.add_parser("status", help="show recorded component states")
+    p_status = sub.add_parser(
+        "status",
+        help="show recorded component states",
+        description="Show recorded component states: of every recorded deployment, or with -c of that "
+        "configuration.  --transport, --connect-latency, --step-latency and --jitter-seed are "
+        "accepted, as by the other commands, and ignored: status runs no action.",
+    )
     _add_common(p_status, config_required=False)
     p_status.set_defaults(func=cmd_status)
 

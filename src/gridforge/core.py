@@ -2,7 +2,11 @@
 
 Every deployable thing is a component with the four generic lifecycle
 actions (install, start, stop, uninstall).  Ordering between components is
-never stored here; it is derived from bindings by the planner.
+never stored here; it is derived from bindings by the planner.  Within a
+composite the children are ordered by their bindings; composites stamped
+from one node body share that order through a `ChildLayout`, sorted once on
+first use, and one whose children gain a binding of their own is sorted
+alone.
 """
 
 from __future__ import annotations
@@ -91,9 +95,6 @@ class Behavior:
     def uninstall(self, component: "Component", ctx=None) -> None:
         pass
 
-    def hook(self, action: LifecycleAction):
-        return getattr(self, _HOOKS[action])
-
 
 @dataclass(slots=True)
 class PortSpec:
@@ -144,6 +145,20 @@ class Component:
         return [p.name for p in self.ports if p.required and p.name not in self.bound]
 
 
+class ChildLayout:
+    """The child order shared by the composites stamped from one node body
+    in one block, whose bindings between children are the same up to ids.
+
+    `order` holds child positions, in the order `child_order` sorts them;
+    it is filled on the first call, so a command that never drives a
+    composite never sorts one."""
+
+    __slots__ = ("order",)
+
+    def __init__(self) -> None:
+        self.order: tuple[int, ...] | None = None
+
+
 @dataclass(slots=True)
 class Composite:
     """Hierarchical grouping; children may be shared with other composites."""
@@ -153,14 +168,18 @@ class Composite:
     children: dict[str, str] = field(default_factory=dict)  # role -> component id
     exports: dict[str, str] = field(default_factory=dict)  # interface -> child id
     ordinal: int = 0  # position among nodes sharing one hostname provider
+    # Shared with the composites of the same body; None sorts this one alone.
+    layout: ChildLayout | None = field(default=None, compare=False, repr=False)
 
     @property
     def provides(self) -> frozenset[str]:
         return frozenset(self.exports)
 
 
-@dataclass
-class JournalRecord:
+class JournalRecord(NamedTuple):
+    """One performed action.  A named tuple, as `Binding` is: the executor
+    makes one per transition."""
+
     timestamp: str
     component_id: str
     action: LifecycleAction
@@ -180,15 +199,23 @@ class Journal:
         self._records: list[JournalRecord] = []
         self._lock = threading.Lock()
         self._second: tuple[int, str] = (-1, "")  # last second stamped, formatted
+        self._last: tuple[int, str] = (-1, "")  # last millisecond stamped, and its stamp
 
     def stamp(self) -> str:
         """The UTC time now, as isoformat(timespec="milliseconds") writes it;
-        the date and time of day are formatted once per second."""
-        second, ms = divmod(time.time_ns() // 1_000_000, 1000)
+        the date and time of day are formatted once per second, and the
+        records of one millisecond share one stamp."""
+        now = time.time_ns() // 1_000_000
+        last = self._last
+        if last[0] == now:
+            return last[1]
+        second, ms = divmod(now, 1000)
         cached = self._second
         if cached[0] != second:
             cached = self._second = (second, time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(second)))
-        return f"{cached[1]}.{ms:03d}+00:00"
+        stamp = f"{cached[1]}.{ms:03d}+00:00"
+        self._last = (now, stamp)
+        return stamp
 
     def append(self, record: JournalRecord) -> None:
         with self._lock:
@@ -288,9 +315,17 @@ class Assembly:
 
     def add_binding(self, binding: Binding) -> Binding:
         """Record a binding of an existing client without checking it;
-        validate() reports what is wrong with it."""
-        self.components[binding.client].bound[binding.port] = binding
+        validate() reports what is wrong with it.  A binding between two
+        children of one composite gives that composite its own child order."""
+        client = self.components[binding.client]
+        client.bound[binding.port] = binding
         self.bindings.append(binding)
+        if client.owner is not None:
+            server = self.components.get(binding.server)
+            if server is not None and server.owner == client.owner:
+                composite = self.composites.get(client.owner)
+                if composite is not None:
+                    composite.layout = None
         return binding
 
     def dependency_graph(self) -> dict[str, list[str]]:
@@ -310,23 +345,28 @@ class Assembly:
         reached = TRANSITIONS.get((component.state, action))
         if reached is None:
             raise IllegalTransition(component_id, component.state, action)
-        missing = component.unbound_required_ports()
-        if missing:
-            raise UnboundPort(f"{component_id}: required ports unbound: {', '.join(missing)}")
-        started = time.monotonic()
+        bound = component.bound
+        for port in component.ports:
+            if port.required and port.name not in bound:
+                missing = ", ".join(component.unbound_required_ports())
+                raise UnboundPort(f"{component_id}: required ports unbound: {missing}")
         clock = getattr(ctx, "clock", None)
-        if clock is not None:
+        if clock is None:
+            started = time.monotonic()
+        else:
             clock.begin_action()
         try:
-            component.behavior.hook(action)(component, ctx)
+            getattr(component.behavior, _HOOKS[action])(component, ctx)
+            failure = None
         except Exception as exc:
-            millis = self._action_millis(clock, started)
-            self._journal(component_id, action, False, millis)
-            raise ActionFailed(component_id, action, exc) from exc
-        millis = self._action_millis(clock, started)
+            failure = exc
+        millis = clock.end_action() if clock is not None else (time.monotonic() - started) * 1000.0
+        journal = self.journal
+        journal.append(JournalRecord(journal.stamp(), component_id, action, failure is None, millis))
+        if failure is not None:
+            raise ActionFailed(component_id, action, failure) from failure
         component.state = reached
-        self._journal(component_id, action, True, millis)
-        return component.state
+        return reached
 
     def transitions_to(self, target_id: str, target: LifecycleState) -> list[tuple[str, LifecycleAction]]:
         """The (component id, action) pairs that drive a component or a
@@ -371,8 +411,20 @@ class Assembly:
 
         Declaration order breaks ties.  Only edges between two children of
         this composite count; external dependencies are the planner's job.
+        Composites that share a layout are sorted once, on the first call,
+        and each reads the shared order by position.
         """
         composite = self.composites[composite_id]
+        layout = composite.layout
+        if layout is None:
+            return self._sorted_children(composite)
+        children = list(composite.children.values())
+        if layout.order is None:
+            position = {cid: i for i, cid in enumerate(children)}
+            layout.order = tuple([position[cid] for cid in self._sorted_children(composite)])
+        return [children[i] for i in layout.order]
+
+    def _sorted_children(self, composite: Composite) -> list[str]:
         members = [cid for cid in composite.children.values() if cid in self.components]
         member_set = set(members)
         deps: dict[str, set[str]] = {
@@ -407,13 +459,3 @@ class Assembly:
 
     def status(self) -> dict[str, LifecycleState]:
         return {cid: c.state for cid, c in self.components.items()}
-
-    # -- internals --------------------------------------------------------
-
-    def _action_millis(self, clock, wall_started: float) -> float:
-        if clock is not None:
-            return clock.end_action()
-        return (time.monotonic() - wall_started) * 1000.0
-
-    def _journal(self, component_id: str, action: LifecycleAction, ok: bool, millis: float) -> None:
-        self.journal.append(JournalRecord(self.journal.stamp(), component_id, action, ok, millis))

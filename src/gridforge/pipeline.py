@@ -12,7 +12,7 @@ deployment time the executor reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import runtime
 from .assembly import DeploymentPlan, generate, plan, plan_inverse, validate
@@ -21,7 +21,7 @@ from .dsl import expand, load_config, parse
 from .errors import ValidationFailed
 from .personalities import Registry, default_registry
 from .simgrid import Fleet, SimClockConfig, VirtualClock, WallClock
-from .transports import LocalTransport, SimTransport, SshTransport, Transport
+from .transports import LocalTransport, NodeAccess, SimTransport, SshTransport, Transport
 
 
 @dataclass
@@ -30,6 +30,8 @@ class DeployContext:
     transport: Transport
     clock: object
     fleet: Fleet | None = None
+    # shell component id -> NodeAccess, filled by stdlib.shell_access
+    access: dict[str, NodeAccess] = field(default_factory=dict, repr=False)
 
 
 @dataclass

@@ -10,6 +10,12 @@ reproducible byte for byte.  Real transports (local, ssh) run a parallel
 stage on a thread pool of maxWorkers threads.  Either way a failure stops
 dispatch at the failing action; on the pool, actions already running
 finish.
+
+Per action only what varies per node is worked out again.  Within one run
+(one `DeployContext`, which a deploy and its inverse share in process) the
+access of each node shell is resolved once (`stdlib.shell_access`), and the
+nodes stamped from one body share one child order, sorted on the first
+action that drives one of them (`core.Assembly.child_order`).
 """
 
 from __future__ import annotations

@@ -97,10 +97,17 @@ def resolve_access(assembly, protocol: Component) -> NodeAccess:
 
 
 def shell_access(ctx, shell: Component) -> NodeAccess:
-    protocol = bound_component(ctx.assembly, shell, "protocol")
-    if protocol is None:
-        raise UnboundPort(f"{shell.id}: protocol port unbound")
-    return resolve_access(ctx.assembly, protocol)
+    """The access of the node a shell component reaches, resolved once per
+    shell per run: kept in `ctx.access` by shell id.  A failure is not
+    kept, so a nodelist missing before the reservation runs raises on
+    every try.  Two pool threads may both resolve a shell; they agree."""
+    access = ctx.access.get(shell.id)
+    if access is None:
+        protocol = bound_component(ctx.assembly, shell, "protocol")
+        if protocol is None:
+            raise UnboundPort(f"{shell.id}: protocol port unbound")
+        access = ctx.access[shell.id] = resolve_access(ctx.assembly, protocol)
+    return access
 
 
 def send_steps(ctx, access: NodeAccess, payload: Payload) -> tuple[int, str]:

@@ -18,9 +18,10 @@ from .simgrid import Fleet, SimClockConfig, VirtualClock, jittered
 from .steps import Step, render_sh
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeAccess:
-    """Resolved connection parameters for one node."""
+    """Resolved connection parameters for one node; a run keeps one per
+    node shell."""
 
     hostname: str
     port: int = 22

@@ -340,6 +340,65 @@ class TestGeneration:
             "nodes/ref/g": "nodes/spare",
         }
 
+    def test_nodes_of_one_body_share_their_child_order(self, registry_m):
+        """The nodes of one loop share one child layout, sorted on the first
+        call; node-0, whose role reference binds its protocol to its own
+        host, keeps an order of its own.  Every order equals a fresh sort."""
+        asm = assembly_for(
+            "app = OpenCCM.Deployment {\n"
+            "  nodes = {\n"
+            "    apply FOR(i,0,2) {\n"
+            "      node-%{i} = Grid5000_NODE {\n"
+            "        protocol = SSH\n"
+            "        h = StaticHost(simnode-0)\n"
+            "        hostname = nodes/node-0/h\n"
+            "      }\n"
+            "    }\n"
+            "  }\n"
+            "}\n",
+            registry_m,
+        )
+        first, second, third = (asm.composites[f"nodes/node-{i}"] for i in range(3))
+        assert first.layout is None
+        assert second.layout is third.layout and second.layout.order is None
+        for composite in (first, second, third):
+            assert asm.child_order(composite.id) == asm._sorted_children(composite)
+        assert asm.child_order(first.id)[:2] == ["nodes/node-0/h", "nodes/node-0/protocol"]
+        assert asm.child_order(second.id)[:2] == ["nodes/node-1/protocol", "nodes/node-1/h"]
+
+    def test_binding_added_after_generate_drops_the_shared_order(self, registry_m):
+        """A binding between two children of a node, added once the shared
+        order was sorted, gives that node a fresh sort and leaves the others
+        sharing theirs.  No generated port is free to bind, so the test
+        gives node-1's jre one more optional port first."""
+        asm = assembly_for(
+            "app = OpenCCM.Deployment {\n"
+            "  nodes = {\n"
+            "    apply FOR(i,0,2) {\n"
+            "      node-%{i} = Grid5000_NODE {\n"
+            "        hostname = StaticHost(simnode-%{i})\n"
+            "        jre = Jre(/opt/java/jre)\n"
+            "        var = Variable(MODE)\n"
+            "      }\n"
+            "    }\n"
+            "  }\n"
+            "}\n",
+            registry_m,
+        )
+        shared = [asm.child_order(f"nodes/node-{i}") for i in range(3)]
+        assert [cid.rsplit("/", 1)[1] for cid in shared[1]] == ["hostname", "protocol", "shell", "jre", "var", "ready"]
+        jre = asm.components["nodes/node-1/jre"]
+        jre.ports = (*jre.ports, PortSpec("after", "Variable", required=False))
+        asm.bind((jre.id, "after"), "nodes/node-1/var")
+        node1 = asm.composites["nodes/node-1"]
+        assert node1.layout is None
+        assert asm.child_order(node1.id) == asm._sorted_children(node1)
+        assert [cid.rsplit("/", 1)[1] for cid in asm.child_order(node1.id)] == [
+            "hostname", "protocol", "shell", "var", "jre", "ready"
+        ]
+        assert [asm.child_order(f"nodes/node-{i}") for i in (0, 2)] == [shared[0], shared[2]]
+        assert asm.composites["nodes/node-0"].layout is asm.composites["nodes/node-2"].layout
+
 
 class TestGenerationErrors:
     def test_unknown_kind(self, registry_m):

@@ -103,6 +103,14 @@ def test_cold_import_leaves_out_what_the_sim_path_never_runs():
     assert loaded == set()
 
 
+def test_status_help_says_the_run_options_are_ignored(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["status", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--transport, --connect-latency, --step-latency and --jitter-seed are accepted" in text
+    assert "and ignored" in text
+
+
 class TestPlan:
     def test_stage_listing(self, workdir, capsys):
         assert cli.main(["plan", "-c", str(workdir / "mini.gdf")]) == 0
@@ -404,6 +412,21 @@ class TestStateFile:
             assert len(err.splitlines()) == 1 and str(path) in err, (argv, err)
             assert path.read_text() == damaged
             assert path.stat().st_mtime_ns == mtime
+        assert list(path.parent.glob("*.tmp")) == []
+
+    def test_undecodable_fleet_exits_3(self, deployed, capsys):
+        """The saved SimNodes are decoded at the first node contact, after
+        the file was read: an undeploy whose fleet section no longer decodes
+        names the file in one line of stderr, exits 3 and leaves it as it was."""
+        cfg, path = deployed
+        damaged = path.read_bytes().replace(b'"files":[', b'"files":[[', 1)
+        assert damaged != path.read_bytes()
+        path.write_bytes(damaged)
+        assert cli.main(["undeploy", "-c", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and str(path) in err, err
+        assert path.read_bytes() == damaged
         assert list(path.parent.glob("*.tmp")) == []
 
 

@@ -286,6 +286,14 @@ class TestJournal:
             want = datetime.fromtimestamp(ms / 1000, timezone.utc).isoformat(timespec="milliseconds")
             assert journal.stamp() == want
 
+    def test_records_of_one_millisecond_share_one_stamp(self, monkeypatch):
+        journal = Journal()
+        monkeypatch.setattr(core.time, "time_ns", lambda: 1_700_000_000_998_123_456)
+        first = journal.stamp()
+        assert journal.stamp() is first
+        monkeypatch.setattr(core.time, "time_ns", lambda: 1_700_000_000_999_000_000)
+        assert journal.stamp() == "2023-11-14T22:13:20.999+00:00"
+
 
 class TestComposites:
     def diamond(self):

@@ -17,10 +17,11 @@ import time
 
 from configs import paper_pair, reserved
 from conftest import count_decoded, record_decodes, seed_nodelist
-from gridforge import assembly, cli
+from gridforge import assembly, cli, stdlib
 from gridforge.assembly import _Generator, emit_text, generate, plan, validate
 from gridforge.bench import middleware_config
 from gridforge.cli import load_state, save_state
+from gridforge.core import Assembly
 from gridforge.dsl import expand, merge, parse
 from gridforge.personalities import default_registry
 from gridforge.pipeline import build_from_text
@@ -190,6 +191,66 @@ def test_execute_and_undeploy_grow_linearly(sim_home):
     for verb in ("execute", "undeploy"):
         small, large = best[verb, SMALL], best[verb, LARGE]
         assert large / small < MAX_RATIO, f"{verb}: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
+
+
+def _python_calls(run) -> int:
+    """How many Python function calls (generator resumptions included)
+    `run()` makes; built-in calls are not counted."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_execute_and_undeploy_calls_grow_linearly(sim_home):
+    """Counted, not timed: execute and its inverse make 4 +- 0.05 times the
+    Python calls at four times the reserved fleet.  The per-run calls that
+    do not grow with the fleet (the reservation, one child sort per node
+    layout) are about 3 nodes' worth, which fits that bound from about 200
+    nodes on; the gate counts 400 and 1,600."""
+    n = 400
+    counts = {}
+    for size in (n, 4 * n):
+        deployment = build_from_text(reserved(size, size))
+        counts["execute", size] = _python_calls(deployment.execute)
+        counts["undeploy", size] = _python_calls(deployment.execute_inverse)
+    for verb in ("execute", "undeploy"):
+        ratio = counts[verb, 4 * n] / counts[verb, n]
+        assert abs(ratio - 4) <= 0.05, f"{verb}: {counts[verb, n]} -> {counts[verb, 4 * n]} calls ({ratio:.3f}x)"
+
+
+def test_execute_resolves_each_node_once_and_sorts_each_layout_once(sim_home, monkeypatch):
+    """A CLI deploy and undeploy of 100 and of 400 reserved nodes resolve
+    the access of each node shell once per command (every node and the
+    reservation's frontend) and sort the children of each node body layout
+    once, however many nodes share it."""
+    monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(sim_home / "state"))
+    resolved, sorts = [], []
+    resolve = stdlib.resolve_access
+    monkeypatch.setattr(stdlib, "resolve_access", lambda asm, protocol: resolved.append(protocol.id) or resolve(asm, protocol))
+    sort = Assembly._sorted_children
+    monkeypatch.setattr(Assembly, "_sorted_children", lambda self, composite: sorts.append(composite.id) or sort(self, composite))
+    sorted_per_command = {}
+    for n in (SMALL, LARGE):
+        config = sim_home / f"reserved-{n}.gdf"
+        config.write_text(reserved(n, n))
+        for command in ("deploy", "undeploy"):
+            resolved.clear()
+            sorts.clear()
+            assert cli.main([command, "-c", str(config)]) == 0
+            assert len(resolved) == len(set(resolved)) == n + 1, (n, command, len(resolved))
+            sorted_per_command[n, command] = len(sorts)
+    for command in ("deploy", "undeploy"):
+        assert sorted_per_command[SMALL, command] == sorted_per_command[LARGE, command], sorted_per_command
 
 
 def test_payloads_do_not_grow_with_the_fleet(sim_home, monkeypatch):

@@ -22,6 +22,7 @@ from gridforge.stdlib import (
     VariableBehavior,
     node_ordinal,
     resolve_access,
+    shell_access,
     shell_execute,
 )
 from gridforge.transports import LocalTransport, NodeAccess, Payload, SimTransport, SshTransport
@@ -185,6 +186,23 @@ class TestShellExecution:
         ctx = sim_ctx(asm, strict=True)
         with pytest.raises(ConnectFailed):
             shell_execute(ctx, asm.components["sh"], [set_var("A", "1")])
+
+    def test_access_is_resolved_once_per_shell_per_run(self, tmp_path):
+        """A failure is not kept: a nodelist missing at first is read once
+        the reservation has written it, and then kept for the run."""
+        asm = node_stack()
+        host = asm.components["host"]
+        host.behavior, host.args = DynamicHostBehavior(), {"path": str(tmp_path / "nodelist")}
+        ctx, shell = sim_ctx(asm), asm.components["sh"]
+        for _ in range(2):
+            with pytest.raises(NodeListMissing):
+                shell_access(ctx, shell)
+        (tmp_path / "nodelist").write_text("alpha\n")
+        access = shell_access(ctx, shell)
+        assert access == NodeAccess("alpha")
+        assert shell_access(ctx, shell) is access
+        assert ctx.access == {"sh": access}
+        assert shell_access(sim_ctx(asm), shell) is not access
 
     def test_exists_charges_a_probe(self):
         asm = node_stack()
