@@ -712,6 +712,24 @@ def _unit_graph(asm: Assembly) -> dict[str, list[str]]:
     return {uid: sorted(units, key=order.__getitem__) for uid, units in needs.items()}
 
 
+def _pull(unit: str, deps: dict, done: set, services: set, seen: dict, out: list) -> bool:
+    """Append to `out` the not-done units `unit` needs, dependencies first,
+    then `unit`; False if one is a service.  `seen`: unit -> pull finished.
+    Not nested in plan(): a closure that calls itself is a reference cycle,
+    which would keep `deps` alive until the cyclic collector runs."""
+    seen[unit] = False
+    for dep in deps[unit]:
+        if dep in done:
+            continue
+        if seen.get(dep) is False:
+            raise CyclicDependency(f"dependency cycle through {dep} and {unit}")
+        if dep in services or (dep not in seen and not _pull(dep, deps, done, services, seen, out)):
+            return False
+    seen[unit] = True
+    out.append(unit)
+    return True
+
+
 def plan(asm: Assembly) -> DeploymentPlan:
     """Order the units into stages by the rule in the module docstring."""
     deps = _unit_graph(asm)
@@ -726,21 +744,6 @@ def plan(asm: Assembly) -> DeploymentPlan:
 
     def up(units) -> tuple:
         return tuple(PlanAction(u, LifecycleState.STARTED) for u in units)
-
-    def pull(unit: str, seen: dict, out: list) -> bool:
-        """Append to `out` the not-done units `unit` needs, dependencies first,
-        then `unit`; False if one is a service.  `seen`: unit -> pull finished."""
-        seen[unit] = False
-        for dep in deps[unit]:
-            if dep in done:
-                continue
-            if seen.get(dep) is False:
-                raise CyclicDependency(f"dependency cycle through {dep} and {unit}")
-            if dep in services or (dep not in seen and not pull(dep, seen, out)):
-                return False
-        seen[unit] = True
-        out.append(unit)
-        return True
 
     def ready(node: str) -> bool:
         return all(d in done or (d in shared and all(e in done for e in deps[d])) for d in deps[node])
@@ -758,7 +761,7 @@ def plan(asm: Assembly) -> DeploymentPlan:
             return node_wave(wave)
         for label, members in candidates.items():
             seen, out = {}, []
-            if all(pull(m, seen, out) for m in members):
+            if all(_pull(m, deps, done, services, seen, out) for m in members):
                 if label in asm.groups:
                     return PlanStage(label, "parallel", up(members), up(u for u in out if u not in services))
                 return PlanStage(label, "sequential", up(out))

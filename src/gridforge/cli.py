@@ -14,6 +14,14 @@ it never plans.  `plan` assembles and plans.  `deploy` and `undeploy`
 assemble and plan, hash the key, apply the saved states, execute and
 save.
 
+A command runs with the cyclic collector paused (`main`), which then
+restores the caller's collector state however the command ends.  A
+command frees what it builds by reference counting and leaves no cyclic
+garbage that grows with the fleet, while the collector, left on, walks
+the live assembly dozens of times per command, and all of it in each full
+collection.  The heap is not frozen nor the thresholds raised: neither
+helps where no full collection runs, and a threshold is a number to tune.
+
 Commands read the file by section.  `deploy`, `undeploy` and `status -c`
 decode the component states; `status` decodes each file's descriptor and
 states.  The saved SimNodes are decoded the first time the run contacts a
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import gc
 import hashlib
 import json
 import os
@@ -412,6 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic collector paused; it is left enabled
+    or disabled as the caller had it, however the command ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _command(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _command(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -193,18 +195,21 @@ class JournalRecord(NamedTuple):
 
 
 class Journal:
-    """Append-only action log; safe to append from several workers."""
+    """Append-only action log.  Appends take no lock, since the sim runs
+    every action on the calling thread; worker threads append only inside
+    `shared()`."""
 
     def __init__(self) -> None:
         self._records: list[JournalRecord] = []
-        self._lock = threading.Lock()
+        self.append = self._records.append
         self._second: tuple[int, str] = (-1, "")  # last second stamped, formatted
         self._last: tuple[int, str] = (-1, "")  # last millisecond stamped, and its stamp
 
     def stamp(self) -> str:
         """The UTC time now, as isoformat(timespec="milliseconds") writes it;
         the date and time of day are formatted once per second, and the
-        records of one millisecond share one stamp."""
+        records of one millisecond share one stamp.  Two threads may both
+        format a stamp; they agree."""
         now = time.time_ns() // 1_000_000
         last = self._last
         if last[0] == now:
@@ -217,20 +222,31 @@ class Journal:
         self._last = (now, stamp)
         return stamp
 
-    def append(self, record: JournalRecord) -> None:
-        with self._lock:
-            self._records.append(record)
+    @contextmanager
+    def shared(self) -> Iterator[None]:
+        """For the duration, every append takes one lock, so that a pool's
+        worker threads may append side by side."""
+        lock = threading.Lock()
+        append = self._records.append
+
+        def locked(record: JournalRecord) -> None:
+            with lock:
+                append(record)
+
+        self.append = locked
+        try:
+            yield
+        finally:
+            self.append = append
 
     def records(self) -> list[JournalRecord]:
-        with self._lock:
-            return list(self._records)
+        return list(self._records)
 
     def export_lines(self) -> list[str]:
-        return [r.line() for r in self.records()]
+        return [r.line() for r in self._records]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
 
 def replay(records: list[JournalRecord]) -> dict[str, LifecycleState]:

@@ -144,7 +144,10 @@ class ScriptBehavior(Behavior):
             return
         if ctx is None:
             raise UnboundPort(f"{component.id}: {action} needs an execution context")
-        access = shell_access(ctx, self._shell(ctx, component))
+        shell = ctx.shells.get(component.id)
+        if shell is None:
+            shell = ctx.shells[component.id] = self._shell(ctx, component)
+        access = shell_access(ctx, shell)
         if guard and ctx.transport.exists(access, guard):
             return
         send_steps(ctx, access, payload)

@@ -7,15 +7,18 @@ of maxWorkers slots (Graham's list scheduling), and costs the latest slot
 end.  A sequential stage costs the sum of its action costs.  Action costs
 are pure functions of configuration and seed, so reports and metrics are
 reproducible byte for byte.  Real transports (local, ssh) run a parallel
-stage on a thread pool of maxWorkers threads.  Either way a failure stops
-dispatch at the failing action; on the pool, actions already running
-finish.
+stage on a thread pool of maxWorkers threads, the only place where
+worker threads append to the journal, so only there do appends take a
+lock (`core.Journal.shared`).  Either way a failure stops dispatch at the
+failing action; on the pool, actions already running finish.
 
 Per action only what varies per node is worked out again.  Within one run
 (one `DeployContext`, which a deploy and its inverse share in process) the
-access of each node shell is resolved once (`stdlib.shell_access`), and the
-nodes stamped from one body share one child order, sorted on the first
-action that drives one of them (`core.Assembly.child_order`).
+shell each scripted component runs through is found once
+(`ScriptBehavior._run`), the access of each node shell is resolved once
+(`stdlib.shell_access`), and the nodes stamped from one body share one
+child order, sorted on the first action that drives one of them
+(`core.Assembly.child_order`).
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ class _StageRunner:
         from concurrent.futures import ThreadPoolExecutor  # real transports only
         outcomes: list[ActionOutcome | None] = [None] * len(order)
         first_failure: ActionOutcome | None = None
-        with ThreadPoolExecutor(max_workers=self.options.max_workers) as pool:
+        with self.ctx.assembly.journal.shared(), ThreadPoolExecutor(max_workers=self.options.max_workers) as pool:
             futures = [pool.submit(_measured, self.ctx, action) for action in order]
             for i, future in enumerate(futures):
                 if future.cancelled():

@@ -60,38 +60,22 @@ class Transport:
 class SimTransport(Transport):
     """Applies steps to a simulated fleet, charging virtual latencies.
 
-    By default unknown hostnames are materialized on first contact (the
-    fleet stands in for whatever the reservation handed out); strict mode
-    refuses them, for exercising connection failures.
+    Unknown hostnames are materialized on first contact: the fleet stands
+    in for whatever the reservation handed out.
     """
 
     name = "sim"
 
-    def __init__(
-        self,
-        fleet: Fleet,
-        clock: VirtualClock,
-        config: SimClockConfig | None = None,
-        strict: bool = False,
-    ):
+    def __init__(self, fleet: Fleet, clock: VirtualClock, config: SimClockConfig | None = None):
         self.fleet = fleet
         self.clock = clock
         self.config = config or SimClockConfig()
-        self.strict = strict
-
-    def _node(self, access: NodeAccess):
-        if self.strict:
-            node = self.fleet.get(access.hostname)
-            if node is None:
-                raise ConnectFailed(f"no route to {access.hostname}")
-            return node
-        return self.fleet.get_or_create(access.hostname)
 
     def send(self, access: NodeAccess, payload: Payload) -> tuple[int, str]:
         """Jitter keys `seed|node|digest|connect` and `seed|node|digest|<i>`
         share a prefix: its crc32 is taken once and continued with each
         suffix, which equals the crc32 of the whole key."""
-        node = self._node(access)
+        node = self.fleet.get_or_create(access.hostname)
         cfg = self.config
         charge = self.clock.charge
         seed = cfg.jitter_seed
@@ -112,7 +96,7 @@ class SimTransport(Transport):
         return 0, "\n".join(outputs)
 
     def exists(self, access: NodeAccess, path: str) -> bool:
-        node = self._node(access)
+        node = self.fleet.get_or_create(access.hostname)
         cfg = self.config
         self.clock.charge(cfg.latency(cfg.connect_latency, node.id, path, "probe"))
         return node.exists(path)

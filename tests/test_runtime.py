@@ -1,12 +1,15 @@
 """Plan execution: virtual timing, worker bounds, failure and dry-run modes."""
 
 import math
+import sys
 import threading
 import time
+import types
 
 import pytest
 
 from configs import MINI, chain, reserved
+from gridforge import core
 from gridforge.assembly import DeploymentPlan, PlanAction, PlanStage
 from gridforge.core import Assembly, Behavior, Component, LifecycleState
 from gridforge.errors import StageFailed
@@ -139,6 +142,18 @@ class TestVirtualTiming:
         execute(plan, ctx, ExecOptions(max_workers=4))
         assert seen == {threading.get_ident()}
 
+    def test_sim_deploy_acquires_no_lock(self, monkeypatch):
+        """The sim starts no thread, so a deploy and an undeploy of the
+        middleware chain, parallel stages included, take no lock."""
+        acquired = [0]
+        monkeypatch.setattr(threading, "Lock", counting_lock(acquired, threading.Lock))
+        monkeypatch.setattr(threading, "RLock", counting_lock(acquired, threading.RLock))
+        deployment = build_from_text(chain(6))
+        deployment.execute(ExecOptions(max_workers=4, seed=1))
+        deployment.execute_inverse(ExecOptions(max_workers=4, seed=1))
+        assert len(deployment.assembly.journal) > 0
+        assert acquired == [0]
+
 
 class TestDeterminism:
     def test_metrics_byte_identical_across_runs(self):
@@ -192,8 +207,54 @@ def counting_wave(count, concurrency_box=None, fail_at=None, delay=0.0, clock=No
     return wave([Probe() for _ in range(count)], clock=clock)
 
 
+def counting_lock(acquired: list, make):
+    """A lock class over `make` whose instances add each acquisition to
+    acquired[0], counted while the lock is held."""
+
+    class Counting:
+        def __init__(self):
+            self._lock = make()
+
+        def acquire(self, *args):
+            got = self._lock.acquire(*args)
+            if got:
+                acquired[0] += 1
+            return got
+
+        def release(self):
+            self._lock.release()
+
+        def __enter__(self):
+            return self.acquire()
+
+        def __exit__(self, *exc):
+            self.release()
+
+    return Counting
+
+
 class TestWorkerPool:
     """The thread pool serves real-time transports (WallClock) only."""
+
+    def test_pool_appends_to_the_journal_under_a_lock(self, monkeypatch):
+        """Only the pool synchronises the journal: 64 actions on 16 workers,
+        with threads switching every 10 us, append 64 records, each under
+        the journal's lock, and none is lost.  Once the stage is over,
+        appends take no lock again."""
+        acquired = [0]
+        monkeypatch.setattr(core, "threading", types.SimpleNamespace(Lock=counting_lock(acquired, threading.Lock)))
+        asm, plan, ctx = counting_wave(64, clock=WallClock())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            execute(plan, ctx, ExecOptions(max_workers=16))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(r.component_id for r in asm.journal.records()) == sorted(f"c{i}" for i in range(64))
+        assert acquired == [64]
+        asm.ensure("c0", S.STARTED, ctx)
+        assert len(asm.journal) == 65
+        assert acquired == [64]
 
     def test_concurrency_never_exceeds_max_workers(self):
         box = [0]

@@ -7,13 +7,18 @@ on the sim, and saved to and loaded from the CLI's state file.  Linear work
 takes about 4x as long at four times the fleet; the gate allows 8x, well
 under the 16x of work that is quadratic in the fleet.
 Timings are interleaved and the best of three is kept, so a slow spell on
-a shared host hits both sizes or neither.
+a shared host hits both sizes or neither.  The cyclic collector's work is
+gated by counts, which repeat exactly: collections trigger on allocation
+counts.
 """
 
 import collections
+import gc
 import json
 import sys
 import time
+
+import pytest
 
 from configs import paper_pair, reserved
 from conftest import count_decoded, record_decodes, seed_nodelist
@@ -23,7 +28,7 @@ from gridforge.bench import middleware_config
 from gridforge.cli import load_state, save_state
 from gridforge.core import Assembly
 from gridforge.dsl import expand, merge, parse
-from gridforge.personalities import default_registry
+from gridforge.personalities import ScriptBehavior, default_registry
 from gridforge.pipeline import build_from_text
 from gridforge.transports import Payload
 
@@ -229,14 +234,17 @@ def test_execute_and_undeploy_calls_grow_linearly(sim_home):
 
 
 def test_execute_resolves_each_node_once_and_sorts_each_layout_once(sim_home, monkeypatch):
-    """A CLI deploy and undeploy of 100 and of 400 reserved nodes resolve
-    the access of each node shell once per command (every node and the
-    reservation's frontend) and sort the children of each node body layout
-    once, however many nodes share it."""
+    """A CLI deploy and undeploy of 100 and of 400 reserved nodes find the
+    shell of each scripted component once per command, resolve the access
+    of each node shell once per command (every node and the reservation's
+    frontend) and sort the children of each node body layout once, however
+    many nodes share it."""
     monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(sim_home / "state"))
-    resolved, sorts = [], []
+    resolved, sorts, walked = [], [], []
     resolve = stdlib.resolve_access
     monkeypatch.setattr(stdlib, "resolve_access", lambda asm, protocol: resolved.append(protocol.id) or resolve(asm, protocol))
+    shell = ScriptBehavior._shell
+    monkeypatch.setattr(ScriptBehavior, "_shell", lambda self, ctx, comp: walked.append(comp.id) or shell(self, ctx, comp))
     sort = Assembly._sorted_children
     monkeypatch.setattr(Assembly, "_sorted_children", lambda self, composite: sorts.append(composite.id) or sort(self, composite))
     sorted_per_command = {}
@@ -246,8 +254,10 @@ def test_execute_resolves_each_node_once_and_sorts_each_layout_once(sim_home, mo
         for command in ("deploy", "undeploy"):
             resolved.clear()
             sorts.clear()
+            walked.clear()
             assert cli.main([command, "-c", str(config)]) == 0
             assert len(resolved) == len(set(resolved)) == n + 1, (n, command, len(resolved))
+            assert len(walked) == len(set(walked)) > n, (n, command, len(walked))
             sorted_per_command[n, command] = len(sorts)
     for command in ("deploy", "undeploy"):
         assert sorted_per_command[SMALL, command] == sorted_per_command[LARGE, command], sorted_per_command
@@ -297,3 +307,100 @@ def test_one_behaviour_per_kind_per_build(sim_home):
     again = second.components["nodes/hostname"]
     assert again.behavior is not host.behavior
     assert again.behavior.get(again, 1) == "second-1"
+
+
+COMMANDS = (["plan"], ["deploy"], ["status"], ["undeploy"])
+
+
+def _reserved_files(home, sizes) -> dict:
+    """size -> the path of a reserved(size, size) configuration under `home`."""
+    paths = {}
+    for n in sizes:
+        paths[n] = home / f"reserved-{n}.gdf"
+        paths[n].write_text(reserved(n, n))
+    return paths
+
+
+def test_commands_run_no_collection(sim_home, monkeypatch):
+    """At 400 and at 1,600 reserved nodes, `plan`, `deploy`, `status -c`
+    and `undeploy` start no collection of the cyclic collector while
+    `cli.main` runs, and leave it enabled."""
+    monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(sim_home / "state"))
+    inside = []
+
+    def record(phase, info):
+        """Note each collection that starts with cli.main on the stack."""
+        frame = sys._getframe().f_back
+        while frame is not None and frame.f_code is not cli.main.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            inside.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        for n, config in _reserved_files(sim_home, (LARGE, 4 * LARGE)).items():
+            for argv in COMMANDS:
+                assert cli.main([*argv, "-c", str(config)]) == 0
+                assert (inside, gc.isenabled()) == ([], True), (n, argv)
+    finally:
+        gc.callbacks.remove(record)
+
+
+def test_commands_leave_no_garbage_that_grows_with_the_fleet(sim_home, monkeypatch):
+    """After each command, `gc.collect()` finds as many unreachable objects
+    at 1,600 reserved nodes as at 400, so pausing the collector for a
+    command holds no more memory on a larger fleet.  The caller's collector
+    is off here, and stays off."""
+    monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(sim_home / "state"))
+    found = {}
+    gc.disable()
+    try:
+        for n, config in _reserved_files(sim_home, (LARGE, 4 * LARGE)).items():
+            for argv in COMMANDS:
+                gc.collect()
+                assert cli.main([*argv, "-c", str(config)]) == 0
+                assert not gc.isenabled()
+                found[argv[0], n] = gc.collect()
+    finally:
+        gc.enable()
+    for command, in COMMANDS:
+        assert found[command, LARGE] == found[command, 4 * LARGE], found
+
+
+def _fail(args):
+    raise RuntimeError("injected")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_collector_state_restored_on_every_exit(sim_home, monkeypatch, enabled):
+    """The collector is left as the caller had it after exit 0, exit 2 (a
+    configuration that does not parse), exit 3 (a damaged state file),
+    argparse's SystemExit (`--max-workers 0`) and an exception."""
+    monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(sim_home / "state"))
+    good, bad = sim_home / "good.gdf", sim_home / "bad.gdf"
+    good.write_text(reserved(2, 2))
+    bad.write_text("app = OpenCCM.Deployment {")
+    assert cli.main(["deploy", "-c", str(good)]) == 0
+    (state,) = (sim_home / "state").glob("*.json")
+    state.write_text(state.read_text()[:-40])
+
+    def outcome(argv):
+        try:
+            return cli.main(argv)
+        except (SystemExit, RuntimeError) as exc:
+            return type(exc).__name__
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        results = [
+            (outcome(["plan", "-c", str(good)]), gc.isenabled()),
+            (outcome(["plan", "-c", str(bad)]), gc.isenabled()),
+            (outcome(["deploy", "-c", str(good)]), gc.isenabled()),
+            (outcome(["deploy", "-c", str(good), "--max-workers", "0"]), gc.isenabled()),
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "cmd_plan", _fail)
+            results.append((outcome(["plan", "-c", str(good)]), gc.isenabled()))
+    finally:
+        gc.enable()
+    assert results == [(code, enabled) for code in (0, 2, 3, "SystemExit", "RuntimeError")]

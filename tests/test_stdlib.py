@@ -8,7 +8,7 @@ import subprocess
 import pytest
 
 from gridforge.core import Assembly, Behavior, Component, Composite, PortSpec
-from gridforge.errors import ConnectFailed, IndexOutOfRange, NodeListMissing, RemoteError
+from gridforge.errors import IndexOutOfRange, NodeListMissing, RemoteError
 from gridforge.pipeline import DeployContext
 from gridforge.simgrid import Fleet, VirtualClock
 from gridforge.steps import exec_cmd, fetch, set_var
@@ -149,10 +149,10 @@ class TestAccessResolution:
         assert node_ordinal(asm, asm.components["host"]) == 0  # unowned
 
 
-def sim_ctx(asm, strict=False, fleet=None, config=None):
+def sim_ctx(asm, fleet=None, config=None):
     fleet = fleet if fleet is not None else Fleet()
     clock = VirtualClock()
-    return DeployContext(asm, SimTransport(fleet, clock, config, strict), clock, fleet)
+    return DeployContext(asm, SimTransport(fleet, clock, config), clock, fleet)
 
 
 class TestShellExecution:
@@ -180,12 +180,6 @@ class TestShellExecution:
         ctx = sim_ctx(asm)
         shell_execute(ctx, asm.components["sh"], [set_var("A", "1"), set_var("B", "2")])
         assert ctx.clock.now_ms() == 5.0 + 2 * 10.0
-
-    def test_strict_transport_refuses_unknown_hosts(self):
-        asm = node_stack()
-        ctx = sim_ctx(asm, strict=True)
-        with pytest.raises(ConnectFailed):
-            shell_execute(ctx, asm.components["sh"], [set_var("A", "1")])
 
     def test_access_is_resolved_once_per_shell_per_run(self, tmp_path):
         """A failure is not kept: a nodelist missing at first is read once
