@@ -13,6 +13,9 @@ composite and bindings; a role whose arguments vary per node
 (`StaticHost(simnode-%{i})`) is checked per node, its siblings are not.
 Components stamped from one role share its `args` dict, which nothing
 mutates.  Autobind decisions are memoised per body shape and block.
+Autobind numbers each composite as it wires it, and binding a service's
+Node port records its node; only the nodelist bindings, whose providers
+are services declared after the nodes, take a pass of their own.
 validate() returns diagnostics instead of raising so callers can show all
 problems at once.
 
@@ -97,7 +100,7 @@ class _Generator:
         self._roles: dict[int, _Role] = {}  # id(role Entry) -> its checked role
         self._default_roles: dict[tuple, Entry] = {}  # (composite kind, role) -> its default
         self._shapes: dict[tuple, _Shape] = {}  # the roles' keys, in order -> shape
-        self._wirings: dict[tuple, tuple] = {}  # (id(shape), block) -> (autobind decisions, child layout)
+        self._wirings: dict[tuple, tuple] = {}  # (id(shape), block) -> (decisions, hostname server, layout)
         self._stamped: list[tuple] = []  # (block, template, composite, child components) per composite
 
     def run(self) -> Assembly:
@@ -112,9 +115,7 @@ class _Generator:
             for child in entry.value.entries:
                 self._block_entry(entry.name, child, in_services)
         self._autobind()
-        self._assign_ordinals()
         self._bind_nodelists()
-        self._assign_nodes()
         return self.asm
 
     # entry dispatch
@@ -338,6 +339,7 @@ class _Generator:
     # bindings
 
     def _service_bindings(self, cid: str, entry: Entry, spec: KindSpec) -> None:
+        """Bind the ports the service's body names, and record its node."""
         body = entry.value.body or Block()
         ports = {p.name: p for p in spec.ports}
         for child in body.entries:
@@ -363,25 +365,34 @@ class _Generator:
                     child.span.column,
                 )
             self.asm.add_binding(Binding(cid, port.name, server, port.interface))
+            if port.interface == NODE:  # a node's barrier stands for the node
+                owner = self.asm.components[server].owner
+                barrier = owner is not None and self.asm.composites[owner].children[BARRIER_ROLE] == server
+                self.asm.node_assignment[cid] = owner if barrier else server
 
     def _autobind(self) -> None:
-        """Wire unbound ports inside composites by interface matching.
+        """Wire unbound ports inside composites by interface matching, and
+        number each composite.
 
         A same-named role reference wins, then a sibling, then any role
         reference, then a shared component of the composite's block.  The
         choice is made once per body shape (roles, kinds, role references)
         and block, and the composites it wires share one child layout,
         except one that a role reference binds to its own child.
+
+        A composite's ordinal, which picks a nodelist line, counts the
+        composites before it whose first hostname binding has its server.
         """
         wirings = self._wirings
         bindings = self.asm.bindings
         components = self.asm.components
+        numbered: dict[str, int] = {}  # hostname server -> composites numbered through it
         for block, template, composite, comps in self._stamped:
             key = (id(template.shape), block)
             wiring = wirings.get(key)
             if wiring is None:
-                wiring = wirings[key] = (self._wiring(template, block), ChildLayout())
-            decisions, layout = wiring
+                wiring = wirings[key] = (*self._wiring(template, block), ChildLayout())
+            decisions, hostname, layout = wiring
             for client, port, iface, sibling, server in decisions:
                 component = comps[client]
                 if server is None:
@@ -391,10 +402,17 @@ class _Generator:
                 binding = component.bound[port] = Binding(component.id, port, server, iface)
                 bindings.append(binding)
             composite.layout = layout
+            if isinstance(hostname, int):
+                hostname = comps[hostname].id
+            hostname = hostname or composite.id  # no hostname binding: alone
+            composite.ordinal = numbered.get(hostname, 0)
+            numbered[hostname] = composite.ordinal + 1
 
-    def _wiring(self, template: _Template, block: str) -> list[tuple]:
+    def _wiring(self, template: _Template, block: str) -> tuple[list[tuple], int | str | None]:
         """(client index, port, interface, sibling index, server id) for each
-        port that autobind binds: a sibling serves it, or the server id does."""
+        port that autobind binds: a sibling serves it, or the server id does.
+        Then the child index or server id serving the first hostname
+        binding, the barrier's before autobind's, or None."""
         role_refs = template.shape.role_refs
         siblings: dict[str, list[int]] = {}  # interface -> children providing it, in order
         for i, child in enumerate(template.children):
@@ -407,7 +425,9 @@ class _Generator:
                 server = self._find_provider(role_refs, siblings, shared, i, port)
                 if server is not None:
                     decisions.append((i, port.name, port.interface, *server))
-        return decisions
+        hostname = [i for _, iface, i in template.shape.bindings if iface == HOSTNAME]
+        hostname += [server or sibling for _, _, iface, sibling, server in decisions if iface == HOSTNAME]
+        return decisions, hostname[0] if hostname else None
 
     def _shared_providers(self, block: str) -> dict[str, str]:
         """interface -> the first shared component of `block` providing it."""
@@ -435,23 +455,6 @@ class _Generator:
         server = shared.get(port.interface)
         return None if server is None else (None, server)
 
-    def _assign_ordinals(self) -> None:
-        """Number each composite among those resolving hostnames through
-        the same provider; the index picks the provider's nodelist line.
-        Nodes with their own static host are alone in their group."""
-        hostname_server: dict[str, str] = {}
-        for binding in self.asm.bindings:
-            if binding.interface != HOSTNAME:
-                continue
-            client = self.asm.components.get(binding.client)
-            if client is not None and client.owner:
-                hostname_server.setdefault(client.owner, binding.server)
-        counters: dict[str, int] = {}
-        for composite in self.asm.composites.values():
-            provider = hostname_server.get(composite.id, composite.id)
-            composite.ordinal = counters.get(provider, 0)
-            counters[provider] = composite.ordinal + 1
-
     def _bind_nodelists(self) -> None:
         """Dynamic hostname resolvers depend on whichever service publishes
         the nodelist file they read (path equality)."""
@@ -476,16 +479,6 @@ class _Generator:
                     self.asm.add_binding(Binding(comp.id, port.name, provider.id, NODELIST))
                     break
 
-    def _assign_nodes(self) -> None:
-        barrier_owner = {
-            c.children[BARRIER_ROLE]: c.id for c in self.asm.composites.values()
-        }
-        node_server = {b.client: b.server for b in self.asm.bindings if b.interface == NODE}
-        for service in self.asm.services:
-            server = node_server.get(service.id)
-            if server is not None:
-                self.asm.node_assignment[service.id] = barrier_owner.get(server, server)
-
 
 def generate(config: ExpandedConfig, registry: Registry) -> Assembly:
     return _Generator(config, registry).run()
@@ -504,32 +497,10 @@ class Diagnostic:
         return f"{self.code}: {self.subject}: {self.detail}"
 
 
-def _acyclic(graph: dict) -> bool:
-    """Kahn's algorithm: can every node be peeled off with no edge left
-    into it?  Edges to nodes outside the graph do not count."""
-    indegree = dict.fromkeys(graph, 0)
-    for succs in graph.values():
-        for succ in succs:
-            if succ in indegree:
-                indegree[succ] += 1
-    ready = [node for node, degree in indegree.items() if degree == 0]
-    peeled = 0
-    while ready:
-        peeled += 1
-        for succ in graph[ready.pop()]:
-            if succ in indegree:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-    return peeled == len(indegree)
-
-
 def _strongly_connected(graph: dict) -> list[list[str]]:
     """Tarjan's algorithm, iterative; returns components of size > 1
-    (plus self-loop singletons).  An acyclic graph, the usual case, is
-    recognised by the cheaper _acyclic() first."""
-    if _acyclic(graph):
-        return []
+    (plus self-loop singletons).  Callers reach it only once a cheaper test
+    has found that the graph may hold a cycle."""
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set = set()

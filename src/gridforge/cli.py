@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import gc
 import hashlib
 import json
@@ -249,22 +250,21 @@ def _run(args: argparse.Namespace, inverse: bool) -> int:
     with _StateLock():
         found = load_state(deployment.assembly, key, deployment.ctx.fleet)
         options = _exec_options(args)
+        failure = None
         try:
             if inverse:
                 report = deployment.execute_inverse(options)
             else:
                 report = deployment.execute(options)
         except StageFailed as exc:
-            report = exc.report
-            if report is not None:
-                _write_metrics(args, report)
-            if not options.dry_run:
-                _save_if_changed(deployment, key, found)
-            print(f"stage {exc.stage_index} failed at {exc.component_id}: {exc.cause}", file=sys.stderr)
-            return EXIT_RUNTIME
-        _write_metrics(args, report)
+            report, failure = exc.report, exc
+        # A failed run keeps what it did: its metrics and the states reached.
+        if report is not None:
+            _write_metrics(args, report)
         if not options.dry_run:
             _save_if_changed(deployment, key, found)
+        if failure is not None:
+            raise failure
     verb = "planned" if options.dry_run else "performed"
     transitions = len(deployment.assembly.journal)
     print(
@@ -377,7 +377,9 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics", help="write per-stage CSV to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="gridforge",
         description="Deploy middleware fleets from declarative configurations.",
@@ -443,9 +445,6 @@ def _command(argv: list[str] | None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except StageFailed as exc:
-        print(f"stage {exc.stage_index} failed at {exc.component_id}: {exc.cause}", file=sys.stderr)
-        return EXIT_RUNTIME
     except DeploymentError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RUNTIME

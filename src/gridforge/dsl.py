@@ -414,53 +414,42 @@ class _Expander:
         return Ctor(value.kind, args, body, value.span)
 
 
-def _check_unique(block: Block, prefix: str) -> None:
-    seen: dict[str, Span] = {}
+def _index(block: Block, prefix: str, table: dict[str, Entry], refs: list[Ref]) -> None:
+    """Key every entry of `block` under `prefix` into `table`, a key seen
+    before being a DuplicateName, and collect every Ref into `refs`."""
     for entry in block.entries:
-        if entry.name in seen:
-            raise DuplicateName(
-                f"{prefix}{entry.name} declared twice", entry.span.line, entry.span.column
-            )
-        seen[entry.name] = entry.span
-        child = entry.value.body if isinstance(entry.value, Ctor) else entry.value
-        if isinstance(child, Block):
-            _check_unique(child, f"{prefix}{entry.name}/")
-
-
-def _build_table(block: Block, prefix: str, table: dict[str, Entry]) -> None:
-    for entry in block.entries:
-        key = f"{prefix}{entry.name}"
+        key = prefix + entry.name
+        if key in table:
+            raise DuplicateName(f"{key} declared twice", entry.span.line, entry.span.column)
         table[key] = entry
-        child = entry.value.body if isinstance(entry.value, Ctor) else entry.value
-        if isinstance(child, Block):
-            _build_table(child, f"{key}/", table)
-
-
-def _check_refs(block: Block, config: ExpandedConfig) -> None:
-    for entry in block.entries:
         value = entry.value
         if isinstance(value, Ref):
-            config.resolve(value.path)
+            refs.append(value)
             continue
         child = value.body if isinstance(value, Ctor) else value
-        if isinstance(child, Block):
-            _check_refs(child, config)
+        if child is not None:
+            _index(child, key + "/", table, refs)
 
 
 def expand(ast: ConfigAST) -> ExpandedConfig:
     """Unroll loops, substitute interpolations, verify names and references.
 
-    The result shares every loop-invariant subtree with `ast`, so neither
-    may be mutated afterwards; `merge` fragments in before expanding."""
+    One walk over the expanded tree keys every entry, which finds any
+    duplicate name, and collects every reference; the references are
+    resolved once the table is whole, so a duplicate anywhere is reported
+    ahead of a dangling reference.  The result shares every loop-invariant
+    subtree with `ast`, so neither may be mutated afterwards; `merge`
+    fragments in before expanding."""
     roots = ast.entries
     if len(roots) != 1 or not isinstance(roots[0].value, Ctor) or roots[0].value.body is None:
         raise ConfigError("configuration needs exactly one root block `Name = Kind { ... }`")
     root_entry = roots[0]
     body = _Expander().value(root_entry.value.body, {})
-    _check_unique(body, "")
     config = ExpandedConfig(root_entry.name, root_entry.value.kind, body)
-    _build_table(body, "", config.table)
-    _check_refs(body, config)
+    refs: list[Ref] = []
+    _index(body, "", config.table, refs)
+    for ref in refs:
+        config.resolve(ref.path)
     return config
 
 

@@ -144,10 +144,9 @@ class ScriptBehavior(Behavior):
             return
         if ctx is None:
             raise UnboundPort(f"{component.id}: {action} needs an execution context")
-        shell = ctx.shells.get(component.id)
-        if shell is None:
-            shell = ctx.shells[component.id] = self._shell(ctx, component)
-        access = shell_access(ctx, shell)
+        access = ctx.access.get(component.id)
+        if access is None:
+            access = ctx.access[component.id] = shell_access(ctx, self._shell(ctx, component))
         if guard and ctx.transport.exists(access, guard):
             return
         send_steps(ctx, access, payload)

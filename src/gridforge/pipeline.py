@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import runtime
 from .assembly import DeploymentPlan, generate, plan, plan_inverse, validate
-from .core import Assembly, Component
+from .core import Assembly
 from .dsl import expand, load_config, parse
 from .errors import ValidationFailed
 from .personalities import Registry, default_registry
@@ -30,10 +30,9 @@ class DeployContext:
     transport: Transport
     clock: object
     fleet: Fleet | None = None
-    # shell component id -> NodeAccess, filled by stdlib.shell_access
+    # component id -> the NodeAccess its actions reach, filled for a shell by
+    # stdlib.shell_access and for a scripted component by ScriptBehavior
     access: dict[str, NodeAccess] = field(default_factory=dict, repr=False)
-    # component id -> the shell its actions run through, filled by ScriptBehavior
-    shells: dict[str, Component] = field(default_factory=dict, repr=False)
 
 
 @dataclass

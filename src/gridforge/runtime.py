@@ -14,10 +14,10 @@ failing action; on the pool, actions already running finish.
 
 Per action only what varies per node is worked out again.  Within one run
 (one `DeployContext`, which a deploy and its inverse share in process) the
-shell each scripted component runs through is found once
-(`ScriptBehavior._run`), the access of each node shell is resolved once
-(`stdlib.shell_access`), and the nodes stamped from one body share one
-child order, sorted on the first action that drives one of them
+access of each node shell is resolved once (`stdlib.shell_access`), the
+access each scripted component's actions reach is found once and kept in
+the same memo (`ScriptBehavior._run`), and the nodes stamped from one body
+share one child order, sorted on the first action that drives one of them
 (`core.Assembly.child_order`).
 """
 

@@ -109,3 +109,119 @@ services = {{
 }}
 """
     return app, reservation
+
+
+
+
+def random_config(rng) -> str:
+    """A seeded random configuration of a few nodes and services.
+
+    Node bodies mix roles that vary per node (`StaticHost(simnode-%{i})`)
+    with shared ones, role references to shared hosts and to another
+    node's own host (`hostname = nodes/node-0/hostname`), loops, written-out
+    and bodiless nodes.  Services bind to nodes (through their barrier), to
+    shared `NodeReady` units and to `NodeReady` node roles.
+    Some hold a fault that expand, generate, validate or the planner
+    reports: a duplicate name, a dangling or misdirected reference, an
+    unbound loop variable, an unknown kind, a missing argument, the
+    reserved role name, an unbound port or a cycle."""
+
+    def chance(p: float) -> bool:
+        return rng.random() < p
+
+    shared = {
+        name: value
+        for name, value, p in (
+            ("hostname", "DynamicHost(~/nodelist)", 0.6),
+            ("alt", "DynamicHost(~/other)", 0.3),
+            ("static", "StaticHost(static.example)", 0.2),
+            ("nr", "NodeReady", 0.3),
+            ("port", "Port(2222)", 0.2),
+        )
+        if chance(p)
+    }
+    roles_of: dict[str, list[str]] = {}  # node name -> its role names
+
+    def node(names: list[str], i: str) -> str:
+        """One node entry, written for each of `names`; `i` is its index text."""
+        hostnames = ["StaticHost(simnode-%{i})", "StaticHost(fixed.example)"]
+        hostnames += [f"nodes/{name}" for name in ("hostname", "alt", "static") if name in shared]
+        if "hostname" in roles_of.get("node-0", ()) or chance(0.02):
+            hostnames.append("nodes/node-0/hostname")
+        extras = ["spare = StaticHost(spare-%{i})", "jre = Jre(/opt/java/jre)", "user = User(root)"]
+        extras += ["openccm = OpenCCM(/opt/OpenCCM,/opt/CORBA/JacORB)\njre = Jre(/opt/java/jre)", "extra = NodeReady"]
+        extras.append("port = nodes/port" if "port" in shared else "port = Port(22)")
+        if "hostname" in shared:
+            extras.append("host = nodes/hostname")
+        picked = rng.sample(extras, rng.randint(0, 3))
+        roles = list(dict.fromkeys(line for extra in picked for line in extra.split("\n")))  # one jre line
+        if chance(0.7):
+            roles.append("hostname = " + rng.choice(hostnames))
+        if chance(0.01):
+            roles.append(rng.choice(["ready = NodeReady", "jre = Jre", "x = Bogus", "y = StaticHost(%{j})"]))
+        rng.shuffle(roles)
+        for name in names:
+            roles_of[name] = [line.split(" ")[0] for line in roles]
+        name = "node-%{i}" if len(names) > 1 else names[0]
+        if not roles:
+            return f"{name} = Grid5000_NODE"
+        return f"{name} = Grid5000_NODE {{\n" + "".join(f"  {line.replace('%{i}', i)}\n" for line in roles) + "}"
+
+    n = rng.randint(1, 8)
+    blocks = [f"{name} = {value}" for name, value in shared.items()]
+    rng.shuffle(blocks)
+    k = 0
+    while k < n:
+        span = rng.randint(1, n - k) if chance(0.6) else 1
+        names = [f"node-{j}" for j in range(k, k + span)]
+        if span > 1:
+            body = node(names, "%{i}").replace("\n", "\n  ")
+            blocks.append(f"apply FOR(i,{k},{k + span - 1}) {{\n  {body}\n}}")
+        else:
+            blocks.append(node(names, str(k)))
+        k += span
+    if chance(0.3):
+        blocks.insert(rng.randint(0, len(blocks)), "frontend = Grid5000_NODE { hostname = StaticHost(front.example) }")
+        roles_of["frontend"] = ["hostname"]
+
+    def target() -> str:
+        name = rng.choice(list(roles_of))
+        choices = [f"nodes/{name}"] * 4
+        if "nr" in shared:
+            choices.append("nodes/nr")
+        if "extra" in roles_of[name]:
+            choices.append(f"nodes/{name}/extra")
+        if chance(0.03):
+            choices = [f"nodes/{name}/hostname", "nodes/node-99"]
+        return rng.choice(choices)
+
+    services = []
+    if chance(0.5):
+        path = rng.choice(["~/nodelist", "~/other", "~/elsewhere"])
+        services.append(f"reservation = OARGrid(site={n},{path}) {{ node = {target()} }}")
+    if chance(0.8):
+        services.append(f"ns = OpenCCM.NameService {{ node = {target()} }}")
+        if chance(0.7):
+            services.append(f"dci = OpenCCM.DCIManager(MyDCI) {{\n  ns = services/ns\n  node = {target()}\n}}")
+            if n > 1 and chance(0.6):
+                services.append(
+                    f"servers = ParallelRunner {{\n  apply FOR(i,1,{n - 1}) {{\n"
+                    "    server-%{i} = OpenCCM.DCI_NODE(NM_%{i}) {\n"
+                    "      dci = services/dci\n      node = nodes/node-%{i}\n    }\n  }\n}"
+                )
+    if chance(0.4):
+        deployer = f"deployer = Kadeploy(image) {{ node = {target()} }}"
+        services.append(f"group = ParallelRunner {{\n  {deployer}\n}}" if chance(0.5) else deployer)
+    if chance(0.02):
+        services.insert(0, "stray = OpenCCM.NameService { node = nodes/missing }")
+    if chance(0.02):
+        blocks.append(rng.choice(blocks))
+
+    def block(name: str, entries: list[str]) -> str:
+        inner = "\n".join(entries).replace("\n", "\n    ")
+        return f"  {name} = {{\n    {inner}\n  }}\n"
+
+    text = "app = OpenCCM.Deployment {\n" + block("nodes", blocks)
+    if services:
+        text += block("services", services)
+    return text + "}\n"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from configs import MINI, chain, paper_pair, reserved
+from configs import MINI, chain, paper_pair, random_config, reserved
 from conftest import DATA
 from gridforge.assembly import (
     DeploymentPlan,
@@ -283,6 +283,58 @@ class TestGeneration:
         asm = assembly_for(reserved(3, granted=3), registry_m)
         for i in range(3):
             assert asm.composites[f"nodes/node-{i}"].ordinal == i
+
+    def test_nodes_served_by_another_nodes_host_are_numbered_after_it(self, registry_m):
+        """node-0's own StaticHost serves the hostnames of nodes 1-3 too, so
+        all four are numbered through it, node-0 first: node-0 reaches it
+        through its barrier, the others through their protocol."""
+        asm = assembly_for(
+            "app = OpenCCM.Deployment {\n"
+            "  nodes = {\n"
+            "    node-0 = Grid5000_NODE { hostname = StaticHost(simnode-0) }\n"
+            "    apply FOR(i,1,3) {\n"
+            "      node-%{i} = Grid5000_NODE { hostname = nodes/node-0/hostname }\n"
+            "    }\n"
+            "  }\n"
+            "}\n",
+            registry_m,
+        )
+        assert [c.ordinal for c in asm.composites.values()] == [0, 1, 2, 3]
+
+    def test_services_are_assigned_the_node_their_node_port_reaches(self, registry_m):
+        """A service written against a node is bound to the node's barrier
+        and assigned the node; one bound to a shared NodeReady, or to a
+        NodeReady role that is not the barrier, is assigned that component."""
+        asm = assembly_for(
+            "app = OpenCCM.Deployment {\n"
+            "  nodes = {\n"
+            "    nr = NodeReady\n"
+            "    node-0 = Grid5000_NODE { hostname = StaticHost(simnode-0) }\n"
+            "    node-1 = Grid5000_NODE {\n"
+            "      hostname = StaticHost(simnode-1)\n"
+            "      extra = NodeReady\n"
+            "    }\n"
+            "  }\n"
+            "  services = {\n"
+            "    ns = OpenCCM.NameService { node = nodes/node-1 }\n"
+            "    spare = OpenCCM.NameService { node = nodes/nr }\n"
+            "    image = Kadeploy { node = nodes/node-1/extra }\n"
+            "    idle = Kadeploy\n"
+            "  }\n"
+            "}\n",
+            registry_m,
+        )
+        served = {b.client: b.server for b in asm.bindings if b.client.startswith("services/")}
+        assert served == {
+            "services/ns": "nodes/node-1/ready",
+            "services/spare": "nodes/nr",
+            "services/image": "nodes/node-1/extra",
+        }
+        assert asm.node_assignment == {
+            "services/ns": "nodes/node-1",
+            "services/spare": "nodes/nr",
+            "services/image": "nodes/node-1/extra",
+        }
 
     def test_barrier_guards_every_owned_child(self, combined):
         composite = combined.composites["nodes/node-7"]
@@ -675,6 +727,65 @@ class TestRandomAssemblies:
             assert parallel_members_independent(deployment_plan, edges)
         assert sum(text.startswith("refused") for text in texts) < 25
         assert sha256("".join(texts)) == self.DIGEST
+
+
+def hostname_servers(asm):
+    """composite id -> the server of its first hostname binding, in binding
+    order: the whole-assembly scan that numbered composites before
+    generate numbered them while binding."""
+    servers = {}
+    for binding in asm.bindings:
+        client = asm.components.get(binding.client)
+        if binding.interface == "Hostname" and client is not None and client.owner:
+            servers.setdefault(client.owner, binding.server)
+    return servers
+
+
+def ordinals_by_scan(asm):
+    """composite id -> ordinal: its index, in declaration order, among the
+    composites with the same hostname server; one with none is alone."""
+    servers = hostname_servers(asm)
+    counters, ordinals = {}, {}
+    for cid in asm.composites:
+        server = servers.get(cid, cid)
+        ordinals[cid] = counters.get(server, 0)
+        counters[server] = ordinals[cid] + 1
+    return ordinals
+
+
+def nodes_by_scan(asm):
+    """service id -> node, by the whole-assembly scan that assigned nodes
+    before generate assigned them while binding: the server of the
+    service's Node binding, or the composite whose barrier that is."""
+    barrier_owner = {c.children["ready"]: c.id for c in asm.composites.values()}
+    node_server = {b.client: b.server for b in asm.bindings if b.interface == "Node"}
+    return {
+        s.id: barrier_owner.get(node_server[s.id], node_server[s.id]) for s in asm.services if s.id in node_server
+    }
+
+
+class TestRandomConfigs:
+    def test_ordinals_and_node_assignment_match_whole_assembly_scans(self, registry_m):
+        """On 1,000 seeded random configurations, generate numbers the
+        composites and assigns the services' nodes as the whole-assembly
+        scans do.  The sample holds nodes numbered through another node's
+        own host, and services bound to NodeReady units that are not a
+        barrier."""
+        rng = random.Random(4409)
+        built = through_another_node = to_a_non_barrier = 0
+        for _ in range(1000):
+            try:
+                asm = assembly_for(random_config(rng), registry_m)
+            except ConfigError:
+                continue
+            built += 1
+            assert {cid: c.ordinal for cid, c in asm.composites.items()} == ordinals_by_scan(asm)
+            assert list(asm.node_assignment.items()) == list(nodes_by_scan(asm).items())
+            owners = {cid: asm.components[server].owner for cid, server in hostname_servers(asm).items()}
+            through_another_node += any(owner not in (None, cid) for cid, owner in owners.items())
+            to_a_non_barrier += any(node not in asm.composites for node in asm.node_assignment.values())
+        assert built > 800
+        assert through_another_node > 50 and to_a_non_barrier > 50, (through_another_node, to_a_non_barrier)
 
 
 class TestPlanShape:

@@ -333,6 +333,22 @@ class TestExpansionPinned:
         assert err.value.args[0] == "items/item-1 declared twice"
         assert (err.value.line, err.value.column) == (6, 5)
 
+    def test_duplicate_name_reported_ahead_of_an_earlier_dangling_reference(self):
+        """References are resolved once every name is keyed, so a duplicate
+        anywhere is reported, even after a dangling reference in the file."""
+        with pytest.raises(DuplicateName) as err:
+            expand_text(
+                "app = K {\n"
+                "  nodes = {\n"
+                "    a = T { peer = nodes/missing }\n"
+                "    b = T\n"
+                "    b = T\n"
+                "  }\n"
+                "}\n"
+            )
+        assert err.value.args[0] == "nodes/b declared twice"
+        assert (err.value.line, err.value.column) == (5, 5)
+
     def test_dangling_reference_message(self):
         with pytest.raises(DanglingReference) as err:
             expand_text(

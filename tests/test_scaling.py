@@ -399,7 +399,7 @@ def test_collector_state_restored_on_every_exit(sim_home, monkeypatch, enabled):
             (outcome(["deploy", "-c", str(good), "--max-workers", "0"]), gc.isenabled()),
         ]
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "cmd_plan", _fail)
+            patch.setattr(cli, "_build", _fail)
             results.append((outcome(["plan", "-c", str(good)]), gc.isenabled()))
     finally:
         gc.enable()
