@@ -276,6 +276,12 @@ class _Generator:
                 child.span.line,
                 child.span.column,
             )
+        if not spec.provides:  # the barrier's port for the role needs an interface
+            raise ConfigError(
+                f"{comp_id}/{role}: kind {spec.name} provides no interface, so it cannot be a node role",
+                child.span.line,
+                child.span.column,
+            )
         args = self._args(value, spec)
         return _Role((role, spec.name, None), (role, spec.name, spec.provides, spec.ports, self._behavior(spec), args))
 

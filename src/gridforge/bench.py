@@ -16,9 +16,9 @@ from .runtime import ExecOptions
 from .simgrid import SimClockConfig
 
 
-def middleware_config(n: int, parallel: bool = True) -> str:
+def middleware_config(n: int) -> str:
     """N-node deployment: naming service on node-0, manager on node-0,
-    one component server per remaining node."""
+    one component server per remaining node, in a ParallelRunner."""
     if n < 1:
         raise ValueError("need at least one node")
     lines = [
@@ -43,27 +43,15 @@ def middleware_config(n: int, parallel: bool = True) -> str:
             "      ns = services/ns",
             "      node = nodes/node-0",
             "    }",
-        ]
-        server_entries = [
+            "    servers = ParallelRunner {",
+            f"      apply FOR(i,1,{n - 1}) {{",
             "        server-%{i} = OpenCCM.DCI_NODE(NM_%{i}) {",
             "          dci = services/dci",
             "          node = nodes/node-%{i}",
             "        }",
+            "      }",
+            "    }",
         ]
-        if parallel:
-            lines += [
-                "    servers = ParallelRunner {",
-                f"      apply FOR(i,1,{n - 1}) {{",
-                *server_entries,
-                "      }",
-                "    }",
-            ]
-        else:
-            lines += [
-                f"    apply FOR(i,1,{n - 1}) {{",
-                *[entry[2:] for entry in server_entries],
-                "    }",
-            ]
     lines += ["  }", "}"]
     return "\n".join(lines) + "\n"
 
@@ -75,17 +63,9 @@ class ScalingPoint:
     effective_ms: float
 
 
-def measure_one(
-    n: int,
-    max_workers: int = 10,
-    sim_config: SimClockConfig | None = None,
-    parallel: bool = True,
-    seed: int | None = None,
-) -> ScalingPoint:
-    deployment = build_from_text(
-        middleware_config(n, parallel), transport="sim", sim_config=sim_config
-    )
-    report = deployment.execute(ExecOptions(max_workers=max_workers, seed=seed))
+def measure_one(n: int, max_workers: int = 10, sim_config: SimClockConfig | None = None) -> ScalingPoint:
+    deployment = build_from_text(middleware_config(n), transport="sim", sim_config=sim_config)
+    report = deployment.execute(ExecOptions(max_workers=max_workers))
     return ScalingPoint(n, deployment.overhead_ms, report.total_ms)
 
 
@@ -93,9 +73,8 @@ def measure_scaling(
     sizes: list[int],
     max_workers: int = 10,
     sim_config: SimClockConfig | None = None,
-    parallel: bool = True,
 ) -> list[ScalingPoint]:
-    return [measure_one(n, max_workers, sim_config, parallel) for n in sizes]
+    return [measure_one(n, max_workers, sim_config) for n in sizes]
 
 
 def to_csv(points: list[ScalingPoint]) -> str:

@@ -265,11 +265,16 @@ def _run(args: argparse.Namespace, inverse: bool) -> int:
             _save_if_changed(deployment, key, found)
         if failure is not None:
             raise failure
-    verb = "planned" if options.dry_run else "performed"
-    transitions = len(deployment.assembly.journal)
+    # A dry run lists each transition it would make as an outcome and
+    # journals none; a real run has one outcome per plan action.
+    actions = sum(stage.actions for stage in report.stages)
+    if options.dry_run:
+        verb, transitions = "planned", len(report.actions)
+    else:
+        verb, transitions = "performed", len(deployment.assembly.journal)
     print(
         f"{'undeploy' if inverse else 'deploy'} complete: "
-        f"{len(report.actions)} action(s), {transitions} transition(s) {verb}, "
+        f"{actions} action(s), {transitions} transition(s) {verb}, "
         f"effective {report.total_ms:.1f} ms, overhead {deployment.overhead_ms:.1f} ms"
     )
     return EXIT_OK
@@ -320,7 +325,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sizes,
         max_workers=args.max_workers,
         sim_config=_sim_config(args),
-        parallel=not args.sequential,
     )
     csv_text = bench_mod.to_csv(points)
     if args.out == "-":
@@ -414,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the sim scaling measurement")
     p_bench.add_argument("--sizes", type=_sizes, default=(10, 200, 10), help="lo:hi:step")
     p_bench.add_argument("--max-workers", type=_workers, default=10)
-    p_bench.add_argument("--sequential", action="store_true", help="servers without ParallelRunner")
     p_bench.add_argument("--out", default="-", help="CSV output path ('-' for stdout)")
     _add_sim_clock(p_bench)
     p_bench.set_defaults(func=cmd_bench)

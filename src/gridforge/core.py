@@ -173,10 +173,6 @@ class Composite:
     # Shared with the composites of the same body; None sorts this one alone.
     layout: ChildLayout | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def provides(self) -> frozenset[str]:
-        return frozenset(self.exports)
-
 
 class JournalRecord(NamedTuple):
     """One performed action.  A named tuple, as `Binding` is: the executor
@@ -293,13 +289,6 @@ class Assembly:
         self.composites[composite.id] = composite
         return composite
 
-    def provides_of(self, entity_id: str) -> frozenset[str]:
-        if entity_id in self.components:
-            return self.components[entity_id].provides
-        if entity_id in self.composites:
-            return self.composites[entity_id].provides
-        raise UnknownComponent(entity_id)
-
     def provider_id(self, target: str, interface: str) -> str | None:
         """Resolve a component-or-composite id to the component serving
         `interface` (composites answer through their exports)."""
@@ -311,7 +300,9 @@ class Assembly:
         return None
 
     def bind(self, client: tuple[str, str], server: str) -> Binding:
-        """Bind a client (component id, port name) to a server entity."""
+        """Bind a client (component id, port name) to a server entity: a
+        component, or a composite, whose export of the port's interface
+        becomes the server, as in generation."""
         client_id, port_name = client
         component = self.components.get(client_id)
         if component is None:
@@ -323,11 +314,12 @@ class Assembly:
             raise UnknownComponent(f"{client_id} has no port {port_name!r}")
         if port_name in component.bound:
             raise PortAlreadyBound(f"{client_id}.{port_name} is already bound")
-        if spec.interface not in self.provides_of(server):
+        provider = self.provider_id(server, spec.interface)
+        if provider is None:
             raise InterfaceMismatch(
                 f"{server} does not provide {spec.interface!r} wanted by {client_id}.{port_name}"
             )
-        return self.add_binding(Binding(client_id, port_name, server, spec.interface))
+        return self.add_binding(Binding(client_id, port_name, provider, spec.interface))
 
     def add_binding(self, binding: Binding) -> Binding:
         """Record a binding of an existing client without checking it;

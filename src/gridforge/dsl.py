@@ -449,7 +449,9 @@ def expand(ast: ConfigAST) -> ExpandedConfig:
     refs: list[Ref] = []
     _index(body, "", config.table, refs)
     for ref in refs:
-        config.resolve(ref.path)
+        key = "/".join(ref.path)
+        if key not in config.table:
+            raise DanglingReference(f"reference {key} resolves to nothing", ref.span.line, ref.span.column)
     return config
 
 

@@ -3,8 +3,8 @@
 A personality teaches the generic engine how to deploy one technology. It
 is declared in a YAML file: kind name, provided interfaces, ports,
 constructor parameters, and per-action step scripts with ${param}
-placeholders.  The four bundled families (jre, openccm, oargrid,
-kadeploy) plus the node template live under data/.
+placeholders.  The bundled families (jre, openccm, oargrid, kadeploy,
+variable) plus the node template live under data/.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ from .stdlib import (
     SHELL,
     KindSpec,
     ParamSpec,
-    bound_component,
-    node_shell,
-    send_steps,
     shell_access,
 )
 from .transports import Payload
@@ -131,11 +128,19 @@ class ScriptBehavior(Behavior):
         self.scripts = scripts if isinstance(scripts, Scripts) else Scripts(scripts)
 
     def _shell(self, ctx, component: Component) -> Component:
+        """The shell the first bound Shell port names, or the shell a bound
+        Node port's node exports (a node's barrier stands for the node)."""
+        assembly = ctx.assembly
         for port in component.ports:
-            if port.interface == SHELL and component.bound.get(port.name):
-                return bound_component(ctx.assembly, component, port.name)
-            if port.interface == NODE and component.bound.get(port.name):
-                return node_shell(ctx, component, port.name)
+            binding = component.bound.get(port.name)
+            if binding is None:
+                continue
+            if port.interface == SHELL:
+                return assembly.components[binding.server]
+            if port.interface == NODE:
+                barrier = assembly.components[binding.server]
+                composite = assembly.composites[barrier.owner]
+                return assembly.components[composite.exports[SHELL]]
         raise UnboundPort(f"{component.id}: no shell reachable through bound ports")
 
     def _run(self, action: str, component: Component, ctx) -> None:
@@ -149,7 +154,9 @@ class ScriptBehavior(Behavior):
             access = ctx.access[component.id] = shell_access(ctx, self._shell(ctx, component))
         if guard and ctx.transport.exists(access, guard):
             return
-        send_steps(ctx, access, payload)
+        status, output = ctx.transport.send(access, payload)
+        if status != 0:
+            raise RemoteError(status, output)
 
     def install(self, component: Component, ctx=None) -> None:
         self._run("install", component, ctx)

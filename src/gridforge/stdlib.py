@@ -5,9 +5,9 @@ per kind, shared by every component of that kind, so hooks and queries
 read the component's own `args`.  Host, port and user behaviors answer
 queries (`get`, `key_path`); protocols, shells, file transfer and the
 node-ready barrier run the base `Behavior`, because their mechanism is the
-transport itself.  Other behaviors reach a node through the module
-functions `resolve_access`, `shell_access`, `send_steps`, `shell_execute`
-and `node_shell`, which follow bindings, never globals.
+transport itself.  A behavior that runs steps, `ScriptBehavior`, reaches
+its node through `shell_access`, which follows the shell's bindings
+(`resolve_access`), never globals.
 """
 
 from __future__ import annotations
@@ -17,14 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import Behavior, Component, PortSpec
-from .errors import (
-    IndexOutOfRange,
-    NodeListMissing,
-    RemoteError,
-    UnboundPort,
-)
-from .steps import Step, set_var
-from .transports import NodeAccess, Payload
+from .errors import IndexOutOfRange, NodeListMissing, UnboundPort
+from .transports import NodeAccess
 
 # Interface names (what a provided port is called on the wire).
 HOSTNAME = "Hostname"
@@ -33,7 +27,6 @@ USER = "User"
 PROTOCOL = "Protocol"
 SHELL = "Shell"
 TRANSFER = "Transfer"
-VARIABLE = "Variable"
 NODELIST = "NodeList"
 NODE = "Node"
 
@@ -110,41 +103,7 @@ def shell_access(ctx, shell: Component) -> NodeAccess:
     return access
 
 
-def send_steps(ctx, access: NodeAccess, payload: Payload) -> tuple[int, str]:
-    """Deliver a payload as one session through the active transport;
-    nonzero status raises."""
-    status, output = ctx.transport.send(access, payload)
-    if status != 0:
-        raise RemoteError(status, output)
-    return status, output
-
-
-def shell_execute(ctx, shell: Component, steps: list[Step]) -> tuple[int, str]:
-    """send_steps of the steps' payload to the node a shell component reaches."""
-    if not steps:
-        return 0, ""
-    return send_steps(ctx, shell_access(ctx, shell), Payload.of(steps))
-
-
-def node_shell(ctx, component: Component, port: str = "node") -> Component:
-    """Follow a `node` binding (a node's readiness barrier) to its shell."""
-    barrier = bound_component(ctx.assembly, component, port)
-    if barrier is None:
-        raise UnboundPort(f"{component.id}: {port} port unbound")
-    composite = ctx.assembly.composites[barrier.owner]
-    return ctx.assembly.components[composite.exports[SHELL]]
-
-
 # -- behaviors ---------------------------------------------------------------
-
-
-class ReservedBehavior(Behavior):
-    """Declared-but-unimplemented kinds fail loudly at action time."""
-
-    def _refuse(self, component, ctx=None):
-        raise NotImplementedError(f"kind {component.kind} is reserved, not implemented")
-
-    install = start = stop = uninstall = _refuse
 
 
 class StaticHostBehavior(Behavior):
@@ -189,18 +148,6 @@ class UserBehavior(Behavior):
         return ""
 
 
-class VariableBehavior(Behavior):
-    """Sets a shell variable on start, clears it on stop."""
-
-    def start(self, component: Component, ctx=None) -> None:
-        shell = bound_component(ctx.assembly, component, "shell")
-        shell_execute(ctx, shell, [set_var(component.args["name"], component.args.get("value", ""))])
-
-    def stop(self, component: Component, ctx=None) -> None:
-        shell = bound_component(ctx.assembly, component, "shell")
-        shell_execute(ctx, shell, [set_var(component.args["name"], "")])
-
-
 def _spec(name, provides, ports=(), params=(), **kw) -> KindSpec:
     return KindSpec(
         name=name,
@@ -243,16 +190,5 @@ BUILTIN_KINDS: tuple[KindSpec, ...] = (
     ),
     _spec("SH", [SHELL], ports=[PortSpec("protocol", PROTOCOL)]),
     _spec("FileTransfer", [TRANSFER], ports=[PortSpec("shell", SHELL)]),
-    _spec(
-        "Variable",
-        [VARIABLE],
-        ports=[PortSpec("shell", SHELL)],
-        params=[ParamSpec("name"), ParamSpec("value", required=False, default="")],
-        factory=VariableBehavior,
-    ),
     _spec("NodeReady", [NODE]),
-    # Reserved: listed for completeness, refuse at action time.
-    _spec("Telnet", [PROTOCOL], ports=[PortSpec("hostname", HOSTNAME)], factory=ReservedBehavior),
-    _spec("CSH", [SHELL], ports=[PortSpec("protocol", PROTOCOL)], factory=ReservedBehavior),
-    _spec("WindowsCmd", [SHELL], ports=[PortSpec("protocol", PROTOCOL)], factory=ReservedBehavior),
 )

@@ -30,10 +30,6 @@ class Step:
     a: str = ""
     b: str = ""
 
-    def __str__(self) -> str:
-        args = ", ".join(x for x in (self.a, self.b) if x)
-        return f"{self.kind.value}({args})"
-
 
 def set_var(name: str, value: str) -> Step:
     return Step(StepKind.SET_VAR, name, value)

@@ -543,6 +543,17 @@ class TestGenerationErrors:
         with pytest.raises(DanglingNodeRef):
             assembly_for(text, registry_m)
 
+    def test_node_role_kind_must_provide_an_interface(self, tmp_path):
+        """The barrier's port for a role wants what the role provides, so a
+        kind that provides nothing is refused where the role is written."""
+        (tmp_path / "mark.yaml").write_text("kinds:\n  - kind: Mark\n    behavior: noop\n")
+        registry = default_registry(extra_dirs=[str(tmp_path)])
+        text = "app = K {\n  nodes = {\n    node-0 = Grid5000_NODE {\n      hostname = StaticHost(h)\n      mark = Mark\n    }\n  }\n}\n"
+        with pytest.raises(ConfigError) as info:
+            assembly_for(text, registry)
+        assert type(info.value) is ConfigError
+        assert str(info.value) == "5:7: nodes/node-0/mark: kind Mark provides no interface, so it cannot be a node role"
+
 
 class TestValidation:
     def test_unbound_required_port_reported(self, registry_m):

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from conftest import record_decodes
 from gridforge import cli
 from gridforge.pipeline import build_from_text
 from gridforge.simgrid import SimNode
+from gridforge.transports import LocalTransport
 
 
 @pytest.fixture()
@@ -133,6 +135,18 @@ class TestPlan:
         cli.main(["plan", "-c", str(workdir / "mini.gdf")])
         assert state_files(workdir) == []
 
+    def test_emit_to_file(self, workdir, capsys):
+        """The file holds what `--emit -` appends to the stage listing."""
+        cfg, target = str(workdir / "mini.gdf"), workdir / "emitted.txt"
+        assert cli.main(["plan", "-c", cfg]) == 0
+        listing = capsys.readouterr().out
+        assert cli.main(["plan", "-c", cfg, "--emit", "-"]) == 0
+        both = capsys.readouterr().out
+        assert cli.main(["plan", "-c", cfg, "--emit", str(target)]) == 0
+        assert capsys.readouterr().out == listing
+        assert listing + target.read_text() == both
+        assert state_files(workdir) == []
+
 
 class TestDeployCycle:
     def test_deploy_status_undeploy(self, workdir, capsys):
@@ -185,11 +199,18 @@ class TestDeployCycle:
             assert len(calls) == 1, command
 
     def test_dry_run_touches_nothing(self, workdir, capsys):
+        """And it counts the plan's actions and the transitions the real
+        deploy then performs."""
         cfg = str(workdir / "mini.gdf")
         assert cli.main(["deploy", "-c", cfg, "--dry-run"]) == 0
-        out = capsys.readouterr().out
-        assert "transition(s) planned" in out
+        planned = capsys.readouterr().out
+        assert "transition(s) planned" in planned
         assert state_files(workdir) == []
+        assert cli.main(["deploy", "-c", cfg]) == 0
+        performed = capsys.readouterr().out
+        counts = re.compile(r"deploy complete: (\d+) action\(s\), (\d+) transition\(s\) (planned|performed)")
+        assert counts.match(planned).groups() == ("2", "12", "planned")
+        assert counts.match(performed).groups() == ("2", "12", "performed")
 
     def test_metrics_file(self, workdir, capsys):
         cfg = str(workdir / "mini.gdf")
@@ -587,6 +608,17 @@ class TestFailures:
         assert cli.main(["plan", "-c", cfg]) == 2
         assert "NoSuchKind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["plan", "deploy", "status"])
+    @pytest.mark.parametrize("role, kind", [("protocol", "Telnet"), ("shell", "CSH"), ("shell", "WindowsCmd")])
+    def test_unimplemented_protocol_or_shell_exits_2(self, workdir, capsys, command, role, kind):
+        """Refused where the role is written, before any node is touched."""
+        jre = "      jre = Jre(/opt/java/jre)\n"
+        cfg = write_config(workdir, "standin.gdf", MINI.replace(jre, f"{jre}      {role} = {kind}\n"))
+        assert cli.main([command, "-c", cfg]) == 2
+        column = 7 + len(f"{role} = ")
+        assert capsys.readouterr() == ("", f"7:{column}: unknown kind '{kind}' for {role}\n")
+        assert state_files(workdir) == []
+
     def test_group_member_needing_a_sibling_exits_2(self, workdir, capsys):
         """Both members start in the group's one stage, so srv cannot have
         dci-a started first: a configuration error, not a runtime one."""
@@ -615,6 +647,41 @@ class TestFailures:
         assert exit_info.value.code == 2
         assert "--max-workers: must be at least 1, got 0" in capsys.readouterr().err
         assert state_files(workdir) == []
+
+
+# Three nodes and nothing else: no role runs a script, so a deploy through
+# any transport sends nothing.
+NODES_ONLY = """
+app = OpenCCM.Deployment {
+  nodes = {
+    apply FOR(i,0,2) {
+      node-%{i} = Grid5000_NODE {
+        hostname = StaticHost(localhost)
+      }
+    }
+  }
+}
+"""
+
+
+class TestLocalTransport:
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_nodes_only_deploy_and_undeploy(self, workdir, capsys, monkeypatch, workers):
+        """The node stage runs on a pool of `workers` threads, under the wall
+        clock; every component goes up, then down again."""
+        calls = []
+        monkeypatch.setattr(LocalTransport, "send", lambda self, *a: calls.append(a) or (0, ""))
+        monkeypatch.setattr(LocalTransport, "exists", lambda self, *a: calls.append(a) or False)
+        cfg = write_config(workdir, "nodes.gdf", NODES_ONLY)
+        run = ["-c", cfg, "--transport", "local", "--max-workers", workers]
+        for command, verb, state in (("deploy", "deploy", "STARTED"), ("undeploy", "undeploy", "UNINSTALLED")):
+            assert cli.main([command, *run]) == 0
+            assert capsys.readouterr().out.startswith(f"{verb} complete: 3 action(s), 24 transition(s) performed")
+            assert cli.main(["status", "-c", cfg]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 12 and all(line.endswith(f" {state}") for line in lines)
+        assert calls == []
+        assert len(state_files(workdir)) == 1
 
 
 class TestBench:

@@ -239,6 +239,45 @@ class TestBindings:
         with pytest.raises(UnknownComponent):
             asm.bind(("ghost", "dep"), "srv")
 
+    def node_and_service(self):
+        """A hand-built node `n` (a host and the barrier guarding it) and a
+        service `svc` whose Node port is still free."""
+        from gridforge.assembly import ServiceEntry
+
+        asm = Assembly()
+        asm.add(Component(id="n/host", kind="StaticHost", provides=frozenset({"Hostname"}), owner="n"))
+        asm.add(
+            Component(
+                id="n/ready", kind="NodeReady", provides=frozenset({"Node"}),
+                ports=(PortSpec("host", "Hostname"),), owner="n",
+            )
+        )
+        asm.bind(("n/ready", "host"), "n/host")
+        asm.add_composite(
+            Composite(id="n", kind="Node", children={"host": "n/host", "ready": "n/ready"},
+                      exports={"Hostname": "n/host", "Node": "n/ready"})
+        )
+        asm.add(Component(id="svc", kind="Service", ports=(PortSpec("node", "Node"),)))
+        asm.services.append(ServiceEntry("svc"))
+        return asm
+
+    def test_bind_to_a_composite_binds_its_export(self):
+        from gridforge.assembly import plan, validate
+
+        asm = self.node_and_service()
+        binding = asm.bind(("svc", "node"), "n")
+        assert binding == Binding("svc", "node", "n/ready", "Node")
+        assert asm.dependency_graph()["svc"] == ["n/ready"]
+        assert validate(asm) == []
+        assert [stage.label for stage in plan(asm).stages] == ["node-prep", "svc"]
+
+    def test_bind_to_a_composite_without_the_export(self):
+        asm = self.node_and_service()
+        asm.add(Component(id="app", kind="App", ports=(PortSpec("dep", "Jre"),)))
+        with pytest.raises(InterfaceMismatch):
+            asm.bind(("app", "dep"), "n")
+        assert "dep" not in asm.components["app"].bound
+
     def test_duplicate_id_rejected(self):
         asm = self.make()
         with pytest.raises(PortAlreadyBound):

@@ -361,7 +361,8 @@ class TestExpansionPinned:
                 "}\n"
             )
         assert err.value.args[0] == "reference nodes/n-0-spare resolves to nothing"
-        assert (err.value.line, err.value.column) == (0, 0)
+        assert (err.value.line, err.value.column) == (4, 27)  # where the reference is written
+        assert str(err.value) == "4:27: reference nodes/n-0-spare resolves to nothing"
 
 
 class TestMerge:

@@ -9,6 +9,7 @@ import pytest
 
 from gridforge.core import Assembly, Behavior, Component, Composite, PortSpec
 from gridforge.errors import IndexOutOfRange, NodeListMissing, RemoteError
+from gridforge.personalities import ScriptBehavior, default_registry
 from gridforge.pipeline import DeployContext
 from gridforge.simgrid import Fleet, VirtualClock
 from gridforge.steps import exec_cmd, fetch, set_var
@@ -16,14 +17,11 @@ from gridforge.stdlib import (
     BUILTIN_KINDS,
     DynamicHostBehavior,
     PortBehavior,
-    ReservedBehavior,
     StaticHostBehavior,
     UserBehavior,
-    VariableBehavior,
     node_ordinal,
     resolve_access,
     shell_access,
-    shell_execute,
 )
 from gridforge.transports import LocalTransport, NodeAccess, Payload, SimTransport, SshTransport
 
@@ -155,30 +153,43 @@ def sim_ctx(asm, fleet=None, config=None):
     return DeployContext(asm, SimTransport(fleet, clock, config), clock, fleet)
 
 
+def scripted(asm, *rows):
+    """A component bound to the stack's shell whose start runs `rows`."""
+    app = asm.add(
+        Component(
+            id="app", kind="App", ports=(PortSpec("shell", "Shell"),),
+            behavior=ScriptBehavior({"start": {"steps": [list(row) for row in rows]}}),
+        )
+    )
+    asm.bind(("app", "shell"), "sh")
+    return app
+
+
 class TestShellExecution:
     def test_steps_reach_the_right_node(self):
         asm = node_stack()
-        ctx = sim_ctx(asm)
-        status, _ = shell_execute(ctx, asm.components["sh"], [set_var("A", "1")])
-        assert status == 0
+        app, ctx = scripted(asm, ["SetVar", "A", "1"]), sim_ctx(asm)
+        app.behavior.start(app, ctx)
         assert ctx.fleet.get("simnode-0").env == {"A": "1"}
 
     def test_empty_steps_skip_the_transport(self):
         asm = node_stack()
+        app = scripted(asm)
         ctx = DeployContext(asm, None, VirtualClock())  # would explode if used
-        assert shell_execute(ctx, asm.components["sh"], []) == (0, "")
+        app.behavior.start(app, ctx)
+        assert ctx.access == {}
 
     def test_nonzero_exit_raises_remote_error(self):
         asm = node_stack()
-        ctx = sim_ctx(asm)
+        app, ctx = scripted(asm, ["Exec", "exit 3"]), sim_ctx(asm)
         with pytest.raises(RemoteError) as err:
-            shell_execute(ctx, asm.components["sh"], [exec_cmd("exit 3")])
+            app.behavior.start(app, ctx)
         assert err.value.status == 3
 
     def test_latency_charged_per_connect_and_step(self):
         asm = node_stack()
-        ctx = sim_ctx(asm)
-        shell_execute(ctx, asm.components["sh"], [set_var("A", "1"), set_var("B", "2")])
+        app, ctx = scripted(asm, ["SetVar", "A", "1"], ["SetVar", "B", "2"]), sim_ctx(asm)
+        app.behavior.start(app, ctx)
         assert ctx.clock.now_ms() == 5.0 + 2 * 10.0
 
     def test_access_is_resolved_once_per_shell_per_run(self, tmp_path):
@@ -207,25 +218,43 @@ class TestShellExecution:
 
 
 class TestVariables:
-    def wire(self):
+    """`Variable` is a script kind of the bundled personalities."""
+
+    def wire(self, **args):
+        spec = default_registry().get("Variable")
         asm = node_stack()
-        asm.add(
+        var = asm.add(
             Component(
-                id="var", kind="Variable", provides=frozenset({"Variable"}),
-                ports=(PortSpec("shell", "Shell"),),
-                args={"name": "MODE", "value": "grid"}, behavior=VariableBehavior(),
+                id="var", kind=spec.name, provides=spec.provides, ports=spec.ports,
+                args=args, behavior=spec.factory(),
             )
         )
         asm.bind(("var", "shell"), "sh")
-        return asm, sim_ctx(asm)
+        return var, sim_ctx(asm)
 
     def test_variable_sets_then_clears(self):
-        asm, ctx = self.wire()
-        var = asm.components["var"]
+        var, ctx = self.wire(name="MODE", value="grid")
         var.behavior.start(var, ctx)
         assert ctx.fleet.get("simnode-0").env == {"MODE": "grid"}
         var.behavior.stop(var, ctx)
         assert ctx.fleet.get("simnode-0").env == {}
+
+    @pytest.mark.parametrize(
+        "action, value, step",
+        [("start", "grid", set_var("MODE", "grid")), ("start", "", set_var("MODE", "")), ("stop", "grid", set_var("MODE", ""))],
+    )
+    def test_payload_is_one_set_var(self, action, value, step):
+        """The very payload, hence digest and jitter keys, of one SetVar step."""
+        var, _ = self.wire(name="MODE", value=value)
+        payload, guard = var.behavior.scripts.build(action, var.args)
+        assert (payload, guard) == (Payload.of([step]), None)
+        assert payload.digest == Payload.of([step]).digest
+
+    def test_install_and_uninstall_send_nothing(self):
+        var, ctx = self.wire(name="MODE", value="grid")
+        var.behavior.install(var, ctx)
+        var.behavior.uninstall(var, ctx)
+        assert ctx.clock.now_ms() == 0.0 and ctx.access == {}
 
 
 class TestLocalTransport:
@@ -292,18 +321,15 @@ class TestSshCommand:
 
 
 class TestRegistryBuiltins:
-    def test_reserved_kinds_refuse_actions(self):
-        reserved = [k for k in BUILTIN_KINDS if k.factory is ReservedBehavior]
-        assert {k.name for k in reserved} == {"Telnet", "CSH", "WindowsCmd"}
-        behavior = reserved[0].factory()
-        assert isinstance(behavior, ReservedBehavior)
-        with pytest.raises(NotImplementedError, match=f"kind {reserved[0].name} is reserved"):
-            behavior.install(component(reserved[0].name))
+    def test_no_stand_in_kinds(self):
+        """Unimplemented protocols and shells are not registered at all."""
+        registry = default_registry()
+        assert not {"Telnet", "CSH", "WindowsCmd"} & set(registry.kinds)
 
     def test_builtin_names(self):
         names = {k.name for k in BUILTIN_KINDS}
-        assert {"StaticHost", "DynamicHost", "Port", "User", "SSH", "SH",
-                "FileTransfer", "Variable", "NodeReady"} <= names
+        assert names == {"StaticHost", "DynamicHost", "Port", "User", "SSH", "SH", "FileTransfer", "NodeReady"}
+        assert "Variable" in default_registry()
 
     @pytest.mark.parametrize("kind", ["SSH", "SH", "FileTransfer", "NodeReady"])
     def test_transport_kinds_run_the_base_behavior(self, kind):
