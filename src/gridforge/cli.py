@@ -2,7 +2,10 @@
 
 Mutating subcommands persist a state file (assembly hash, component
 states, journal, simulated fleet) as compact JSON so status and undeploy
-work across processes; `GRIDFORGE_STATE_DIR` overrides its location.  A
+work across processes; `GRIDFORGE_STATE_DIR` overrides its location.  The
+fleet is saved as one table of the distinct steps its nodes ran and, per
+SimNode, its log as indices into that table, so a step every node runs is
+written once.  A
 command that performs no transition leaves an existing file untouched, so
 it keeps the journal of the last command that did.  Exit codes: 0
 success, 2 configuration or validation problems, 3 execution failure.
@@ -140,18 +143,21 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def save_state(deployment: Deployment, key: str) -> str:
     """Write the state file: the bytes json.dumps(document, sort_keys=True,
-    separators=(",", ":")) gives, encoded one SimNode at a time so that the
-    document is never held as one string."""
+    separators=(",", ":")) gives.  The fleet (a step table and each
+    SimNode's log as indices into it), the journal and the states are
+    encoded and written one at a time, so that the document is never held
+    as one string."""
     os.makedirs(state_dir(), exist_ok=True)
     path = _state_path(key)
     fleet = deployment.ctx.fleet
     try:
-        nodes = fleet.nodes if fleet is not None else {}
+        saved_fleet = fleet.to_dict() if fleet is not None and fleet.nodes else None
     except (ValueError, TypeError, LookupError, AttributeError) as exc:
         # The fleet loaded from `path` is decoded on first use; a damaged
         # one is reported against that file, which is left as it is.
         raise DeploymentError(f"state file {path} is unreadable: {exc}") from None
-    states = {cid: c.state.name for cid, c in deployment.assembly.components.items()}
+    # `_name_` is the state's name, read without Enum's Python-level property.
+    states = {cid: c.state._name_ for cid, c in deployment.assembly.components.items()}
     # Write beside the target, then rename over it: a crash mid-write
     # leaves the previous state file whole, and a failed write its own
     # temporary file removed.
@@ -160,16 +166,7 @@ def save_state(deployment: Deployment, key: str) -> str:
         with open(tmp, "w", encoding="utf-8") as fh:
             # The document's keys in sorted order; "descriptor" is the key
             # name older state files use.
-            fh.write(f'{{"descriptor":{_encode(key)},"fleet":')
-            if nodes:
-                separator = '{"nodes":['
-                for node in nodes.values():
-                    fh.write(separator)
-                    fh.write(_encode(node.to_dict()))
-                    separator = ","
-                fh.write("]}")
-            else:
-                fh.write("null")
+            fh.write(f'{{"descriptor":{_encode(key)},"fleet":{_encode(saved_fleet)}')
             fh.write(f',"journal":{_encode(deployment.assembly.journal.export_lines())}')
             fh.write(f',"states":{_encode(states)}}}')
             fh.flush()

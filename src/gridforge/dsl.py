@@ -174,9 +174,13 @@ class _Scanner:
         return self.text[start : self.pos], span
 
     def raw_args(self) -> list[Arg]:
-        """Scan `(...)` capturing arguments as raw text split on commas."""
+        """Scan `(...)` capturing arguments as raw text split on commas,
+        each placed at its first character."""
+        self.skip_space()
+        opened = self.span()
         self.take("(")
         args: list[Arg] = []
+        self._skip_blanks()
         start = self.pos
         span = self.span()
         depth = 1
@@ -191,24 +195,31 @@ class _Scanner:
             elif ch == "," and depth == 1:
                 args.append(Arg(self.text[start : self.pos].strip(), span))
                 self._advance()
+                self._skip_blanks()
                 start = self.pos
                 span = self.span()
                 continue
             self._advance()
         if self.pos >= len(self.text):
-            self.fail("unterminated argument list", {")"})
+            self.fail("unterminated argument list", {")"}, opened)
         tail = self.text[start : self.pos].strip()
         if tail or args:
             args.append(Arg(tail, span))
         self._advance()  # consume ')'
         return args
 
+    def _skip_blanks(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self._advance()
+
     def at_end(self) -> bool:
         self.skip_space()
         return self.pos >= len(self.text)
 
-    def fail(self, message: str, expected: set[str] | None = None) -> None:
-        raise DslSyntaxError(message, self.line, self.column, expected)
+    def fail(self, message: str, expected: set[str] | None = None, at: Span | None = None) -> None:
+        """Refuse the text at `at`, by default where the scan stands."""
+        at = at or self.span()
+        raise DslSyntaxError(message, at.line, at.column, expected)
 
 
 class _Parser:
@@ -265,10 +276,13 @@ class _Parser:
         if len(args) != 3:
             self.scan.fail("FOR takes (var, lo, hi)", {"var,lo,hi"})
         var = args[0].text
-        try:
-            lo, hi = int(args[1].text), int(args[2].text)
-        except ValueError:
-            self.scan.fail("FOR bounds must be integers", {"integer"})
+        bounds = []
+        for bound in args[1:]:
+            try:
+                bounds.append(int(bound.text))
+            except ValueError:
+                self.scan.fail("FOR bounds must be integers", {"integer"}, bound.span)
+        lo, hi = bounds
         body_block = self._block()
         return Loop(var, lo, hi, body_block.entries, span)
 
@@ -431,6 +445,26 @@ def _index(block: Block, prefix: str, table: dict[str, Entry], refs: list[Ref]) 
             _index(child, key + "/", table, refs)
 
 
+def _is_root(entry) -> bool:
+    """Whether a top-level entry is a root block, `Name = Kind { ... }`."""
+    return isinstance(entry, Entry) and isinstance(entry.value, Ctor) and entry.value.body is not None
+
+
+def _refuse_roots(message: str, entries: list) -> ConfigError:
+    """The refusal of top-level `entries` that are not one root block alone,
+    placed at the first surplus root block, else at the first entry beside
+    the one root block, else at the first entry."""
+    roots = [e for e in entries if _is_root(e)]
+    if len(roots) > 1:
+        at = roots[1]
+    elif roots:
+        at = next(e for e in entries if e is not roots[0])
+    else:
+        at = entries[0] if entries else None
+    span = at.span if at is not None else Span()
+    return ConfigError(message, span.line, span.column)
+
+
 def expand(ast: ConfigAST) -> ExpandedConfig:
     """Unroll loops, substitute interpolations, verify names and references.
 
@@ -440,10 +474,10 @@ def expand(ast: ConfigAST) -> ExpandedConfig:
     ahead of a dangling reference.  The result shares every loop-invariant
     subtree with `ast`, so neither may be mutated afterwards; `merge`
     fragments in before expanding."""
-    roots = ast.entries
-    if len(roots) != 1 or not isinstance(roots[0].value, Ctor) or roots[0].value.body is None:
-        raise ConfigError("configuration needs exactly one root block `Name = Kind { ... }`")
-    root_entry = roots[0]
+    entries = ast.entries
+    if len(entries) != 1 or not _is_root(entries[0]):
+        raise _refuse_roots("configuration needs exactly one root block `Name = Kind { ... }`", entries)
+    root_entry = entries[0]
     body = _Expander().value(root_entry.value.body, {})
     config = ExpandedConfig(root_entry.name, root_entry.value.kind, body)
     refs: list[Ref] = []
@@ -457,9 +491,9 @@ def expand(ast: ConfigAST) -> ExpandedConfig:
 
 def merge(primary: ConfigAST, *fragments: ConfigAST) -> ConfigAST:
     """Fold fragment files (`nodes = {...}` at top level) into the root AST."""
-    roots = [e for e in primary.entries if isinstance(e.value, Ctor) and e.value.body]
+    roots = [e for e in primary.entries if _is_root(e)]
     if len(roots) != 1:
-        raise ConfigError("primary configuration needs exactly one root block")
+        raise _refuse_roots("primary configuration needs exactly one root block", primary.entries)
     root = roots[0]
     blocks = {e.name: e for e in root.value.body.entries if isinstance(e, Entry)}
     for fragment in fragments:

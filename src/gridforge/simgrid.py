@@ -1,9 +1,12 @@
 """Deterministic simulated grid: nodes with observable state, virtual time.
 
 SimNodes record every step applied to them; replaying the log from an
-empty node reproduces (env, files, processes) exactly.  The virtual clock
-is advanced by latency charges from the sim transport, never by wall time,
-so identical configuration and seed give identical reported durations.
+empty node reproduces (env, files, processes) exactly.  A fleet runs the
+same few steps on every node, so a saved fleet holds each distinct step
+once, in a step table, and each node's log as indices into it.  The
+virtual clock is advanced by latency charges from the sim transport,
+never by wall time, so identical configuration and seed give identical
+reported durations.
 """
 
 from __future__ import annotations
@@ -115,29 +118,38 @@ class SimNode:
 
     # -- persistence -------------------------------------------------------
 
-    def to_dict(self) -> dict:
+    def to_dict(self, log: list[int]) -> dict:
+        """The saved node, whose log is `log`: its steps' indices in the
+        fleet's step table (`Fleet.to_dict`)."""
         return {
             "id": self.id,
             "env": dict(self.env),
             "files": sorted(self.files),
             "processes": sorted(self.processes),
-            # `_value_` is the step kind's name, read without Enum's Python-level property.
-            "log": [[s.kind._value_, s.a, s.b] for s in self.log],
+            "log": log,
         }
 
     @classmethod
-    def from_dict(cls, data: dict, steps: dict[tuple, Step] | None = None) -> "SimNode":
-        """Rebuild a saved node.  `steps` maps each (kind, a, b) log entry
-        already built to its Step, so the nodes of one fleet share them."""
+    def from_dict(cls, data: dict, steps: list[Step] | dict[tuple, Step] | None = None) -> "SimNode":
+        """Rebuild a saved node.  A list `steps` is its fleet's step table,
+        which the log indexes.  Otherwise the log holds the steps themselves,
+        as older versions saved them: kind and two operands, or a fourth,
+        always-empty field; `steps` then maps each entry already built to
+        its Step, so the nodes of one fleet share them."""
         node = cls(data["id"])
         node.env = dict(data["env"])
         node.files = set(data["files"])
         node.processes = set(data["processes"])
+        if isinstance(steps, list):
+            indices = data["log"]
+            if indices and min(indices) < 0:  # a negative index would count from the table's end
+                raise IndexError(f"{node.id}: step index {min(indices)} out of range")
+            node.log = [steps[i] for i in indices]
+            return node
         if steps is None:
             steps = {}
         log = node.log
         for entry in data["log"]:
-            # Entries saved by older versions carry a fourth, always-empty field.
             key = (entry[0], entry[1], entry[2])
             step = steps.get(key)
             if step is None:
@@ -197,13 +209,40 @@ class Fleet:
         return node
 
     def to_dict(self) -> dict:
-        return {"nodes": [n.to_dict() for n in self.nodes.values()]}
+        """The saved fleet: each distinct step once in "steps", in the
+        order first met walking the nodes in fleet order, so the document
+        does not depend on the hash seed; each node's log as indices into
+        it."""
+        steps: list[list[str]] = []
+        # A build's payloads share their Step objects among the nodes, so a
+        # lookup by identity almost always hits; the Step's own (Python-level)
+        # hash is taken only for an object not met before.
+        by_id: dict[int, int] = {}
+        by_step: dict[Step, int] = {}
+        nodes = []
+        for node in self.nodes.values():
+            log = []
+            for step in node.log:
+                i = by_id.get(id(step))
+                if i is None:
+                    i = by_step.get(step)
+                    if i is None:
+                        i = by_step[step] = len(steps)
+                        # `_value_` is the kind's name, read without Enum's Python-level property.
+                        steps.append([step.kind._value_, step.a, step.b])
+                    by_id[id(step)] = i
+                log.append(i)
+            nodes.append(node.to_dict(log))
+        return {"nodes": nodes, "steps": steps}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Fleet":
+        """Rebuild a saved fleet, of `to_dict`'s layout or of older ones,
+        which have no step table."""
         fleet = cls()
         nodes = fleet.nodes
-        steps: dict[tuple, Step] = {}
+        table = data.get("steps")
+        steps = {} if table is None else [Step(_STEP_KINDS[kind], a, b) for kind, a, b in table]
         for nd in data["nodes"]:
             node = SimNode.from_dict(nd, steps)
             nodes[node.id] = node

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, persisted state."""
 
+import collections
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from configs import MINI, reserved
+from configs import MINI, chain, reserved
 from conftest import record_decodes
 from gridforge import cli
 from gridforge.pipeline import build_from_text
@@ -271,8 +272,8 @@ class TestStatusListing:
         encode = cli._encode
 
         def torn_encode(value):
-            # The document's head is already written when a SimNode fails.
-            if isinstance(value, dict) and "log" in value:
+            # The temporary file is open when the fleet fails to encode.
+            if isinstance(value, dict) and "steps" in value:
                 raise OSError("disk full")
             return encode(value)
 
@@ -451,6 +452,10 @@ class TestStateFile:
         assert list(path.parent.glob("*.tmp")) == []
 
 
+# chain(2) deployed and saved in the layout without a step table.
+INLINE_STATE = pathlib.Path(__file__).parent / "data" / "chain-2-inline-state.json"
+
+
 def _saved_and_loaded(text, key, edit=None):
     """A deployed assembly saved under `key`, after `edit(fleet)`, and a
     fresh build of the same text that loaded it."""
@@ -501,19 +506,54 @@ class TestStateReader:
         assert cli._read_state(head + tail) == json.loads(head + tail)
 
     def test_four_field_log_entries(self, workdir):
-        """Entries of older versions carry a fourth, empty field; every
-        distinct step is built once and shared by the nodes that logged it."""
+        """Fleets of older versions have no step table, and their log
+        entries carry a fourth, empty field; every distinct step is built
+        once and shared by the nodes that logged it."""
         deployment, _ = _saved_and_loaded(reserved(2, 2), "four")
         path = pathlib.Path(cli._state_path("four"))
         data = json.loads(path.read_text())
+        table = data["fleet"].pop("steps")
         for node in data["fleet"]["nodes"]:
-            node["log"] = [[*entry, ""] for entry in node["log"]]
+            node["log"] = [[*table[i], ""] for i in node["log"]]
         path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")))
         loaded = build_from_text(reserved(2, 2))
         assert cli.load_state(loaded.assembly, "four", loaded.ctx.fleet)
         assert loaded.ctx.fleet.to_dict() == deployment.ctx.fleet.to_dict()
         steps = [step for node in loaded.ctx.fleet.nodes.values() for step in node.log]
         assert len({id(step) for step in steps}) == len(set(steps)) < len(steps)
+
+    def test_file_without_step_table(self, workdir, capsys):
+        """A state file saved before the step table, each SimNode's log
+        written out in full (chain(2) deployed), loads to the states and
+        SimNodes a deploy gives.  The next save writes the table, and
+        loading and saving that file again gives the same bytes of the
+        fleet and the same states."""
+        cfg = write_config(workdir, "chain.gdf", chain(2))
+        deployed = build_from_text(chain(2))
+        deployed.execute()
+        key = cli._state_key(deployed.assembly)
+        path = pathlib.Path(cli._state_path(key))
+        path.parent.mkdir()
+        path.write_bytes(INLINE_STATE.read_bytes())
+        loaded = build_from_text(chain(2))
+        assert cli.load_state(loaded.assembly, key, loaded.ctx.fleet)
+        assert loaded.assembly.status() == deployed.assembly.status()
+        assert loaded.ctx.fleet.to_dict() == deployed.ctx.fleet.to_dict()
+
+        assert cli.main(["undeploy", "-c", cfg]) == 0
+        saved = path.read_text(encoding="utf-8")
+        fleet = json.loads(saved)["fleet"]
+        inline = json.loads(INLINE_STATE.read_text())["fleet"]["nodes"]
+        assert [nd["id"] for nd in fleet["nodes"]] == [nd["id"] for nd in inline]
+        for before, after in zip(inline, fleet["nodes"]):
+            assert [fleet["steps"][i] for i in after["log"][: len(before["log"])]] == before["log"]
+            assert not (after["env"] or after["files"] or after["processes"])
+
+        again = build_from_text(chain(2))
+        assert cli.load_state(again.assembly, key, again.ctx.fleet)
+        assert again.ctx.fleet.nodes
+        cli.save_state(again, key)
+        assert cli._read_state(path.read_text(encoding="utf-8")) == cli._read_state(saved)
 
     def test_failed_deploy_saves_the_fleet_it_decoded(self, workdir, capsys, monkeypatch):
         """A deploy that decodes the saved fleet on its first node contact
@@ -567,7 +607,7 @@ def _reference_bytes(deployment, key):
 
 
 class TestStateWriter:
-    """save_state writes, piece by piece, exactly the bytes of json.dumps."""
+    """save_state writes, section by section, exactly the bytes of json.dumps."""
 
     @pytest.mark.parametrize("text", [MINI, reserved(6, 6)], ids=["mini", "reserved-6-6"])
     def test_deployed_fleet(self, workdir, text):
@@ -576,6 +616,27 @@ class TestStateWriter:
         assert len(deployment.assembly.journal) > 0 and deployment.ctx.fleet.nodes
         path = pathlib.Path(cli.save_state(deployment, "deployed"))
         assert path.read_text(encoding="utf-8") == _reference_bytes(deployment, "deployed")
+
+    def test_fields_the_benchmark_reads(self, workdir, capsys, monkeypatch):
+        """After a deploy and after the undeploy that follows, each saved
+        SimNode keeps its id, env, files and processes, and its log has one
+        entry per step applied to it; the undeploy leaves every node empty."""
+        cfg = write_config(workdir, "chain.gdf", chain(3))
+        applied = collections.Counter()
+        apply = SimNode.apply
+
+        def counted(node, step):
+            applied[node.id] += 1
+            return apply(node, step)
+
+        monkeypatch.setattr(SimNode, "apply", counted)
+        for command in ("deploy", "undeploy"):
+            assert cli.main([command, "-c", cfg]) == 0
+            (fname,) = state_files(workdir)
+            nodes = json.loads((workdir / "state" / fname).read_text())["fleet"]["nodes"]
+            assert [sorted(nd) for nd in nodes] == [["env", "files", "id", "log", "processes"]] * 3
+            assert {nd["id"]: len(nd["log"]) for nd in nodes} == dict(applied), command
+        assert not any(nd["env"] or nd["files"] or nd["processes"] for nd in nodes)
 
     def test_empty_fleet(self, workdir):
         deployment = build_from_text(MINI)

@@ -1,8 +1,10 @@
 """Refused configurations: the error type, its message and its position.
 
-One row per refusal of the parser, of `merge` and of the generator, each
-on the smallest text that reaches it.  Line and column are 1-based; a
-refusal that has no single place in the text reports 0:0.
+One row per refusal of the parser, of `merge`, of `expand` and of the
+generator, each on the smallest text that reaches it.  Line and column
+are 1-based, and every refusal is placed in the text: one about the root
+block at the first entry in the way, or at the first entry when there is
+no root block.
 """
 
 import pytest
@@ -31,7 +33,7 @@ REFUSALS = {
     # parser
     "missing =": (PARSE, "app K {\n}\n", DslSyntaxError, "expected '='", 1, 5),
     "unterminated %{": (PARSE, "app = K {\n  x-%{i", DslSyntaxError, "unterminated %{...}", 2, 5),
-    "unterminated arguments": (PARSE, "app = K {\n  x = T(a,b\n}\n", DslSyntaxError, "unterminated argument list", 4, 1),
+    "unterminated arguments": (PARSE, "app = K {\n  x = T(a,b\n}\n", DslSyntaxError, "unterminated argument list", 2, 8),
     "empty configuration": (PARSE, "# nothing\n", DslSyntaxError, "empty configuration", 2, 1),
     "slash in an entry name": (PARSE, "app = K {\n  a/b = T\n}\n", DslSyntaxError, "entry name 'a/b' may not contain '/'", 2, 6),
     "apply without FOR": (
@@ -39,11 +41,21 @@ REFUSALS = {
     ),
     "FOR with two arguments": (PARSE, "app = K {\n  apply FOR(i,0) {\n  }\n}\n", DslSyntaxError, "FOR takes (var, lo, hi)", 2, 17),
     "FOR bounds not integers": (
-        PARSE, "app = K {\n  apply FOR(i,0,n) {\n  }\n}\n", DslSyntaxError, "FOR bounds must be integers", 2, 19,
+        PARSE, "app = K {\n  apply FOR(i,0,n) {\n  }\n}\n", DslSyntaxError, "FOR bounds must be integers", 2, 17,
+    ),
+    "FOR lower bound not an integer, spaced": (
+        PARSE, "app = K {\n  apply FOR(i, x, 3) {\n  }\n}\n", DslSyntaxError, "FOR bounds must be integers", 2, 16,
     ),
     # merge
-    "no single root": (MERGE, "nodes = {\n  a = T\n}\n", ConfigError, "primary configuration needs exactly one root block", 0, 0),
+    "no single root": (MERGE, "nodes = {\n  a = T\n}\n", ConfigError, "primary configuration needs exactly one root block", 1, 1),
+    "loop at the top level": (MERGE, "apply FOR(i,0,1) {\n}\n", ConfigError, "primary configuration needs exactly one root block", 1, 1),
+    "two roots": (MERGE, "a = K {\n}\nb = K {\n}\n", ConfigError, "primary configuration needs exactly one root block", 3, 1),
     "fragment entry not a block": (FRAGMENT, "x = Port(1)\n", ConfigError, "fragment entry x must be a plain block", 1, 1),
+    # expansion
+    "no root block": (GENERATE, "x = T\n", ConfigError, "configuration needs exactly one root block `Name = Kind { ... }`", 1, 1),
+    "entry beside the root": (
+        GENERATE, "app = K {\n}\nx = T\n", ConfigError, "configuration needs exactly one root block `Name = Kind { ... }`", 3, 1,
+    ),
     # generator
     "top-level entry not a block": (GENERATE, "app = K {\n  x = Port(1)\n}\n", ConfigError, "top-level entry x must be a block", 2, 3),
     "reference directly in a block": (

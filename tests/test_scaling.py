@@ -280,6 +280,22 @@ def test_payloads_do_not_grow_with_the_fleet(sim_home, monkeypatch):
     assert counts[4] == counts[16], counts
 
 
+def test_step_table_does_not_grow_with_the_fleet(sim_home):
+    """Every node of a reservation runs the same steps, so the saved fleet's
+    step table after a deploy and undeploy of 400 reserved nodes is as long
+    as after one of 1,600, while the logs grow with the fleet."""
+    tables, logged = {}, {}
+    for n in (400, 1600):
+        deployment = build_from_text(reserved(n, n))
+        deployment.execute()
+        deployment.execute_inverse()
+        saved = deployment.ctx.fleet.to_dict()
+        tables[n] = len(saved["steps"])
+        logged[n] = sum(len(nd["log"]) for nd in saved["nodes"])
+    assert tables[400] == tables[1600], tables
+    assert logged[1600] > 3 * logged[400], logged
+
+
 def test_one_behaviour_per_kind_per_build(sim_home):
     """Every component of a kind shares the kind's behaviour, so a build
     makes as many behaviours at 400 nodes as at 100.  Each build makes its

@@ -1,7 +1,11 @@
 """Simulated fleet: node semantics, log replay, virtual time, jitter."""
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
 import zlib
@@ -9,6 +13,7 @@ import zlib
 import pytest
 
 from configs import reserved
+from gridforge import simgrid
 from gridforge.pipeline import build_from_text
 from gridforge.runtime import ExecOptions
 from gridforge.simgrid import Fleet, SimClockConfig, SimNode, VirtualClock, WallClock, replay_log
@@ -82,31 +87,43 @@ class TestSimNode:
         assert out == "/opt/java"
 
     def test_serialization_round_trip(self):
+        """A saved node's log holds its steps' indices in the fleet's step table."""
+        steps = [set_var("A", "1"), fetch("u", "/f"), start_process("P", "cmd")]
         node = SimNode("n")
-        for step in (set_var("A", "1"), fetch("u", "/f"), start_process("P", "cmd")):
+        for step in steps:
             node.apply(step)
-        clone = SimNode.from_dict(node.to_dict())
+        clone = SimNode.from_dict(node.to_dict([0, 1, 2]), steps)
         assert clone.observable() == node.observable()
         assert clone.id == node.id
         assert clone.log == node.log
 
     def test_log_entries_are_kind_and_two_operands(self):
-        node = SimNode("n")
-        node.apply(set_var("A", "1"))
-        assert node.to_dict()["log"] == [["SetVar", "A", "1"]]
+        """A step table entry is the kind's name and the step's two operands."""
+        fleet = Fleet.create(1, prefix="n")
+        fleet.get("n0").apply(set_var("A", "1"))
+        saved = fleet.to_dict()
+        assert saved["steps"] == [["SetVar", "A", "1"]]
+        assert saved["nodes"][0]["log"] == [0]
 
     def test_loads_four_field_log_entries(self):
-        """State files written before steps lost their node field still load."""
+        """State files written before steps lost their node field still
+        load: their fleet has no step table, and each log entry carries a
+        fourth, always-empty field."""
         saved = {
-            "id": "n",
-            "env": {"A": "1"},
-            "files": ["/f"],
-            "processes": [],
-            "log": [["SetVar", "A", "1", ""], ["Fetch", "u", "/f", ""]],
+            "nodes": [
+                {
+                    "id": "n",
+                    "env": {"A": "1"},
+                    "files": ["/f"],
+                    "processes": [],
+                    "log": [["SetVar", "A", "1", ""], ["Fetch", "u", "/f", ""]],
+                }
+            ]
         }
-        node = SimNode.from_dict(saved)
+        node = Fleet.from_dict(saved).get("n")
         assert node.log == [set_var("A", "1"), fetch("u", "/f")]
         assert replay_log(node.log).observable() == node.observable()
+        assert SimNode.from_dict(saved["nodes"][0]).log == node.log
 
 
 def random_steps(rng, count):
@@ -156,6 +173,101 @@ class TestReplay:
             for step in steps:
                 solo.apply(step)
             assert fleet.get(name).observable() == solo.observable()
+
+
+class TestSavedFleet:
+    """A saved fleet holds each distinct step once and each log as indices."""
+
+    def _fleet(self, seed):
+        """Five nodes driven by random steps.  Some steps are shared objects,
+        as a build's payloads share theirs; others are equal but distinct
+        objects, as after a load."""
+        rng = random.Random(seed)
+        pool = random_steps(rng, 12)
+        fleet = Fleet.create(5, prefix="n")
+        for node in fleet.nodes.values():
+            for step in random_steps(rng, rng.randrange(0, 60)) + rng.sample(pool, 6):
+                node.apply(step)
+        return fleet
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_round_trip_through_json(self, seed):
+        fleet = self._fleet(seed)
+        saved = fleet.to_dict()
+        loaded = Fleet.from_dict(json.loads(json.dumps(saved)))
+        assert list(loaded.nodes) == list(fleet.nodes)
+        for name, node in fleet.nodes.items():
+            clone = loaded.get(name)
+            assert clone.log == node.log
+            assert clone.observable() == node.observable()
+            assert replay_log(clone.log).observable() == clone.observable()
+        # Saving what was loaded gives the same document.
+        assert json.dumps(loaded.to_dict()) == json.dumps(saved)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_table_holds_each_distinct_step_once(self, seed):
+        fleet = self._fleet(seed)
+        saved = fleet.to_dict()
+        rows = [tuple(row) for row in saved["steps"]]
+        applied = [step for node in fleet.nodes.values() for step in node.log]
+        assert len(rows) == len(set(rows)) == len(set(applied)) < len(applied)
+        # First-seen order, walking the nodes in fleet order.
+        first_seen = dict.fromkeys((s.kind.value, s.a, s.b) for s in applied)
+        assert rows == list(first_seen)
+        for nd, node in zip(saved["nodes"], fleet.nodes.values()):
+            assert [saved["steps"][i] for i in nd["log"]] == [[s.kind.value, s.a, s.b] for s in node.log]
+
+    @pytest.mark.parametrize("extra", [[], [""]], ids=["3-field", "4-field"])
+    def test_inline_layout_loads_to_the_same_fleet(self, extra):
+        """A fleet saved before the step table, each log entry written out
+        in full, loads to the fleet the table layout gives."""
+        fleet = self._fleet(11)
+        saved = fleet.to_dict()
+        legacy = {
+            "nodes": [
+                {**nd, "log": [saved["steps"][i] + extra for i in nd["log"]]} for nd in saved["nodes"]
+            ]
+        }
+        loaded = Fleet.from_dict(json.loads(json.dumps(legacy)))
+        assert list(loaded.nodes) == list(fleet.nodes)
+        for name, node in fleet.nodes.items():
+            assert loaded.get(name).log == node.log
+            assert loaded.get(name).observable() == node.observable()
+        assert loaded.to_dict() == saved
+
+    @pytest.mark.parametrize("index", [-1, 1, "0"])
+    def test_index_outside_the_table_is_refused(self, index):
+        node = {"id": "n", "env": {}, "files": [], "processes": [], "log": [0, index]}
+        saved = {"nodes": [node], "steps": [["Exec", "true", ""]]}
+        with pytest.raises((LookupError, TypeError)):
+            Fleet.from_dict(saved)
+
+    def test_document_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """A reserved deploy and undeploy saves the same fleet document
+        under two hash seeds."""
+        probe = (
+            "import json\n"
+            "from configs import reserved\n"
+            "from gridforge.pipeline import build_from_text\n"
+            "d = build_from_text(reserved(20, 20))\n"
+            "d.execute()\n"
+            "d.execute_inverse()\n"
+            "print(json.dumps(d.ctx.fleet.to_dict()))\n"
+        )
+        src = pathlib.Path(simgrid.__file__).resolve().parents[1]
+        path = os.pathsep.join([str(src), str(pathlib.Path(__file__).parent)])
+        saved = [
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": path, "HOME": str(tmp_path), "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert json.loads(saved[0])["steps"]
+        assert saved[0] == saved[1]
 
 
 class TestFleet:
