@@ -22,12 +22,18 @@ resource requests (`gdx=300|azur=100`), anything else a plain string.
 
 Extra files are fragments whose top-level blocks (`nodes = {...}`,
 `services = {...}`) merge into the root configuration in order.
+
+Every node and refusal carries a `Span`: the reader moves by compiled
+patterns matched at an offset, and turns an offset into a line and column
+(from 1, columns in characters) by bisecting the offsets of line starts.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from .errors import (
     ConfigError,
@@ -37,7 +43,10 @@ from .errors import (
     UnboundLoopVariable,
 )
 
-_WORD_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.~/-")
+_SPACE = re.compile(r"(?:\s|#[^\n]*)*")  # `\s` is exactly `str.isspace`
+_WORD = re.compile(r"(?:[A-Za-z0-9_.~/-]|%\{[^}]*\})*")
+_BLANKS = re.compile(r"[ \t]*")
+_MARK = re.compile(r"[(),]")
 _INTERP = re.compile(r"%\{(\w+)\}")
 _INT = re.compile(r"^[0-9]+$")
 _RESOURCES = re.compile(r"^\w+=\d+(\|\w+=\d+)*$")
@@ -115,180 +124,132 @@ class ConfigAST:
     entries: list[Entry] = field(default_factory=list)
 
 
-class _Scanner:
+class _Reader:
+    """One parse of one text.  The reader stands at an offset, `pos`, and
+    moves by compiled patterns matched there; a `Span` is worked out only
+    when one is made, by bisecting the offsets at which lines start."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.column = 1
+        self._starts = [0, *(m.end() for m in re.finditer("\n", text))]
 
-    def span(self) -> Span:
-        return Span(self.line, self.column)
+    def span(self, pos: int | None = None) -> Span:
+        pos = self.pos if pos is None else pos
+        line = bisect_right(self._starts, pos)
+        return Span(line, pos - self._starts[line - 1] + 1)
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif ch.isspace():
-                self._advance()
-            else:
-                return
+    def fail(self, message: str, expected: set[str] | None = None, at: Span | None = None) -> NoReturn:
+        """Refuse the text at `at`, by default where the reader stands."""
+        at = at or self.span()
+        raise DslSyntaxError(message, at.line, at.column, expected)
 
     def peek(self) -> str:
-        self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character after space and comments, "" at the end."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
 
     def take(self, ch: str) -> None:
         if self.peek() != ch:
             self.fail(f"expected {ch!r}", {ch})
-        self._advance()
+        self.pos += 1
 
     def word(self) -> tuple[str, Span]:
-        self.skip_space()
+        self.peek()
         start = self.pos
-        span = self.span()
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "%" and self.text[self.pos : self.pos + 2] == "%{":
-                close = self.text.find("}", self.pos)
-                if close < 0:
-                    self.fail("unterminated %{...}", {"}"})
-                self._advance(close - self.pos + 1)
-            elif ch in _WORD_CHARS:
-                self._advance()
-            else:
-                break
+        self.pos = _WORD.match(self.text, start).end()
+        if self.text.startswith("%{", self.pos):
+            self.fail("unterminated %{...}", {"}"})
         if self.pos == start:
             self.fail("expected a name", {"name"})
-        return self.text[start : self.pos], span
+        return self.text[start : self.pos], self.span(start)
 
     def raw_args(self) -> list[Arg]:
-        """Scan `(...)` capturing arguments as raw text split on commas,
-        each placed at its first character."""
-        self.skip_space()
-        opened = self.span()
+        """Read `(...)` capturing arguments as raw text split on commas,
+        each placed at its first character after blanks."""
         self.take("(")
+        opened = self.pos - 1
         args: list[Arg] = []
-        self._skip_blanks()
-        start = self.pos
-        span = self.span()
+        start = _BLANKS.match(self.text, self.pos).end()
         depth = 1
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
+        for mark in _MARK.finditer(self.text, start):
+            ch = mark.group()
             if ch == "(":
                 depth += 1
             elif ch == ")":
                 depth -= 1
                 if depth == 0:
                     break
-            elif ch == "," and depth == 1:
-                args.append(Arg(self.text[start : self.pos].strip(), span))
-                self._advance()
-                self._skip_blanks()
-                start = self.pos
-                span = self.span()
-                continue
-            self._advance()
-        if self.pos >= len(self.text):
-            self.fail("unterminated argument list", {")"}, opened)
-        tail = self.text[start : self.pos].strip()
+            elif depth == 1:
+                args.append(Arg(self.text[start : mark.start()].strip(), self.span(start)))
+                start = _BLANKS.match(self.text, mark.end()).end()
+        else:
+            self.fail("unterminated argument list", {")"}, self.span(opened))
+        tail = self.text[start : mark.start()].strip()
         if tail or args:
-            args.append(Arg(tail, span))
-        self._advance()  # consume ')'
+            args.append(Arg(tail, self.span(start)))
+        self.pos = mark.end()
         return args
-
-    def _skip_blanks(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self._advance()
-
-    def at_end(self) -> bool:
-        self.skip_space()
-        return self.pos >= len(self.text)
-
-    def fail(self, message: str, expected: set[str] | None = None, at: Span | None = None) -> None:
-        """Refuse the text at `at`, by default where the scan stands."""
-        at = at or self.span()
-        raise DslSyntaxError(message, at.line, at.column, expected)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.scan = _Scanner(text)
 
     def parse(self) -> ConfigAST:
         ast = ConfigAST()
-        while not self.scan.at_end():
+        while self.peek():
             ast.entries.append(self._entry())
         if not ast.entries:
-            self.scan.fail("empty configuration", {"name"})
+            self.fail("empty configuration", {"name"})
         return ast
 
     def _entry(self):
-        name, span = self.scan.word()
+        name, span = self.word()
         if name == "apply":
             return self._loop(span)
         if "/" in name:
-            self.scan.fail(f"entry name {name!r} may not contain '/'", {"name"})
-        self._expect_equals()
+            self.fail(f"entry name {name!r} may not contain '/'", {"name"})
+        self.take("=")
         return Entry(name, self._value(), span)
 
-    def _expect_equals(self) -> None:
-        self.scan.take("=")
-
     def _value(self):
-        ch = self.scan.peek()
-        if ch == "{":
+        if self.peek() == "{":
             return self._block()
-        word, span = self.scan.word()
+        word, span = self.word()
         if "/" in word:
             return Ref(tuple(word.split("/")), span)
-        args = self.scan.raw_args() if self.scan.peek() == "(" else []
-        body = self._block() if self.scan.peek() == "{" else None
+        args = self.raw_args() if self.peek() == "(" else []
+        body = self._block() if self.peek() == "{" else None
         return Ctor(word, args, body, span)
 
     def _block(self) -> Block:
-        span = self.scan.span()
-        self.scan.take("{")
+        span = self.span()
+        self.take("{")
         entries = []
-        while self.scan.peek() != "}":
-            if self.scan.at_end():
-                self.scan.fail("unclosed block", {"}"})
+        while (ch := self.peek()) != "}":
+            if not ch:
+                self.fail("unclosed block", {"}"})
             entries.append(self._entry())
-        self.scan.take("}")
+        self.pos += 1
         return Block(entries, span)
 
     def _loop(self, span: Span) -> Loop:
-        head, _ = self.scan.word()
+        head, _ = self.word()
         if head != "FOR":
-            self.scan.fail(f"expected FOR after apply, got {head!r}", {"FOR"})
-        args = self.scan.raw_args()
+            self.fail(f"expected FOR after apply, got {head!r}", {"FOR"})
+        args = self.raw_args()
         if len(args) != 3:
-            self.scan.fail("FOR takes (var, lo, hi)", {"var,lo,hi"})
+            self.fail("FOR takes (var, lo, hi)", {"var,lo,hi"})
         var = args[0].text
         bounds = []
         for bound in args[1:]:
             try:
                 bounds.append(int(bound.text))
             except ValueError:
-                self.scan.fail("FOR bounds must be integers", {"integer"}, bound.span)
+                self.fail("FOR bounds must be integers", {"integer"}, bound.span)
         lo, hi = bounds
         body_block = self._block()
         return Loop(var, lo, hi, body_block.entries, span)
 
 
 def parse(text: str) -> ConfigAST:
-    return _Parser(text).parse()
+    return _Reader(text).parse()
 
 
 # -- unparse -----------------------------------------------------------------
@@ -340,22 +301,6 @@ class ExpandedConfig:
     root_kind: str
     root: Block
     table: dict[str, Entry] = field(default_factory=dict)
-
-    def resolve(self, path: tuple[str, ...]) -> Entry:
-        key = "/".join(path)
-        entry = self.table.get(key)
-        if entry is None:
-            raise DanglingReference(f"reference {key} resolves to nothing")
-        return entry
-
-    def block(self, name: str) -> Block:
-        entry = self.table.get(name)
-        if entry is None or not isinstance(entry.value, (Block, Ctor)):
-            return Block()
-        value = entry.value
-        if isinstance(value, Ctor):
-            return value.body or Block()
-        return value
 
 
 def _interpolate(text: str, env: dict[str, int], span: Span) -> str:

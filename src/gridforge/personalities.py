@@ -27,6 +27,7 @@ from .errors import (
     UnboundPort,
 )
 from .steps import (
+    PROCESS_NAME,
     append_path,
     exec_cmd,
     fetch,
@@ -51,14 +52,23 @@ _PLACEHOLDER = re.compile(r"\$\{(\w+)\}")
 # SafeLoader, parsed about ten times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+
+def _process(name: str) -> str:
+    """`name`, refused unless it is all `[A-Za-z0-9_.-]`: the sh rendering
+    writes it unquoted into the pid file path that stop reads back."""
+    if not PROCESS_NAME.fullmatch(name):
+        raise ConfigError(f"process name {name!r} may only use [A-Za-z0-9_.-]")
+    return name
+
+
 # Step kind -> (fewest cells, most cells, factory over the substituted cells).
 _STEP_KINDS = {
     "SetVar": (1, 2, lambda name, value="": set_var(name, value)),
     "AppendPath": (1, 1, append_path),
     "Fetch": (2, 2, fetch),
     "Exec": (1, 1, exec_cmd),
-    "StartProcess": (1, 2, lambda name, command=None: start_process(name, name if command is None else command)),
-    "StopProcess": (1, 1, stop_process),
+    "StartProcess": (1, 2, lambda name, command=None: start_process(_process(name), name if command is None else command)),
+    "StopProcess": (1, 1, lambda name: stop_process(_process(name))),
     "Remove": (1, 1, remove),
 }
 
@@ -266,18 +276,15 @@ def _load_kind(data: dict) -> KindSpec:
         if undeclared:
             raise ConfigError(f"{name}: action {action!r} uses undeclared ${{{undeclared[0]}}}")
     behavior_name = data.get("behavior", "script")
-    factory = Behavior  # noop
-    if behavior_name != "noop":
-        cls = _BEHAVIOR_CLASSES.get(behavior_name)
-        if cls is None:
-            raise ConfigError(f"{name}: unknown behavior {behavior_name!r}")
-        factory = partial(cls, scripts)
+    cls = _BEHAVIOR_CLASSES.get(behavior_name)
+    if cls is None:
+        raise ConfigError(f"{name}: unknown behavior {behavior_name!r}")
     return KindSpec(
         name=name,
         provides=frozenset(_typed(data, "provides", list, name)),
         ports=ports,
         params=params,
-        factory=factory,
+        factory=partial(cls, scripts),
         composite=data.get("composite", False),
         group=data.get("group", False),
         root=data.get("root", False),

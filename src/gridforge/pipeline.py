@@ -57,11 +57,10 @@ class Deployment:
 def make_context(
     assembly: Assembly,
     transport: str = "sim",
-    fleet: Fleet | None = None,
     sim_config: SimClockConfig | None = None,
 ) -> DeployContext:
     if transport == "sim":
-        fleet = fleet if fleet is not None else Fleet()
+        fleet = Fleet()
         clock = VirtualClock()
         return DeployContext(assembly, SimTransport(fleet, clock, sim_config), clock, fleet)
     if transport == "local":
@@ -82,25 +81,23 @@ def build(
     paths: list[str],
     transport: str = "sim",
     registry: Registry | None = None,
-    fleet: Fleet | None = None,
     sim_config: SimClockConfig | None = None,
 ) -> Deployment:
     """`assemble`, then plan; raises as `assemble` does, and
     CyclicDependency when the planner finds no order."""
     t0 = time.monotonic()
-    return _deploy(t0, assemble(paths, registry), transport, fleet, sim_config)
+    return _deploy(t0, assemble(paths, registry), transport, sim_config)
 
 
 def build_from_text(
     text: str,
     transport: str = "sim",
     registry: Registry | None = None,
-    fleet: Fleet | None = None,
     sim_config: SimClockConfig | None = None,
 ) -> Deployment:
     """Same pipeline for in-memory sources (benchmarks, tests)."""
     t0 = time.monotonic()
-    return _deploy(t0, _checked(expand(parse(text)), registry), transport, fleet, sim_config)
+    return _deploy(t0, _checked(expand(parse(text)), registry), transport, sim_config)
 
 
 def _checked(config, registry: Registry | None) -> Assembly:
@@ -112,10 +109,10 @@ def _checked(config, registry: Registry | None) -> Assembly:
     return assembly
 
 
-def _deploy(t0, assembly, transport, fleet, sim_config) -> Deployment:
+def _deploy(t0, assembly, transport, sim_config) -> Deployment:
     """Plan a checked assembly; overhead counts from `t0`, taken before
     the config was loaded."""
     deployment_plan = plan(assembly)
     overhead_ms = (time.monotonic() - t0) * 1000.0
-    ctx = make_context(assembly, transport, fleet, sim_config)
+    ctx = make_context(assembly, transport, sim_config)
     return Deployment(deployment_plan, ctx, overhead_ms)

@@ -101,6 +101,7 @@ def render_sh(steps: list[Step]) -> str:
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _PROC = r"[A-Za-z0-9_.\-]+"
+PROCESS_NAME = re.compile(_PROC)  # what a pid file path carries unquoted
 _RE_UNSET = re.compile(rf"^unset ({_NAME})$")
 _RE_EXPORT = re.compile(rf"^export ({_NAME})=(.*)$")
 _RE_PATH = re.compile(r"^PATH=\$PATH:(.*)$")

@@ -546,7 +546,7 @@ class TestGenerationErrors:
     def test_node_role_kind_must_provide_an_interface(self, tmp_path):
         """The barrier's port for a role wants what the role provides, so a
         kind that provides nothing is refused where the role is written."""
-        (tmp_path / "mark.yaml").write_text("kinds:\n  - kind: Mark\n    behavior: noop\n")
+        (tmp_path / "mark.yaml").write_text("kinds:\n  - kind: Mark\n")
         registry = default_registry(extra_dirs=[str(tmp_path)])
         text = "app = K {\n  nodes = {\n    node-0 = Grid5000_NODE {\n      hostname = StaticHost(h)\n      mark = Mark\n    }\n  }\n}\n"
         with pytest.raises(ConfigError) as info:

@@ -95,6 +95,81 @@ class TestParsing:
             parse("a = = K {}\n")
 
 
+# Layouts the reader accepts: space between tokens, breaks between entries,
+# blanks after `(` and line breaks before the commas of an argument list.
+GAP = st.sampled_from(["", " ", "\t", "\n", "\r\n", "  # note\n", "\n\t"])
+BREAK = st.sampled_from([" ", "\t", "\n", "\r\n", " # note\r\n  "])
+ARG_SEP = st.sampled_from([",", ", ", ",\t", " ,", "\n,", "\r\n, ", "\n\t,  "])
+NAME = st.sampled_from(["a", "node-%{i}", "x_%{ i }", "b.c", "%{\ti\t}-n", "OpenCCM.DCI_NODE"])
+KIND = st.sampled_from(["K", "Port", "Grid5000_NODE", "OpenCCM.NameService"])
+REF = st.sampled_from(["nodes/node-0", "nodes/node-%{ i }", "a/b/c"])
+ARG = st.sampled_from(["22", "~/x", "/opt/jre", "NM_%{ i }", "gdx=3|azur=1", "a b", "-1"])
+
+
+@st.composite
+def layouts(draw):
+    def arg_list(items):
+        text = "(" + draw(st.sampled_from(["", " ", "\t"])) + items[0]
+        for item in items[1:]:
+            text += draw(ARG_SEP) + item
+        return text + draw(st.sampled_from(["", " ", "\n"])) + ")"
+
+    def block(depth):
+        return "{" + draw(GAP) + entries(depth + 1) + draw(GAP) + "}"
+
+    def entry(depth):
+        shape = draw(st.sampled_from(["ctor", "ref", "block", "loop"] if depth < 3 else ["ctor", "ref"]))
+        if shape == "loop":
+            return f"apply{draw(BREAK)}FOR{draw(GAP)}{arg_list(['i', '0', '2'])}{draw(GAP)}{block(depth)}"
+        head = draw(NAME) + draw(GAP) + "=" + draw(GAP)
+        if shape != "ctor":
+            return head + (draw(REF) if shape == "ref" else block(depth))
+        text = head + draw(KIND)
+        if draw(st.booleans()):
+            text += draw(GAP) + arg_list(draw(st.lists(ARG, min_size=1, max_size=3)))
+        if depth < 3 and draw(st.booleans()):
+            text += draw(GAP) + block(depth)
+        return text
+
+    def entries(depth):
+        count = draw(st.integers(1 if depth == 0 else 0, 3))
+        return "".join(entry(depth) + draw(BREAK) for _ in range(count))
+
+    return draw(GAP) + entries(0)
+
+
+def _spanned(entries):
+    """(node, the source text its span must point at) for every Entry,
+    Loop, Ctor, Ref and Arg under `entries`."""
+    for entry in entries:
+        if isinstance(entry, Loop):
+            yield entry, "apply"
+            yield from _spanned(entry.body)
+            continue
+        yield entry, entry.name
+        value = entry.value
+        if isinstance(value, Ref):
+            yield value, "/".join(value.path)
+        elif isinstance(value, Block):
+            yield from _spanned(value.entries)
+        else:
+            yield value, value.kind
+            for arg in value.args:
+                yield arg, arg.text
+            if value.body is not None:
+                yield from _spanned(value.body.entries)
+
+
+class TestSpans:
+    @given(layouts())
+    @settings(max_examples=300)
+    def test_every_span_points_at_its_text(self, text):
+        lines = text.split("\n")
+        for node, written in _spanned(parse(text).entries):
+            at = lines[node.span.line - 1][node.span.column - 1 :]
+            assert at.startswith(written), (type(node).__name__, written, node.span, text)
+
+
 class TestRoundTrip:
     def test_unparse_parse_is_identity(self, paper_config, reservation_config):
         for path in (paper_config, reservation_config):
@@ -117,9 +192,9 @@ class TestExpansion:
     def test_paper_counts(self, paper_config):
         config = load_config([paper_config])
         assert config.root_name == "MyDeployment"
-        nodes = config.block("nodes")
+        nodes = config.table["nodes"].value
         assert len(nodes.entries) == 1 + 501  # hostname + unrolled nodes
-        servers = config.block("services/servers")
+        servers = config.table["services/servers"].value.body
         assert len(servers.entries) == 500
 
     def test_interpolation_reaches_names_args_and_refs(self):
@@ -132,20 +207,20 @@ class TestExpansion:
             "  }\n"
             "}\n"
         )
-        entry = config.resolve(("items", "item-4"))
+        entry = config.table["items/item-4"]
         assert entry.value.args[0].text == "NM_4"
-        assert config.resolve(("items", "item-3")) is not None
+        assert "items/item-3" in config.table
 
     @given(lo=st.integers(0, 30), hi=st.integers(0, 30))
     @settings(max_examples=60)
     def test_loop_bounds_inclusive(self, lo, hi):
         config = expand_text(LOOP_TEMPLATE.format(lo=lo, hi=hi))
         expected = hi - lo + 1 if hi >= lo else 0
-        assert len(config.block("items").entries) == expected
+        assert len(config.table["items"].value.entries) == expected
 
     def test_empty_loop_when_reversed(self):
         config = expand_text(LOOP_TEMPLATE.format(lo=5, hi=2))
-        assert config.block("items").entries == []
+        assert config.table["items"].value.entries == []
 
     def test_nested_loops(self):
         config = expand_text(
@@ -161,7 +236,7 @@ class TestExpansion:
             "  }\n"
             "}\n"
         )
-        row = config.block("grid/row-1")
+        row = config.table["grid/row-1"].value.body
         assert [e.name for e in row.entries] == ["cell-1-0", "cell-1-1", "cell-1-2"]
 
     def test_unbound_loop_variable(self):
@@ -186,11 +261,6 @@ class TestExpansion:
     def test_dangling_reference(self):
         with pytest.raises(DanglingReference):
             expand_text("app = K {\n  nodes = {\n    a = T { peer = nodes/missing }\n  }\n}\n")
-
-    def test_resolve_unknown_path(self):
-        config = expand_text("app = K {\n  x = Port(1)\n}\n")
-        with pytest.raises(DanglingReference):
-            config.resolve(("nodes", "nowhere"))
 
     def test_root_must_be_single_block(self):
         with pytest.raises(ConfigError):
@@ -293,11 +363,11 @@ class TestExpansionPinned:
         loop = ast.entries[0].value.body.entries[0].value.entries[0]
         source_jre = loop.body[0].value.body.entries[0]
         config = expand(ast)
-        jre_0 = config.resolve(("nodes", "node-0", "jre"))
-        assert jre_0 is config.resolve(("nodes", "node-1", "jre")) is source_jre
+        jre_0 = config.table["nodes/node-0/jre"]
+        assert jre_0 is config.table["nodes/node-1/jre"] is source_jre
         # What varies is copied, per iteration.
-        assert config.resolve(("nodes", "node-0")) is not config.resolve(("nodes", "node-1"))
-        assert config.resolve(("nodes", "node-0", "peer")) is not loop.body[0].value.body.entries[1]
+        assert config.table["nodes/node-0"] is not config.table["nodes/node-1"]
+        assert config.table["nodes/node-0/peer"] is not loop.body[0].value.body.entries[1]
 
     def test_parse_tree_unchanged_by_expand(self):
         ast = _pinned_ast()
@@ -368,10 +438,10 @@ class TestExpansionPinned:
 class TestMerge:
     def test_fragment_appends_into_matching_blocks(self, paper_config, reservation_config):
         config = load_config([paper_config, reservation_config])
-        nodes = config.block("nodes")
+        nodes = config.table["nodes"].value
         assert len(nodes.entries) == 1 + 501 + 1  # hostname, loop, oar_server
-        assert config.resolve(("nodes", "oar_server")) is not None
-        assert config.resolve(("services", "reservation")) is not None
+        assert "nodes/oar_server" in config.table
+        assert "services/reservation" in config.table
 
     def test_merge_preserves_primary_order(self, paper_config, reservation_config):
         merged = merge(

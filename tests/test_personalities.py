@@ -4,10 +4,12 @@ from importlib import resources as importlib_resources
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from configs import MINI, chain, reserved
-from gridforge import personalities
-from gridforge.core import Behavior, Component, LifecycleState
+from gridforge import cli, personalities
+from gridforge.core import Component, LifecycleState
 from gridforge.errors import ConfigError, StageFailed, UnboundPort
 from gridforge.personalities import (
     Registry,
@@ -18,7 +20,7 @@ from gridforge.personalities import (
 )
 from gridforge.pipeline import build_from_text
 from gridforge.stdlib import BUILTIN_KINDS
-from gridforge.steps import set_var, start_process
+from gridforge.steps import parse_sh_line, render_sh_line, set_var, start_process, stop_process
 from conftest import seed_nodelist
 
 PAPER_KINDS = [
@@ -45,10 +47,13 @@ class TestRegistry:
     def test_every_deployment_kind_registered(self, registry, kind):
         assert registry.get(kind) is not None
 
-    def test_kadeploy_is_a_stub(self, registry):
-        spec = registry.get("Kadeploy")
-        assert type(spec.factory()) is Behavior
-        spec.factory().install(None)  # no-op, no context needed
+    def test_kadeploy_actions_send_nothing(self, registry):
+        """Kadeploy declares no scripts, so an install builds no payload and
+        runs without the context a send would need."""
+        behavior = registry.get("Kadeploy").factory()
+        component = Component(id="k", kind="Kadeploy", behavior=behavior, args={"image": ""})
+        assert behavior.scripts.build("install", component.args) == (None, None)
+        behavior.install(component, None)
 
     def test_extra_dir_kinds_load(self, tmp_path):
         (tmp_path / "custom.yaml").write_text(
@@ -288,6 +293,66 @@ class TestCompiledScripts:
         assert whole.scripts is broken.scripts
         payload, guard = whole.scripts.build("start", {"x": 1})
         assert (list(payload.steps), guard) == ([set_var("A", "1")], None)
+
+
+# A component server on a node of its own, whose process name is `{name}`.
+SERVER_ALONE = """
+app = OpenCCM.Deployment {{
+  nodes = {{
+    node-0 = Grid5000_NODE {{
+      hostname = StaticHost(simnode-0)
+    }}
+    node-1 = Grid5000_NODE {{
+      hostname = StaticHost(simnode-1)
+    }}
+  }}
+  services = {{
+    ns = OpenCCM.NameService {{
+      node = nodes/node-0
+    }}
+    dci = OpenCCM.DCIManager(MyDCI) {{
+      ns = services/ns
+      node = nodes/node-0
+    }}
+    server = OpenCCM.DCI_NODE({name}) {{
+      dci = services/dci
+      node = nodes/node-1
+    }}
+  }}
+}}
+"""
+
+
+class TestProcessNames:
+    """A process name goes unquoted into the pid file path of the sh
+    rendering, so one outside [A-Za-z0-9_.-] is refused before it is sent."""
+
+    @pytest.mark.parametrize("name", ["a;b", "a b", "$(reboot)", "x/y"])
+    def test_unsafe_name_refused_before_anything_is_sent(self, sim_home, monkeypatch, name):
+        deployment = build_from_text(SERVER_ALONE.format(name=name))
+        with pytest.raises(StageFailed) as err:
+            deployment.execute()
+        assert f"process name {name!r}" in str(err.value)
+        assert "simnode-0" in deployment.ctx.fleet.nodes  # ns and dci ran
+        assert "simnode-1" not in deployment.ctx.fleet.nodes
+        monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(sim_home / "state"))
+        config = sim_home / "server.gdf"
+        config.write_text(SERVER_ALONE.format(name=name))
+        assert cli.main(["deploy", "-c", str(config)]) == 3
+
+    @given(st.one_of(st.from_regex(r"[A-Za-z0-9_.\-]+", fullmatch=True), st.text(min_size=1)))
+    def test_a_name_is_accepted_exactly_when_it_round_trips(self, name):
+        scripts = personalities.Scripts(
+            {"start": {"steps": [["StartProcess", "${name}", "serve"]]}, "stop": {"steps": [["StopProcess", "${name}"]]}}
+        )
+        for action, step in (("start", start_process(name, "serve")), ("stop", stop_process(name))):
+            try:
+                payload, _ = scripts.build(action, {"name": name})
+            except ConfigError:
+                assert parse_sh_line(render_sh_line(step)) != step, name
+            else:
+                assert payload.steps == (step,)
+                assert parse_sh_line(render_sh_line(step)) == step, name
 
 
 class TestMiddlewareStack:

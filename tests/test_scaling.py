@@ -27,7 +27,7 @@ from gridforge.assembly import _Generator, emit_text, generate, plan, validate
 from gridforge.bench import middleware_config
 from gridforge.cli import load_state, save_state
 from gridforge.core import Assembly
-from gridforge.dsl import expand, merge, parse
+from gridforge.dsl import ConfigAST, Ctor, Entry, expand, merge, parse, unparse
 from gridforge.personalities import ScriptBehavior, default_registry
 from gridforge.pipeline import build_from_text
 from gridforge.transports import Payload
@@ -216,19 +216,28 @@ def _python_calls(run) -> int:
     return calls
 
 
-def test_execute_and_undeploy_calls_grow_linearly(sim_home):
-    """Counted, not timed: execute and its inverse make 4 +- 0.05 times the
-    Python calls at four times the reserved fleet.  The per-run calls that
-    do not grow with the fleet (the reservation, one child sort per node
-    layout) are about 3 nodes' worth, which fits that bound from about 200
-    nodes on; the gate counts 400 and 1,600."""
+def _unrolled(n) -> str:
+    """The loop-free text of reserved(n, n): one entry per node."""
+    config = expand(parse(reserved(n, n)))
+    return unparse(ConfigAST([Entry(config.root_name, Ctor(config.root_kind, [], config.root))]))
+
+
+def test_parse_execute_and_undeploy_calls_grow_linearly(sim_home):
+    """Counted, not timed: parsing the unrolled text, execute and its
+    inverse make 4 +- 0.05 times the Python calls at four times the
+    reserved fleet.  The per-run calls that do not grow with the fleet (the
+    reservation, one child sort per node layout) are about 3 nodes' worth,
+    which fits that bound from about 200 nodes on; the gate counts 400 and
+    1,600."""
     n = 400
     counts = {}
     for size in (n, 4 * n):
+        text = _unrolled(size)
+        counts["parse", size] = _python_calls(lambda: parse(text))
         deployment = build_from_text(reserved(size, size))
         counts["execute", size] = _python_calls(deployment.execute)
         counts["undeploy", size] = _python_calls(deployment.execute_inverse)
-    for verb in ("execute", "undeploy"):
+    for verb in ("parse", "execute", "undeploy"):
         ratio = counts[verb, 4 * n] / counts[verb, n]
         assert abs(ratio - 4) <= 0.05, f"{verb}: {counts[verb, n]} -> {counts[verb, 4 * n]} calls ({ratio:.3f}x)"
 
