@@ -671,9 +671,6 @@ class PlanStage:
 class DeploymentPlan:
     stages: tuple
 
-    def coverage(self) -> list[str]:
-        return [action.target for stage in self.stages for action in stage.all_actions]
-
 
 def _unit_graph(asm: Assembly) -> dict[str, list[str]]:
     """unit -> the other units it needs, in unit order: node stacks, then

@@ -22,8 +22,6 @@ from typing import NamedTuple
 from .errors import (
     ActionFailed,
     IllegalTransition,
-    InterfaceMismatch,
-    PortAlreadyBound,
     UnboundPort,
     UnknownComponent,
 )
@@ -119,9 +117,6 @@ class Binding(NamedTuple):
     server: str
     interface: str
 
-    def __str__(self) -> str:
-        return f"{self.client}.{self.port} -> {self.server} [{self.interface}]"
-
 
 @dataclass(slots=True)
 class Component:
@@ -136,12 +131,6 @@ class Component:
     owner: str | None = None  # composite this component belongs to, if any
     state: LifecycleState = LifecycleState.UNINSTALLED
     bound: dict[str, Binding] = field(default_factory=dict)
-
-    def port_spec(self, name: str) -> PortSpec | None:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        return None
 
     def unbound_required_ports(self) -> list[str]:
         return [p.name for p in self.ports if p.required and p.name not in self.bound]
@@ -277,18 +266,6 @@ class Assembly:
 
     # -- construction ----------------------------------------------------
 
-    def add(self, component: Component) -> Component:
-        if component.id in self.components or component.id in self.composites:
-            raise PortAlreadyBound(f"duplicate id {component.id!r}")
-        self.components[component.id] = component
-        return component
-
-    def add_composite(self, composite: Composite) -> Composite:
-        if composite.id in self.composites or composite.id in self.components:
-            raise PortAlreadyBound(f"duplicate id {composite.id!r}")
-        self.composites[composite.id] = composite
-        return composite
-
     def provider_id(self, target: str, interface: str) -> str | None:
         """Resolve a component-or-composite id to the component serving
         `interface` (composites answer through their exports)."""
@@ -298,28 +275,6 @@ class Assembly:
         if comp is not None and interface in comp.provides:
             return comp.id
         return None
-
-    def bind(self, client: tuple[str, str], server: str) -> Binding:
-        """Bind a client (component id, port name) to a server entity: a
-        component, or a composite, whose export of the port's interface
-        becomes the server, as in generation."""
-        client_id, port_name = client
-        component = self.components.get(client_id)
-        if component is None:
-            raise UnknownComponent(client_id)
-        if server not in self.components and server not in self.composites:
-            raise UnknownComponent(server)
-        spec = component.port_spec(port_name)
-        if spec is None:
-            raise UnknownComponent(f"{client_id} has no port {port_name!r}")
-        if port_name in component.bound:
-            raise PortAlreadyBound(f"{client_id}.{port_name} is already bound")
-        provider = self.provider_id(server, spec.interface)
-        if provider is None:
-            raise InterfaceMismatch(
-                f"{server} does not provide {spec.interface!r} wanted by {client_id}.{port_name}"
-            )
-        return self.add_binding(Binding(client_id, port_name, provider, spec.interface))
 
     def add_binding(self, binding: Binding) -> Binding:
         """Record a binding of an existing client without checking it;
@@ -451,19 +406,6 @@ class Assembly:
             placed.update(ready)
             remaining = [m for m in remaining if m not in placed]
         return order
-
-    def composite_state(self, composite_id: str) -> LifecycleState:
-        """Derived state: the least-advanced state among the children."""
-        composite = self.composites[composite_id]
-        rank = {S.UNINSTALLED: 0, S.INSTALLED: 1, S.STARTED: 2}
-        states = [
-            self.components[cid].state
-            for cid in composite.children.values()
-            if cid in self.components
-        ]
-        if not states:
-            return LifecycleState.UNINSTALLED
-        return min(states, key=lambda s: rank[s])
 
     def status(self) -> dict[str, LifecycleState]:
         return {cid: c.state for cid, c in self.components.items()}

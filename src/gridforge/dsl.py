@@ -45,7 +45,7 @@ from .errors import (
 
 _SPACE = re.compile(r"(?:\s|#[^\n]*)*")  # `\s` is exactly `str.isspace`
 _WORD = re.compile(r"(?:[A-Za-z0-9_.~/-]|%\{[^}]*\})*")
-_BLANKS = re.compile(r"[ \t]*")
+_WHITESPACE = re.compile(r"\s*")
 _MARK = re.compile(r"[(),]")
 _INTERP = re.compile(r"%\{(\w+)\}")
 _INT = re.compile(r"^[0-9]+$")
@@ -166,11 +166,11 @@ class _Reader:
 
     def raw_args(self) -> list[Arg]:
         """Read `(...)` capturing arguments as raw text split on commas,
-        each placed at its first character after blanks."""
+        each placed at its first character after whitespace."""
         self.take("(")
         opened = self.pos - 1
         args: list[Arg] = []
-        start = _BLANKS.match(self.text, self.pos).end()
+        start = _WHITESPACE.match(self.text, self.pos).end()
         depth = 1
         for mark in _MARK.finditer(self.text, start):
             ch = mark.group()
@@ -182,7 +182,7 @@ class _Reader:
                     break
             elif depth == 1:
                 args.append(Arg(self.text[start : mark.start()].strip(), self.span(start)))
-                start = _BLANKS.match(self.text, mark.end()).end()
+                start = _WHITESPACE.match(self.text, mark.end()).end()
         else:
             self.fail("unterminated argument list", {")"}, self.span(opened))
         tail = self.text[start : mark.start()].strip()

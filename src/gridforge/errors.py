@@ -34,14 +34,6 @@ class UnknownComponent(DeploymentError):
     pass
 
 
-class InterfaceMismatch(DeploymentError):
-    pass
-
-
-class PortAlreadyBound(DeploymentError):
-    pass
-
-
 class UnboundPort(DeploymentError):
     """A mandatory client port has no binding at lifecycle-action time."""
 

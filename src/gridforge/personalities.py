@@ -322,9 +322,6 @@ class Registry:
     def get(self, name: str) -> KindSpec | None:
         return self.kinds.get(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.kinds
-
 
 def default_registry(extra_dirs: list[str] | None = None) -> Registry:
     registry = Registry()

@@ -7,10 +7,11 @@ of maxWorkers slots (Graham's list scheduling), and costs the latest slot
 end.  A sequential stage costs the sum of its action costs.  Action costs
 are pure functions of configuration and seed, so reports and metrics are
 reproducible byte for byte.  Real transports (local, ssh) run a parallel
-stage on a thread pool of maxWorkers threads, the only place where
-worker threads append to the journal, so only there do appends take a
-lock (`core.Journal.shared`).  Either way a failure stops dispatch at the
-failing action; on the pool, actions already running finish.
+stage with maxWorkers above 1 on a thread pool of maxWorkers threads, the
+only place where worker threads append to the journal, so only there do
+appends take a lock (`core.Journal.shared`).  Either way a failure stops
+dispatch at the failing action; on the pool, actions already running
+finish.
 
 Per action only what varies per node is worked out again.  Within one run
 (one `DeployContext`, which a deploy and its inverse share in process) the
@@ -100,14 +101,13 @@ class _StageRunner:
             self._dry(stage)
             self.report.stages.append(StageMetric(index, stage.label, stage.mode, count, 0.0))
             return
-        failed = self._sequential(stage.prelude)
-        if failed is None:
-            if stage.mode == "parallel":
-                failed = self._parallel(stage, index)
-            else:
-                failed = self._sequential(stage.actions)
-        if failed is None:
-            failed = self._sequential(stage.postlude)
+        order = list(stage.actions)
+        width = 1
+        if stage.mode == "parallel":
+            width = self.options.max_workers
+            if self.options.seed is not None:
+                random.Random(f"{self.options.seed}:{index}").shuffle(order)
+        failed = self._dispatch(stage.prelude, 1) or self._dispatch(order, width) or self._dispatch(stage.postlude, 1)
         wall = clock.now_ms() - start
         self.report.stages.append(StageMetric(index, stage.label, stage.mode, count, wall))
         if failed is not None:
@@ -120,32 +120,18 @@ class _StageRunner:
                     ActionOutcome(f"{cid}:{step.name.lower()}", action.state, True, 0.0)
                 )
 
-    def _sequential(self, actions: tuple) -> ActionOutcome | None:
+    def _dispatch(self, order: tuple | list, width: int) -> ActionOutcome | None:
+        """Run `order` on `width` worker slots, stopping at the first
+        failure.  On a wall clock more than one slot is a thread pool;
+        otherwise each action runs inline on the earliest-free slot and
+        starts there, and the segment costs the latest slot end."""
         clock = self.ctx.clock
-        for action in actions:
-            outcome = _measured(self.ctx, action)
-            clock.advance(outcome.millis)
-            self.report.actions.append(outcome)
-            if not outcome.ok:
-                return outcome
-        return None
-
-    def _parallel(self, stage: PlanStage, stage_index: int) -> ActionOutcome | None:
-        order = list(stage.actions)
-        if self.options.seed is not None:
-            random.Random(f"{self.options.seed}:{stage_index}").shuffle(order)
-        if self.ctx.clock.virtual:
-            return self._scheduled(order)
-        return self._pooled(order)
-
-    def _scheduled(self, order: list) -> ActionOutcome | None:
-        """Inline list schedule: each action lands on the earliest-free slot
-        and starts there; the stage costs the latest slot end."""
-        if self.options.max_workers < 1:  # as the pool would refuse it
+        if width > 1 and not clock.virtual:
+            return self._pooled(order, width)
+        if width < 1:  # as the pool would refuse it
             raise ValueError("max_workers must be greater than 0")
-        clock = self.ctx.clock
         start = clock.now_ms()
-        slots = [0.0] * self.options.max_workers
+        slots = [0.0] * width
         latest = 0.0
         failed: ActionOutcome | None = None
         for action in order:
@@ -161,11 +147,11 @@ class _StageRunner:
         clock.advance(latest)
         return failed
 
-    def _pooled(self, order: list) -> ActionOutcome | None:
+    def _pooled(self, order: list, width: int) -> ActionOutcome | None:
         from concurrent.futures import ThreadPoolExecutor  # real transports only
         outcomes: list[ActionOutcome | None] = [None] * len(order)
         first_failure: ActionOutcome | None = None
-        with self.ctx.assembly.journal.shared(), ThreadPoolExecutor(max_workers=self.options.max_workers) as pool:
+        with self.ctx.assembly.journal.shared(), ThreadPoolExecutor(max_workers=width) as pool:
             futures = [pool.submit(_measured, self.ctx, action) for action in order]
             for i, future in enumerate(futures):
                 if future.cancelled():

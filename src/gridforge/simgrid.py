@@ -170,7 +170,7 @@ class Fleet:
     """A set of SimNodes, keyed by hostname.
 
     A fleet restored from a state file keeps what was saved and builds its
-    SimNodes the first time `nodes`, `get` or `get_or_create` is used, so a
+    SimNodes the first time `nodes` or `get_or_create` is used, so a
     command that contacts no node never decodes them.
     """
 
@@ -191,16 +191,6 @@ class Fleet:
         """Replace the nodes by a saved fleet, `to_dict`'s document or its
         JSON text, decoded the first time the nodes are used."""
         self._nodes, self._saved = None, saved
-
-    @classmethod
-    def create(cls, n: int, prefix: str = "simnode-") -> "Fleet":
-        fleet = cls()
-        for i in range(n):
-            fleet.nodes[f"{prefix}{i}"] = SimNode(f"{prefix}{i}")
-        return fleet
-
-    def get(self, hostname: str) -> SimNode | None:
-        return self.nodes.get(hostname)
 
     def get_or_create(self, hostname: str) -> SimNode:
         node = self.nodes.get(hostname)

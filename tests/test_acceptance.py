@@ -143,7 +143,7 @@ def test_3_state_machine(capsys):
             (S.INSTALLED, A.UNINSTALL): S.UNINSTALLED,
         }
         asm = Assembly()
-        probe = asm.add(Component(id="probe", kind="T"))
+        probe = asm.components["probe"] = Component(id="probe", kind="T")
         for state in S:
             for action in A:
                 probe.state = state
@@ -168,7 +168,7 @@ def test_3_state_machine(capsys):
         shadow: dict[str, LifecycleState] = {}
         for i in range(1000):
             cid = f"c{i}"
-            walked.add(Component(id=cid, kind="T"))
+            walked.components[cid] = Component(id=cid, kind="T")
             state = S.UNINSTALLED
             for _ in range(rng.randint(1, 15)):
                 action = rng.choice(

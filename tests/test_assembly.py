@@ -113,13 +113,11 @@ def service_dag(n, edges):
     asm = Assembly()
     needs = {j: sorted(i for i, jj in edges if jj == j) for j in range(n)}
     for i in range(n):
-        asm.add(
-            Component(
-                id=f"s{i}",
-                kind="Svc",
-                provides=frozenset({f"I{i}"}),
-                ports=tuple(PortSpec(f"d{k}", f"I{k}") for k in needs.get(i, [])),
-            )
+        asm.components[f"s{i}"] = Component(
+            id=f"s{i}",
+            kind="Svc",
+            provides=frozenset({f"I{i}"}),
+            ports=tuple(PortSpec(f"d{k}", f"I{k}") for k in needs.get(i, [])),
         )
         asm.services.append(ServiceEntry(f"s{i}"))
     for i, j in edges:
@@ -156,18 +154,18 @@ def random_assembly(rng):
         node = f"n{i}"
         children = {role: f"{node}/{role}" for role in ("a", "b")}
         for cid in children.values():
-            asm.add(Component(id=cid, kind="T", owner=node))
-        asm.add_composite(Composite(id=node, kind="Node", children=children))
+            asm.components[cid] = Component(id=cid, kind="T", owner=node)
+        asm.composites[node] = Composite(id=node, kind="Node", children=children)
         units.append(list(children.values()))
         if rng.random() < 0.5:
             bind(children["b"], children["a"])
     for i in range(rng.randint(0, 3)):
-        asm.add(Component(id=f"x{i}", kind="T"))
+        asm.components[f"x{i}"] = Component(id=f"x{i}", kind="T")
         asm.shared.append(f"x{i}")
         units.append([f"x{i}"])
     for i in range(rng.randint(1, 6)):
         sid, group = f"s{i}", rng.choice([None, None, None, "g0", "g1", "g2"])
-        asm.add(Component(id=sid, kind="T"))
+        asm.components[sid] = Component(id=sid, kind="T")
         asm.services.append(ServiceEntry(sid, group))
         if group is None:
             units.append([sid])
@@ -441,7 +439,7 @@ class TestGeneration:
         assert [cid.rsplit("/", 1)[1] for cid in shared[1]] == ["hostname", "protocol", "shell", "jre", "var", "ready"]
         jre = asm.components["nodes/node-1/jre"]
         jre.ports = (*jre.ports, PortSpec("after", "Variable", required=False))
-        asm.bind((jre.id, "after"), "nodes/node-1/var")
+        asm.add_binding(Binding(jre.id, "after", "nodes/node-1/var", "Variable"))
         node1 = asm.composites["nodes/node-1"]
         assert node1.layout is None
         assert asm.child_order(node1.id) == asm._sorted_children(node1)
@@ -703,7 +701,7 @@ class TestRandomDags:
     def test_cycle_through_a_shared_unit_refused(self):
         """s needs shared x and x needs s: no order of the two honours both."""
         asm = service_dag(1, [])
-        asm.add(Component(id="x", kind="Shared"))
+        asm.components["x"] = Component(id="x", kind="Shared")
         asm.shared.append("x")
         asm.add_binding(Binding("s0", "x", "x", "Ix"))
         asm.add_binding(Binding("x", "s", "s0", "I0"))
@@ -856,8 +854,8 @@ class TestPlanShape:
         wave; the planner falls back to successive partial waves."""
         asm = Assembly()
         for name in ("a", "b"):
-            asm.add(Component(id=f"{name}/c", kind="T", provides=frozenset({f"I{name}"}), owner=name))
-            asm.add_composite(Composite(id=name, kind="Node", children={"c": f"{name}/c"}))
+            asm.components[f"{name}/c"] = Component(id=f"{name}/c", kind="T", provides=frozenset({f"I{name}"}), owner=name)
+            asm.composites[name] = Composite(id=name, kind="Node", children={"c": f"{name}/c"})
         asm.components["b/c"].ports = (PortSpec("dep", "Ia"),)
         asm.add_binding(Binding("b/c", "dep", "a/c", "Ia"))
         stages = plan(asm).stages
@@ -961,7 +959,7 @@ class TestPlanShape:
 
 class TestPlanInvariants:
     def test_every_unit_exactly_once(self, combined, combined_plan):
-        covered = combined_plan.coverage()
+        covered = emitted_order(combined_plan)
         assert len(covered) == len(set(covered))
         units = (
             set(combined.composites)
@@ -972,7 +970,7 @@ class TestPlanInvariants:
 
     def test_every_component_driven_exactly_once(self, combined, combined_plan):
         seen = []
-        for target in combined_plan.coverage():
+        for target in emitted_order(combined_plan):
             if target in combined.composites:
                 seen.extend(combined.composites[target].children.values())
             else:

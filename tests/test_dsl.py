@@ -96,10 +96,10 @@ class TestParsing:
 
 
 # Layouts the reader accepts: space between tokens, breaks between entries,
-# blanks after `(` and line breaks before the commas of an argument list.
+# blanks or line breaks after `(` and around the commas of an argument list.
 GAP = st.sampled_from(["", " ", "\t", "\n", "\r\n", "  # note\n", "\n\t"])
 BREAK = st.sampled_from([" ", "\t", "\n", "\r\n", " # note\r\n  "])
-ARG_SEP = st.sampled_from([",", ", ", ",\t", " ,", "\n,", "\r\n, ", "\n\t,  "])
+ARG_SEP = st.sampled_from([",", ", ", ",\t", " ,", "\n,", "\r\n, ", "\n\t,  ", ",\n", ",\r\n    ", ", \n\t"])
 NAME = st.sampled_from(["a", "node-%{i}", "x_%{ i }", "b.c", "%{\ti\t}-n", "OpenCCM.DCI_NODE"])
 KIND = st.sampled_from(["K", "Port", "Grid5000_NODE", "OpenCCM.NameService"])
 REF = st.sampled_from(["nodes/node-0", "nodes/node-%{ i }", "a/b/c"])
@@ -109,7 +109,7 @@ ARG = st.sampled_from(["22", "~/x", "/opt/jre", "NM_%{ i }", "gdx=3|azur=1", "a 
 @st.composite
 def layouts(draw):
     def arg_list(items):
-        text = "(" + draw(st.sampled_from(["", " ", "\t"])) + items[0]
+        text = "(" + draw(st.sampled_from(["", " ", "\t", "\n  ", "\r\n\t"])) + items[0]
         for item in items[1:]:
             text += draw(ARG_SEP) + item
         return text + draw(st.sampled_from(["", " ", "\n"])) + ")"

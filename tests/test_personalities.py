@@ -85,7 +85,7 @@ class TestRegistry:
             registry=registry,
         )
         deployment.execute()
-        assert deployment.ctx.fleet.get("simnode-0").env["BANNER"] == "welcome"
+        assert deployment.ctx.fleet.nodes["simnode-0"].env["BANNER"] == "welcome"
 
     def test_unknown_param_type_rejected(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -101,7 +101,9 @@ class TestRegistry:
     def test_registry_lookup(self):
         registry = Registry()
         assert registry.get("Nope") is None
-        assert "Nope" not in registry
+        spec = BUILTIN_KINDS[0]
+        registry.add(spec)
+        assert registry.get(spec.name) is spec
 
 
 class TestMalformedPersonalityFiles:
@@ -359,7 +361,7 @@ class TestMiddlewareStack:
     def test_deploy_publishes_env_files_processes(self):
         deployment = build_from_text(chain(1))
         deployment.execute()
-        node = deployment.ctx.fleet.get("simnode-0")
+        node = deployment.ctx.fleet.nodes["simnode-0"]
         assert node.env["JAVA_HOME"] == "/opt/java/jre"
         assert node.env["OPENCCM_HOME"] == "/opt/openccm"
         assert node.env["ORB_HOME"] == "/opt/orb"
@@ -373,7 +375,7 @@ class TestMiddlewareStack:
         before = deployment.ctx.fleet.get_or_create("simnode-0").observable()
         deployment.execute()
         deployment.execute_inverse()
-        assert deployment.ctx.fleet.get("simnode-0").observable() == before
+        assert deployment.ctx.fleet.nodes["simnode-0"].observable() == before
 
     def test_install_skipped_when_already_present(self):
         deployment = build_from_text(MINI)
@@ -387,9 +389,9 @@ class TestMiddlewareStack:
         deployment = build_from_text(chain(3))
         deployment.execute()
         fleet = deployment.ctx.fleet
-        assert fleet.get("simnode-0").processes == {"NS", "BenchDCI"}
-        assert fleet.get("simnode-1").processes == {"NM_1"}
-        assert fleet.get("simnode-2").processes == {"NM_2"}
+        assert fleet.nodes["simnode-0"].processes == {"NS", "BenchDCI"}
+        assert fleet.nodes["simnode-1"].processes == {"NM_1"}
+        assert fleet.nodes["simnode-2"].processes == {"NM_2"}
 
 
 class TestReservation:
@@ -464,4 +466,4 @@ class TestDynamicNodes:
             "}\n"
         )
         deployment.execute()
-        assert deployment.ctx.fleet.get("simnode-1").env["JAVA_HOME"] == "/opt/java/jre"
+        assert deployment.ctx.fleet.nodes["simnode-1"].env["JAVA_HOME"] == "/opt/java/jre"

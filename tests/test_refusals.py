@@ -46,6 +46,9 @@ REFUSALS = {
     "FOR lower bound not an integer, spaced": (
         PARSE, "app = K {\n  apply FOR(i, x, 3) {\n  }\n}\n", DslSyntaxError, "FOR bounds must be integers", 2, 16,
     ),
+    "FOR lower bound not an integer, after a line break": (
+        PARSE, "app = K {\n  apply FOR(i,\n    x, 2) {\n  }\n}\n", DslSyntaxError, "FOR bounds must be integers", 3, 5,
+    ),
     # merge
     "no single root": (MERGE, "nodes = {\n  a = T\n}\n", ConfigError, "primary configuration needs exactly one root block", 1, 1),
     "loop at the top level": (MERGE, "apply FOR(i,0,1) {\n}\n", ConfigError, "primary configuration needs exactly one root block", 1, 1),

@@ -45,7 +45,7 @@ def wave(behaviors, mode="parallel", clock=None):
     """Hand-built assembly of c0..cN plus one stage installing them all."""
     asm = Assembly()
     for i, behavior in enumerate(behaviors):
-        asm.add(Component(id=f"c{i}", kind="T", behavior=behavior))
+        asm.components[f"c{i}"] = Component(id=f"c{i}", kind="T", behavior=behavior)
     stage = PlanStage(
         label="wave",
         mode=mode,

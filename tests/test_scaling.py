@@ -216,6 +216,12 @@ def _python_calls(run) -> int:
     return calls
 
 
+def _counted(run):
+    """(the Python calls `run()` makes, what it returns)."""
+    result = []
+    return _python_calls(lambda: result.append(run())), result[0]
+
+
 def _unrolled(n) -> str:
     """The loop-free text of reserved(n, n): one entry per node."""
     config = expand(parse(reserved(n, n)))
@@ -225,11 +231,14 @@ def _unrolled(n) -> str:
 def test_parse_execute_and_undeploy_calls_grow_linearly(sim_home):
     """Counted, not timed: parsing the unrolled text, execute and its
     inverse make 4 +- 0.05 times the Python calls at four times the
-    reserved fleet.  The per-run calls that do not grow with the fleet (the
-    reservation, one child sort per node layout) are about 3 nodes' worth,
-    which fits that bound from about 200 nodes on; the gate counts 400 and
-    1,600."""
+    reserved fleet, and so do expand, generate, validate, plan and the
+    state key (emit_text and its hash) of the middleware configuration at
+    four times its nodes.  The per-run calls that do not grow with the
+    fleet (the reservation, one child sort per node layout) are about 3
+    nodes' worth, which fits that bound from about 200 nodes on; the gate
+    counts 400 and 1,600."""
     n = 400
+    registry = default_registry()
     counts = {}
     for size in (n, 4 * n):
         text = _unrolled(size)
@@ -237,7 +246,13 @@ def test_parse_execute_and_undeploy_calls_grow_linearly(sim_home):
         deployment = build_from_text(reserved(size, size))
         counts["execute", size] = _python_calls(deployment.execute)
         counts["undeploy", size] = _python_calls(deployment.execute_inverse)
-    for verb in ("parse", "execute", "undeploy"):
+        ast = parse(middleware_config(size))
+        counts["expand", size], config = _counted(lambda: expand(ast))
+        counts["generate", size], asm = _counted(lambda: generate(config, registry))
+        counts["validate", size], _ = _counted(lambda: validate(asm))
+        counts["plan", size], _ = _counted(lambda: plan(asm))
+        counts["state key", size], _ = _counted(lambda: cli._state_key(asm))
+    for verb in ("parse", "execute", "undeploy", "expand", "generate", "validate", "plan", "state key"):
         ratio = counts[verb, 4 * n] / counts[verb, n]
         assert abs(ratio - 4) <= 0.05, f"{verb}: {counts[verb, n]} -> {counts[verb, 4 * n]} calls ({ratio:.3f}x)"
 

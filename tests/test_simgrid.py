@@ -99,8 +99,8 @@ class TestSimNode:
 
     def test_log_entries_are_kind_and_two_operands(self):
         """A step table entry is the kind's name and the step's two operands."""
-        fleet = Fleet.create(1, prefix="n")
-        fleet.get("n0").apply(set_var("A", "1"))
+        fleet = Fleet()
+        fleet.get_or_create("n0").apply(set_var("A", "1"))
         saved = fleet.to_dict()
         assert saved["steps"] == [["SetVar", "A", "1"]]
         assert saved["nodes"][0]["log"] == [0]
@@ -120,7 +120,7 @@ class TestSimNode:
                 }
             ]
         }
-        node = Fleet.from_dict(saved).get("n")
+        node = Fleet.from_dict(saved).nodes["n"]
         assert node.log == [set_var("A", "1"), fetch("u", "/f")]
         assert replay_log(node.log).observable() == node.observable()
         assert SimNode.from_dict(saved["nodes"][0]).log == node.log
@@ -155,13 +155,15 @@ class TestReplay:
         been driven alone."""
         rng = random.Random(21)
         scripts = {f"n{i}": random_steps(rng, 200) for i in range(2)}
-        fleet = Fleet.create(2, prefix="n")
+        fleet = Fleet()
+        for name in scripts:
+            fleet.get_or_create(name)
         barrier = threading.Barrier(2)
 
         def drive(name):
             barrier.wait()
             for step in scripts[name]:
-                fleet.get(name).apply(step)
+                fleet.nodes[name].apply(step)
 
         threads = [threading.Thread(target=drive, args=(f"n{i}",)) for i in range(2)]
         for t in threads:
@@ -172,7 +174,7 @@ class TestReplay:
             solo = SimNode("solo")
             for step in steps:
                 solo.apply(step)
-            assert fleet.get(name).observable() == solo.observable()
+            assert fleet.nodes[name].observable() == solo.observable()
 
 
 class TestSavedFleet:
@@ -184,8 +186,8 @@ class TestSavedFleet:
         objects, as after a load."""
         rng = random.Random(seed)
         pool = random_steps(rng, 12)
-        fleet = Fleet.create(5, prefix="n")
-        for node in fleet.nodes.values():
+        fleet = Fleet()
+        for node in [fleet.get_or_create(f"n{i}") for i in range(5)]:
             for step in random_steps(rng, rng.randrange(0, 60)) + rng.sample(pool, 6):
                 node.apply(step)
         return fleet
@@ -197,7 +199,7 @@ class TestSavedFleet:
         loaded = Fleet.from_dict(json.loads(json.dumps(saved)))
         assert list(loaded.nodes) == list(fleet.nodes)
         for name, node in fleet.nodes.items():
-            clone = loaded.get(name)
+            clone = loaded.nodes[name]
             assert clone.log == node.log
             assert clone.observable() == node.observable()
             assert replay_log(clone.log).observable() == clone.observable()
@@ -231,8 +233,8 @@ class TestSavedFleet:
         loaded = Fleet.from_dict(json.loads(json.dumps(legacy)))
         assert list(loaded.nodes) == list(fleet.nodes)
         for name, node in fleet.nodes.items():
-            assert loaded.get(name).log == node.log
-            assert loaded.get(name).observable() == node.observable()
+            assert loaded.nodes[name].log == node.log
+            assert loaded.nodes[name].observable() == node.observable()
         assert loaded.to_dict() == saved
 
     @pytest.mark.parametrize("index", [-1, 1, "0"])
@@ -271,24 +273,20 @@ class TestSavedFleet:
 
 
 class TestFleet:
-    def test_create_names_sequentially(self):
-        fleet = Fleet.create(3)
-        assert sorted(fleet.nodes) == ["simnode-0", "simnode-1", "simnode-2"]
-
-    def test_create_zero(self):
-        assert Fleet.create(0).nodes == {}
-
     def test_get_or_create_materializes_once(self):
         fleet = Fleet()
+        assert fleet.nodes == {}
         a = fleet.get_or_create("h")
         assert fleet.get_or_create("h") is a
-        assert fleet.get("missing") is None
+        assert list(fleet.nodes) == ["h"]
 
     def test_thousand_nodes_stay_cheap(self):
         """Nodes are plain state holders: no threads, bounded memory."""
         before = threading.active_count()
         tracemalloc.start()
-        fleet = Fleet.create(1000)
+        fleet = Fleet()
+        for i in range(1000):
+            fleet.get_or_create(f"simnode-{i}")
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert threading.active_count() == before
@@ -296,22 +294,25 @@ class TestFleet:
         assert peak < 20 * 1024 * 1024
 
     def test_serialization_round_trip(self):
-        fleet = Fleet.create(2)
-        fleet.get("simnode-0").apply(set_var("A", "1"))
+        fleet = Fleet()
+        fleet.get_or_create("simnode-0").apply(set_var("A", "1"))
+        fleet.get_or_create("simnode-1")
         clone = Fleet.from_dict(fleet.to_dict())
         assert sorted(clone.nodes) == sorted(fleet.nodes)
-        assert clone.get("simnode-0").observable() == fleet.get("simnode-0").observable()
+        assert clone.nodes["simnode-0"].observable() == fleet.nodes["simnode-0"].observable()
 
     def test_restore_decodes_on_first_use(self):
         """A restored fleet decodes its saved text when a node is first
         looked up; a text that does not decode fails every lookup alike."""
-        fleet = Fleet.create(1)
+        fleet = Fleet()
+        fleet.get_or_create("simnode-0")
         fleet.restore("{not json")
         for _ in range(2):
             with pytest.raises(json.JSONDecodeError):
-                fleet.get("simnode-0")
-        saved = Fleet.create(2)
-        saved.get("simnode-1").apply(set_var("A", "1"))
+                fleet.get_or_create("simnode-0")
+        saved = Fleet()
+        saved.get_or_create("simnode-0")
+        saved.get_or_create("simnode-1").apply(set_var("A", "1"))
         fleet.restore(json.dumps(saved.to_dict()))
         assert fleet.get_or_create("simnode-1").env == {"A": "1"}
         assert fleet.to_dict() == saved.to_dict()

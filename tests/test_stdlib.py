@@ -7,7 +7,7 @@ import subprocess
 
 import pytest
 
-from gridforge.core import Assembly, Behavior, Component, Composite, PortSpec
+from gridforge.core import Assembly, Behavior, Binding, Component, Composite, PortSpec
 from gridforge.errors import IndexOutOfRange, NodeListMissing, RemoteError
 from gridforge.personalities import ScriptBehavior, default_registry
 from gridforge.pipeline import DeployContext
@@ -73,52 +73,35 @@ class TestHostnameProviders:
 def node_stack(ordinal=None, with_port=None, with_user=None):
     """Hand-built hostname/protocol/shell triple, optionally inside a composite."""
     asm = Assembly()
-    asm.add(
-        Component(
-            id="host",
-            kind="StaticHost",
-            provides=frozenset({"Hostname"}),
-            args={"value": "simnode-0"}, behavior=StaticHostBehavior(),
-        )
-    )
-    proto_ports = [
+    owner = "n" if ordinal is not None else None
+    proto_ports = (
         PortSpec("hostname", "Hostname"),
         PortSpec("port", "Port", required=False),
         PortSpec("user", "User", required=False),
+    )
+    stack = [
+        Component(
+            id="host", kind="StaticHost", provides=frozenset({"Hostname"}),
+            args={"value": "simnode-0"}, behavior=StaticHostBehavior(),
+        ),
+        Component(id="proto", kind="SSH", provides=frozenset({"Protocol"}), ports=proto_ports, owner=owner),
+        Component(id="sh", kind="SH", provides=frozenset({"Shell"}), ports=(PortSpec("protocol", "Protocol"),), owner=owner),
     ]
-    owner = "n" if ordinal is not None else None
-    asm.add(
-        Component(
-            id="proto", kind="SSH", provides=frozenset({"Protocol"}),
-            ports=tuple(proto_ports), owner=owner,
-        )
-    )
-    asm.add(
-        Component(
-            id="sh", kind="SH", provides=frozenset({"Shell"}),
-            ports=(PortSpec("protocol", "Protocol"),), owner=owner,
-        )
-    )
-    asm.bind(("proto", "hostname"), "host")
-    asm.bind(("sh", "protocol"), "proto")
+    bindings = [Binding("proto", "hostname", "host", "Hostname"), Binding("sh", "protocol", "proto", "Protocol")]
     if with_port is not None:
-        asm.add(
-            Component(
-                id="p", kind="Port", provides=frozenset({"Port"}),
-                args={"value": with_port}, behavior=PortBehavior(),
-            )
+        stack.append(
+            Component(id="p", kind="Port", provides=frozenset({"Port"}), args={"value": with_port}, behavior=PortBehavior())
         )
-        asm.bind(("proto", "port"), "p")
+        bindings.append(Binding("proto", "port", "p", "Port"))
     if with_user is not None:
-        asm.add(
-            Component(
-                id="u", kind="User", provides=frozenset({"User"}),
-                args=with_user, behavior=UserBehavior(),
-            )
-        )
-        asm.bind(("proto", "user"), "u")
+        stack.append(Component(id="u", kind="User", provides=frozenset({"User"}), args=with_user, behavior=UserBehavior()))
+        bindings.append(Binding("proto", "user", "u", "User"))
+    for comp in stack:
+        asm.components[comp.id] = comp
+    for binding in bindings:
+        asm.add_binding(binding)
     if ordinal is not None:
-        asm.add_composite(Composite(id="n", kind="Node", children={"proto": "proto", "sh": "sh"}, ordinal=ordinal))
+        asm.composites["n"] = Composite(id="n", kind="Node", children={"proto": "proto", "sh": "sh"}, ordinal=ordinal)
     return asm
 
 
@@ -155,13 +138,11 @@ def sim_ctx(asm, fleet=None, config=None):
 
 def scripted(asm, *rows):
     """A component bound to the stack's shell whose start runs `rows`."""
-    app = asm.add(
-        Component(
-            id="app", kind="App", ports=(PortSpec("shell", "Shell"),),
-            behavior=ScriptBehavior({"start": {"steps": [list(row) for row in rows]}}),
-        )
+    app = asm.components["app"] = Component(
+        id="app", kind="App", ports=(PortSpec("shell", "Shell"),),
+        behavior=ScriptBehavior({"start": {"steps": [list(row) for row in rows]}}),
     )
-    asm.bind(("app", "shell"), "sh")
+    asm.add_binding(Binding("app", "shell", "sh", "Shell"))
     return app
 
 
@@ -170,7 +151,7 @@ class TestShellExecution:
         asm = node_stack()
         app, ctx = scripted(asm, ["SetVar", "A", "1"]), sim_ctx(asm)
         app.behavior.start(app, ctx)
-        assert ctx.fleet.get("simnode-0").env == {"A": "1"}
+        assert ctx.fleet.nodes["simnode-0"].env == {"A": "1"}
 
     def test_empty_steps_skip_the_transport(self):
         asm = node_stack()
@@ -223,21 +204,19 @@ class TestVariables:
     def wire(self, **args):
         spec = default_registry().get("Variable")
         asm = node_stack()
-        var = asm.add(
-            Component(
-                id="var", kind=spec.name, provides=spec.provides, ports=spec.ports,
-                args=args, behavior=spec.factory(),
-            )
+        var = asm.components["var"] = Component(
+            id="var", kind=spec.name, provides=spec.provides, ports=spec.ports,
+            args=args, behavior=spec.factory(),
         )
-        asm.bind(("var", "shell"), "sh")
+        asm.add_binding(Binding("var", "shell", "sh", "Shell"))
         return var, sim_ctx(asm)
 
     def test_variable_sets_then_clears(self):
         var, ctx = self.wire(name="MODE", value="grid")
         var.behavior.start(var, ctx)
-        assert ctx.fleet.get("simnode-0").env == {"MODE": "grid"}
+        assert ctx.fleet.nodes["simnode-0"].env == {"MODE": "grid"}
         var.behavior.stop(var, ctx)
-        assert ctx.fleet.get("simnode-0").env == {}
+        assert ctx.fleet.nodes["simnode-0"].env == {}
 
     @pytest.mark.parametrize(
         "action, value, step",
@@ -329,7 +308,7 @@ class TestRegistryBuiltins:
     def test_builtin_names(self):
         names = {k.name for k in BUILTIN_KINDS}
         assert names == {"StaticHost", "DynamicHost", "Port", "User", "SSH", "SH", "FileTransfer", "NodeReady"}
-        assert "Variable" in default_registry()
+        assert "Variable" in default_registry().kinds
 
     @pytest.mark.parametrize("kind", ["SSH", "SH", "FileTransfer", "NodeReady"])
     def test_transport_kinds_run_the_base_behavior(self, kind):
