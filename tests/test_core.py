@@ -219,6 +219,53 @@ class TestBindings:
         assert asm.components["cli"].bound == {"dep": binding}
         assert asm.dependency_graph()["cli"] == ["srv"]
 
+    def test_double_bind_rejected(self):
+        """A service binds a port by naming it in its body, so the one way
+        to bind a port twice is to name it twice, which is refused."""
+        from gridforge.assembly import generate
+        from gridforge.dsl import expand, parse
+        from gridforge.errors import DuplicateName
+        from gridforge.personalities import default_registry
+
+        text = (
+            "app = OpenCCM.Deployment {\n"
+            "  nodes = { node-0 = Grid5000_NODE { hostname = StaticHost(simnode-0) } }\n"
+            "  services = {\n"
+            "    ns = OpenCCM.NameService {\n"
+            "      node = nodes/node-0\n"
+            "      node = nodes/node-0\n"
+            "    }\n"
+            "  }\n"
+            "}\n"
+        )
+        with pytest.raises(DuplicateName) as err:
+            generate(expand(parse(text)), default_registry())
+        assert err.value.args[0] == "services/ns/node declared twice"
+        assert (err.value.line, err.value.column) == (6, 7)
+
+    def test_interface_mismatch(self):
+        """add_binding records a binding unchecked; validate names the
+        client's port and the server that lacks the interface."""
+        from gridforge.assembly import validate
+
+        asm = self.make()
+        asm.components["other"] = Component(id="other", kind="Test", provides=frozenset({"J"}))
+        asm.add_binding(Binding("cli", "dep", "other", "I"))
+        assert [str(d) for d in validate(asm)] == ["interface-mismatch: cli.dep: other does not provide I"]
+
+    def test_unknown_endpoints(self):
+        """add_binding needs its client to exist; an unknown server is
+        recorded, left out of the dependency graph and named by validate."""
+        from gridforge.assembly import validate
+
+        asm = self.make()
+        with pytest.raises(KeyError):
+            asm.add_binding(Binding("ghost", "dep", "srv", "I"))
+        assert asm.bindings == []
+        asm.add_binding(Binding("cli", "dep", "ghost", "I"))
+        assert asm.dependency_graph()["cli"] == []
+        assert [str(d) for d in validate(asm)] == ["unknown-component: ghost: binding endpoint not declared"]
+
     def node_and_service(self):
         """A hand-built node `n` (a host and the barrier guarding it) and a
         service `svc` whose Node port is still free."""
@@ -256,6 +303,27 @@ class TestBindings:
         assert asm.dependency_graph()["svc"] == ["n/ready"]
         assert validate(asm) == []
         assert [stage.label for stage in plan(asm).stages] == ["node-prep", "svc"]
+
+    def test_duplicate_id_rejected(self):
+        """A component's id is its block and its name, so two components of
+        one id would need one name declared twice in a block: refused."""
+        from gridforge.assembly import generate
+        from gridforge.dsl import expand, parse
+        from gridforge.errors import DuplicateName
+        from gridforge.personalities import default_registry
+
+        text = (
+            "app = OpenCCM.Deployment {\n"
+            "  nodes = {\n"
+            "    node-0 = Grid5000_NODE { hostname = StaticHost(simnode-0) }\n"
+            "    node-0 = Grid5000_NODE { hostname = StaticHost(simnode-1) }\n"
+            "  }\n"
+            "}\n"
+        )
+        with pytest.raises(DuplicateName) as err:
+            generate(expand(parse(text)), default_registry())
+        assert err.value.args[0] == "nodes/node-0 declared twice"
+        assert (err.value.line, err.value.column) == (4, 5)
 
     def test_binding_value_semantics(self):
         binding = Binding(client="cli", port="dep", server="srv", interface="I")
@@ -363,6 +431,20 @@ class TestComposites:
         down = asm.ensure("n", S.UNINSTALLED)
         assert [cid for cid, _ in down][:2] == ["n/d", "n/d"]  # teardown reversed
         assert set(asm.status().values()) == {S.UNINSTALLED}
+
+    def test_composite_state_least_advanced(self):
+        """A composite is at a state only once every child is, and a cascade
+        moves just the children short of it."""
+        asm = self.diamond()
+        asm.ensure("n/a", S.STARTED)
+        assert asm.transitions_to("n", S.STARTED) == [
+            (cid, action) for cid in ("n/b", "n/c", "n/d") for action in (A.INSTALL, A.START)
+        ]
+        for cid in ("n/b", "n/c", "n/d"):
+            asm.ensure(cid, S.INSTALLED)
+        assert asm.transitions_to("n", S.INSTALLED) == [("n/a", A.STOP)]
+        asm.ensure("n/a", S.INSTALLED)
+        assert asm.transitions_to("n", S.INSTALLED) == []
 
     def test_composite_at_target_skips_child_order(self, monkeypatch):
         asm = self.diamond()

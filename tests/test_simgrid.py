@@ -273,6 +273,24 @@ class TestSavedFleet:
 
 
 class TestFleet:
+    def test_create_names_sequentially(self):
+        """Nodes keep the order they were first contacted in, in the fleet,
+        in its saved document and once loaded."""
+        fleet = Fleet()
+        for name in ("simnode-2", "simnode-0", "simnode-1", "simnode-0"):
+            fleet.get_or_create(name)
+        order = ["simnode-2", "simnode-0", "simnode-1"]
+        assert list(fleet.nodes) == order
+        saved = fleet.to_dict()
+        assert [nd["id"] for nd in saved["nodes"]] == order
+        assert list(Fleet.from_dict(json.loads(json.dumps(saved))).nodes) == order
+
+    def test_create_zero(self):
+        """A fleet of no nodes saves and loads as one."""
+        saved = Fleet().to_dict()
+        assert saved == {"nodes": [], "steps": []}
+        assert Fleet.from_dict(json.loads(json.dumps(saved))).nodes == {}
+
     def test_get_or_create_materializes_once(self):
         fleet = Fleet()
         assert fleet.nodes == {}
