@@ -12,7 +12,8 @@ then stamped from the template, which only makes ids, components, the
 composite and bindings; a role whose arguments vary per node
 (`StaticHost(simnode-%{i})`) is checked per node, its siblings are not.
 Components stamped from one role share its `args` dict, which nothing
-mutates.  Autobind decisions are memoised per body shape and block.
+mutates.  Autobind decisions, and the child order they give, are memoised
+per body shape and block.
 Autobind numbers each composite as it wires it, and binding a service's
 Node port records its node; only the nodelist bindings, whose providers
 are services declared after the nodes, take a pass of their own.
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Assembly, Behavior, Binding, ChildLayout, Component, Composite, LifecycleState, PortSpec
+from .core import Assembly, Behavior, Binding, Component, Composite, LifecycleState, PortSpec
 from .dsl import Block, Ctor, Entry, ExpandedConfig, Ref
 from .errors import (
     ArityMismatch,
@@ -100,17 +101,21 @@ class _Generator:
         self._roles: dict[int, _Role] = {}  # id(role Entry) -> its checked role
         self._default_roles: dict[tuple, Entry] = {}  # (composite kind, role) -> its default
         self._shapes: dict[tuple, _Shape] = {}  # the roles' keys, in order -> shape
-        self._wirings: dict[tuple, tuple] = {}  # (id(shape), block) -> (decisions, hostname server, layout)
+        # (id(shape), block) -> [decisions, hostname server, child order]
+        self._wirings: dict[tuple, list] = {}
         self._stamped: list[tuple] = []  # (block, template, composite, child components) per composite
 
     def run(self) -> Assembly:
-        for entry in self.config.root.entries:
+        config = self.config
+        spec = self.registry.get(config.root_kind)
+        if spec is None:
+            raise UnknownKind(f"unknown kind {config.root_kind!r} for {config.root_name}", config.root_span)
+        if not spec.root:
+            message = f"{config.root_name}: {spec.name} is not a deployment root kind"
+            raise ConfigError(message, config.root_span)
+        for entry in config.root.entries:
             if not isinstance(entry.value, Block):
-                raise ConfigError(
-                    f"top-level entry {entry.name} must be a block",
-                    entry.span.line,
-                    entry.span.column,
-                )
+                raise ConfigError(f"top-level entry {entry.name} must be a block", entry.span)
             in_services = entry.name in SERVICE_BLOCKS
             for child in entry.value.entries:
                 self._block_entry(entry.name, child, in_services)
@@ -129,32 +134,19 @@ class _Generator:
         if isinstance(value, Ref):
             raise ConfigError(
                 f"{block}/{entry.name}: references are only valid inside component bodies",
-                entry.span.line,
-                entry.span.column,
+                entry.span,
             )
         if isinstance(value, Block):
-            raise ConfigError(
-                f"{block}/{entry.name}: nested plain blocks are not supported",
-                entry.span.line,
-                entry.span.column,
-            )
+            raise ConfigError(f"{block}/{entry.name}: nested plain blocks are not supported", entry.span)
         spec = self._kind(value, entry)
         if spec.composite:
             self._stamp(block, entry.name, self._template(f"{block}/{entry.name}", entry, spec))
         elif spec.group:
             if not in_services:
-                raise ConfigError(
-                    f"{block}/{entry.name}: {spec.name} groups belong in services",
-                    entry.span.line,
-                    entry.span.column,
-                )
+                raise ConfigError(f"{block}/{entry.name}: {spec.name} groups belong in services", entry.span)
             self._group(block, entry)
         elif spec.root:
-            raise ConfigError(
-                f"{block}/{entry.name}: {spec.name} cannot be nested",
-                entry.span.line,
-                entry.span.column,
-            )
+            raise ConfigError(f"{block}/{entry.name}: {spec.name} cannot be nested", entry.span)
         else:
             cid = f"{block}/{entry.name}"
             self._component(cid, spec, self._args(value, spec), None)
@@ -167,11 +159,7 @@ class _Generator:
     def _kind(self, value: Ctor, entry: Entry) -> KindSpec:
         spec = self.registry.get(value.kind)
         if spec is None:
-            raise UnknownKind(
-                f"unknown kind {value.kind!r} for {entry.name}",
-                value.span.line,
-                value.span.column,
-            )
+            raise UnknownKind(f"unknown kind {value.kind!r} for {entry.name}", value.span)
         return spec
 
     def _args(self, value: Ctor, spec: KindSpec) -> dict:
@@ -180,22 +168,19 @@ class _Generator:
         if not (required <= len(value.args) <= len(params)):
             raise ArityMismatch(
                 f"{spec.name} takes {required}..{len(params)} arguments, got {len(value.args)}",
-                value.span.line,
-                value.span.column,
+                value.span,
             )
         args: dict = {}
         for param, arg in zip(params, value.args):
             if param.kind == "int" and arg.kind != "int":
                 raise ArityMismatch(
                     f"{spec.name}: parameter {param.name} wants an integer, got {arg.text!r}",
-                    arg.span.line,
-                    arg.span.column,
+                    arg.span,
                 )
             if param.kind == "resources" and arg.kind not in ("resources", "str"):
                 raise ArityMismatch(
                     f"{spec.name}: parameter {param.name} wants key=count resources",
-                    arg.span.line,
-                    arg.span.column,
+                    arg.span,
                 )
             args[param.name] = arg.value if param.kind == "int" else arg.text
         for param in params[len(value.args) :]:
@@ -257,30 +242,20 @@ class _Generator:
         if role == BARRIER_ROLE:
             raise ConfigError(
                 f"{comp_id}/{role}: role name {BARRIER_ROLE!r} is reserved for the node's readiness barrier",
-                child.span.line,
-                child.span.column,
+                child.span,
             )
         value = child.value
         if isinstance(value, Ref):
             return _Role((role, None, "/".join(value.path)), None)
         if isinstance(value, Block):
-            raise ConfigError(
-                f"{comp_id}/{role}: plain blocks are not valid node roles",
-                child.span.line,
-                child.span.column,
-            )
+            raise ConfigError(f"{comp_id}/{role}: plain blocks are not valid node roles", child.span)
         spec = self._kind(value, child)
         if value.body is not None and value.body.entries:
-            raise ConfigError(
-                f"{comp_id}/{role}: nested bodies are not supported here",
-                child.span.line,
-                child.span.column,
-            )
+            raise ConfigError(f"{comp_id}/{role}: nested bodies are not supported here", child.span)
         if not spec.provides:  # the barrier's port for the role needs an interface
             raise ConfigError(
                 f"{comp_id}/{role}: kind {spec.name} provides no interface, so it cannot be a node role",
-                child.span.line,
-                child.span.column,
+                child.span,
             )
         args = self._args(value, spec)
         return _Role((role, spec.name, None), (role, spec.name, spec.provides, spec.ports, self._behavior(spec), args))
@@ -329,11 +304,7 @@ class _Generator:
         members: list[str] = []
         for child in body.entries:
             if not isinstance(child.value, Ctor):
-                raise ConfigError(
-                    f"{group_id}: group members must be constructors",
-                    child.span.line,
-                    child.span.column,
-                )
+                raise ConfigError(f"{group_id}: group members must be constructors", child.span)
             spec = self._kind(child.value, child)
             cid = f"{group_id}/{child.name}"
             self._component(cid, spec, self._args(child.value, spec), None)
@@ -350,25 +321,16 @@ class _Generator:
         ports = {p.name: p for p in spec.ports}
         for child in body.entries:
             if not isinstance(child.value, Ref):
-                raise ConfigError(
-                    f"{cid}/{child.name}: service bodies hold only references",
-                    child.span.line,
-                    child.span.column,
-                )
+                raise ConfigError(f"{cid}/{child.name}: service bodies hold only references", child.span)
             port = ports.get(child.name)
             if port is None:
-                raise ConfigError(
-                    f"{cid}: kind {spec.name} has no port named {child.name!r}",
-                    child.span.line,
-                    child.span.column,
-                )
+                raise ConfigError(f"{cid}: kind {spec.name} has no port named {child.name!r}", child.span)
             target = "/".join(child.value.path)
             server = self.asm.provider_id(target, port.interface)
             if server is None:
                 raise DanglingNodeRef(
                     f"{cid}: {child.name} = {target} provides no {port.interface}",
-                    child.span.line,
-                    child.span.column,
+                    child.span,
                 )
             self.asm.add_binding(Binding(cid, port.name, server, port.interface))
             if port.interface == NODE:  # a node's barrier stands for the node
@@ -377,14 +339,15 @@ class _Generator:
                 self.asm.node_assignment[cid] = owner if barrier else server
 
     def _autobind(self) -> None:
-        """Wire unbound ports inside composites by interface matching, and
-        number each composite.
+        """Wire unbound ports inside composites by interface matching, fix
+        each composite's child order, and number each composite.
 
         A same-named role reference wins, then a sibling, then any role
         reference, then a shared component of the composite's block.  The
         choice is made once per body shape (roles, kinds, role references)
-        and block, and the composites it wires share one child layout,
-        except one that a role reference binds to its own child.
+        and block, and so is the child order, sorted on the first composite
+        it wires; the others share it, except one that a role reference
+        binds to its own child, which is sorted on its own.
 
         A composite's ordinal, which picks a nodelist line, counts the
         composites before it whose first hostname binding has its server.
@@ -397,22 +360,31 @@ class _Generator:
             key = (id(template.shape), block)
             wiring = wirings.get(key)
             if wiring is None:
-                wiring = wirings[key] = (*self._wiring(template, block), ChildLayout())
-            decisions, hostname, layout = wiring
+                wiring = wirings[key] = [*self._wiring(template, block), None]
+            decisions, hostname, _ = wiring
+            own = False  # a role reference binds one of this composite's children
             for client, port, iface, sibling, server in decisions:
                 component = comps[client]
                 if server is None:
                     server = comps[sibling].id
                 elif components[server].owner == composite.id:
-                    layout = None
+                    own = True
                 binding = component.bound[port] = Binding(component.id, port, server, iface)
                 bindings.append(binding)
-            composite.layout = layout
+            if own:
+                composite.order = self._order(composite)
+            else:
+                composite.order = wiring[2] = wiring[2] or self._order(composite)
             if isinstance(hostname, int):
                 hostname = comps[hostname].id
             hostname = hostname or composite.id  # no hostname binding: alone
             composite.ordinal = numbered.get(hostname, 0)
             numbered[hostname] = composite.ordinal + 1
+
+    def _order(self, composite: Composite) -> tuple[int, ...]:
+        """The positions of the composite's children, in sorted order."""
+        position = {cid: i for i, cid in enumerate(composite.children.values())}
+        return tuple([position[cid] for cid in self.asm._sorted_children(composite)])
 
     def _wiring(self, template: _Template, block: str) -> tuple[list[tuple], int | str | None]:
         """(client index, port, interface, sibling index, server id) for each

@@ -3,10 +3,9 @@
 Every deployable thing is a component with the four generic lifecycle
 actions (install, start, stop, uninstall).  Ordering between components is
 never stored here; it is derived from bindings by the planner.  Within a
-composite the children are ordered by their bindings; composites stamped
-from one node body share that order through a `ChildLayout`, sorted once on
-first use, and one whose children gain a binding of their own is sorted
-alone.
+composite the children are ordered by their bindings: generation fixes the
+order of each node body once and the composites stamped from it share it
+(`Composite.order`); one without an order is sorted on each use.
 """
 
 from __future__ import annotations
@@ -136,20 +135,6 @@ class Component:
         return [p.name for p in self.ports if p.required and p.name not in self.bound]
 
 
-class ChildLayout:
-    """The child order shared by the composites stamped from one node body
-    in one block, whose bindings between children are the same up to ids.
-
-    `order` holds child positions, in the order `child_order` sorts them;
-    it is filled on the first call, so a command that never drives a
-    composite never sorts one."""
-
-    __slots__ = ("order",)
-
-    def __init__(self) -> None:
-        self.order: tuple[int, ...] | None = None
-
-
 @dataclass(slots=True)
 class Composite:
     """Hierarchical grouping; children may be shared with other composites."""
@@ -159,8 +144,9 @@ class Composite:
     children: dict[str, str] = field(default_factory=dict)  # role -> component id
     exports: dict[str, str] = field(default_factory=dict)  # interface -> child id
     ordinal: int = 0  # position among nodes sharing one hostname provider
-    # Shared with the composites of the same body; None sorts this one alone.
-    layout: ChildLayout | None = field(default=None, compare=False, repr=False)
+    # Child positions in `child_order`'s order, shared by the composites
+    # wired alike; None sorts this one on each use.
+    order: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
 class JournalRecord(NamedTuple):
@@ -279,7 +265,7 @@ class Assembly:
     def add_binding(self, binding: Binding) -> Binding:
         """Record a binding of an existing client without checking it;
         validate() reports what is wrong with it.  A binding between two
-        children of one composite gives that composite its own child order."""
+        children of one composite drops that composite's fixed child order."""
         client = self.components[binding.client]
         client.bound[binding.port] = binding
         self.bindings.append(binding)
@@ -288,7 +274,7 @@ class Assembly:
             if server is not None and server.owner == client.owner:
                 composite = self.composites.get(client.owner)
                 if composite is not None:
-                    composite.layout = None
+                    composite.order = None
         return binding
 
     def dependency_graph(self) -> dict[str, list[str]]:
@@ -374,18 +360,13 @@ class Assembly:
 
         Declaration order breaks ties.  Only edges between two children of
         this composite count; external dependencies are the planner's job.
-        Composites that share a layout are sorted once, on the first call,
-        and each reads the shared order by position.
+        A composite with a fixed `order` reads its children by position.
         """
         composite = self.composites[composite_id]
-        layout = composite.layout
-        if layout is None:
+        if composite.order is None:
             return self._sorted_children(composite)
         children = list(composite.children.values())
-        if layout.order is None:
-            position = {cid: i for i, cid in enumerate(children)}
-            layout.order = tuple([position[cid] for cid in self._sorted_children(composite)])
-        return [children[i] for i in layout.order]
+        return [children[i] for i in composite.order]
 
     def _sorted_children(self, composite: Composite) -> list[str]:
         members = [cid for cid in composite.children.values() if cid in self.components]

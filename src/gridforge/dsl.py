@@ -139,10 +139,9 @@ class _Reader:
         line = bisect_right(self._starts, pos)
         return Span(line, pos - self._starts[line - 1] + 1)
 
-    def fail(self, message: str, expected: set[str] | None = None, at: Span | None = None) -> NoReturn:
+    def fail(self, message: str, at: Span | None = None) -> NoReturn:
         """Refuse the text at `at`, by default where the reader stands."""
-        at = at or self.span()
-        raise DslSyntaxError(message, at.line, at.column, expected)
+        raise DslSyntaxError(message, at or self.span())
 
     def peek(self) -> str:
         """The next character after space and comments, "" at the end."""
@@ -151,7 +150,7 @@ class _Reader:
 
     def take(self, ch: str) -> None:
         if self.peek() != ch:
-            self.fail(f"expected {ch!r}", {ch})
+            self.fail(f"expected {ch!r}")
         self.pos += 1
 
     def word(self) -> tuple[str, Span]:
@@ -159,9 +158,9 @@ class _Reader:
         start = self.pos
         self.pos = _WORD.match(self.text, start).end()
         if self.text.startswith("%{", self.pos):
-            self.fail("unterminated %{...}", {"}"})
+            self.fail("unterminated %{...}")
         if self.pos == start:
-            self.fail("expected a name", {"name"})
+            self.fail("expected a name")
         return self.text[start : self.pos], self.span(start)
 
     def raw_args(self) -> list[Arg]:
@@ -184,7 +183,7 @@ class _Reader:
                 args.append(Arg(self.text[start : mark.start()].strip(), self.span(start)))
                 start = _WHITESPACE.match(self.text, mark.end()).end()
         else:
-            self.fail("unterminated argument list", {")"}, self.span(opened))
+            self.fail("unterminated argument list", self.span(opened))
         tail = self.text[start : mark.start()].strip()
         if tail or args:
             args.append(Arg(tail, self.span(start)))
@@ -196,7 +195,7 @@ class _Reader:
         while self.peek():
             ast.entries.append(self._entry())
         if not ast.entries:
-            self.fail("empty configuration", {"name"})
+            self.fail("empty configuration")
         return ast
 
     def _entry(self):
@@ -204,7 +203,7 @@ class _Reader:
         if name == "apply":
             return self._loop(span)
         if "/" in name:
-            self.fail(f"entry name {name!r} may not contain '/'", {"name"})
+            self.fail(f"entry name {name!r} may not contain '/'")
         self.take("=")
         return Entry(name, self._value(), span)
 
@@ -224,7 +223,7 @@ class _Reader:
         entries = []
         while (ch := self.peek()) != "}":
             if not ch:
-                self.fail("unclosed block", {"}"})
+                self.fail("unclosed block")
             entries.append(self._entry())
         self.pos += 1
         return Block(entries, span)
@@ -232,17 +231,17 @@ class _Reader:
     def _loop(self, span: Span) -> Loop:
         head, _ = self.word()
         if head != "FOR":
-            self.fail(f"expected FOR after apply, got {head!r}", {"FOR"})
+            self.fail(f"expected FOR after apply, got {head!r}")
         args = self.raw_args()
         if len(args) != 3:
-            self.fail("FOR takes (var, lo, hi)", {"var,lo,hi"})
+            self.fail("FOR takes (var, lo, hi)")
         var = args[0].text
         bounds = []
         for bound in args[1:]:
             try:
                 bounds.append(int(bound.text))
             except ValueError:
-                self.fail("FOR bounds must be integers", {"integer"}, bound.span)
+                self.fail("FOR bounds must be integers", bound.span)
         lo, hi = bounds
         body_block = self._block()
         return Loop(var, lo, hi, body_block.entries, span)
@@ -301,6 +300,7 @@ class ExpandedConfig:
     root_kind: str
     root: Block
     table: dict[str, Entry] = field(default_factory=dict)
+    root_span: Span = field(default=Span(), compare=False)  # where the root kind is written
 
 
 def _interpolate(text: str, env: dict[str, int], span: Span) -> str:
@@ -310,9 +310,7 @@ def _interpolate(text: str, env: dict[str, int], span: Span) -> str:
     def repl(m: re.Match) -> str:
         var = m.group(1)
         if var not in env:
-            raise UnboundLoopVariable(
-                f"%{{{var}}} is not bound by any enclosing FOR", span.line, span.column
-            )
+            raise UnboundLoopVariable(f"%{{{var}}} is not bound by any enclosing FOR", span)
         return str(env[var])
 
     return _INTERP.sub(repl, text)
@@ -379,7 +377,7 @@ def _index(block: Block, prefix: str, table: dict[str, Entry], refs: list[Ref]) 
     for entry in block.entries:
         key = prefix + entry.name
         if key in table:
-            raise DuplicateName(f"{key} declared twice", entry.span.line, entry.span.column)
+            raise DuplicateName(f"{key} declared twice", entry.span)
         table[key] = entry
         value = entry.value
         if isinstance(value, Ref):
@@ -406,8 +404,7 @@ def _refuse_roots(message: str, entries: list) -> ConfigError:
         at = next(e for e in entries if e is not roots[0])
     else:
         at = entries[0] if entries else None
-    span = at.span if at is not None else Span()
-    return ConfigError(message, span.line, span.column)
+    return ConfigError(message, at.span if at is not None else None)
 
 
 def expand(ast: ConfigAST) -> ExpandedConfig:
@@ -424,13 +421,13 @@ def expand(ast: ConfigAST) -> ExpandedConfig:
         raise _refuse_roots("configuration needs exactly one root block `Name = Kind { ... }`", entries)
     root_entry = entries[0]
     body = _Expander().value(root_entry.value.body, {})
-    config = ExpandedConfig(root_entry.name, root_entry.value.kind, body)
+    config = ExpandedConfig(root_entry.name, root_entry.value.kind, body, root_span=root_entry.value.span)
     refs: list[Ref] = []
     _index(body, "", config.table, refs)
     for ref in refs:
         key = "/".join(ref.path)
         if key not in config.table:
-            raise DanglingReference(f"reference {key} resolves to nothing", ref.span.line, ref.span.column)
+            raise DanglingReference(f"reference {key} resolves to nothing", ref.span)
     return config
 
 
@@ -444,11 +441,7 @@ def merge(primary: ConfigAST, *fragments: ConfigAST) -> ConfigAST:
     for fragment in fragments:
         for entry in fragment.entries:
             if not isinstance(entry.value, Block):
-                raise ConfigError(
-                    f"fragment entry {entry.name} must be a plain block",
-                    entry.span.line,
-                    entry.span.column,
-                )
+                raise ConfigError(f"fragment entry {entry.name} must be a plain block", entry.span)
             target = blocks.get(entry.name)
             if target is None or not isinstance(target.value, Block):
                 root.value.body.entries.append(entry)

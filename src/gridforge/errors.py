@@ -42,12 +42,13 @@ class UnboundPort(DeploymentError):
 
 
 class ConfigError(DeploymentError):
-    """Base for configuration problems; carries a source position."""
+    """Base for configuration problems; carries a source position, taken
+    from `at`, the `dsl.Span` of the text at fault (0:0 without one)."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
+    def __init__(self, message: str, at=None):
         super().__init__(message)
-        self.line = line
-        self.column = column
+        self.line = at.line if at is not None else 0
+        self.column = at.column if at is not None else 0
 
     def __str__(self) -> str:  # pragma: no cover - formatting only
         base = super().__str__()
@@ -57,9 +58,7 @@ class ConfigError(DeploymentError):
 
 
 class DslSyntaxError(ConfigError):
-    def __init__(self, message: str, line: int, column: int, expected: set[str] | None = None):
-        super().__init__(message, line, column)
-        self.expected = expected or set()
+    pass
 
 
 class UnboundLoopVariable(ConfigError):

@@ -17,8 +17,8 @@ Per action only what varies per node is worked out again.  Within one run
 (one `DeployContext`, which a deploy and its inverse share in process) the
 access of each node shell is resolved once (`stdlib.shell_access`), the
 access each scripted component's actions reach is found once and kept in
-the same memo (`ScriptBehavior._run`), and the nodes stamped from one body
-share one child order, sorted on the first action that drives one of them
+the same memo (`ScriptBehavior._run`).  The nodes stamped from one body
+share the child order that generation fixed for it
 (`core.Assembly.child_order`).
 """
 

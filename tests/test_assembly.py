@@ -391,9 +391,10 @@ class TestGeneration:
         }
 
     def test_nodes_of_one_body_share_their_child_order(self, registry_m):
-        """The nodes of one loop share one child layout, sorted on the first
-        call; node-0, whose role reference binds its protocol to its own
-        host, keeps an order of its own.  Every order equals a fresh sort."""
+        """Generate fixes the child order of the nodes of one loop once, and
+        they share that tuple; node-0, whose role reference binds its
+        protocol to its own host, has an order of its own.  Every order
+        equals a fresh sort."""
         asm = assembly_for(
             "app = OpenCCM.Deployment {\n"
             "  nodes = {\n"
@@ -409,18 +410,18 @@ class TestGeneration:
             registry_m,
         )
         first, second, third = (asm.composites[f"nodes/node-{i}"] for i in range(3))
-        assert first.layout is None
-        assert second.layout is third.layout and second.layout.order is None
+        assert second.order is third.order
+        assert first.order is not None and first.order != second.order
         for composite in (first, second, third):
             assert asm.child_order(composite.id) == asm._sorted_children(composite)
         assert asm.child_order(first.id)[:2] == ["nodes/node-0/h", "nodes/node-0/protocol"]
         assert asm.child_order(second.id)[:2] == ["nodes/node-1/protocol", "nodes/node-1/h"]
 
     def test_binding_added_after_generate_drops_the_shared_order(self, registry_m):
-        """A binding between two children of a node, added once the shared
-        order was sorted, gives that node a fresh sort and leaves the others
-        sharing theirs.  No generated port is free to bind, so the test
-        gives node-1's jre one more optional port first."""
+        """A binding between two children of a node, added after generate,
+        drops that node's fixed order, so it is sorted on each use, and
+        leaves the others sharing theirs.  No generated port is free to
+        bind, so the test gives node-1's jre one more optional port first."""
         asm = assembly_for(
             "app = OpenCCM.Deployment {\n"
             "  nodes = {\n"
@@ -441,19 +442,19 @@ class TestGeneration:
         jre.ports = (*jre.ports, PortSpec("after", "Variable", required=False))
         asm.add_binding(Binding(jre.id, "after", "nodes/node-1/var", "Variable"))
         node1 = asm.composites["nodes/node-1"]
-        assert node1.layout is None
+        assert node1.order is None
         assert asm.child_order(node1.id) == asm._sorted_children(node1)
         assert [cid.rsplit("/", 1)[1] for cid in asm.child_order(node1.id)] == [
             "hostname", "protocol", "shell", "var", "jre", "ready"
         ]
         assert [asm.child_order(f"nodes/node-{i}") for i in (0, 2)] == [shared[0], shared[2]]
-        assert asm.composites["nodes/node-0"].layout is asm.composites["nodes/node-2"].layout
+        assert asm.composites["nodes/node-0"].order is asm.composites["nodes/node-2"].order is not None
 
 
 class TestGenerationErrors:
     def test_unknown_kind(self, registry_m):
         with pytest.raises(UnknownKind):
-            assembly_for("a = K {\n  nodes = {\n    x = Bogus(1)\n  }\n  services = {\n  }\n}\n", registry_m)
+            assembly_for("a = OpenCCM.Deployment {\n  nodes = {\n    x = Bogus(1)\n  }\n  services = {\n  }\n}\n", registry_m)
 
     def test_missing_required_argument(self, registry_m):
         text = MINI.replace("Jre(/opt/java/jre)", "Jre")
@@ -546,7 +547,10 @@ class TestGenerationErrors:
         kind that provides nothing is refused where the role is written."""
         (tmp_path / "mark.yaml").write_text("kinds:\n  - kind: Mark\n")
         registry = default_registry(extra_dirs=[str(tmp_path)])
-        text = "app = K {\n  nodes = {\n    node-0 = Grid5000_NODE {\n      hostname = StaticHost(h)\n      mark = Mark\n    }\n  }\n}\n"
+        text = (
+            "app = OpenCCM.Deployment {\n  nodes = {\n    node-0 = Grid5000_NODE {\n"
+            "      hostname = StaticHost(h)\n      mark = Mark\n    }\n  }\n}\n"
+        )
         with pytest.raises(ConfigError) as info:
             assembly_for(text, registry)
         assert type(info.value) is ConfigError
@@ -777,11 +781,12 @@ class TestRandomConfigs:
     def test_ordinals_and_node_assignment_match_whole_assembly_scans(self, registry_m):
         """On 1,000 seeded random configurations, generate numbers the
         composites and assigns the services' nodes as the whole-assembly
-        scans do.  The sample holds nodes numbered through another node's
-        own host, and services bound to NodeReady units that are not a
-        barrier."""
+        scans do, and fixes each composite's child order as a fresh sort
+        finds it.  The sample holds nodes numbered through another node's
+        own host, services bound to NodeReady units that are not a barrier,
+        and nodes that share one order."""
         rng = random.Random(4409)
-        built = through_another_node = to_a_non_barrier = 0
+        built = through_another_node = to_a_non_barrier = sharing = 0
         for _ in range(1000):
             try:
                 asm = assembly_for(random_config(rng), registry_m)
@@ -793,8 +798,13 @@ class TestRandomConfigs:
             owners = {cid: asm.components[server].owner for cid, server in hostname_servers(asm).items()}
             through_another_node += any(owner not in (None, cid) for cid, owner in owners.items())
             to_a_non_barrier += any(node not in asm.composites for node in asm.node_assignment.values())
+            for composite in asm.composites.values():
+                assert asm.child_order(composite.id) == asm._sorted_children(composite)
+            orders = [id(c.order) for c in asm.composites.values() if c.order is not None]
+            sharing += len(set(orders)) < len(orders)
         assert built > 800
         assert through_another_node > 50 and to_a_non_barrier > 50, (through_another_node, to_a_non_barrier)
+        assert sharing > 500, sharing
 
 
 class TestPlanShape:

@@ -88,7 +88,6 @@ class TestParsing:
         with pytest.raises(DslSyntaxError) as err:
             parse("a = K {\n  x = Port(1)\n")
         assert err.value.line >= 2
-        assert err.value.expected
 
     def test_garbage_rejected(self):
         with pytest.raises(DslSyntaxError):

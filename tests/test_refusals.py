@@ -16,7 +16,7 @@ from gridforge.errors import ArityMismatch, ConfigError, DslSyntaxError, Unknown
 
 def node(role: str) -> str:
     """A configuration whose one node declares `role`, written on line 4."""
-    return "app = K {\n  nodes = {\n    n = Grid5000_NODE {\n      " + role + "\n    }\n  }\n}\n"
+    return "app = OpenCCM.Deployment {\n  nodes = {\n    n = Grid5000_NODE {\n      " + role + "\n    }\n  }\n}\n"
 
 
 PARSE, MERGE, FRAGMENT, GENERATE = "parse", "merge", "fragment", "generate"
@@ -60,10 +60,18 @@ REFUSALS = {
         GENERATE, "app = K {\n}\nx = T\n", ConfigError, "configuration needs exactly one root block `Name = Kind { ... }`", 3, 1,
     ),
     # generator
-    "top-level entry not a block": (GENERATE, "app = K {\n  x = Port(1)\n}\n", ConfigError, "top-level entry x must be a block", 2, 3),
+    "unknown root kind": (
+        GENERATE, "app = NoSuchKind {\n  nodes = {\n  }\n}\n", UnknownKind, "unknown kind 'NoSuchKind' for app", 1, 7,
+    ),
+    "root block of a non-root kind": (
+        GENERATE, "app = Jre {\n  nodes = {\n  }\n}\n", ConfigError, "app: Jre is not a deployment root kind", 1, 7,
+    ),
+    "top-level entry not a block": (
+        GENERATE, "app = OpenCCM.Deployment {\n  x = Port(1)\n}\n", ConfigError, "top-level entry x must be a block", 2, 3,
+    ),
     "reference directly in a block": (
         GENERATE,
-        "app = K {\n  nodes = {\n    a = StaticHost(h)\n    b = nodes/a\n  }\n}\n",
+        "app = OpenCCM.Deployment {\n  nodes = {\n    a = StaticHost(h)\n    b = nodes/a\n  }\n}\n",
         ConfigError,
         "nodes/b: references are only valid inside component bodies",
         4,
@@ -71,22 +79,22 @@ REFUSALS = {
     ),
     "nested plain block": (
         GENERATE,
-        "app = K {\n  nodes = {\n    inner = {\n      a = StaticHost(h)\n    }\n  }\n}\n",
+        "app = OpenCCM.Deployment {\n  nodes = {\n    inner = {\n      a = StaticHost(h)\n    }\n  }\n}\n",
         ConfigError,
         "nodes/inner: nested plain blocks are not supported",
         3,
         5,
     ),
     "group outside services": (
-        GENERATE, "app = K {\n  nodes = {\n    g = ParallelRunner\n  }\n}\n", ConfigError,
+        GENERATE, "app = OpenCCM.Deployment {\n  nodes = {\n    g = ParallelRunner\n  }\n}\n", ConfigError,
         "nodes/g: ParallelRunner groups belong in services", 3, 5,
     ),
     "nested root kind": (
-        GENERATE, "app = K {\n  nodes = {\n    d = OpenCCM.Deployment\n  }\n}\n", ConfigError,
+        GENERATE, "app = OpenCCM.Deployment {\n  nodes = {\n    d = OpenCCM.Deployment\n  }\n}\n", ConfigError,
         "nodes/d: OpenCCM.Deployment cannot be nested", 3, 5,
     ),
     "path for a resources parameter": (
-        GENERATE, "app = K {\n  services = {\n    r = OARGrid(/tmp/x,~/nodelist)\n  }\n}\n", ArityMismatch,
+        GENERATE, "app = OpenCCM.Deployment {\n  services = {\n    r = OARGrid(/tmp/x,~/nodelist)\n  }\n}\n", ArityMismatch,
         "OARGrid: parameter request wants key=count resources", 3, 17,
     ),
     "plain block as a role": (
@@ -99,7 +107,7 @@ REFUSALS = {
     ),
     "group member not a constructor": (
         GENERATE,
-        "app = K {\n  nodes = {\n    a = StaticHost(h)\n  }\n  services = {\n    g = ParallelRunner {\n      m = nodes/a\n    }\n  }\n}\n",
+        "app = OpenCCM.Deployment {\n  nodes = {\n    a = StaticHost(h)\n  }\n  services = {\n    g = ParallelRunner {\n      m = nodes/a\n    }\n  }\n}\n",
         ConfigError,
         "services/g: group members must be constructors",
         7,
