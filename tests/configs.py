@@ -117,9 +117,10 @@ def random_config(rng) -> str:
     """A seeded random configuration of a few nodes and services.
 
     Node bodies mix roles that vary per node (`StaticHost(simnode-%{i})`)
-    with shared ones, role references to shared hosts and to another
-    node's own host (`hostname = nodes/node-0/hostname`), loops, written-out
-    and bodiless nodes.  Services bind to nodes (through their barrier), to
+    with shared ones, role references to shared hosts, to another node's
+    own host (`hostname = nodes/node-0/hostname`, or `nodes/node-0/h`) and
+    to the node's own `h` (`hostname = nodes/node-3/h` in node-3's body),
+    loops, written-out and bodiless nodes.  Services bind to nodes (through their barrier), to
     shared `NodeReady` units and to `NodeReady` node roles.
     Some hold a fault that expand, generate, validate or the planner
     reports: a duplicate name, a dangling or misdirected reference, an
@@ -144,9 +145,13 @@ def random_config(rng) -> str:
 
     def node(names: list[str], i: str) -> str:
         """One node entry, written for each of `names`; `i` is its index text."""
-        hostnames = ["StaticHost(simnode-%{i})", "StaticHost(fixed.example)"]
+        own = "nodes/node-%{i}/h"  # the node's own `h` role
+        hostnames = ["StaticHost(simnode-%{i})", "StaticHost(fixed.example)", own]
         hostnames += [f"nodes/{name}" for name in ("hostname", "alt", "static") if name in shared]
-        if "hostname" in roles_of.get("node-0", ()) or chance(0.02):
+        first = roles_of.get("node-0", ())
+        if "h" in first:  # node-0's hostname is a reference to its `h`
+            hostnames.append("nodes/node-0/h")
+        elif "hostname" in first or chance(0.02):
             hostnames.append("nodes/node-0/hostname")
         extras = ["spare = StaticHost(spare-%{i})", "jre = Jre(/opt/java/jre)", "user = User(root)"]
         extras += ["openccm = OpenCCM(/opt/OpenCCM,/opt/CORBA/JacORB)\njre = Jre(/opt/java/jre)", "extra = NodeReady"]
@@ -156,7 +161,10 @@ def random_config(rng) -> str:
         picked = rng.sample(extras, rng.randint(0, 3))
         roles = list(dict.fromkeys(line for extra in picked for line in extra.split("\n")))  # one jre line
         if chance(0.7):
-            roles.append("hostname = " + rng.choice(hostnames))
+            hostname = rng.choice(hostnames)
+            roles.append("hostname = " + hostname)
+            if hostname == own:
+                roles.append("h = StaticHost(own-%{i})")
         if chance(0.01):
             roles.append(rng.choice(["ready = NodeReady", "jre = Jre", "x = Bogus", "y = StaticHost(%{j})"]))
         rng.shuffle(roles)

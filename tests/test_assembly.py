@@ -783,10 +783,11 @@ class TestRandomConfigs:
         composites and assigns the services' nodes as the whole-assembly
         scans do, and fixes each composite's child order as a fresh sort
         finds it.  The sample holds nodes numbered through another node's
-        own host, services bound to NodeReady units that are not a barrier,
+        own host, nodes whose role reference binds one of their own
+        children, services bound to NodeReady units that are not a barrier,
         and nodes that share one order."""
         rng = random.Random(4409)
-        built = through_another_node = to_a_non_barrier = sharing = 0
+        built = through_another_node = through_its_own_role = to_a_non_barrier = sharing = 0
         for _ in range(1000):
             try:
                 asm = assembly_for(random_config(rng), registry_m)
@@ -795,8 +796,11 @@ class TestRandomConfigs:
             built += 1
             assert {cid: c.ordinal for cid, c in asm.composites.items()} == ordinals_by_scan(asm)
             assert list(asm.node_assignment.items()) == list(nodes_by_scan(asm).items())
-            owners = {cid: asm.components[server].owner for cid, server in hostname_servers(asm).items()}
+            servers = hostname_servers(asm)
+            owners = {cid: asm.components[server].owner for cid, server in servers.items()}
             through_another_node += any(owner not in (None, cid) for cid, owner in owners.items())
+            # `h` is written only with `hostname = nodes/node-<i>/h` in its own body
+            through_its_own_role += any(asm.composites[cid].children.get("h") == s for cid, s in servers.items())
             to_a_non_barrier += any(node not in asm.composites for node in asm.node_assignment.values())
             for composite in asm.composites.values():
                 assert asm.child_order(composite.id) == asm._sorted_children(composite)
@@ -804,6 +808,7 @@ class TestRandomConfigs:
             sharing += len(set(orders)) < len(orders)
         assert built > 800
         assert through_another_node > 50 and to_a_non_barrier > 50, (through_another_node, to_a_non_barrier)
+        assert through_its_own_role > 200, through_its_own_role
         assert sharing > 500, sharing
 
 

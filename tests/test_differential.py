@@ -25,7 +25,7 @@ from gridforge.runtime import ExecOptions
 from gridforge.simgrid import SimClockConfig
 
 INPUTS = 2000
-DIGEST = "03fb906645386914298b01177c8f223e50e60b08ada7c8a1a19b0bca3f218f37"
+DIGEST = "dc9e79808cffbb94d8a7ce2303677016da9e089e6e52807496edfec5c29ff45a"
 
 
 def _reset_nodelists(home) -> None:
