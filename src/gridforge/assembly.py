@@ -129,7 +129,7 @@ class _Generator:
         value = entry.value
         template = self._templates.get(id(value))
         if template is not None:
-            self._stamp(block, entry.name, template)
+            self._make_composite(block, entry.name, template)
             return
         if isinstance(value, Ref):
             raise ConfigError(
@@ -140,7 +140,7 @@ class _Generator:
             raise ConfigError(f"{block}/{entry.name}: nested plain blocks are not supported", entry.span)
         spec = self._kind(value, entry)
         if spec.composite:
-            self._stamp(block, entry.name, self._template(f"{block}/{entry.name}", entry, spec))
+            self._make_composite(block, entry.name, self._template(f"{block}/{entry.name}", entry, spec))
         elif spec.group:
             if not in_services:
                 raise ConfigError(f"{block}/{entry.name}: {spec.name} groups belong in services", entry.span)
@@ -279,7 +279,7 @@ class _Generator:
             {r.key[0]: r.key[2] for r in roles if not r.part},
         )
 
-    def _stamp(self, block: str, name: str, template: _Template) -> None:
+    def _make_composite(self, block: str, name: str, template: _Template) -> None:
         """Make one composite's ids, components and barrier bindings."""
         comp_id = f"{block}/{name}"
         components = self.asm.components

@@ -1,14 +1,17 @@
 """Command-line front end: plan, deploy, undeploy, status, bench.
 
 Mutating subcommands persist a state file (assembly hash, component
-states, journal, simulated fleet) as compact JSON so status and undeploy
-work across processes; `GRIDFORGE_STATE_DIR` overrides its location.  The
-fleet is saved as one table of the distinct steps its nodes ran and, per
-SimNode, its log as indices into that table, so a step every node runs is
-written once.  A
-command that performs no transition leaves an existing file untouched, so
-it keeps the journal of the last command that did.  Exit codes: 0
-success, 2 configuration or validation problems, 3 execution failure.
+states, simulated fleet) as compact JSON so status and undeploy work
+across processes; `GRIDFORGE_STATE_DIR` overrides its location.  The file
+holds only what a later command reads back, so on the sim it is a function
+of the configuration and the seeds alone.  The fleet is saved as one table
+of the distinct steps its nodes ran and, per SimNode, its log as indices
+into that table, so a step every node runs is written once.  A command
+that performs no transition leaves an existing file untouched.  An output
+file (`--metrics`, `--emit`, `--out`) that cannot be written is refused
+like a configuration problem before any action or measurement runs.
+Exit codes: 0 success, 2 configuration or validation problems, 3
+execution failure.
 
 Each command runs only the stages whose result it uses.  `status -c`
 parses, expands, generates and validates the configuration
@@ -28,16 +31,19 @@ helps where no full collection runs, and a threshold is a number to tune.
 Commands read the file by section.  `deploy`, `undeploy` and `status -c`
 decode the component states; `status` decodes each file's descriptor and
 states.  The saved SimNodes are decoded the first time the run contacts a
-node, so a resume deploy, a dry run and `status -c` never decode them.  No
-command decodes the saved journal.  A state file that cannot be decoded, or
-that names an unknown component state, is a DeploymentError naming the
-file (exit 3), and is left as it is; so is one whose saved SimNodes fail
-to decode when a command that contacted a node saves.
+node, so a resume deploy, a dry run and `status -c` never decode them.  A
+file of the older layout that also saved each command's journal is decoded
+whole, and loses the journal when it is next saved.  A state file that
+cannot be decoded, or that names an unknown component state, is a
+DeploymentError naming the file (exit 3), and is left as it is; so is one
+whose saved SimNodes fail to decode when a command that contacted a node
+saves.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import functools
 import gc
@@ -72,11 +78,11 @@ def _state_path(key: str) -> str:
     return os.path.join(state_dir(), key + ".json")
 
 
-# save_state writes {"descriptor":…,"fleet":…,"journal":[…],"states":{…}}
-# with sorted keys and no whitespace.  JSON escapes every '"' inside a
-# string, and the only objects with free-form keys (a SimNode's env, the
-# states) have string values, so ,"journal":[ and ,"states":{ can only be
-# top-level keys.
+# save_state writes {"descriptor":…,"fleet":…,"states":{…}} with sorted
+# keys and no whitespace.  JSON escapes every '"' inside a string, and the
+# only objects with free-form keys (a SimNode's env, the states) have
+# string values, so ,"states":{ can only be a top-level key, and so can
+# ,"journal":[, which files of an older layout hold before the states.
 _HEAD, _FLEET, _JOURNAL, _STATES = '{"descriptor":', ',"fleet":', ',"journal":[', ',"states":{'
 _decoder = json.JSONDecoder()
 _STATE_NAMES = {state.name: state for state in LifecycleState}
@@ -86,17 +92,18 @@ def _read_state(text: str) -> dict:
     """The state document's "descriptor", "states" and "fleet".
 
     In save_state's layout only the descriptor and the states are decoded:
-    "fleet" is the fleet's undecoded text (None for null), and the journal
-    is skipped.  Any other text, such as the indented files of older
-    versions, is decoded whole."""
+    "fleet" is the fleet's undecoded text (None for null).  Any other text,
+    such as a file of an older layout (indented, or with a "journal"), is
+    decoded whole."""
     states_at = text.rfind(_STATES)
-    journal_at = text.rfind(_JOURNAL, 0, max(states_at, 0))
-    if journal_at > 0 and text.startswith(_HEAD):
-        states, end = _decoder.raw_decode(text, states_at + len(_STATES) - 1)
+    if states_at > 0 and text.startswith(_HEAD):
         descriptor, fleet_at = _decoder.raw_decode(text, len(_HEAD))
-        if end == len(text) - 1 and text[end] == "}" and text.startswith(_FLEET, fleet_at):
-            fleet = text[fleet_at + len(_FLEET) : journal_at]
-            return {"descriptor": descriptor, "fleet": None if fleet == "null" else fleet, "states": states}
+        if text.startswith(_FLEET, fleet_at) and text.find(_JOURNAL, fleet_at, states_at) < 0:
+            states, end = _decoder.raw_decode(text, states_at + len(_STATES) - 1)
+            if end == len(text) - 1 and text[end] == "}":
+                fleet = text[fleet_at + len(_FLEET) : states_at]
+                fleet = None if fleet == "null" else fleet
+                return {"descriptor": descriptor, "fleet": fleet, "states": states}
     return json.loads(text)
 
 
@@ -144,9 +151,9 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def save_state(deployment: Deployment, key: str) -> str:
     """Write the state file: the bytes json.dumps(document, sort_keys=True,
     separators=(",", ":")) gives.  The fleet (a step table and each
-    SimNode's log as indices into it), the journal and the states are
-    encoded and written one at a time, so that the document is never held
-    as one string."""
+    SimNode's log as indices into it) and the states are encoded and
+    written one at a time, so that the document is never held as one
+    string."""
     os.makedirs(state_dir(), exist_ok=True)
     path = _state_path(key)
     fleet = deployment.ctx.fleet
@@ -167,7 +174,6 @@ def save_state(deployment: Deployment, key: str) -> str:
             # The document's keys in sorted order; "descriptor" is the key
             # name older state files use.
             fh.write(f'{{"descriptor":{_encode(key)},"fleet":{_encode(saved_fleet)}')
-            fh.write(f',"journal":{_encode(deployment.assembly.journal.export_lines())}')
             fh.write(f',"states":{_encode(states)}}}')
             fh.flush()
             os.fsync(fh.fileno())
@@ -209,10 +215,13 @@ def _exec_options(args: argparse.Namespace) -> ExecOptions:
     )
 
 
-def _write_metrics(args: argparse.Namespace, report) -> None:
-    if getattr(args, "metrics", None):
-        with open(args.metrics, "w", encoding="utf-8") as fh:
-            fh.write(report.metrics_csv())
+def _open_output(path: str):
+    """`path` opened for writing text; one that cannot be opened is refused
+    as a configuration problem, by one line that names it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -228,7 +237,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if args.emit == "-":
             sys.stdout.write(text)
         else:
-            with open(args.emit, "w", encoding="utf-8") as fh:
+            with _open_output(args.emit) as fh:
                 fh.write(text)
     return EXIT_OK
 
@@ -244,8 +253,11 @@ def _save_if_changed(deployment: Deployment, key: str, found: bool) -> None:
 def _run(args: argparse.Namespace, inverse: bool) -> int:
     deployment = _build(args)
     key = _state_key(deployment.assembly)
-    with _StateLock():
+    with _StateLock(), contextlib.ExitStack() as outputs:
         found = load_state(deployment.assembly, key, deployment.ctx.fleet)
+        # Opened before any action runs: a path that cannot be written
+        # leaves the deployment as it was.
+        metrics = outputs.enter_context(_open_output(args.metrics)) if args.metrics else None
         options = _exec_options(args)
         failure = None
         try:
@@ -256,8 +268,8 @@ def _run(args: argparse.Namespace, inverse: bool) -> int:
         except StageFailed as exc:
             report, failure = exc.report, exc
         # A failed run keeps what it did: its metrics and the states reached.
-        if report is not None:
-            _write_metrics(args, report)
+        if report is not None and metrics is not None:
+            metrics.write(report.metrics_csv())
         if not options.dry_run:
             _save_if_changed(deployment, key, found)
         if failure is not None:
@@ -318,17 +330,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench as bench_mod  # statistics and its imports stay off the deploy path
     lo, hi, step = args.sizes
     sizes = list(range(lo, hi + 1, step))
-    points = bench_mod.measure_scaling(
-        sizes,
-        max_workers=args.max_workers,
-        sim_config=_sim_config(args),
-    )
-    csv_text = bench_mod.to_csv(points)
-    if args.out == "-":
-        sys.stdout.write(csv_text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+    with contextlib.ExitStack() as outputs:
+        # Opened before measuring, so that a path that cannot be written
+        # is refused at once.
+        out = sys.stdout if args.out == "-" else outputs.enter_context(_open_output(args.out))
+        points = bench_mod.measure_scaling(
+            sizes,
+            max_workers=args.max_workers,
+            sim_config=_sim_config(args),
+        )
+        out.write(bench_mod.to_csv(points))
     fit = bench_mod.r_squared([p.n_nodes for p in points], [p.overhead_ms for p in points])
     print(f"linear fit of overhead_ms over {len(points)} sizes: r^2 = {fit:.4f}", file=sys.stderr)
     return EXIT_OK

@@ -153,45 +153,21 @@ class JournalRecord(NamedTuple):
     """One performed action.  A named tuple, as `Binding` is: the executor
     makes one per transition."""
 
-    timestamp: str
     component_id: str
     action: LifecycleAction
     ok: bool
     millis: float
 
-    def line(self) -> str:
-        outcome = "ok" if self.ok else "fail"
-        # `_value_` is the member's value, read without Enum's Python-level property.
-        return f"{self.timestamp} {self.component_id} {self.action._value_} {outcome} {self.millis:.3f}"
-
 
 class Journal:
-    """Append-only action log.  Appends take no lock, since the sim runs
-    every action on the calling thread; worker threads append only inside
-    `shared()`."""
+    """Append-only log of the actions one command performed.  It is not
+    saved: a command reads its length to know whether it changed anything.
+    Appends take no lock, since the sim runs every action on the calling
+    thread; worker threads append only inside `shared()`."""
 
     def __init__(self) -> None:
         self._records: list[JournalRecord] = []
         self.append = self._records.append
-        self._second: tuple[int, str] = (-1, "")  # last second stamped, formatted
-        self._last: tuple[int, str] = (-1, "")  # last millisecond stamped, and its stamp
-
-    def stamp(self) -> str:
-        """The UTC time now, as isoformat(timespec="milliseconds") writes it;
-        the date and time of day are formatted once per second, and the
-        records of one millisecond share one stamp.  Two threads may both
-        format a stamp; they agree."""
-        now = time.time_ns() // 1_000_000
-        last = self._last
-        if last[0] == now:
-            return last[1]
-        second, ms = divmod(now, 1000)
-        cached = self._second
-        if cached[0] != second:
-            cached = self._second = (second, time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(second)))
-        stamp = f"{cached[1]}.{ms:03d}+00:00"
-        self._last = (now, stamp)
-        return stamp
 
     @contextmanager
     def shared(self) -> Iterator[None]:
@@ -212,9 +188,6 @@ class Journal:
 
     def records(self) -> list[JournalRecord]:
         return list(self._records)
-
-    def export_lines(self) -> list[str]:
-        return [r.line() for r in self._records]
 
     def __len__(self) -> int:
         return len(self._records)
@@ -310,8 +283,7 @@ class Assembly:
         except Exception as exc:
             failure = exc
         millis = clock.end_action() if clock is not None else (time.monotonic() - started) * 1000.0
-        journal = self.journal
-        journal.append(JournalRecord(journal.stamp(), component_id, action, failure is None, millis))
+        self.journal.append(JournalRecord(component_id, action, failure is None, millis))
         if failure is not None:
             raise ActionFailed(component_id, action, failure) from failure
         component.state = reached

@@ -240,8 +240,8 @@ class TestStatusListing:
 
     @pytest.mark.parametrize("indent", [None, 1], ids=["compact", "indented"])
     def test_listing_reads_the_states_alone(self, workdir, capsys, monkeypatch, indent):
-        """A compact file is read by section, so its journal and fleet stay
-        undecoded; an indented one is decoded whole, with the same lines."""
+        """A compact file is read by section, so its fleet stays undecoded;
+        an indented one is decoded whole, with the same lines."""
         cli.main(["deploy", "-c", str(workdir / "mini.gdf")])
         capsys.readouterr()
         (fname,) = state_files(workdir)
@@ -252,7 +252,7 @@ class TestStatusListing:
         assert cli.main(["status"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"deployment {fname[: -len('.json')]}:", *(f"  {line}" for line in sorted(MINI_STATUS))]
-        whole = [value for value in decoded if isinstance(value, dict) and "journal" in value]
+        whole = [value for value in decoded if isinstance(value, dict) and "descriptor" in value]
         assert len(whole) == (1 if indent else 0)
 
     def test_state_file_contents(self, workdir, capsys):
@@ -261,7 +261,7 @@ class TestStatusListing:
         data = json.loads((workdir / "state" / fname).read_text())
         assert data["states"]["services/ns"] == "STARTED"
         assert data["descriptor"] == fname[: -len(".json")]
-        assert len(data["journal"]) == 12
+        assert list(data) == ["descriptor", "fleet", "states"]
         assert any(n["id"] == "simnode-0" for n in data["fleet"]["nodes"])
 
     def test_crash_during_save_keeps_previous_state(self, workdir, capsys, monkeypatch):
@@ -382,7 +382,6 @@ class TestStateFile:
         assert "0 transition(s) performed" in capsys.readouterr().out
         assert path.read_bytes() == before
         assert path.stat().st_mtime_ns == mtime
-        assert len(json.loads(before)["journal"]) == 12
 
     def test_transitions_rewrite_the_file(self, deployed, capsys):
         cfg, path = deployed
@@ -391,7 +390,7 @@ class TestStateFile:
         data = json.loads(path.read_bytes())
         assert path.read_bytes() != before
         assert set(data["states"].values()) == {"UNINSTALLED"}
-        assert len(data["journal"]) == 12
+        assert "journal" not in data
 
     def test_compact_json(self, deployed):
         _, path = deployed
@@ -404,6 +403,32 @@ class TestStateFile:
         assert "0 transition(s) performed" in capsys.readouterr().out
         assert cli.main(["status", "-c", cfg]) == 0
         assert capsys.readouterr().out.splitlines() == MINI_STATUS
+
+    def test_file_with_a_journal_still_works(self, deployed, capsys, monkeypatch):
+        """A file in the older layout, which also saved the last command's
+        journal between the fleet and the states, is decoded whole: a deploy
+        resumes from it with 0 transitions, `status -c` lists the same
+        states, and the undeploy leaves every SimNode pristine and saves
+        the file without the journal."""
+        cfg, path = deployed
+        ids = [line.split()[0] for line in MINI_STATUS]
+        lines = [f"2026-01-01T00:00:00.000+00:00 {cid} {act} ok 5.000" for cid in ids for act in ("Install", "Start")]
+        text = path.read_text()
+        at = text.index(',"states":{')
+        path.write_text(f'{text[:at]},"journal":{json.dumps(lines, separators=(",", ":"))}{text[at:]}')
+        assert list(json.loads(path.read_text())) == ["descriptor", "fleet", "journal", "states"]
+        decoded = record_decodes(monkeypatch)
+        assert cli.main(["deploy", "-c", cfg]) == 0
+        assert "0 transition(s) performed" in capsys.readouterr().out
+        assert [value for value in decoded if isinstance(value, dict) and "journal" in value]
+        assert cli.main(["status", "-c", cfg]) == 0
+        assert capsys.readouterr().out.splitlines() == MINI_STATUS
+        assert cli.main(["undeploy", "-c", cfg]) == 0
+        data = json.loads(path.read_text())
+        assert list(data) == ["descriptor", "fleet", "states"]
+        assert set(data["states"].values()) == {"UNINSTALLED"}
+        nodes = data["fleet"]["nodes"]
+        assert nodes and not any(nd["env"] or nd["files"] or nd["processes"] for nd in nodes)
 
     def test_status_lines(self, deployed, capsys):
         cfg, _ = deployed
@@ -490,8 +515,7 @@ class TestStateReader:
         assert loaded.assembly.status() == deployment.assembly.status()
         assert loaded.ctx.fleet.to_dict() == deployment.ctx.fleet.to_dict()
         cli.save_state(loaded, "edited")
-        resaved = json.loads(path.read_text(encoding="utf-8"))
-        assert {**resaved, "journal": None} == {**json.loads(text), "journal": None}
+        assert path.read_text(encoding="utf-8") == text
 
         path.write_text(json.dumps(json.loads(text), indent=1, sort_keys=True))
         whole = build_from_text(MINI)
@@ -501,7 +525,7 @@ class TestStateReader:
 
     @pytest.mark.parametrize("tail", ["}\n", ',"zz":{"states":{"b":"STOPPED"}}}'], ids=["newline", "later-key"])
     def test_other_text_is_decoded_whole(self, tail):
-        head = '{"descriptor":"k","fleet":null,"journal":["x"],"states":{"a":"STARTED"}'
+        head = '{"descriptor":"k","fleet":null,"states":{"a":"STARTED"}'
         assert cli._read_state(head + "}") == {"descriptor": "k", "fleet": None, "states": {"a": "STARTED"}}
         assert cli._read_state(head + tail) == json.loads(head + tail)
 
@@ -600,7 +624,6 @@ def _reference_bytes(deployment, key):
     document = {
         "descriptor": key,
         "states": {cid: c.state.name for cid, c in deployment.assembly.components.items()},
-        "journal": deployment.assembly.journal.export_lines(),
         "fleet": fleet.to_dict() if fleet is not None and fleet.nodes else None,
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
@@ -637,6 +660,24 @@ class TestStateWriter:
             assert [sorted(nd) for nd in nodes] == [["env", "files", "id", "log", "processes"]] * 3
             assert {nd["id"]: len(nd["log"]) for nd in nodes} == dict(applied), command
         assert not any(nd["env"] or nd["files"] or nd["processes"] for nd in nodes)
+
+    def test_sim_state_file_is_reproducible(self, tmp_path, monkeypatch, capsys):
+        """Deploy then undeploy of reserved(6, 6), run twice, each time under
+        a fresh HOME and state directory with the same seeds, write the same
+        bytes after each command."""
+        cfg = write_config(tmp_path, "reserved.gdf", reserved(6, 6))
+        runs = []
+        for run in (tmp_path / "first", tmp_path / "second"):
+            (run / "home").mkdir(parents=True)
+            monkeypatch.setenv("HOME", str(run / "home"))
+            monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(run / "state"))
+            saved = []
+            for command in ("deploy", "undeploy"):
+                assert cli.main([command, "-c", cfg, "--seed", "7", "--jitter-seed", "3"]) == 0
+                (path,) = (run / "state").glob("*.json")
+                saved.append(path.read_bytes())
+            runs.append(saved)
+        assert runs[0] == runs[1]
 
     def test_empty_fleet(self, workdir):
         deployment = build_from_text(MINI)
@@ -709,6 +750,27 @@ class TestFailures:
         assert "--max-workers: must be at least 1, got 0" in capsys.readouterr().err
         assert state_files(workdir) == []
 
+    @pytest.mark.parametrize("command", ["deploy", "undeploy"])
+    def test_unwritable_metrics_path_exits_2_before_any_action(self, workdir, capsys, command):
+        """One line of stderr names the path, and no action runs: the state
+        file is as the command found it, and the next run does all the work."""
+        cfg = str(workdir / "mini.gdf")
+        if command == "undeploy":
+            assert cli.main(["deploy", "-c", cfg]) == 0
+            capsys.readouterr()
+        before = {name: (workdir / "state" / name).read_bytes() for name in state_files(workdir)}
+        metrics = workdir / "missing" / "m.csv"
+        assert cli.main([command, "-c", cfg, "--metrics", str(metrics)]) == 2
+        assert capsys.readouterr() == ("", f"cannot write {metrics}: No such file or directory\n")
+        assert {name: (workdir / "state" / name).read_bytes() for name in state_files(workdir)} == before
+        assert cli.main([command, "-c", cfg]) == 0
+        assert "12 transition(s) performed" in capsys.readouterr().out
+
+    def test_unwritable_emit_path_exits_2(self, workdir, capsys):
+        emit = workdir / "missing" / "e.txt"
+        assert cli.main(["plan", "-c", str(workdir / "mini.gdf"), "--emit", str(emit)]) == 2
+        assert capsys.readouterr().err == f"cannot write {emit}: No such file or directory\n"
+
 
 # Three nodes and nothing else: no role runs a script, so a deploy through
 # any transport sends nothing.
@@ -774,6 +836,15 @@ class TestBench:
             int(r.split(",")[0]): r.split(",")[2] for r in rows[1:]
         }
         assert effective == {10: "175.000", 20: "320.000", 30: "465.000"}
+
+    def test_unwritable_out_path_exits_2(self, workdir, capsys, monkeypatch):
+        """Refused before anything is measured."""
+        from gridforge import bench
+
+        monkeypatch.setattr(bench, "measure_scaling", lambda sizes, **_: pytest.fail("measured"))
+        out_path = workdir / "missing" / "scaling.csv"
+        assert cli.main(["bench", "--sizes", "10:10:1", "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == f"cannot write {out_path}: No such file or directory\n"
 
     def test_stdout_output(self, workdir, capsys):
         assert cli.main(["bench", "--sizes", "10:10:1"]) == 0

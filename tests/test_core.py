@@ -1,12 +1,9 @@
 """Lifecycle state machine: transition table, ensure paths, journal replay."""
 
-import re
 from collections import deque
-from datetime import datetime, timezone
 
 import pytest
 
-from gridforge import core
 from gridforge.core import (
     ENSURE_PATHS,
     TRANSITIONS,
@@ -15,7 +12,6 @@ from gridforge.core import (
     Binding,
     Component,
     Composite,
-    Journal,
     LifecycleAction,
     LifecycleState,
     PortSpec,
@@ -339,40 +335,11 @@ class TestBindings:
 
 
 class TestJournal:
-    LINE = re.compile(
-        r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}\+00:00 "
-        r"\S+ (Install|Start|Stop|Uninstall) (ok|fail) \d+\.\d{3}$"
-    )
-
-    def test_line_format(self):
-        asm, _ = fresh()
-        asm.ensure("c", S.STARTED)
-        for line in asm.journal.export_lines():
-            assert self.LINE.match(line), line
-
     def test_append_order_preserved(self):
         asm, _ = fresh()
         asm.ensure("c", S.STARTED)
         actions = [r.action for r in asm.journal.records()]
         assert actions == [A.INSTALL, A.START]
-
-    def test_stamp_matches_datetime_isoformat(self, monkeypatch):
-        """Stamps read as datetime's UTC isoformat, also where the cached
-        second, minute and day roll over."""
-        journal = Journal()
-        for ms in (1_700_000_000_998, 1_700_000_000_999, 1_700_000_001_000, 1_700_000_059_999,
-                   1_700_000_060_000, 1_700_006_399_999, 1_700_006_400_001, 1_700_000_001_500):
-            monkeypatch.setattr(core.time, "time_ns", lambda ms=ms: ms * 1_000_000 + 123_456)
-            want = datetime.fromtimestamp(ms / 1000, timezone.utc).isoformat(timespec="milliseconds")
-            assert journal.stamp() == want
-
-    def test_records_of_one_millisecond_share_one_stamp(self, monkeypatch):
-        journal = Journal()
-        monkeypatch.setattr(core.time, "time_ns", lambda: 1_700_000_000_998_123_456)
-        first = journal.stamp()
-        assert journal.stamp() is first
-        monkeypatch.setattr(core.time, "time_ns", lambda: 1_700_000_000_999_000_000)
-        assert journal.stamp() == "2023-11-14T22:13:20.999+00:00"
 
 
 class TestComposites:
