@@ -1,5 +1,9 @@
 """Small configuration texts shared by several test modules."""
 
+import re
+
+from gridforge.dsl import Arg, Block, ConfigAST, Ctor, Entry, Loop, Ref, parse, unparse
+
 # One node, one naming service. The smallest thing that exercises the
 # whole pipeline: composite generation, barrier binding, service planning.
 MINI = """
@@ -111,6 +115,37 @@ services = {{
     return app, reservation
 
 
+_VARIABLE = re.compile(r"%\{(\w+)\}")
+
+
+def unroll(text: str) -> str:
+    """`text` with every `apply FOR` written out by hand: its body once per
+    value of the variable, both bounds included, with each bound `%{var}`
+    replaced in names, arguments and reference paths.  A `%{var}` that no
+    enclosing loop binds is left as it is written."""
+
+    def fill(written: str, env: dict) -> str:
+        return _VARIABLE.sub(lambda m: str(env[m.group(1)]) if m.group(1) in env else m.group(0), written)
+
+    def entries(items: list, env: dict) -> list:
+        out = []
+        for item in items:
+            if isinstance(item, Loop):
+                for i in range(item.lo, item.hi + 1):
+                    out += entries(item.body, {**env, item.var: i})
+            else:
+                out.append(Entry(fill(item.name, env), value(item.value, env)))
+        return out
+
+    def value(written, env: dict):
+        if isinstance(written, Ref):
+            return Ref(tuple(fill(part, env) for part in written.path))
+        if isinstance(written, Block):
+            return Block(entries(written.entries, env))
+        body = None if written.body is None else value(written.body, env)
+        return Ctor(written.kind, [Arg(fill(arg.text, env)) for arg in written.args], body)
+
+    return unparse(ConfigAST(entries(parse(text).entries, {})))
 
 
 def random_config(rng) -> str:

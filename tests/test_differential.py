@@ -14,7 +14,7 @@ of these moves the digest.
 import hashlib
 import random
 
-from configs import random_config
+from configs import random_config, unroll
 from conftest import seed_nodelist
 from gridforge.assembly import emit_text, generate, plan, validate
 from gridforge.cli import _state_key
@@ -49,11 +49,14 @@ def _run(deployment: Deployment, inverse: bool) -> list[str]:
     return lines
 
 
-def _outcome(text: str, registry, home) -> str:
+def _outcome(text: str, registry, home, placed: bool = True) -> str:
+    """What `text` gives, a refusal with its line and column unless not
+    `placed`."""
     try:
         asm = generate(expand(parse(text)), registry)
     except ConfigError as err:
-        return f"refused {type(err).__name__} {err.args[0]} {err.line}:{err.column}\n"
+        at = f" {err.line}:{err.column}" if placed else ""
+        return f"refused {type(err).__name__} {err.args[0]}{at}\n"
     diagnostics = validate(asm)
     if diagnostics:
         return "diagnostics\n" + "".join(f"{d}\n" for d in diagnostics)
@@ -86,3 +89,23 @@ def test_pipeline_digest(registry, sim_home):
         failed += "\ndeploy stage " in outcome
     assert ran > 1000 and failed > 0, (ran, failed)
     assert digest.hexdigest() == DIGEST
+
+
+def test_loops_give_what_their_unrolled_text_gives(registry, sim_home):
+    """The unrolling relation: each seeded input that holds an `apply FOR`
+    gives what its hand-unrolled text (`configs.unroll`) gives.  A refusal
+    has the same class and message, though not the same line and column,
+    since the text moves; anything else is the same diagnostics, or the same
+    emit_text with the plan, state key, and deploy and undeploy on the sim."""
+    rng = random.Random(2207)
+    looped = refused = ran = 0
+    for _ in range(INPUTS):
+        text = random_config(rng)
+        if "apply FOR" not in text:
+            continue
+        outcome = _outcome(text, registry, sim_home, placed=False)
+        assert _outcome(unroll(text), registry, sim_home, placed=False) == outcome, text
+        looped += 1
+        refused += outcome.startswith("refused ")
+        ran += "\ndeploy " in outcome
+    assert looped > 1000 and refused > 100 and ran > 1000, (looped, refused, ran)
