@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Assembly, Behavior, Binding, Component, Composite, LifecycleState, PortSpec
-from .dsl import Block, Ctor, Entry, ExpandedConfig, Ref
+from .dsl import Block, Cell, Ctor, Entry, ExpandedConfig, Loop, Ref, arg_kind, fill, joined
 from .errors import (
     ArityMismatch,
     ConfigError,
@@ -61,11 +61,57 @@ class ServiceEntry:
 # -- generation ---------------------------------------------------------------
 
 
+def _each(entries: list, env: dict[str, int]):
+    """(entry, env) for each entry, a loop's body once per value of its
+    variable, both bounds included."""
+    for entry in entries:
+        if not isinstance(entry, Loop):
+            yield entry, env
+            continue
+        for i in range(entry.lo, entry.hi + 1):
+            inner = {**env, entry.var: i}
+            for child in entry.body:
+                if isinstance(child, Loop):
+                    yield from _each((child,), inner)
+                else:
+                    yield child, inner
+
+
+def _per_node(child: Entry) -> bool:
+    """Whether a role's name or referenced path holds a loop variable, so
+    that each node checks the role anew."""
+    value = child.value
+    return isinstance(child.name, Cell) or (isinstance(value, Ref) and isinstance(joined(value.path), Cell))
+
+
+def _arg_value(kind: str, param, text: str, span) -> object:
+    """The value of argument `text` for `param`, refused unless its class
+    (`dsl.arg_kind`) suits the parameter."""
+    if param.kind == "int":
+        if arg_kind(text) != "int":
+            raise ArityMismatch(f"{kind}: parameter {param.name} wants an integer, got {text!r}", span)
+        return int(text)
+    if param.kind == "resources" and arg_kind(text) not in ("resources", "str"):
+        raise ArityMismatch(f"{kind}: parameter {param.name} wants key=count resources", span)
+    return text
+
+
+def _restamp(kind: str, args: dict, varying: tuple, env: dict[str, int]) -> dict:
+    """`args` with each argument that holds a loop variable filled in for
+    `env` and checked again."""
+    args = dict(args)
+    for param, arg in varying:
+        args[param.name] = _arg_value(kind, param, arg.text.fill(env), arg.span)
+    return args
+
+
 class _Role(NamedTuple):
-    """One role of a node body, checked once per `Entry`."""
+    """One role of a node body, checked once per `Entry` unless its name
+    or reference holds a loop variable."""
 
     key: tuple  # (role, kind, None), or (role, None, referenced path) for a role reference
     part: tuple | None  # (role, kind, provides, ports, behavior, args) it stamps; None for a reference
+    varying: tuple  # (param, Arg) per argument holding a loop variable: the part's args are one node's
 
 
 class _Shape(NamedTuple):
@@ -86,6 +132,7 @@ class _Template(NamedTuple):
     kind: str
     children: tuple  # each child's part, the barrier last
     shape: _Shape
+    varying: tuple  # (child index, its role's varying args) per child restamped for each node
 
 
 class _Generator:
@@ -94,10 +141,13 @@ class _Generator:
         self.registry = registry
         self.asm = Assembly()
         self._behaviors: dict[str, Behavior] = {}  # kind -> the behaviour its components share
-        # Compiled node bodies, keyed by object identity: `expand` shares the
-        # loop-invariant parts of a body between nodes.  The config and
+        # What each entry compiles to, keyed by object identity: a loop's
+        # entries are the same objects in every iteration.  The config and
         # `_default_roles` keep every keyed object alive while the build lasts.
-        self._templates: dict[int, _Template] = {}  # id(composite Ctor) -> template
+        self._specs: dict[int, KindSpec] = {}  # id(component Entry) -> its checked kind
+        self._argsets: dict[int, tuple] = {}  # id(Ctor) -> (args, varying args)
+        self._binds: dict[int, tuple] = {}  # id(service Entry) -> its checked port bindings
+        self._templates: dict[int, _Template] = {}  # id(composite Entry) -> template
         self._roles: dict[int, _Role] = {}  # id(role Entry) -> its checked role
         self._default_roles: dict[tuple, Entry] = {}  # (composite kind, role) -> its default
         self._shapes: dict[tuple, _Shape] = {}  # the roles' keys, in order -> shape
@@ -113,56 +163,59 @@ class _Generator:
         if not spec.root:
             message = f"{config.root_name}: {spec.name} is not a deployment root kind"
             raise ConfigError(message, config.root_span)
-        for entry in config.root.entries:
+        for entry, env in _each(config.root.entries, {}):
+            name = fill(entry.name, env)
             if not isinstance(entry.value, Block):
-                raise ConfigError(f"top-level entry {entry.name} must be a block", entry.span)
-            in_services = entry.name in SERVICE_BLOCKS
-            for child in entry.value.entries:
-                self._block_entry(entry.name, child, in_services)
+                raise ConfigError(f"top-level entry {name} must be a block", entry.span)
+            in_services = name in SERVICE_BLOCKS
+            for child, child_env in _each(entry.value.entries, env):
+                self._block_entry(name, child, child_env, in_services)
         self._autobind()
         self._bind_nodelists()
         return self.asm
 
-    # entry dispatch
+    # entry dispatch: each entry is checked once, then stamped per iteration
 
-    def _block_entry(self, block: str, entry: Entry, in_services: bool) -> None:
-        value = entry.value
-        template = self._templates.get(id(value))
+    def _block_entry(self, block: str, entry: Entry, env: dict, in_services: bool) -> None:
+        name = fill(entry.name, env)
+        cid = f"{block}/{name}"
+        template = self._templates.get(id(entry))
         if template is not None:
-            self._make_composite(block, entry.name, template)
+            self._make_composite(block, cid, template, env)
             return
-        if isinstance(value, Ref):
-            raise ConfigError(
-                f"{block}/{entry.name}: references are only valid inside component bodies",
-                entry.span,
-            )
-        if isinstance(value, Block):
-            raise ConfigError(f"{block}/{entry.name}: nested plain blocks are not supported", entry.span)
-        spec = self._kind(value, entry)
+        spec = self._specs.get(id(entry))
+        if spec is None:
+            value = entry.value
+            if isinstance(value, Ref):
+                raise ConfigError(f"{cid}: references are only valid inside component bodies", entry.span)
+            if isinstance(value, Block):
+                raise ConfigError(f"{cid}: nested plain blocks are not supported", entry.span)
+            spec = self._specs[id(entry)] = self._kind(value, name)
         if spec.composite:
-            self._make_composite(block, entry.name, self._template(f"{block}/{entry.name}", entry, spec))
+            self._make_composite(block, cid, self._template(cid, entry, spec, env), env)
         elif spec.group:
             if not in_services:
-                raise ConfigError(f"{block}/{entry.name}: {spec.name} groups belong in services", entry.span)
-            self._group(block, entry)
+                raise ConfigError(f"{cid}: {spec.name} groups belong in services", entry.span)
+            self._group(cid, entry, env)
         elif spec.root:
-            raise ConfigError(f"{block}/{entry.name}: {spec.name} cannot be nested", entry.span)
+            raise ConfigError(f"{cid}: {spec.name} cannot be nested", entry.span)
         else:
-            cid = f"{block}/{entry.name}"
-            self._component(cid, spec, self._args(value, spec), None)
+            self._component(cid, spec, self._ctor_args(entry.value, spec, env), None)
             if in_services:
                 self.asm.services.append(ServiceEntry(cid))
-                self._service_bindings(cid, entry, spec)
+                self._service_bindings(cid, entry, spec, env)
             else:
                 self.asm.shared.append(cid)
 
-    def _kind(self, value: Ctor, entry: Entry) -> KindSpec:
+    def _kind(self, value: Ctor, name: str) -> KindSpec:
         spec = self.registry.get(value.kind)
         if spec is None:
-            raise UnknownKind(f"unknown kind {value.kind!r} for {entry.name}", value.span)
+            raise UnknownKind(f"unknown kind {value.kind!r} for {name}", value.span)
         return spec
 
-    def _args(self, value: Ctor, spec: KindSpec) -> dict:
+    def _args(self, value: Ctor, spec: KindSpec, env: dict) -> tuple[dict, tuple]:
+        """The checked arguments of `value` for `env`, and the (param, Arg)
+        of each that holds a loop variable."""
         params = spec.params
         required = spec.required_params
         if not (required <= len(value.args) <= len(params)):
@@ -171,22 +224,27 @@ class _Generator:
                 value.span,
             )
         args: dict = {}
+        varying = []
         for param, arg in zip(params, value.args):
-            if param.kind == "int" and arg.kind != "int":
-                raise ArityMismatch(
-                    f"{spec.name}: parameter {param.name} wants an integer, got {arg.text!r}",
-                    arg.span,
-                )
-            if param.kind == "resources" and arg.kind not in ("resources", "str"):
-                raise ArityMismatch(
-                    f"{spec.name}: parameter {param.name} wants key=count resources",
-                    arg.span,
-                )
-            args[param.name] = arg.value if param.kind == "int" else arg.text
+            text = arg.text
+            if isinstance(text, Cell):
+                varying.append((param, arg))
+                text = text.fill(env)
+            args[param.name] = _arg_value(spec.name, param, text, arg.span)
         for param in params[len(value.args) :]:
             if param.default is not None:
                 args[param.name] = param.default
-        return args
+        return args, tuple(varying)
+
+    def _ctor_args(self, value: Ctor, spec: KindSpec, env: dict) -> dict:
+        """The arguments of a component written as `value`, for `env`: checked
+        in full once, then only those that hold a loop variable."""
+        argset = self._argsets.get(id(value))
+        if argset is None:
+            argset = self._argsets[id(value)] = self._args(value, spec, env)
+            return argset[0]
+        args, varying = argset
+        return _restamp(spec.name, args, varying, env) if varying else args
 
     def _behavior(self, spec: KindSpec) -> Behavior:
         behavior = self._behaviors.get(spec.name)
@@ -207,38 +265,53 @@ class _Generator:
 
     # composites: each node body is compiled once, then every node is stamped
 
-    def _template(self, comp_id: str, entry: Entry, spec: KindSpec) -> _Template:
+    def _template(self, comp_id: str, entry: Entry, spec: KindSpec, env: dict) -> _Template:
         """Compile the body of `entry`, the first composite written with it.
 
         The roles are checked in the order they are written, then the
         kind's default roles, so the first node with a fault reports it.  A
         role `Entry` checked for an earlier body is not checked again, nor
-        is a role list laid out twice."""
+        is a role list laid out twice.  A body with a loop, or a role whose
+        name or reference holds a loop variable, is compiled per node."""
         body = entry.value.body.entries if entry.value.body is not None else []
-        roles = [self._checked(comp_id, child) for child in body]
-        declared = {child.name for child in body}
+        roles = [(self._checked(comp_id, child, child_env), child_env) for child, child_env in _each(body, env)]
+        fixed = not any(isinstance(child, Loop) or _per_node(child) for child in body)
+        declared = {role.key[0] for role, _ in roles}
         for role, kind_name in spec.defaults:
             if role not in declared:
                 default = self._default_roles.get((spec.name, role))
                 if default is None:
                     default = self._default_roles[spec.name, role] = Entry(role, Ctor(kind_name), entry.span)
-                roles.append(self._checked(comp_id, default))
-        key = tuple([r.key for r in roles])
+                roles.append((self._checked(comp_id, default, env), env))
+        key = tuple([r.key for r, _ in roles])
         shape = self._shapes.get(key)
         if shape is None:
-            shape = self._shapes[key] = self._shape(roles)
-        template = _Template(spec.name, (*[r.part for r in roles if r.part], shape.barrier), shape)
-        self._templates[id(entry.value)] = template
+            shape = self._shapes[key] = self._shape([r for r, _ in roles])
+        parts, varying = [], []
+        for role, role_env in roles:
+            part = role.part
+            if part is None:
+                continue
+            if role.varying and fixed:
+                varying.append((len(parts), role.varying))
+            elif role.varying:
+                part = (*part[:5], _restamp(part[1], part[5], role.varying, role_env))
+            parts.append(part)
+        template = _Template(spec.name, (*parts, shape.barrier), shape, tuple(varying))
+        if fixed:
+            self._templates[id(entry)] = template
         return template
 
-    def _checked(self, comp_id: str, child: Entry) -> _Role:
+    def _checked(self, comp_id: str, child: Entry, env: dict) -> _Role:
         role = self._roles.get(id(child))
         if role is None:
-            role = self._roles[id(child)] = self._role(comp_id, child)
+            role = self._role(comp_id, child, env)
+            if not _per_node(child):
+                self._roles[id(child)] = role
         return role
 
-    def _role(self, comp_id: str, child: Entry) -> _Role:
-        role = child.name
+    def _role(self, comp_id: str, child: Entry, env: dict) -> _Role:
+        role = fill(child.name, env)
         if role == BARRIER_ROLE:
             raise ConfigError(
                 f"{comp_id}/{role}: role name {BARRIER_ROLE!r} is reserved for the node's readiness barrier",
@@ -246,10 +319,10 @@ class _Generator:
             )
         value = child.value
         if isinstance(value, Ref):
-            return _Role((role, None, "/".join(value.path)), None)
+            return _Role((role, None, fill(joined(value.path), env)), None, ())
         if isinstance(value, Block):
             raise ConfigError(f"{comp_id}/{role}: plain blocks are not valid node roles", child.span)
-        spec = self._kind(value, child)
+        spec = self._kind(value, role)
         if value.body is not None and value.body.entries:
             raise ConfigError(f"{comp_id}/{role}: nested bodies are not supported here", child.span)
         if not spec.provides:  # the barrier's port for the role needs an interface
@@ -257,8 +330,9 @@ class _Generator:
                 f"{comp_id}/{role}: kind {spec.name} provides no interface, so it cannot be a node role",
                 child.span,
             )
-        args = self._args(value, spec)
-        return _Role((role, spec.name, None), (role, spec.name, spec.provides, spec.ports, self._behavior(spec), args))
+        args, varying = self._args(value, spec, env)
+        part = (role, spec.name, spec.provides, spec.ports, self._behavior(spec), args)
+        return _Role((role, spec.name, None), part, varying)
 
     def _shape(self, roles: list[_Role]) -> _Shape:
         """The barrier guards every child; each interface is exported by its
@@ -279,13 +353,19 @@ class _Generator:
             {r.key[0]: r.key[2] for r in roles if not r.part},
         )
 
-    def _make_composite(self, block: str, name: str, template: _Template) -> None:
-        """Make one composite's ids, components and barrier bindings."""
-        comp_id = f"{block}/{name}"
+    def _make_composite(self, block: str, comp_id: str, template: _Template, env: dict) -> None:
+        """Make one composite's ids, components and barrier bindings; the
+        arguments that hold a loop variable are filled in for `env`."""
+        parts = template.children
+        if template.varying:
+            parts = list(parts)
+            for i, varying in template.varying:
+                role, kind, provides, ports, behavior, args = parts[i]
+                parts[i] = (role, kind, provides, ports, behavior, _restamp(kind, args, varying, env))
         components = self.asm.components
         children: dict[str, str] = {}
         comps = []
-        for role, kind, provides, ports, behavior, args in template.children:
+        for role, kind, provides, ports, behavior, args in parts:
             cid = children[role] = f"{comp_id}/{role}"
             component = components[cid] = Component(cid, kind, provides, ports, behavior, args, comp_id)
             comps.append(component)
@@ -298,45 +378,63 @@ class _Generator:
         composite = self.asm.composites[comp_id] = Composite(comp_id, template.kind, children, exports)
         self._stamped.append((block, template, composite, comps))
 
-    def _group(self, block: str, entry: Entry) -> None:
-        group_id = f"{block}/{entry.name}"
+    def _group(self, group_id: str, entry: Entry, env: dict) -> None:
         body = entry.value.body or Block()
         members: list[str] = []
-        for child in body.entries:
-            if not isinstance(child.value, Ctor):
-                raise ConfigError(f"{group_id}: group members must be constructors", child.span)
-            spec = self._kind(child.value, child)
-            cid = f"{group_id}/{child.name}"
-            self._component(cid, spec, self._args(child.value, spec), None)
+        for child, child_env in _each(body.entries, env):
+            name = fill(child.name, child_env)
+            spec = self._specs.get(id(child))
+            if spec is None:
+                if not isinstance(child.value, Ctor):
+                    raise ConfigError(f"{group_id}: group members must be constructors", child.span)
+                spec = self._specs[id(child)] = self._kind(child.value, name)
+            cid = f"{group_id}/{name}"
+            self._component(cid, spec, self._ctor_args(child.value, spec, child_env), None)
             self.asm.services.append(ServiceEntry(cid, group=group_id))
-            self._service_bindings(cid, child, spec)
+            self._service_bindings(cid, child, spec, child_env)
             members.append(cid)
         self.asm.groups[group_id] = members
 
     # bindings
 
-    def _service_bindings(self, cid: str, entry: Entry, spec: KindSpec) -> None:
+    def _service_bindings(self, cid: str, entry: Entry, spec: KindSpec, env: dict) -> None:
         """Bind the ports the service's body names, and record its node."""
-        body = entry.value.body or Block()
-        ports = {p.name: p for p in spec.ports}
-        for child in body.entries:
-            if not isinstance(child.value, Ref):
-                raise ConfigError(f"{cid}/{child.name}: service bodies hold only references", child.span)
-            port = ports.get(child.name)
-            if port is None:
-                raise ConfigError(f"{cid}: kind {spec.name} has no port named {child.name!r}", child.span)
-            target = "/".join(child.value.path)
+        binds, refusal = self._binds.get(id(entry)) or self._ports(cid, entry, spec, env)
+        for port, target, span, name in binds:
+            target = fill(target, env)
             server = self.asm.provider_id(target, port.interface)
             if server is None:
-                raise DanglingNodeRef(
-                    f"{cid}: {child.name} = {target} provides no {port.interface}",
-                    child.span,
-                )
+                raise DanglingNodeRef(f"{cid}: {name} = {target} provides no {port.interface}", span)
             self.asm.add_binding(Binding(cid, port.name, server, port.interface))
             if port.interface == NODE:  # a node's barrier stands for the node
                 owner = self.asm.components[server].owner
                 barrier = owner is not None and self.asm.composites[owner].children[BARRIER_ROLE] == server
                 self.asm.node_assignment[cid] = owner if barrier else server
+        if refusal is not None:
+            raise refusal
+
+    def _ports(self, cid: str, entry: Entry, spec: KindSpec, env: dict) -> tuple[list, ConfigError | None]:
+        """(port, target, span, name) per reference of the service's body up
+        to the first that binds no port, and the refusal of that one.  Kept
+        for the entry unless its body holds a loop or a varying name."""
+        body = (entry.value.body or Block()).entries
+        ports = {p.name: p for p in spec.ports}
+        binds, refusal = [], None
+        for child, child_env in _each(body, env):
+            name = fill(child.name, child_env)
+            if not isinstance(child.value, Ref):
+                refusal = ConfigError(f"{cid}/{name}: service bodies hold only references", child.span)
+                break
+            port = ports.get(name)
+            if port is None:
+                refusal = ConfigError(f"{cid}: kind {spec.name} has no port named {name!r}", child.span)
+                break
+            target = joined(child.value.path)  # filled in per service, unless a loop of the body binds it
+            binds.append((port, target if child_env is env else fill(target, child_env), child.span, name))
+        compiled = binds, refusal
+        if not any(isinstance(child, Loop) or isinstance(child.name, Cell) for child in body):
+            self._binds[id(entry)] = compiled
+        return compiled
 
     def _autobind(self) -> None:
         """Wire unbound ports inside composites by interface matching, fix

@@ -58,6 +58,17 @@ class Span:
     column: int = 0
 
 
+def arg_kind(text: str) -> str:
+    """The class of an argument's text: int, resources, path or str."""
+    if _INT.match(text):
+        return "int"
+    if _RESOURCES.match(text):
+        return "resources"
+    if text.startswith(("~", "/")):
+        return "path"
+    return "str"
+
+
 @dataclass
 class Arg:
     """One constructor argument, kept raw until expansion classifies it."""
@@ -67,13 +78,7 @@ class Arg:
 
     @property
     def kind(self) -> str:
-        if _INT.match(self.text):
-            return "int"
-        if _RESOURCES.match(self.text):
-            return "resources"
-        if self.text.startswith(("~", "/")):
-            return "path"
-        return "str"
+        return arg_kind(self.text)
 
     @property
     def value(self):
@@ -292,9 +297,53 @@ def _unparse_value(value, depth: int) -> str:
 # -- expansion ---------------------------------------------------------------
 
 
+class Cell(str):
+    """A name, argument or path segment that holds a loop variable, compiled
+    once.  It is the text as written; `parts` alternates literal text and
+    variable names, literal first and last, and `fill` gives its text for
+    one iteration."""
+
+    def __new__(cls, written: str, parts: list[str]):
+        cell = super().__new__(cls, written)
+        cell.parts = tuple(parts)
+        cell.pattern = "".join(p.replace("%", "%%") if i % 2 == 0 else f"%({p})s" for i, p in enumerate(parts))
+        return cell
+
+    def __getnewargs__(self):
+        return str(self), self.parts
+
+    def fill(self, env: dict[str, int]) -> str:
+        return self.pattern % env
+
+
+def fill(text: str, env: dict[str, int]) -> str:
+    """`text` for one iteration: a Cell filled in from `env`, else as is."""
+    return text.pattern % env if isinstance(text, Cell) else text
+
+
+def joined(path: tuple) -> str:
+    """The key a reference path names, a Cell if a segment is one."""
+    if not any(isinstance(p, Cell) for p in path):
+        return "/".join(path)
+    parts = [""]
+    for i, segment in enumerate(path):
+        parts[-1] += "/" if i else ""
+        if isinstance(segment, Cell):
+            parts[-1] += segment.parts[0]
+            parts += segment.parts[1:]
+        else:
+            parts[-1] += segment
+    return Cell("/".join(path), parts)
+
+
 @dataclass
 class ExpandedConfig:
-    """Loop-free, interpolation-free configuration with a name table."""
+    """A checked configuration whose loops are kept, each compiled once.
+
+    `root` holds the root block's entries with each non-empty `apply FOR`
+    as one `Loop`; every name, argument text and reference segment in it
+    that holds a loop variable is a `Cell`.  `table` keys each entry that
+    no loop repeats by its path."""
 
     root_name: str
     root_kind: str
@@ -303,23 +352,25 @@ class ExpandedConfig:
     root_span: Span = field(default=Span(), compare=False)  # where the root kind is written
 
 
-def _interpolate(text: str, env: dict[str, int], span: Span) -> str:
+def _compile(text: str, bound: frozenset, span: Span) -> str:
+    """`text`, or its Cell if it names a loop variable, each of which an
+    enclosing FOR must bind."""
     if "%" not in text:
         return text
-
-    def repl(m: re.Match) -> str:
-        var = m.group(1)
-        if var not in env:
+    parts = _INTERP.split(text)
+    if len(parts) == 1:
+        return text
+    for var in parts[1::2]:
+        if var not in bound:
             raise UnboundLoopVariable(f"%{{{var}}} is not bound by any enclosing FOR", span)
-        return str(env[var])
-
-    return _INTERP.sub(repl, text)
+    return Cell(text, parts)
 
 
-class _Expander:
+class _Compiler:
     """One expansion.  A source subtree with no `%` in any name, argument
     or path segment and no loop inside is the same in every iteration, so
-    it is reused as it is instead of being copied."""
+    it is kept as it is; the rest is copied once, with each `%{...}` cell
+    compiled and each loop that runs no iteration dropped."""
 
     def __init__(self) -> None:
         self._invariant: dict[int, bool] = {}  # id(source node) -> loop-invariant
@@ -343,49 +394,183 @@ class _Expander:
             )
         return False  # a Loop
 
-    def entries(self, entries, env: dict[str, int]) -> list[Entry]:
-        out: list[Entry] = []
+    def entries(self, entries, bound: frozenset) -> list:
+        out: list = []
         for entry in entries:
             if isinstance(entry, Loop):
-                inner = dict(env)
-                for i in range(entry.lo, entry.hi + 1):
-                    inner[entry.var] = i
-                    out.extend(self.entries(entry.body, inner))
+                if entry.lo <= entry.hi:
+                    body = self.entries(entry.body, bound | {entry.var})
+                    out.append(Loop(entry.var, entry.lo, entry.hi, body, entry.span))
             elif self.invariant(entry):
                 out.append(entry)
             else:
-                name = _interpolate(entry.name, env, entry.span)
-                out.append(Entry(name, self.value(entry.value, env), entry.span))
+                name = _compile(entry.name, bound, entry.span)
+                out.append(Entry(name, self.value(entry.value, bound), entry.span))
         return out
 
-    def value(self, value, env: dict[str, int]):
+    def value(self, value, bound: frozenset):
         if self.invariant(value):
             return value
         if isinstance(value, Ref):
-            path = tuple(_interpolate(p, env, value.span) for p in value.path)
-            return Ref(path, value.span)
+            return Ref(tuple([_compile(p, bound, value.span) for p in value.path]), value.span)
         if isinstance(value, Block):
-            return Block(self.entries(value.entries, env), value.span)
-        args = [Arg(_interpolate(a.text, env, a.span), a.span) for a in value.args]
-        body = self.value(value.body, env) if value.body is not None else None
+            return Block(self.entries(value.entries, bound), value.span)
+        args = [Arg(_compile(a.text, bound, a.span), a.span) for a in value.args]
+        body = self.value(value.body, bound) if value.body is not None else None
         return Ctor(value.kind, args, body, value.span)
 
 
-def _index(block: Block, prefix: str, table: dict[str, Entry], refs: list[Ref]) -> None:
-    """Key every entry of `block` under `prefix` into `table`, a key seen
-    before being a DuplicateName, and collect every Ref into `refs`."""
-    for entry in block.entries:
-        key = prefix + entry.name
-        if key in table:
+_DECIMAL = re.compile(r"^-?[0-9]+$")
+
+
+def _declares(name: str, head: str, tail: str, lo: int, hi: int) -> bool:
+    """Whether `name` is `head` + i + `tail` for an i in lo..hi."""
+    if len(name) <= len(head) + len(tail) or not (name.startswith(head) and name.endswith(tail)):
+        return False
+    digits = name[len(head) : len(name) - len(tail)]
+    return _DECIMAL.match(digits) is not None and str(int(digits)) == digits and lo <= int(digits) <= hi
+
+
+class _Scope:
+    """The names one block declares in each of its instances: written
+    names, and per loop entry directly in the block the head and tail
+    around its one variable, with the loop's range."""
+
+    def __init__(self) -> None:
+        self.names: dict[str, Entry] = {}
+        self.loops: list[tuple[str, str, int, int, Entry]] = []
+
+    def find(self, name: str) -> Entry | None:
+        """The entry declaring `name`, None if none does."""
+        entry = self.names.get(name)
+        if entry is None:
+            for head, tail, lo, hi, looped in self.loops:
+                if _declares(name, head, tail, lo, hi):
+                    return looped
+        return entry
+
+    def covering(self, head: str, tail: str, lo: int, hi: int) -> Entry | None:
+        """The loop entry declaring `head` + i + `tail` for every i in lo..hi."""
+        for h, t, first, last, looped in self.loops:
+            if (h, t) == (head, tail) and first <= lo and hi <= last:
+                return looped
+        return None
+
+    def distinct(self, head: str, tail: str, lo: int, hi: int) -> bool:
+        """Whether `head` + i + `tail`, i in lo..hi, is shown to be no name
+        the block declares already: another loop's names share no range
+        with them, or no text, their heads or tails differing."""
+        for h, t, first, last, _ in self.loops:
+            k, j = min(len(h), len(head)), min(len(t), len(tail))
+            if h[:k] == head[:k] and t[len(t) - j :] == tail[len(tail) - j :]:
+                if (h, t) != (head, tail) or (first <= hi and lo <= last):
+                    return False
+        return not any(_declares(name, head, tail, lo, hi) for name in self.names)
+
+
+class _Names:
+    """Shows, once per loop rather than once per iteration, that every name
+    is declared once and that every reference resolves.
+
+    Within one block instance, names are shown distinct when each is
+    written without a variable, or is an entry directly in a loop of the
+    block whose name holds that loop's variable once; two such loop names
+    must share neither range nor text.  Entries of distinct block instances
+    have distinct keys.  A reference resolves when each segment finds its
+    entry, a segment holding one variable finding a loop entry of the same
+    head and tail whose range covers the variable's.  What is not shown is
+    in doubt, and `_index` then checks each iteration."""
+
+    def __init__(self, table: dict[str, Entry]) -> None:
+        self.table = table  # keys no loop repeats -> their entries
+        self.scopes: dict[int, _Scope] = {}  # id(block) -> its names
+        self.refs: list[tuple[Ref, dict]] = []  # each reference, with its loop ranges
+        self.doubt = False
+
+    def shown(self, root: Block) -> bool:
+        self.block(root, "", {})
+        return not self.doubt and all(self.resolves(root, ref, ranges) for ref, ranges in self.refs)
+
+    def block(self, block: Block, prefix: str | None, ranges: dict) -> None:
+        """Declare the names of `block`, whose key is `prefix` unless a loop
+        repeats it (None)."""
+        scope = self.scopes[id(block)] = _Scope()
+        for entry in block.entries:
+            if isinstance(entry, Loop):
+                inner = {**ranges, entry.var: (entry.lo, entry.hi)}
+                for child in entry.body:
+                    parts = child.name.parts if isinstance(child, Entry) and isinstance(child.name, Cell) else ()
+                    if len(parts) != 3 or parts[1] != entry.var:
+                        self.doubt = True
+                        continue
+                    head, _, tail = parts
+                    if not scope.distinct(head, tail, entry.lo, entry.hi):
+                        self.doubt = True
+                    scope.loops.append((head, tail, entry.lo, entry.hi, child))
+                    self.value(child.value, None, inner)
+                continue
+            name = entry.name
+            if isinstance(name, Cell) or scope.find(name) is not None:
+                self.doubt = True
+                continue
+            scope.names[name] = entry
+            key = None
+            if prefix is not None:
+                key = prefix + name
+                self.table[key] = entry
+            self.value(entry.value, None if key is None else key + "/", ranges)
+
+    def value(self, value, prefix: str | None, ranges: dict) -> None:
+        if isinstance(value, Ref):
+            self.refs.append((value, ranges))
+            return
+        child = value.body if isinstance(value, Ctor) else value
+        if child is not None:
+            self.block(child, prefix, ranges)
+
+    def resolves(self, root: Block, ref: Ref, ranges: dict) -> bool:
+        block, looped = root, False
+        for segment in ref.path:
+            if block is None:
+                return False
+            scope = self.scopes[id(block)]
+            if isinstance(segment, Cell):
+                parts = segment.parts
+                if looped or len(parts) != 3:
+                    return False
+                looped = True
+                entry = scope.covering(parts[0], parts[2], *ranges[parts[1]])
+            else:
+                entry = scope.find(segment)
+            if entry is None:
+                return False
+            value = entry.value
+            block = value.body if isinstance(value, Ctor) else value if isinstance(value, Block) else None
+        return True
+
+
+def _index(entries, prefix: str, env: dict[str, int], keys: dict, refs: list) -> None:
+    """Key every entry of `entries` under `prefix`, once per iteration of
+    each loop, a key seen before being a DuplicateName, and collect each
+    reference's key and span into `refs`."""
+    for entry in entries:
+        if isinstance(entry, Loop):
+            inner = dict(env)
+            for i in range(entry.lo, entry.hi + 1):
+                inner[entry.var] = i
+                _index(entry.body, prefix, inner, keys, refs)
+            continue
+        key = prefix + fill(entry.name, env)
+        if key in keys:
             raise DuplicateName(f"{key} declared twice", entry.span)
-        table[key] = entry
+        keys[key] = entry
         value = entry.value
         if isinstance(value, Ref):
-            refs.append(value)
+            refs.append(("/".join([fill(p, env) for p in value.path]), value.span))
             continue
         child = value.body if isinstance(value, Ctor) else value
         if child is not None:
-            _index(child, key + "/", table, refs)
+            _index(child.entries, key + "/", env, keys, refs)
 
 
 def _is_root(entry) -> bool:
@@ -408,26 +593,29 @@ def _refuse_roots(message: str, entries: list) -> ConfigError:
 
 
 def expand(ast: ConfigAST) -> ExpandedConfig:
-    """Unroll loops, substitute interpolations, verify names and references.
+    """Compile loops and interpolations once, and verify names and references.
 
-    One walk over the expanded tree keys every entry, which finds any
-    duplicate name, and collects every reference; the references are
-    resolved once the table is whole, so a duplicate anywhere is reported
-    ahead of a dangling reference.  The result shares every loop-invariant
-    subtree with `ast`, so neither may be mutated afterwards; `merge`
-    fragments in before expanding."""
+    Loops stay loops: each is compiled once, every unbound variable being
+    refused as it is met.  Names and references are then shown sound for
+    each loop as a whole (`_Names`); where that is in doubt, one walk keys
+    the entry of every iteration, which finds any duplicate name, and
+    collects every reference, each resolved once the keys are whole, so a
+    duplicate anywhere is reported ahead of a dangling reference.  The
+    result shares every loop-invariant subtree with `ast`, so neither may
+    be mutated afterwards; `merge` fragments in before expanding."""
     entries = ast.entries
     if len(entries) != 1 or not _is_root(entries[0]):
         raise _refuse_roots("configuration needs exactly one root block `Name = Kind { ... }`", entries)
     root_entry = entries[0]
-    body = _Expander().value(root_entry.value.body, {})
+    body = _Compiler().value(root_entry.value.body, frozenset())
     config = ExpandedConfig(root_entry.name, root_entry.value.kind, body, root_span=root_entry.value.span)
-    refs: list[Ref] = []
-    _index(body, "", config.table, refs)
-    for ref in refs:
-        key = "/".join(ref.path)
-        if key not in config.table:
-            raise DanglingReference(f"reference {key} resolves to nothing", ref.span)
+    if not _Names(config.table).shown(body):
+        keys: dict[str, Entry] = {}
+        refs: list[tuple[str, Span]] = []
+        _index(body.entries, "", {}, keys, refs)
+        for key, span in refs:
+            if key not in keys:
+                raise DanglingReference(f"reference {key} resolves to nothing", span)
     return config
 
 

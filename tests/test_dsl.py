@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from configs import unroll
+from gridforge import dsl
 from gridforge.dsl import (
     Arg,
     Block,
+    Cell,
     Ctor,
     Entry,
     Loop,
     Ref,
     expand,
+    fill,
     load_config,
     merge,
     parse,
@@ -31,6 +35,28 @@ from gridforge.errors import (
 
 def expand_text(text):
     return expand(parse(text))
+
+
+def iterations(config) -> dict:
+    """key -> (entry, env) for the entry of each iteration of the loops
+    `config` keeps, in the order the unrolled text would declare them."""
+    keyed = {}
+
+    def walk(entries, prefix, env):
+        for entry in entries:
+            if isinstance(entry, Loop):
+                for i in range(entry.lo, entry.hi + 1):
+                    walk(entry.body, prefix, {**env, entry.var: i})
+                continue
+            key = prefix + fill(entry.name, env)
+            keyed[key] = entry, env
+            value = entry.value
+            child = value.body if isinstance(value, Ctor) else value if isinstance(value, Block) else None
+            if child is not None:
+                walk(child.entries, key + "/", env)
+
+    walk(config.root.entries, "", {})
+    return keyed
 
 
 class TestParsing:
@@ -191,10 +217,13 @@ class TestExpansion:
     def test_paper_counts(self, paper_config):
         config = load_config([paper_config])
         assert config.root_name == "MyDeployment"
-        nodes = config.table["nodes"].value
-        assert len(nodes.entries) == 1 + 501  # hostname + unrolled nodes
-        servers = config.table["services/servers"].value.body
-        assert len(servers.entries) == 500
+        hostname, nodes = config.table["nodes"].value.entries  # hostname + one loop of nodes
+        assert (hostname.name, nodes.hi - nodes.lo + 1) == ("hostname", 501)
+        (servers,) = config.table["services/servers"].value.body.entries
+        assert servers.hi - servers.lo + 1 == 500
+        keys = iterations(config)
+        assert sum(key.count("/") == 1 for key in keys if key.startswith("nodes/")) == 1 + 501
+        assert sum(key.count("/") == 2 for key in keys if key.startswith("services/servers/")) == 500
 
     def test_interpolation_reaches_names_args_and_refs(self):
         config = expand_text(
@@ -206,16 +235,16 @@ class TestExpansion:
             "  }\n"
             "}\n"
         )
-        entry = config.table["items/item-4"]
-        assert entry.value.args[0].text == "NM_4"
-        assert "items/item-3" in config.table
+        entry, env = iterations(config)["items/item-4"]
+        assert fill(entry.value.args[0].text, env) == "NM_4"
+        assert "items/item-3" in iterations(config)
 
     @given(lo=st.integers(0, 30), hi=st.integers(0, 30))
     @settings(max_examples=60)
     def test_loop_bounds_inclusive(self, lo, hi):
         config = expand_text(LOOP_TEMPLATE.format(lo=lo, hi=hi))
         expected = hi - lo + 1 if hi >= lo else 0
-        assert len(config.table["items"].value.entries) == expected
+        assert sum(key.startswith("items/") for key in iterations(config)) == expected
 
     def test_empty_loop_when_reversed(self):
         config = expand_text(LOOP_TEMPLATE.format(lo=5, hi=2))
@@ -235,8 +264,8 @@ class TestExpansion:
             "  }\n"
             "}\n"
         )
-        row = config.table["grid/row-1"].value.body
-        assert [e.name for e in row.entries] == ["cell-1-0", "cell-1-1", "cell-1-2"]
+        cells = [key for key in iterations(config) if key.startswith("grid/row-1/")]
+        assert cells == ["grid/row-1/cell-1-0", "grid/row-1/cell-1-1", "grid/row-1/cell-1-2"]
 
     def test_unbound_loop_variable(self):
         with pytest.raises(UnboundLoopVariable):
@@ -321,7 +350,9 @@ class TestExpansionPinned:
     reference paths, a loop-invariant subtree and a merged fragment."""
 
     def test_result_equals_hand_expansion(self):
-        config = expand(_pinned_ast())
+        """The hand-unrolled text expands to the hand expansion, and the
+        loops `expand` keeps fill in, iteration by iteration, to the same
+        names, arguments and reference paths."""
         expected = Block(
             [
                 Entry("nodes", Block([_node(0), _node(1)])),
@@ -336,9 +367,7 @@ class TestExpansionPinned:
                 ),
             ]
         )
-        assert (config.root_name, config.root_kind) == ("app", "Root")
-        assert config.root == expected
-        assert list(config.table) == [
+        keys = [
             "nodes",
             "nodes/node-0",
             "nodes/node-0/jre",
@@ -356,17 +385,37 @@ class TestExpansionPinned:
             "services/extra",
             "services/extra/node",
         ]
+        unrolled = expand(merge(parse(unroll(PINNED_APP)), parse(PINNED_FRAGMENT)))
+        assert (unrolled.root_name, unrolled.root_kind) == ("app", "Root")
+        assert unrolled.root == expected
+        assert list(unrolled.table) == keys
+
+        config = expand(_pinned_ast())
+        assert (config.root_name, config.root_kind) == ("app", "Root")
+        assert list(iterations(config)) == keys
+        assert list(config.table) == ["nodes", "services", "services/ns", "services/ns/node", "services/extra", "services/extra/node"]
+        for key, (entry, env) in iterations(config).items():
+            written = unrolled.table[key]
+            assert fill(entry.name, env) == written.name, key
+            value = entry.value
+            if isinstance(value, Ctor):
+                assert [fill(a.text, env) for a in value.args] == [a.text for a in written.value.args], key
+            elif isinstance(value, Ref):
+                assert tuple(fill(p, env) for p in value.path) == written.value.path, key
 
     def test_loop_invariant_subtree_is_shared(self):
         ast = _pinned_ast()
         loop = ast.entries[0].value.body.entries[0].value.entries[0]
         source_jre = loop.body[0].value.body.entries[0]
-        config = expand(ast)
-        jre_0 = config.table["nodes/node-0/jre"]
-        assert jre_0 is config.table["nodes/node-1/jre"] is source_jre
-        # What varies is copied, per iteration.
-        assert config.table["nodes/node-0"] is not config.table["nodes/node-1"]
-        assert config.table["nodes/node-0/peer"] is not loop.body[0].value.body.entries[1]
+        keys = iterations(expand(ast))
+        jre_0 = keys["nodes/node-0/jre"][0]
+        assert jre_0 is keys["nodes/node-1/jre"][0] is source_jre
+        # What varies is compiled once, into one entry that every iteration fills in.
+        node = keys["nodes/node-0"][0]
+        assert node is keys["nodes/node-1"][0] is not loop.body[0]
+        assert isinstance(node.name, Cell) and node.name.parts == ("node-", "i", "")
+        peer = keys["nodes/node-0/peer"][0]
+        assert peer is keys["nodes/node-1/peer"][0] is not loop.body[0].value.body.entries[1]
 
     def test_parse_tree_unchanged_by_expand(self):
         ast = _pinned_ast()
@@ -434,11 +483,87 @@ class TestExpansionPinned:
         assert str(err.value) == "4:27: reference nodes/n-0-spare resolves to nothing"
 
 
+WRITTEN = ["n-1", "n11", "n-12", "n--1", "n-01", "x", "m-0"]  # names and reference tails no loop fills in
+FILLED = ["n-%{i}", "n%{i}", "n1%{i}", "n-%{i}-x", "n-%{i}%{i}", "m-%{i}"]
+INNER = ["n-%{j}", "n-%{i}-%{j}", "n-%{i}"]
+
+
+@st.composite
+def looped_texts(draw):
+    """A block of entries, some in loops (one inside another at times),
+    whose names and references may collide or dangle in some iteration."""
+
+    def entry(name, tails):
+        tail = draw(st.sampled_from([None, *tails, "n-1/p", "n-%{i}/p"]))
+        ref = f" q = items/{tail}" if tail else ""
+        return f"{name} = T {{ p = T{ref} }}"
+
+    def entries(names, tails):
+        return " ".join(entry(name, tails) for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)))
+
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 2)) == 0:
+            lines.append(entries(WRITTEN, WRITTEN))
+            continue
+        body = entries(FILLED, FILLED + WRITTEN)
+        if draw(st.integers(0, 3)) == 0:
+            body += f" apply FOR(j,{draw(st.integers(-1, 2))},{draw(st.integers(-1, 2))}) {{ {entries(INNER, INNER)} }}"
+        lo = draw(st.integers(-2, 12))
+        lines.append(f"apply FOR(i,{lo},{lo + draw(st.integers(-1, 12))}) {{ {body} }}")
+    return "app = K {\n  items = {\n" + "".join(f"    {line}\n" for line in lines) + "  }\n}\n"
+
+
+def _refusal(text, at=True):
+    try:
+        expand(parse(text))
+    except ConfigError as err:
+        return (type(err).__name__, err.args[0], *((err.line, err.column) if at else ()))
+    return None
+
+
+class TestLoopNames:
+    """expand checks names and references once per loop where it can show
+    them sound, and iteration by iteration where it cannot."""
+
+    @given(looped_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_checked_as_each_iteration_is(self, text):
+        """The same refusal, at the same place, as the check of every
+        iteration, and as the hand-unrolled text (same class and message)."""
+        refusal = _refusal(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dsl._Names, "shown", lambda self, root: False)
+            assert _refusal(text) == refusal, text
+        assert _refusal(unroll(text), at=False) == (refusal and refusal[:2]), text
+
+    @pytest.mark.parametrize(
+        "body, shown",
+        [
+            ("apply FOR(i,0,9) { n-%{i} = T { p = T } }\nm = T { q = items/n-9/p }", True),
+            ("apply FOR(i,0,9) { n-%{i} = T }\napply FOR(i,10,19) { n-%{i} = T }", True),
+            ("apply FOR(i,0,9) { n-%{i} = T }\napply FOR(i,1,9) { s-%{i} = T { q = items/n-%{i} } }", True),
+            ("apply FOR(i,0,9) { n-%{i} = T }\nn-10 = T\nn-01 = T", True),
+            ("apply FOR(i,0,1) { apply FOR(j,0,1) { n-%{i}-%{j} = T } }", False),
+            ("apply FOR(i,0,9) { n-%{i} = T }\napply FOR(i,9,12) { n-%{i} = T }", False),
+            ("apply FOR(i,0,9) { n%{i} = T }\napply FOR(i,0,9) { n1%{i} = T }", False),
+            ("apply FOR(i,0,9) { n-%{i} = T }\napply FOR(i,0,10) { s-%{i} = T { q = items/n-%{i} } }", False),
+        ],
+    )
+    def test_shown_for_the_whole_loop(self, body, shown):
+        """Which names and references are shown sound once per loop; the
+        others are checked per iteration (the last three hold a duplicate
+        name, a duplicate name and a dangling reference)."""
+        block = parse("app = K {\n  items = {\n" + body + "\n  }\n}\n").entries[0].value.body
+        assert dsl._Names({}).shown(dsl._Compiler().value(block, frozenset())) == shown
+
+
 class TestMerge:
     def test_fragment_appends_into_matching_blocks(self, paper_config, reservation_config):
         config = load_config([paper_config, reservation_config])
         nodes = config.table["nodes"].value
-        assert len(nodes.entries) == 1 + 501 + 1  # hostname, loop, oar_server
+        written = [e.name if isinstance(e, Entry) else e.hi - e.lo + 1 for e in nodes.entries]
+        assert written == ["hostname", 501, "oar_server"]  # hostname, a loop of 501 nodes, oar_server
         assert "nodes/oar_server" in config.table
         assert "services/reservation" in config.table
 

@@ -20,14 +20,14 @@ import time
 
 import pytest
 
-from configs import paper_pair, reserved
+from configs import paper_pair, reserved, unroll
 from conftest import count_decoded, record_decodes, seed_nodelist
 from gridforge import assembly, cli, stdlib
 from gridforge.assembly import _Generator, emit_text, generate, plan, validate
 from gridforge.bench import middleware_config
 from gridforge.cli import load_state, save_state
 from gridforge.core import Assembly
-from gridforge.dsl import ConfigAST, Ctor, Entry, expand, merge, parse, unparse
+from gridforge.dsl import expand, merge, parse
 from gridforge.personalities import ScriptBehavior, default_registry
 from gridforge.pipeline import build_from_text
 from gridforge.transports import Payload
@@ -74,9 +74,11 @@ def test_whole_build_grows_linearly():
 
 
 def test_generate_checks_each_node_body_once(monkeypatch):
-    """Nodes are stamped from one compiled body per loop: 400 reserved
-    nodes take as many kind and argument checks as 100, and a body whose
-    hostname varies per node compiles that one role again per extra node."""
+    """Nodes and services are stamped from one compiled body per loop: 400
+    nodes take as many kind, argument, role and shape checks as 100, on
+    reserved nodes and on the middleware configuration, whose hostname
+    and server arguments vary per node (`StaticHost(simnode-%{i})`); only
+    those arguments are filled in and checked again per node."""
     registry = default_registry()
     calls = collections.Counter()
     for name in ("_kind", "_args", "_role", "_shape"):
@@ -92,11 +94,9 @@ def test_generate_checks_each_node_body_once(monkeypatch):
         generate(expand(parse(text)), registry)
         return dict(calls)
 
-    small, large = counts(reserved(SMALL, SMALL)), counts(reserved(LARGE, LARGE))
-    assert small == large, (small, large)
-    small, large = counts(middleware_config(SMALL)), counts(middleware_config(LARGE))
-    assert large["_role"] - small["_role"] == LARGE - SMALL, (small, large)
-    assert large["_shape"] == small["_shape"], (small, large)
+    for config in (lambda n: reserved(n, n), middleware_config):
+        small, large = counts(config(SMALL)), counts(config(LARGE))
+        assert small == large, (small, large)
 
 
 def test_child_order_grows_linearly():
@@ -222,19 +222,25 @@ def _counted(run):
 
 def _unrolled(n) -> str:
     """The loop-free text of reserved(n, n): one entry per node."""
-    config = expand(parse(reserved(n, n)))
-    return unparse(ConfigAST([Entry(config.root_name, Ctor(config.root_kind, [], config.root))]))
+    return unroll(reserved(n, n))
+
+
+# Python calls expand may make per added node (400 -> 1,600).  Before loops
+# were kept it made 56 on the middleware configuration and 8 on reserved;
+# the middleware gate is a quarter of that, the reserved one no more.
+EXPAND_CALLS_PER_NODE = {"middleware": 14, "reserved": 8}
 
 
 def test_parse_execute_and_undeploy_calls_grow_linearly(sim_home):
     """Counted, not timed: parsing the unrolled text, execute and its
     inverse make 4 +- 0.05 times the Python calls at four times the
-    reserved fleet, and so do expand, generate, validate, plan and the
-    state key (emit_text and its hash) of the middleware configuration at
-    four times its nodes.  The per-run calls that do not grow with the
-    fleet (the reservation, one child sort per node layout) are about 3
-    nodes' worth, which fits that bound from about 200 nodes on; the gate
-    counts 400 and 1,600."""
+    reserved fleet, and so do generate, validate, plan and the state key
+    (emit_text and its hash) of the middleware configuration at four times
+    its nodes.  The per-run calls that do not grow with the fleet (the
+    reservation, one child sort per node layout) are about 3 nodes' worth,
+    which fits that bound from about 200 nodes on; the gate counts 400 and
+    1,600.  expand, which keeps loops, makes at most
+    EXPAND_CALLS_PER_NODE more calls per added node."""
     n = 400
     registry = default_registry()
     counts = {}
@@ -244,15 +250,20 @@ def test_parse_execute_and_undeploy_calls_grow_linearly(sim_home):
         deployment = build_from_text(reserved(size, size))
         counts["execute", size] = _python_calls(deployment.execute)
         counts["undeploy", size] = _python_calls(deployment.execute_inverse)
+        reserved_ast = parse(reserved(size, size))
+        counts["expand reserved", size] = _python_calls(lambda: expand(reserved_ast))
         ast = parse(middleware_config(size))
-        counts["expand", size], config = _counted(lambda: expand(ast))
+        counts["expand middleware", size], config = _counted(lambda: expand(ast))
         counts["generate", size], asm = _counted(lambda: generate(config, registry))
         counts["validate", size], _ = _counted(lambda: validate(asm))
         counts["plan", size], _ = _counted(lambda: plan(asm))
         counts["state key", size], _ = _counted(lambda: cli._state_key(asm))
-    for verb in ("parse", "execute", "undeploy", "expand", "generate", "validate", "plan", "state key"):
+    for verb in ("parse", "execute", "undeploy", "generate", "validate", "plan", "state key"):
         ratio = counts[verb, 4 * n] / counts[verb, n]
         assert abs(ratio - 4) <= 0.05, f"{verb}: {counts[verb, n]} -> {counts[verb, 4 * n]} calls ({ratio:.3f}x)"
+    for config, bound in EXPAND_CALLS_PER_NODE.items():
+        small, large = counts[f"expand {config}", n], counts[f"expand {config}", 4 * n]
+        assert (large - small) / (3 * n) <= bound, f"expand {config}: {small} -> {large} calls"
 
 
 def test_execute_resolves_each_node_once_and_sorts_each_layout_once(sim_home, monkeypatch):
