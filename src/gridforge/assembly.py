@@ -5,15 +5,19 @@ into the live component model (`core.Assembly`): every component with its
 arguments and its kind's behaviour (one per kind per build, shared), every
 binding, every composite, plus the services, groups and shared units the
 planner reads.  The runtime executes that same object.
-generate() compiles each node body once per build into a template: every
-role's kind, checked arguments and ports, the default roles, the readiness
-barrier's ports and the export order.  Each node written with that body is
-then stamped from the template, which only makes ids, components, the
-composite and bindings; a role whose arguments vary per node
-(`StaticHost(simnode-%{i})`) is checked per node, its siblings are not.
-Components stamped from one role share its `args` dict, which nothing
-mutates.  Autobind decisions, and the child order they give, are memoised
-per body shape and block.
+The configuration keeps its loops (`dsl.expand`), so each entry, a loop's
+included, is compiled once per build and then stamped once per iteration.
+A node body compiles into a template: every role's kind, checked arguments
+and ports, the default roles, the readiness barrier's ports and the export
+order.  A service compiles into its kind, checked arguments and port
+bindings.  Stamping only makes ids, components, the composite and
+bindings, and fills in the cells that vary (`StaticHost(simnode-%{i})`,
+`nodes/node-%{i}`); an argument filled in is classed and checked again.
+A body with a loop of its own, or a role whose name or reference varies,
+is compiled per node instead.  Components stamped from one role or one
+service share its `args` dict, which nothing mutates.  Autobind
+decisions, and the child order they give, are memoised per body shape and
+block.
 Autobind numbers each composite as it wires it, and binding a service's
 Node port records its node; only the nodelist bindings, whose providers
 are services declared after the nodes, take a pass of their own.
@@ -81,7 +85,7 @@ def _per_node(child: Entry) -> bool:
     """Whether a role's name or referenced path holds a loop variable, so
     that each node checks the role anew."""
     value = child.value
-    return isinstance(child.name, Cell) or (isinstance(value, Ref) and isinstance(joined(value.path), Cell))
+    return isinstance(child.name, Cell) or (isinstance(value, Ref) and any(isinstance(p, Cell) for p in value.path))
 
 
 def _arg_value(kind: str, param, text: str, span) -> object:

@@ -311,13 +311,14 @@ def cmd_status(args: argparse.Namespace) -> int:
         sys.stdout.write("".join(parts))
         return EXIT_OK
     directory = state_dir()
-    if not os.path.isdir(directory):
+    # `status -c` takes the lock, and so makes the directory, before any
+    # deployment is saved: a directory without a state file records none.
+    names = sorted(f for f in os.listdir(directory) if f.endswith(".json")) if os.path.isdir(directory) else []
+    if not names:
         print("no recorded deployments")
         return EXIT_OK
     parts = []
-    for fname in sorted(os.listdir(directory)):
-        if not fname.endswith(".json"):
-            continue
+    for fname in names:
         data = _read_state_file(os.path.join(directory, fname))
         parts.append(f"deployment {data.get('descriptor', fname)}:\n")
         for cid, state in data.get("states", {}).items():

@@ -1,4 +1,4 @@
-"""Configuration language: parse, unparse, loop expansion, reference checks.
+"""Configuration language: parse, unparse, loop compilation, name and reference checks.
 
 The language is deliberately small.  A file holds one root block:
 
@@ -22,6 +22,11 @@ resource requests (`gdx=300|azur=100`), anything else a plain string.
 
 Extra files are fragments whose top-level blocks (`nodes = {...}`,
 `services = {...}`) merge into the root configuration in order.
+
+Expansion keeps each loop: `expand` compiles every `%{var}` cell once into
+a `Cell` and checks names and references for the whole loop where it can
+show them sound, else iteration by iteration; generation stamps the
+iterations.  No entry is copied per iteration.
 
 Every node and refusal carries a `Span`: the reader moves by compiled
 patterns matched at an offset, and turns an offset into a line and column

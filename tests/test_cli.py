@@ -230,6 +230,15 @@ class TestStatusListing:
         assert cli.main(["status"]) == 0
         assert capsys.readouterr().out == "no recorded deployments\n"
 
+    def test_state_dir_without_state_files(self, workdir, capsys):
+        """`status -c` of a configuration never deployed makes the directory
+        (for its lock) but saves no state, so the listing still has none."""
+        assert cli.main(["status", "-c", str(workdir / "mini.gdf")]) == 0
+        assert os.listdir(cli.state_dir()) == [".lock"]
+        capsys.readouterr()
+        assert cli.main(["status"]) == 0
+        assert capsys.readouterr().out == "no recorded deployments\n"
+
     def test_recorded_deployments(self, workdir, capsys):
         cli.main(["deploy", "-c", str(workdir / "mini.gdf")])
         capsys.readouterr()

@@ -484,7 +484,7 @@ class TestExpansionPinned:
 
 
 WRITTEN = ["n-1", "n11", "n-12", "n--1", "n-01", "x", "m-0"]  # names and reference tails no loop fills in
-FILLED = ["n-%{i}", "n%{i}", "n1%{i}", "n-%{i}-x", "n-%{i}%{i}", "m-%{i}"]
+FILLED = ["n-%{i}", "m-%{i}", "s-%{i}"] * 4 + ["n%{i}", "n1%{i}", "n-%{i}-x", "n-%{i}%{i}"]
 INNER = ["n-%{j}", "n-%{i}-%{j}", "n-%{i}"]
 
 
@@ -499,11 +499,12 @@ def looped_texts(draw):
         return f"{name} = T {{ p = T{ref} }}"
 
     def entries(names, tails):
-        return " ".join(entry(name, tails) for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)))
+        written = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))
+        return " ".join(entry(name, tails) for name in dict.fromkeys(written))
 
     lines = []
     for _ in range(draw(st.integers(1, 4))):
-        if draw(st.integers(0, 2)) == 0:
+        if draw(st.integers(0, 3)) == 0:
             lines.append(entries(WRITTEN, WRITTEN))
             continue
         body = entries(FILLED, FILLED + WRITTEN)
@@ -527,7 +528,7 @@ class TestLoopNames:
     them sound, and iteration by iteration where it cannot."""
 
     @given(looped_texts())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     def test_checked_as_each_iteration_is(self, text):
         """The same refusal, at the same place, as the check of every
         iteration, and as the hand-unrolled text (same class and message)."""
