@@ -105,7 +105,7 @@ def _restamp(kind: str, args: dict, varying: tuple, env: dict[str, int]) -> dict
     `env` and checked again."""
     args = dict(args)
     for param, arg in varying:
-        args[param.name] = _arg_value(kind, param, arg.text.fill(env), arg.span)
+        args[param.name] = _arg_value(kind, param, fill(arg.text, env), arg.span)
     return args
 
 
@@ -233,7 +233,7 @@ class _Generator:
             text = arg.text
             if isinstance(text, Cell):
                 varying.append((param, arg))
-                text = text.fill(env)
+                text = fill(text, env)
             args[param.name] = _arg_value(spec.name, param, text, arg.span)
         for param in params[len(value.args) :]:
             if param.default is not None:
@@ -433,7 +433,7 @@ class _Generator:
             if port is None:
                 refusal = ConfigError(f"{cid}: kind {spec.name} has no port named {name!r}", child.span)
                 break
-            target = joined(child.value.path)  # filled in per service, unless a loop of the body binds it
+            target = joined(child.value.path)  # filled in per service, unless a loop of the body fills it in
             binds.append((port, target if child_env is env else fill(target, child_env), child.span, name))
         compiled = binds, refusal
         if not any(isinstance(child, Loop) or isinstance(child.name, Cell) for child in body):

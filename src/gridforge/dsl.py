@@ -305,8 +305,8 @@ def _unparse_value(value, depth: int) -> str:
 class Cell(str):
     """A name, argument or path segment that holds a loop variable, compiled
     once.  It is the text as written; `parts` alternates literal text and
-    variable names, literal first and last, and `fill` gives its text for
-    one iteration."""
+    variable names, literal first and last; `fill` gives its text for one
+    iteration."""
 
     def __new__(cls, written: str, parts: list[str]):
         cell = super().__new__(cls, written)
@@ -314,11 +314,6 @@ class Cell(str):
         cell.pattern = "".join(p.replace("%", "%%") if i % 2 == 0 else f"%({p})s" for i, p in enumerate(parts))
         return cell
 
-    def __getnewargs__(self):
-        return str(self), self.parts
-
-    def fill(self, env: dict[str, int]) -> str:
-        return self.pattern % env
 
 
 def fill(text: str, env: dict[str, int]) -> str:
@@ -328,17 +323,8 @@ def fill(text: str, env: dict[str, int]) -> str:
 
 def joined(path: tuple) -> str:
     """The key a reference path names, a Cell if a segment is one."""
-    if not any(isinstance(p, Cell) for p in path):
-        return "/".join(path)
-    parts = [""]
-    for i, segment in enumerate(path):
-        parts[-1] += "/" if i else ""
-        if isinstance(segment, Cell):
-            parts[-1] += segment.parts[0]
-            parts += segment.parts[1:]
-        else:
-            parts[-1] += segment
-    return Cell("/".join(path), parts)
+    written = "/".join(path)
+    return Cell(written, _INTERP.split(written)) if any(isinstance(p, Cell) for p in path) else written
 
 
 @dataclass
