@@ -76,7 +76,7 @@ def arg_kind(text: str) -> str:
 
 @dataclass
 class Arg:
-    """One constructor argument, kept raw until expansion classifies it."""
+    """One constructor argument, kept raw until generation classifies it."""
 
     text: str
     span: Span = field(default=Span(), compare=False)
@@ -315,7 +315,6 @@ class Cell(str):
         return cell
 
 
-
 def fill(text: str, env: dict[str, int]) -> str:
     """`text` for one iteration: a Cell filled in from `env`, else as is."""
     return text.pattern % env if isinstance(text, Cell) else text
@@ -484,7 +483,7 @@ class _Names:
 
     def block(self, block: Block, prefix: str | None, ranges: dict) -> None:
         """Declare the names of `block`, whose key is `prefix` unless a loop
-        repeats it (None)."""
+        repeats it (None), and collect its references."""
         scope = self.scopes[id(block)] = _Scope()
         for entry in block.entries:
             if isinstance(entry, Loop):
@@ -505,18 +504,14 @@ class _Names:
                 self.doubt = True
                 continue
             scope.names[name] = entry
-            key = None
             if prefix is not None:
-                key = prefix + name
-                self.table[key] = entry
-            self.value(entry.value, None if key is None else key + "/", ranges)
+                self.table[prefix + name] = entry
+            self.value(entry.value, None if prefix is None else f"{prefix}{name}/", ranges)
 
     def value(self, value, prefix: str | None, ranges: dict) -> None:
         if isinstance(value, Ref):
             self.refs.append((value, ranges))
-            return
-        child = value.body if isinstance(value, Ctor) else value
-        if child is not None:
+        elif (child := value.body if isinstance(value, Ctor) else value) is not None:
             self.block(child, prefix, ranges)
 
     def resolves(self, root: Block, ref: Ref, ranges: dict) -> bool:

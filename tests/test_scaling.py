@@ -220,11 +220,6 @@ def _counted(run):
     return _python_calls(lambda: result.append(run())), result[0]
 
 
-def _unrolled(n) -> str:
-    """The loop-free text of reserved(n, n): one entry per node."""
-    return unroll(reserved(n, n))
-
-
 # Python calls expand may make per added node (400 -> 1,600).  Before loops
 # were kept it made 56 on the middleware configuration and 8 on reserved;
 # the middleware gate is a quarter of that, the reserved one no more.
@@ -245,7 +240,7 @@ def test_parse_execute_and_undeploy_calls_grow_linearly(sim_home):
     registry = default_registry()
     counts = {}
     for size in (n, 4 * n):
-        text = _unrolled(size)
+        text = unroll(reserved(size, size))  # loop-free: one entry per node
         counts["parse", size] = _python_calls(lambda: parse(text))
         deployment = build_from_text(reserved(size, size))
         counts["execute", size] = _python_calls(deployment.execute)
