@@ -21,8 +21,10 @@ block.
 Autobind numbers each composite as it wires it, and binding a service's
 Node port records its node; only the nodelist bindings, whose providers
 are services declared after the nodes, take a pass of their own.
-validate() returns diagnostics instead of raising so callers can show all
-problems at once.
+Generation resolves every binding's server before recording it, so each
+binding joins two components and its server provides its interface.
+validate() reports, as diagnostics rather than by raising, the three faults
+a configuration can still cause: `unbound-port`, `cycle` and `group-cycle`.
 
 plan() orders the units (node stacks, shared units, services) by their
 bindings, ties broken by declaration order.  The next stage is the first of:
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import Assembly, Behavior, Binding, Component, Composite, LifecycleState, PortSpec
-from .dsl import Block, Cell, Ctor, Entry, ExpandedConfig, Loop, Ref, arg_kind, fill, joined
+from .dsl import Block, Cell, Ctor, Entry, ExpandedConfig, Loop, Ref, arg_kind, each, fill, joined
 from .errors import (
     ArityMismatch,
     ConfigError,
@@ -63,22 +65,6 @@ class ServiceEntry:
 
 
 # -- generation ---------------------------------------------------------------
-
-
-def _each(entries: list, env: dict[str, int]):
-    """(entry, env) for each entry, a loop's body once per value of its
-    variable, both bounds included."""
-    for entry in entries:
-        if not isinstance(entry, Loop):
-            yield entry, env
-            continue
-        for i in range(entry.lo, entry.hi + 1):
-            inner = {**env, entry.var: i}
-            for child in entry.body:
-                if isinstance(child, Loop):
-                    yield from _each((child,), inner)
-                else:
-                    yield child, inner
 
 
 def _per_node(child: Entry) -> bool:
@@ -167,12 +153,12 @@ class _Generator:
         if not spec.root:
             message = f"{config.root_name}: {spec.name} is not a deployment root kind"
             raise ConfigError(message, config.root_span)
-        for entry, env in _each(config.root.entries, {}):
+        for entry, env in each(config.root.entries, {}):
             name = fill(entry.name, env)
             if not isinstance(entry.value, Block):
                 raise ConfigError(f"top-level entry {name} must be a block", entry.span)
             in_services = name in SERVICE_BLOCKS
-            for child, child_env in _each(entry.value.entries, env):
+            for child, child_env in each(entry.value.entries, env):
                 self._block_entry(name, child, child_env, in_services)
         self._autobind()
         self._bind_nodelists()
@@ -278,7 +264,7 @@ class _Generator:
         is a role list laid out twice.  A body with a loop, or a role whose
         name or reference holds a loop variable, is compiled per node."""
         body = entry.value.body.entries if entry.value.body is not None else []
-        roles = [(self._checked(comp_id, child, child_env), child_env) for child, child_env in _each(body, env)]
+        roles = [(self._checked(comp_id, child, child_env), child_env) for child, child_env in each(body, env)]
         fixed = not any(isinstance(child, Loop) or _per_node(child) for child in body)
         declared = {role.key[0] for role, _ in roles}
         for role, kind_name in spec.defaults:
@@ -385,7 +371,7 @@ class _Generator:
     def _group(self, group_id: str, entry: Entry, env: dict) -> None:
         body = entry.value.body or Block()
         members: list[str] = []
-        for child, child_env in _each(body.entries, env):
+        for child, child_env in each(body.entries, env):
             name = fill(child.name, child_env)
             spec = self._specs.get(id(child))
             if spec is None:
@@ -424,7 +410,7 @@ class _Generator:
         body = (entry.value.body or Block()).entries
         ports = {p.name: p for p in spec.ports}
         binds, refusal = [], None
-        for child, child_env in _each(body, env):
+        for child, child_env in each(body, env):
             name = fill(child.name, child_env)
             if not isinstance(child.value, Ref):
                 refusal = ConfigError(f"{cid}/{name}: service bodies hold only references", child.span)
@@ -579,8 +565,9 @@ class Diagnostic:
 
 def _strongly_connected(graph: dict) -> list[list[str]]:
     """Tarjan's algorithm, iterative; returns components of size > 1
-    (plus self-loop singletons).  Callers reach it only once a cheaper test
-    has found that the graph may hold a cycle."""
+    (plus self-loop singletons).  Every successor must be a vertex of
+    `graph`.  Callers reach it only once a cheaper test has found that the
+    graph may hold a cycle."""
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set = set()
@@ -601,7 +588,7 @@ def _strongly_connected(graph: dict) -> list[list[str]]:
         while work:
             node, it = work[-1]
             for succ in it:
-                if succ in graph and succ not in index:
+                if succ not in index:
                     enter(succ)
                     break
                 if succ in on_stack:
@@ -619,7 +606,7 @@ def _strongly_connected(graph: dict) -> list[list[str]]:
                         scc.append(member)
                         if member == node:
                             break
-                    if len(scc) > 1 or node in graph.get(node, ()):
+                    if len(scc) > 1 or node in graph[node]:
                         sccs.append(sorted(scc))
     return sccs
 
@@ -632,50 +619,27 @@ def _component_cycles(asm: Assembly) -> list[list[str]]:
     indegree = dict.fromkeys(components, 0)
     for comp in components.values():
         for binding in comp.bound.values():
-            if binding.server in indegree:
-                indegree[binding.server] += 1
+            indegree[binding.server] += 1
     ready = [cid for cid, degree in indegree.items() if degree == 0]
     peeled = 0
     while ready:
         peeled += 1
         for binding in components[ready.pop()].bound.values():
             server = binding.server
-            if server in indegree:
-                indegree[server] -= 1
-                if indegree[server] == 0:
-                    ready.append(server)
+            indegree[server] -= 1
+            if indegree[server] == 0:
+                ready.append(server)
     if peeled == len(indegree):
         return []
     return _strongly_connected(asm.dependency_graph())
 
 
 def validate(asm: Assembly) -> list[Diagnostic]:
+    """Unbound required ports, then binding cycles, then group cycles."""
     out: list[Diagnostic] = []
-    for binding in asm.bindings:
-        client = asm.components.get(binding.client)
-        server = asm.components.get(binding.server)
-        if client is None or server is None:
-            missing = binding.client if client is None else binding.server
-            out.append(Diagnostic("unknown-component", missing, "binding endpoint not declared"))
-            continue
-        if binding.interface not in server.provides:
-            out.append(
-                Diagnostic(
-                    "interface-mismatch",
-                    f"{binding.client}.{binding.port}",
-                    f"{binding.server} does not provide {binding.interface}",
-                )
-            )
     for comp in asm.components.values():
         for port in comp.unbound_required_ports():
             out.append(Diagnostic("unbound-port", comp.id, f"required port {port} is unbound"))
-    for service_id, node_id in asm.node_assignment.items():
-        if node_id not in asm.composites and node_id not in asm.components:
-            out.append(Diagnostic("dangling-node", service_id, f"unknown node {node_id}"))
-    for group_id, members in asm.groups.items():
-        for member in members:
-            if member not in asm.components:
-                out.append(Diagnostic("unknown-component", member, f"listed in {group_id}"))
     for scc in _component_cycles(asm):
         out.append(
             Diagnostic("cycle", ", ".join(scc), "binding dependencies form a cycle")
@@ -753,9 +717,9 @@ def _unit_graph(asm: Assembly) -> dict[str, list[str]]:
     needs: dict[str, set] = {uid: set() for uid in order}
     unit_of = {cid: c.owner or cid for cid, c in asm.components.items()}
     for binding in asm.bindings:
-        client = unit_of.get(binding.client, binding.client)
-        server = unit_of.get(binding.server, binding.server)
-        if client != server and client in needs and server in needs:
+        client = unit_of[binding.client]
+        server = unit_of[binding.server]
+        if client != server:
             needs[client].add(server)
     return {uid: sorted(units, key=order.__getitem__) for uid, units in needs.items()}
 

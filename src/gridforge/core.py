@@ -236,9 +236,10 @@ class Assembly:
         return None
 
     def add_binding(self, binding: Binding) -> Binding:
-        """Record a binding of an existing client without checking it;
-        validate() reports what is wrong with it.  A binding between two
-        children of one composite drops that composite's fixed child order."""
+        """Record a binding of an existing client.  Its server is not
+        checked: the caller resolves it first, as generation does.  A binding
+        between two children of one composite drops that composite's fixed
+        child order."""
         client = self.components[binding.client]
         client.bound[binding.port] = binding
         self.bindings.append(binding)
@@ -253,7 +254,7 @@ class Assembly:
     def dependency_graph(self) -> dict[str, list[str]]:
         """component id -> the components its ports are bound to, in binding order."""
         return {
-            cid: [b.server for b in c.bound.values() if b.server in self.components]
+            cid: [b.server for b in c.bound.values()]
             for cid, c in self.components.items()
         }
 
@@ -301,7 +302,7 @@ class Assembly:
         if target_id in self.composites:
             components = self.components
             children = self.composites[target_id].children.values()
-            if all(components[c].state is target for c in children if c in components):
+            if all(components[c].state is target for c in children):
                 return []
             order = self.child_order(target_id)
             if target is LifecycleState.UNINSTALLED:
@@ -341,7 +342,7 @@ class Assembly:
         return [children[i] for i in composite.order]
 
     def _sorted_children(self, composite: Composite) -> list[str]:
-        members = [cid for cid in composite.children.values() if cid in self.components]
+        members = list(composite.children.values())
         member_set = set(members)
         deps: dict[str, set[str]] = {
             m: {b.server for b in self.components[m].bound.values() if b.server in member_set}

@@ -81,14 +81,6 @@ class Arg:
     text: str
     span: Span = field(default=Span(), compare=False)
 
-    @property
-    def kind(self) -> str:
-        return arg_kind(self.text)
-
-    @property
-    def value(self):
-        return int(self.text) if self.kind == "int" else self.text
-
 
 @dataclass
 class Ctor:
@@ -320,6 +312,22 @@ def fill(text: str, env: dict[str, int]) -> str:
     return text.pattern % env if isinstance(text, Cell) else text
 
 
+def each(entries: list, env: dict[str, int]):
+    """(entry, env) for each entry, a loop's body once per value of its
+    variable, both bounds included."""
+    for entry in entries:
+        if not isinstance(entry, Loop):
+            yield entry, env
+            continue
+        for i in range(entry.lo, entry.hi + 1):
+            inner = {**env, entry.var: i}
+            for child in entry.body:
+                if isinstance(child, Loop):
+                    yield from each((child,), inner)
+                else:
+                    yield child, inner
+
+
 def joined(path: tuple) -> str:
     """The key a reference path names, a Cell if a segment is one."""
     written = "/".join(path)
@@ -539,24 +547,18 @@ def _index(entries, prefix: str, env: dict[str, int], keys: dict, refs: list) ->
     """Key every entry of `entries` under `prefix`, once per iteration of
     each loop, a key seen before being a DuplicateName, and collect each
     reference's key and span into `refs`."""
-    for entry in entries:
-        if isinstance(entry, Loop):
-            inner = dict(env)
-            for i in range(entry.lo, entry.hi + 1):
-                inner[entry.var] = i
-                _index(entry.body, prefix, inner, keys, refs)
-            continue
-        key = prefix + fill(entry.name, env)
+    for entry, entry_env in each(entries, env):
+        key = prefix + fill(entry.name, entry_env)
         if key in keys:
             raise DuplicateName(f"{key} declared twice", entry.span)
         keys[key] = entry
         value = entry.value
         if isinstance(value, Ref):
-            refs.append(("/".join([fill(p, env) for p in value.path]), value.span))
+            refs.append(("/".join([fill(p, entry_env) for p in value.path]), value.span))
             continue
         child = value.body if isinstance(value, Ctor) else value
         if child is not None:
-            _index(child.entries, key + "/", env, keys, refs)
+            _index(child.entries, key + "/", entry_env, keys, refs)
 
 
 def _is_root(entry) -> bool:

@@ -52,7 +52,6 @@ class ActionOutcome:
 
 @dataclass
 class StageMetric:
-    index: int
     label: str
     mode: str
     actions: int
@@ -99,7 +98,7 @@ class _StageRunner:
         count = len(stage.all_actions)
         if self.options.dry_run:
             self._dry(stage)
-            self.report.stages.append(StageMetric(index, stage.label, stage.mode, count, 0.0))
+            self.report.stages.append(StageMetric(stage.label, stage.mode, count, 0.0))
             return
         order = list(stage.actions)
         width = 1
@@ -109,7 +108,7 @@ class _StageRunner:
                 random.Random(f"{self.options.seed}:{index}").shuffle(order)
         failed = self._dispatch(stage.prelude, 1) or self._dispatch(order, width) or self._dispatch(stage.postlude, 1)
         wall = clock.now_ms() - start
-        self.report.stages.append(StageMetric(index, stage.label, stage.mode, count, wall))
+        self.report.stages.append(StageMetric(stage.label, stage.mode, count, wall))
         if failed is not None:
             raise StageFailed(index, failed.target, failed.error, self.report)
 

@@ -600,21 +600,6 @@ class TestValidation:
             assert {s for subject in reported for s in subject} == on_cycle
             assert sum(map(len, reported)) == len(on_cycle)
 
-    def test_dangling_node_reported(self, registry_m):
-        asm = assembly_for(MINI, registry_m)
-        asm.node_assignment["services/ns"] = "nodes/ghost"
-        assert any(d.code == "dangling-node" for d in validate(asm))
-
-    def test_binding_to_missing_component(self):
-        asm = service_dag(1, [])
-        asm.add_binding(Binding("s0", "x", "ghost", "I9"))
-        assert any(d.code == "unknown-component" for d in validate(asm))
-
-    def test_interface_mismatch(self):
-        asm = service_dag(2, [])
-        asm.add_binding(Binding("s1", "d0", "s0", "NotProvided"))
-        assert any(d.code == "interface-mismatch" for d in validate(asm))
-
     @pytest.mark.parametrize(
         "edges, groups, expected",
         [
@@ -635,11 +620,6 @@ class TestValidation:
         asm = service_dag(4, edges)
         asm.groups.update(groups)
         assert [f"{d.subject}: {d.detail}" for d in validate(asm) if d.code == "group-cycle"] == expected
-
-    def test_group_member_missing(self):
-        asm = service_dag(1, [])
-        asm.groups["g"] = ["s0", "ghost"]
-        assert any(d.code == "unknown-component" for d in validate(asm))
 
 
 # -- plan order ----------------------------------------------------------
@@ -1039,12 +1019,6 @@ class TestGeneratedAssembly:
         assert ns.bound["node"].server == "nodes/node-0/ready"
         recorded = [b for c in asm.components.values() for b in c.bound.values()]
         assert sorted(map(str, recorded)) == sorted(map(str, asm.bindings))
-
-    def test_bad_binding_is_a_diagnostic(self, registry_m):
-        """Generation records bindings unchecked; validate() names the fault."""
-        asm = assembly_for(MINI, registry_m)
-        asm.add_binding(Binding("services/ns", "node", "nodes/node-0/jre", "Node"))
-        assert [d.code for d in validate(asm)] == ["interface-mismatch"]
 
 
 def sha256(text):

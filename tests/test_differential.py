@@ -8,7 +8,15 @@ with a fixed dispatch seed and latency jitter: each report's total, each
 action's target, outcome, cost and start, each stage failure, and every
 SimNode's observable state and step log.  A change to parsing, expansion,
 generation, validation, planning, child order or execution that moves any
-of these moves the digest.
+of these moves the digest.  Before validate, every generated assembly is
+checked for what generation guarantees and validate leaves unchecked
+(`_assert_well_formed`).
+
+The metamorphic relations need no recorded answer: an input with loops
+gives what its unrolled text gives; parse, unparse and parse again gives
+the first parse; a deploy at one worker leaves the SimNodes as one at three
+workers does, and as a save and restore of the fleet gives them back; and
+the undeploy that follows leaves every SimNode pristine.
 """
 
 import hashlib
@@ -18,13 +26,14 @@ from configs import random_config, unroll
 from conftest import seed_nodelist
 from gridforge.assembly import emit_text, generate, plan, validate
 from gridforge.cli import _state_key
-from gridforge.dsl import expand, parse
+from gridforge.dsl import expand, parse, unparse
 from gridforge.errors import ConfigError, CyclicDependency, StageFailed
 from gridforge.pipeline import Deployment, make_context
 from gridforge.runtime import ExecOptions
-from gridforge.simgrid import SimClockConfig
+from gridforge.simgrid import Fleet, SimClockConfig
 
 INPUTS = 2000
+RELATION_INPUTS = 500  # the first of the INPUTS, for the relations that deploy twice
 DIGEST = "dc9e79808cffbb94d8a7ce2303677016da9e089e6e52807496edfec5c29ff45a"
 
 
@@ -49,6 +58,24 @@ def _run(deployment: Deployment, inverse: bool) -> list[str]:
     return lines
 
 
+def _assert_well_formed(asm) -> None:
+    """What generation guarantees of every assembly it returns: each binding
+    joins two components, its server provides its interface, and it is its
+    client's binding for that port, which no other binding is; each node
+    assignment names a composite or a component (a shared `NodeReady`, say),
+    and each group member is a component."""
+    components = asm.components
+    for b in asm.bindings:
+        assert b.client in components and b.server in components, f"binding endpoint not a component: {b}"
+        assert b.interface in components[b.server].provides, f"server does not provide the interface: {b}"
+        assert components[b.client].bound.get(b.port) is b, f"binding not its client's bound port: {b}"
+    assert len(asm.bindings) == sum(len(c.bound) for c in components.values()), "a bound port has no binding"
+    for service, node in asm.node_assignment.items():
+        assert node in asm.composites or node in components, f"{service} assigned to unknown node {node}"
+    for group, members in asm.groups.items():
+        assert all(m in components for m in members), f"{group} lists a member that is not a component"
+
+
 def _outcome(text: str, registry, home, placed: bool = True) -> str:
     """What `text` gives, a refusal with its line and column unless not
     `placed`."""
@@ -57,6 +84,7 @@ def _outcome(text: str, registry, home, placed: bool = True) -> str:
     except ConfigError as err:
         at = f" {err.line}:{err.column}" if placed else ""
         return f"refused {type(err).__name__} {err.args[0]}{at}\n"
+    _assert_well_formed(asm)
     diagnostics = validate(asm)
     if diagnostics:
         return "diagnostics\n" + "".join(f"{d}\n" for d in diagnostics)
@@ -109,3 +137,73 @@ def test_loops_give_what_their_unrolled_text_gives(registry, sim_home):
         refused += outcome.startswith("refused ")
         ran += "\ndeploy " in outcome
     assert looped > 1000 and refused > 100 and ran > 1000, (looped, refused, ran)
+
+
+def test_parse_of_unparse_is_the_parse():
+    """parse(unparse(parse(x))) equals parse(x), spans aside, for each of the
+    first inputs (every one of which parses)."""
+    rng = random.Random(2207)
+    for _ in range(RELATION_INPUTS):
+        text = random_config(rng)
+        ast = parse(text)
+        assert parse(unparse(ast)) == ast, text
+
+
+def _logged(fleet: Fleet) -> dict:
+    """SimNode id -> its env, files, processes and step log."""
+    return {node.id: (*node.observable(), list(node.log)) for node in fleet.nodes.values()}
+
+
+def _sim_nodes(asm, deployment_plan, home, workers: int) -> tuple[dict, dict] | None:
+    """Every SimNode's observable state and step log after a deploy of
+    `asm` at `workers` workers, which the fleet saved and restored must
+    hold too, then every SimNode's observable state after the undeploy that
+    follows; None if the deploy fails.  Dispatch seed and latency jitter
+    are fixed."""
+    _reset_nodelists(home)
+    ctx = make_context(asm, "sim", SimClockConfig(jitter_seed=5))
+    deployment = Deployment(deployment_plan, ctx, 0.0)
+    options = ExecOptions(max_workers=workers, seed=11)
+    try:
+        deployment.execute(options)
+    except StageFailed:
+        return None
+    deployed = _logged(ctx.fleet)
+    assert _logged(Fleet.from_dict(ctx.fleet.to_dict())) == deployed, "the saved fleet restores other SimNodes"
+    deployment.execute_inverse(options)
+    undeployed = {node.id: node.observable() for node in ctx.fleet.nodes.values()}
+    return deployed, undeployed
+
+
+def test_workers_do_not_change_what_a_deploy_leaves_and_undeploy_leaves_nothing(registry, sim_home):
+    """For each of the first inputs that deploys fully, a deploy at one
+    worker and one at three leave every SimNode with the same observable
+    state and step log, and each undeploy that follows leaves every SimNode
+    pristine.  Each deployed fleet, saved and restored, is unchanged."""
+    rng = random.Random(2207)
+    deployed = 0
+    for _ in range(RELATION_INPUTS):
+        text = random_config(rng)
+        try:
+            config = expand(parse(text))
+            asm = generate(config, registry)
+        except ConfigError:
+            continue
+        if validate(asm):
+            continue
+        try:
+            deployment_plan = plan(asm)
+        except CyclicDependency:
+            continue
+        one = _sim_nodes(asm, deployment_plan, sim_home, 1)
+        if one is None:
+            continue
+        three = _sim_nodes(generate(config, registry), deployment_plan, sim_home, 3)
+        assert three is not None, text
+        assert one[0] == three[0], text
+        pristine = ({}, set(), set())
+        for undeployed in (one[1], three[1]):
+            assert undeployed.keys() == one[0].keys(), text
+            assert all(state == pristine for state in undeployed.values()), text
+        deployed += 1
+    assert deployed > RELATION_INPUTS // 2, deployed

@@ -17,6 +17,7 @@ from gridforge.dsl import (
     Entry,
     Loop,
     Ref,
+    arg_kind,
     expand,
     fill,
     load_config,
@@ -93,7 +94,7 @@ class TestParsing:
         ast = parse("a = K { u = User(aflissi, ~/.ssh/id_rsa.pub) }\n")
         args = ast.entries[0].value.body.entries[0].value.args
         assert [a.text for a in args] == ["aflissi", "~/.ssh/id_rsa.pub"]
-        assert [a.kind for a in args] == ["str", "path"]
+        assert [arg_kind(a.text) for a in args] == ["str", "path"]
 
     def test_arg_classification(self):
         ast = parse(
@@ -103,8 +104,8 @@ class TestParsing:
             "}\n"
         )
         port, oar = [e.value for e in ast.entries[0].value.body.entries]
-        assert port.args[0].kind == "int" and port.args[0].value == 22
-        assert [a.kind for a in oar.args] == ["resources", "path"]
+        assert arg_kind(port.args[0].text) == "int"
+        assert [arg_kind(a.text) for a in oar.args] == ["resources", "path"]
 
     def test_comments_ignored(self):
         ast = parse("# heading\na = K { # trailing\n  x = Port(1)\n}\n")
