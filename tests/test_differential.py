@@ -22,10 +22,13 @@ the undeploy that follows leaves every SimNode pristine.
 import hashlib
 import random
 
-from configs import random_config, unroll
+import pytest
+
+from configs import paper_pair, random_config, unroll
 from conftest import seed_nodelist
 from gridforge.assembly import emit_text, generate, plan, validate
 from gridforge.cli import _state_key
+from gridforge.core import Binding
 from gridforge.dsl import expand, parse, unparse
 from gridforge.errors import ConfigError, CyclicDependency, StageFailed
 from gridforge.pipeline import Deployment, make_context
@@ -74,6 +77,49 @@ def _assert_well_formed(asm) -> None:
         assert node in asm.composites or node in components, f"{service} assigned to unknown node {node}"
     for group, members in asm.groups.items():
         assert all(m in components for m in members), f"{group} lists a member that is not a component"
+
+
+# fault -> what it does to a generated assembly, and the assertion that names it
+FAULTS = {
+    "binding to an undeclared server": (
+        lambda asm: asm.add_binding(Binding("services/ns", "extra", "ghost", "Node")),
+        "binding endpoint not a component",
+    ),
+    "server without the interface": (
+        lambda asm: asm.add_binding(Binding("services/ns", "extra", "nodes/node-0/jre", "Node")),
+        "server does not provide the interface",
+    ),
+    "port bound twice": (
+        lambda asm: asm.add_binding(Binding("services/dci", "ns", "services/ns", "NameService")),
+        "binding not its client's bound port",
+    ),
+    "bound port without a binding": (
+        lambda asm: asm.components["services/dci"].bound.update(
+            extra=Binding("services/dci", "extra", "services/ns", "NameService")
+        ),
+        "a bound port has no binding",
+    ),
+    "node assignment to an unknown node": (
+        lambda asm: asm.node_assignment.update({"services/ns": "nodes/ghost"}),
+        "services/ns assigned to unknown node nodes/ghost",
+    ),
+    "group member not a component": (
+        lambda asm: asm.groups["services/servers"].append("services/servers/ghost"),
+        "services/servers lists a member that is not a component",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=list(FAULTS))
+def test_well_formed_names_each_fault(fault, registry):
+    """The paper's assembly is well formed; each fault that generation
+    never makes, written into it by hand, fails the check by name."""
+    asm = generate(expand(parse(paper_pair(2)[0])), registry)
+    _assert_well_formed(asm)
+    make, message = FAULTS[fault]
+    make(asm)
+    with pytest.raises(AssertionError, match=message):
+        _assert_well_formed(asm)
 
 
 def _outcome(text: str, registry, home, placed: bool = True) -> str:

@@ -11,12 +11,21 @@ import pytest
 
 from gridforge.assembly import generate
 from gridforge.dsl import expand, merge, parse
-from gridforge.errors import ArityMismatch, ConfigError, DslSyntaxError, UnknownKind
+from gridforge.errors import ArityMismatch, ConfigError, DanglingNodeRef, DanglingReference, DslSyntaxError, UnknownKind
 
 
 def node(role: str) -> str:
     """A configuration whose one node declares `role`, written on line 4."""
     return "app = OpenCCM.Deployment {\n  nodes = {\n    n = Grid5000_NODE {\n      " + role + "\n    }\n  }\n}\n"
+
+
+def service(reference: str) -> str:
+    """A configuration of one node `n` and one service whose body holds
+    `reference`, written on line 9."""
+    return (
+        "app = OpenCCM.Deployment {\n  nodes = {\n    n = Grid5000_NODE {\n      hostname = StaticHost(h)\n    }\n  }\n"
+        "  services = {\n    ns = OpenCCM.NameService {\n      " + reference + "\n    }\n  }\n}\n"
+    )
 
 
 PARSE, MERGE, FRAGMENT, GENERATE = "parse", "merge", "fragment", "generate"
@@ -112,6 +121,14 @@ REFUSALS = {
         "services/g: group members must be constructors",
         7,
         7,
+    ),
+    # a reference generation cannot bind
+    "reference to an undeclared component": (
+        GENERATE, service("node = nodes/ghost"), DanglingReference, "reference nodes/ghost resolves to nothing", 9, 14,
+    ),
+    "reference to a component without the port's interface": (
+        GENERATE, service("node = nodes/n/hostname"), DanglingNodeRef,
+        "services/ns: node = nodes/n/hostname provides no Node", 9, 7,
     ),
     # unimplemented protocols and shells are not kinds
     "Telnet protocol": (GENERATE, node("protocol = Telnet"), UnknownKind, "unknown kind 'Telnet' for protocol", 4, 18),
