@@ -23,6 +23,8 @@ Node port records its node; only the nodelist bindings, whose providers
 are services declared after the nodes, take a pass of their own.
 Generation resolves every binding's server before recording it, so each
 binding joins two components and its server provides its interface.
+Bindings, like plan actions, are named tuples built with `tuple.__new__`,
+in C, rather than through their Python-level constructors.
 validate() reports, as diagnostics rather than by raising, the three faults
 a configuration can still cause: `unbound-port`, `cycle` and `group-cycle`.
 
@@ -35,11 +37,14 @@ bindings, ties broken by declaration order.  The next stage is the first of:
    after the not-yet-done units it needs, dependencies first, under its id;
 3. the ready node stacks, as a partial wave; 4. CyclicDependency.
 Shared units that nothing needs come last, in an `unreferenced` stage.
+A stack's readiness is decided once per distinct dependency list per stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from .core import Assembly, Behavior, Binding, Component, Composite, LifecycleState, PortSpec
@@ -362,9 +367,11 @@ class _Generator:
         barrier = comps[-1]
         bindings = self.asm.bindings
         for port, iface, i in template.shape.bindings:
-            binding = barrier.bound[port] = Binding(barrier.id, port, comps[i].id, iface)
+            binding = barrier.bound[port] = tuple.__new__(Binding, (barrier.id, port, comps[i].id, iface))
             bindings.append(binding)
-        exports = {iface: comps[i].id for iface, i in template.shape.exports}
+        exports = {}
+        for iface, i in template.shape.exports:
+            exports[iface] = comps[i].id
         composite = self.asm.composites[comp_id] = Composite(comp_id, template.kind, children, exports)
         self._stamped.append((block, template, composite, comps))
 
@@ -395,7 +402,7 @@ class _Generator:
             server = self.asm.provider_id(target, port.interface)
             if server is None:
                 raise DanglingNodeRef(f"{cid}: {name} = {target} provides no {port.interface}", span)
-            self.asm.add_binding(Binding(cid, port.name, server, port.interface))
+            self.asm.add_binding(tuple.__new__(Binding, (cid, port.name, server, port.interface)))
             if port.interface == NODE:  # a node's barrier stands for the node
                 owner = self.asm.components[server].owner
                 barrier = owner is not None and self.asm.composites[owner].children[BARRIER_ROLE] == server
@@ -457,7 +464,7 @@ class _Generator:
                     server = comps[sibling].id
                 elif components[server].owner == composite.id:
                     own = True
-                binding = component.bound[port] = Binding(component.id, port, server, iface)
+                binding = component.bound[port] = tuple.__new__(Binding, (component.id, port, server, iface))
                 bindings.append(binding)
             if own:
                 composite.order = self._order(composite)
@@ -542,7 +549,7 @@ class _Generator:
             path = comp.args.get("path")
             for provider in providers:
                 if provider.args["nodelist"] == path:
-                    self.asm.add_binding(Binding(comp.id, port.name, provider.id, NODELIST))
+                    self.asm.add_binding(tuple.__new__(Binding, (comp.id, port.name, provider.id, NODELIST)))
                     break
 
 
@@ -635,11 +642,14 @@ def _component_cycles(asm: Assembly) -> list[list[str]]:
 
 
 def validate(asm: Assembly) -> list[Diagnostic]:
-    """Unbound required ports, then binding cycles, then group cycles."""
+    """Unbound required ports, then binding cycles, then group cycles.  The
+    ports are checked inline: no Python call per component."""
     out: list[Diagnostic] = []
     for comp in asm.components.values():
-        for port in comp.unbound_required_ports():
-            out.append(Diagnostic("unbound-port", comp.id, f"required port {port} is unbound"))
+        bound = comp.bound
+        for port in comp.ports:
+            if port.required and port.name not in bound:
+                out.append(Diagnostic("unbound-port", comp.id, f"required port {port.name} is unbound"))
     for scc in _component_cycles(asm):
         out.append(
             Diagnostic("cycle", ", ".join(scc), "binding dependencies form a cycle")
@@ -652,7 +662,7 @@ def _group_cycles(asm: Assembly) -> list[Diagnostic]:
     or through other units: a cycle once each group is one vertex of the unit
     graph.  Unless something needs a member, no group can be on a cycle."""
     vertex = {m: group for group, members in asm.groups.items() for m in members}
-    if not any(b.server in vertex for b in asm.bindings):
+    if vertex.keys().isdisjoint([b.server for b in asm.bindings]):
         return []
     deps = _unit_graph(asm)
     graph: dict[str, list[str]] = {}
@@ -685,10 +695,16 @@ def _group_cycles(asm: Assembly) -> list[Diagnostic]:
 # -- planning -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanAction:
+class PlanAction(NamedTuple):
+    """Drive one unit to one state.  A named tuple, as `core.Binding` is:
+    the planner builds one per unit per stage, with `_action`."""
+
     target: str  # component or composite id
     state: LifecycleState
+
+
+# PlanAction((target, state)) without the Python-level constructor: in C.
+_action = partial(tuple.__new__, PlanAction)
 
 
 @dataclass(frozen=True)
@@ -713,7 +729,7 @@ class DeploymentPlan:
 def _unit_graph(asm: Assembly) -> dict[str, list[str]]:
     """unit -> the other units it needs, in unit order: node stacks, then
     shared units, then services, each in declaration order."""
-    order = {uid: i for i, uid in enumerate([*asm.composites, *asm.shared, *(s.id for s in asm.services)])}
+    order = {uid: i for i, uid in enumerate([*asm.composites, *asm.shared, *[s.id for s in asm.services]])}
     needs: dict[str, set] = {uid: set() for uid in order}
     unit_of = {cid: c.owner or cid for cid, c in asm.components.items()}
     for binding in asm.bindings:
@@ -742,8 +758,18 @@ def _pull(unit: str, deps: dict, done: set, services: set, seen: dict, out: list
     return True
 
 
+def _up(units) -> tuple:
+    """A PlanAction to Started per unit, in order."""
+    return tuple(map(_action, zip(units, repeat(LifecycleState.STARTED))))
+
+
 def plan(asm: Assembly) -> DeploymentPlan:
-    """Order the units into stages by the rule in the module docstring."""
+    """Order the units into stages by the rule in the module docstring.
+
+    Per stage, whether a node stack is ready is decided once per distinct
+    dependency list, not once per stack: the stacks stamped from one body
+    mostly need the same units.  A service whose dependencies are all done
+    joins its stage without a `_pull`."""
     deps = _unit_graph(asm)
     shared = set(asm.shared)
     services = {s.id for s in asm.services}
@@ -751,32 +777,37 @@ def plan(asm: Assembly) -> DeploymentPlan:
     candidates = {s.group or s.id: asm.groups[s.group] if s.group else [s.id] for s in asm.services}
     done: set = set()
     nodes = list(asm.composites)  # node stacks not yet done
+    needs = {n: tuple(deps[n]) for n in nodes}  # node stack -> its dependency list, hashable
     stages: list[PlanStage] = []
     waves = 0
 
-    def up(units) -> tuple:
-        return tuple(PlanAction(u, LifecycleState.STARTED) for u in units)
-
-    def ready(node: str) -> bool:
-        return all(d in done or (d in shared and all(e in done for e in deps[d])) for d in deps[node])
+    def ready(units: tuple) -> bool:
+        return all(d in done or (d in shared and done.issuperset(deps[d])) for d in units)
 
     def node_wave(wave: list[str]) -> PlanStage:
         nonlocal waves
         waves += 1
         needed = {d for n in wave for d in deps[n]}
         prelude = [u for u in asm.shared if u in needed and u not in done]
-        return PlanStage("node-prep" if waves == 1 else f"node-prep-{waves}", "parallel", up(wave), up(prelude))
+        return PlanStage("node-prep" if waves == 1 else f"node-prep-{waves}", "parallel", _up(wave), _up(prelude))
 
     def next_stage() -> PlanStage:
-        wave = [n for n in nodes if ready(n)]
+        verdict = {units: ready(units) for units in dict.fromkeys(map(needs.__getitem__, nodes))}
+        wave = [n for n in nodes if verdict[needs[n]]]
         if wave and len(wave) == len(nodes):
             return node_wave(wave)
         for label, members in candidates.items():
             seen, out = {}, []
-            if all(_pull(m, deps, done, services, seen, out) for m in members):
+            for m in members:
+                if done.issuperset(deps[m]):  # what _pull would do, without the call
+                    seen[m] = True
+                    out.append(m)
+                elif not _pull(m, deps, done, services, seen, out):
+                    break
+            else:
                 if label in asm.groups:
-                    return PlanStage(label, "parallel", up(members), up(u for u in out if u not in services))
-                return PlanStage(label, "sequential", up(out))
+                    return PlanStage(label, "parallel", _up(members), _up([u for u in out if u not in services]))
+                return PlanStage(label, "sequential", _up(out))
         if wave:
             return node_wave(wave)
         pending = [s.id for s in asm.services if s.id not in done]
@@ -785,19 +816,19 @@ def plan(asm: Assembly) -> DeploymentPlan:
     while candidates or nodes:
         stage = next_stage()
         stages.append(stage)
-        done.update(a.target for a in stage.all_actions)
+        done.update([a.target for a in stage.all_actions])
         candidates = {label: members for label, members in candidates.items() if members[0] not in done}
         nodes = [n for n in nodes if n not in done]
 
     swept: list[str] = []
     while leftovers := [u for u in asm.shared if u not in done]:
-        ready_now = [u for u in leftovers if all(d in done for d in deps[u])]
+        ready_now = [u for u in leftovers if done.issuperset(deps[u])]
         if not ready_now:
             raise CyclicDependency("unreferenced components form a cycle: " + ", ".join(leftovers))
         swept += ready_now
         done.update(ready_now)
     if swept:
-        stages.append(PlanStage("unreferenced", "sequential", up(swept)))
+        stages.append(PlanStage("unreferenced", "sequential", _up(swept)))
     return DeploymentPlan(tuple(stages))
 
 
@@ -813,9 +844,7 @@ def plan_inverse(p: DeploymentPlan) -> DeploymentPlan:
     released after its dependents (prelude and postlude swap)."""
 
     def flip(actions: tuple) -> tuple:
-        return tuple(
-            PlanAction(a.target, _INVERSE_TARGET[a.state]) for a in reversed(actions)
-        )
+        return tuple(map(_action, [(a.target, _INVERSE_TARGET[a.state]) for a in reversed(actions)]))
 
     stages = tuple(
         PlanStage(

@@ -79,8 +79,19 @@ class Behavior:
     """Per-kind lifecycle implementation.  Hooks may raise to abort an action.
 
     Hooks receive the component and the execution context (transport, clock,
-    assembly); pure-model components ignore the context.
+    assembly); pure-model components ignore the context.  `overrides` holds
+    the actions whose hook a subclass defines, itself or through a base
+    class other than Behavior; the others do nothing, so
+    `Assembly.transition` does not call them.
     """
+
+    overrides: frozenset[LifecycleAction] = frozenset()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.overrides = frozenset(
+            action for action, hook in _HOOKS.items() if getattr(cls, hook) is not getattr(Behavior, hook)
+        )
 
     def install(self, component: "Component", ctx=None) -> None:
         pass
@@ -151,7 +162,9 @@ class Composite:
 
 class JournalRecord(NamedTuple):
     """One performed action.  A named tuple, as `Binding` is: the executor
-    makes one per transition."""
+    makes one per transition.  `millis` is what the hook's own meter read,
+    and 0.0 for a hook the behaviour inherits unchanged from `Behavior`,
+    which is not called."""
 
     component_id: str
     action: LifecycleAction
@@ -261,7 +274,14 @@ class Assembly:
     # -- lifecycle -------------------------------------------------------
 
     def transition(self, component_id: str, action: LifecycleAction, ctx=None) -> LifecycleState:
-        """Run one raw lifecycle action.  State is untouched if the hook fails."""
+        """Run one raw lifecycle action.  State is untouched if the hook fails.
+
+        Only a hook in `behavior.overrides` is called, under a meter of its
+        own (nested in the caller's, so its charges fold outward as they
+        did); a hook inherited unchanged from `Behavior` does nothing and is
+        neither called nor metered, and its record reads 0.0 ms.  The
+        record is built in C (`tuple.__new__`), as generation builds
+        bindings."""
         component = self.components.get(component_id)
         if component is None:
             raise UnknownComponent(component_id)
@@ -273,18 +293,21 @@ class Assembly:
             if port.required and port.name not in bound:
                 missing = ", ".join(component.unbound_required_ports())
                 raise UnboundPort(f"{component_id}: required ports unbound: {missing}")
-        clock = getattr(ctx, "clock", None)
-        if clock is None:
-            started = time.monotonic()
-        else:
-            clock.begin_action()
-        try:
-            getattr(component.behavior, _HOOKS[action])(component, ctx)
-            failure = None
-        except Exception as exc:
-            failure = exc
-        millis = clock.end_action() if clock is not None else (time.monotonic() - started) * 1000.0
-        self.journal.append(JournalRecord(component_id, action, failure is None, millis))
+        failure = None
+        millis = 0.0
+        behavior = component.behavior
+        if action in behavior.overrides:
+            clock = getattr(ctx, "clock", None)
+            if clock is None:
+                started = time.monotonic()
+            else:
+                clock.begin_action()
+            try:
+                getattr(behavior, _HOOKS[action])(component, ctx)
+            except Exception as exc:
+                failure = exc
+            millis = clock.end_action() if clock is not None else (time.monotonic() - started) * 1000.0
+        self.journal.append(tuple.__new__(JournalRecord, (component_id, action, failure is None, millis)))
         if failure is not None:
             raise ActionFailed(component_id, action, failure) from failure
         component.state = reached
@@ -299,23 +322,25 @@ class Assembly:
         Children already at `target` contribute nothing, so driving a shared
         child through a second parent is a no-op.
         """
+        components = self.components
         if target_id in self.composites:
-            components = self.components
-            children = self.composites[target_id].children.values()
-            if all(components[c].state is target for c in children):
+            for child in self.composites[target_id].children.values():
+                if components[child].state is not target:
+                    break
+            else:
                 return []
             order = self.child_order(target_id)
             if target is LifecycleState.UNINSTALLED:
                 order.reverse()
-        elif target_id in self.components:
+        elif target_id in components:
             order = [target_id]
         else:
             raise UnknownComponent(target_id)
-        return [
-            (cid, action)
-            for cid in order
-            for action in ENSURE_PATHS[(self.components[cid].state, target)]
-        ]
+        pairs = []
+        for cid in order:
+            for action in ENSURE_PATHS[(components[cid].state, target)]:
+                pairs.append((cid, action))
+        return pairs
 
     def ensure(self, target_id: str, target: LifecycleState, ctx=None) -> list[tuple[str, LifecycleAction]]:
         """Perform transitions_to(target_id, target) and return the pairs.
@@ -339,7 +364,7 @@ class Assembly:
         if composite.order is None:
             return self._sorted_children(composite)
         children = list(composite.children.values())
-        return [children[i] for i in composite.order]
+        return list(map(children.__getitem__, composite.order))
 
     def _sorted_children(self, composite: Composite) -> list[str]:
         members = list(composite.children.values())

@@ -46,6 +46,11 @@ class Payload:
     def digest(self) -> str:
         return format(zlib.crc32(self.script.encode()), "08x")
 
+    @cached_property
+    def step_keys(self) -> tuple[bytes, ...]:
+        """Each step's index as it ends the step's jitter key: b"0", b"1", ..."""
+        return tuple(str(i).encode() for i in range(len(self.steps)))
+
 
 class Transport:
     name = "abstract"
@@ -74,7 +79,9 @@ class SimTransport(Transport):
     def send(self, access: NodeAccess, payload: Payload) -> tuple[int, str]:
         """Jitter keys `seed|node|digest|connect` and `seed|node|digest|<i>`
         share a prefix: its crc32 is taken once and continued with each
-        suffix, which equals the crc32 of the whole key."""
+        suffix, which equals the crc32 of the whole key.  A step's jitter is
+        `jittered`'s expression written inline, over the payload's
+        `step_keys`, so each step makes one Python call, its `charge`."""
         node = self.fleet.get_or_create(access.hostname)
         cfg = self.config
         charge = self.clock.charge
@@ -82,12 +89,13 @@ class SimTransport(Transport):
         if seed:
             prefix = zlib.crc32(f"{seed}|{node.id}|{payload.digest}|".encode())
             charge(jittered(cfg.connect_latency, zlib.crc32(b"connect", prefix)))
+            keys = payload.step_keys
         else:
             charge(cfg.connect_latency)
         step_ms = cfg.step_latency
         outputs: list[str] = []
         for i, step in enumerate(payload.steps):
-            charge(jittered(step_ms, zlib.crc32(str(i).encode(), prefix)) if seed else step_ms)
+            charge(step_ms * (0.9 + 0.2 * (zlib.crc32(keys[i], prefix) / 0xFFFFFFFF)) if seed else step_ms)
             status, out = node.apply(step)
             if out:
                 outputs.append(out)

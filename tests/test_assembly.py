@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -858,6 +859,35 @@ class TestPlanShape:
         assert [a.target for a in stages[0].actions] == ["a"]
         assert [a.target for a in stages[1].actions] == ["b"]
 
+    def test_readiness_is_judged_per_dependency_list(self):
+        """Node stacks with different dependency lists are ready in
+        different waves, however their declarations interleave, and stacks
+        with one list share a wave.  Readiness is decided once per list per
+        stage, not once per stack: planning 5 stacks of each list makes as
+        many Python calls as planning 2."""
+        needs = {"a": [], "b": ["a-0"], "c": ["b-0"], "d": ["a-1"]}  # kind of stack -> the stacks it needs
+        calls = {}
+        for copies in (2, 5):
+            names = [f"{kind}-{i}" for i in range(copies) for kind in needs]
+            asm = Assembly()
+            for name in names:
+                cid = f"{name}/c"
+                ports = tuple(PortSpec(f"p{j}", f"I{dep}") for j, dep in enumerate(needs[name[0]]))
+                asm.components[cid] = Component(id=cid, kind="T", provides=frozenset({f"I{name}"}), ports=ports, owner=name)
+                asm.composites[name] = Composite(id=name, kind="Node", children={"c": cid})
+            for name in names:
+                for j, dep in enumerate(needs[name[0]]):
+                    asm.add_binding(Binding(f"{name}/c", f"p{j}", f"{dep}/c", f"I{dep}"))
+            calls[copies] = seen = []  # Python functions of gridforge called, not a collector's callbacks
+            sys.setprofile(lambda frame, event, arg: event == "call" and seen.append(frame.f_code.co_filename))
+            try:
+                stages = plan(asm).stages
+            finally:
+                sys.setprofile(None)
+            assert [s.label for s in stages] == ["node-prep", "node-prep-2", "node-prep-3"]
+            waves = [[n for n in names if n[0] in kinds] for kinds in ("a", "bd", "c")]
+            assert [[a.target for a in s.actions] for s in stages] == waves
+        assert len([f for f in calls[2] if "gridforge" in f]) == len([f for f in calls[5] if "gridforge" in f])
 
     def test_paper_shape_with_reservation_second(self, registry_m):
         app, reservation = paper_pair(5)

@@ -1,6 +1,7 @@
 """Lifecycle state machine: transition table, ensure paths, journal replay."""
 
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,7 @@ from gridforge.errors import (
     UnboundPort,
     UnknownComponent,
 )
+from gridforge.simgrid import VirtualClock
 
 S = LifecycleState
 A = LifecycleAction
@@ -325,6 +327,46 @@ class TestJournal:
         asm.ensure("c", S.STARTED)
         actions = [r.action for r in asm.journal.records()]
         assert actions == [A.INSTALL, A.START]
+
+
+class TestInheritedHooks:
+    def test_only_an_overridden_hook_is_called_and_metered(self):
+        """A behaviour that defines only `start` has it called inside a
+        meter of its own; its other three actions call no hook and open no
+        meter, and each journals one ok record of 0.0 ms."""
+        events = []
+
+        class Clock(VirtualClock):
+            def begin_action(self):
+                events.append("begin")
+                super().begin_action()
+
+            def end_action(self):
+                events.append("end")
+                return super().end_action()
+
+        class StartOnly(Behavior):
+            def start(self, component, ctx=None):
+                events.append("start")
+                ctx.clock.charge(7.5)
+
+        class Subclass(StartOnly):
+            pass
+
+        assert StartOnly.overrides == Subclass.overrides == frozenset({A.START})
+        assert Behavior.overrides == frozenset()
+        asm, comp = fresh(behavior=Subclass())
+        ctx = SimpleNamespace(clock=Clock())
+        for action in (A.INSTALL, A.START, A.STOP, A.UNINSTALL):
+            asm.transition("c", action, ctx)
+        assert events == ["begin", "start", "end"]
+        assert comp.state == S.UNINSTALLED
+        assert [(r.action, r.ok, r.millis) for r in asm.journal.records()] == [
+            (A.INSTALL, True, 0.0),
+            (A.START, True, 7.5),
+            (A.STOP, True, 0.0),
+            (A.UNINSTALL, True, 0.0),
+        ]
 
 
 class TestComposites:

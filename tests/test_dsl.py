@@ -202,6 +202,23 @@ class TestRoundTrip:
             ast = parse(Path(path).read_text())
             assert parse(unparse(ast)).entries == ast.entries
 
+    def test_unparse_indents_each_loop_body_one_level_in(self):
+        text = (
+            "app = Kind {\n"
+            "  nodes = {\n"
+            "    apply FOR(i,0,1) {\n"
+            "      apply FOR(j,0,2) {\n"
+            "        node-%{i}-%{j} = Node {\n"
+            "          host = StaticHost(h-%{i}-%{j})\n"
+            "        }\n"
+            "      }\n"
+            "      peer-%{i} = nodes/node-%{i}-0\n"
+            "    }\n"
+            "  }\n"
+            "}\n"
+        )
+        assert unparse(parse(text)) == text
+
 
 LOOP_TEMPLATE = """
 app = Kind {{

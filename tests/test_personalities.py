@@ -178,8 +178,9 @@ class TestMalformedPersonalityFiles:
         [
             ('[Sleep, "5"]', "unknown step ['Sleep', '5']"),
             ("[Fetch, x]", "Fetch takes 2..2 cells, got 1"),
+            ("[SetVar]", "SetVar takes 1..2 cells, got 0"),
         ],
-        ids=["unknown-kind", "short-row"],
+        ids=["unknown-kind", "short-row", "empty-set-var"],
     )
     def test_malformed_step_row_refused_at_load(self, tmp_path, row, complaint):
         text = "kinds:\n  - kind: Slow\n    scripts:\n      start:\n        steps:\n          - " + row + "\n"
