@@ -40,7 +40,8 @@ class SimClockConfig:
 
 
 def jittered(base: float, key_crc: int) -> float:
-    """base scaled into [0.9, 1.1] by a key's crc32."""
+    """base scaled into [0.9, 1.1] by a key's crc32.  `SimTransport.send`
+    writes this expression inline for each step, so change both."""
     return base * (0.9 + 0.2 * (key_crc / 0xFFFFFFFF))
 
 
