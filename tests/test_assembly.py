@@ -278,6 +278,39 @@ class TestGeneration:
         assert combined.composites["nodes/node-399"].ordinal == 399
         assert combined.composites["nodes/oar_server"].ordinal == 0  # own static host
 
+    def test_loop_that_runs_no_iteration_generates_nothing(self, registry_m, monkeypatch):
+        """Loops that run no iteration, holding an unbound variable, a
+        duplicate name and a dangling reference, generate nothing, and a
+        body holding one is still compiled once for every node and every
+        service written with it."""
+        empty = "apply FOR(k,1,0) { x-%{j} = T  d = T  d = T  r = T { p = nodes/missing } }"
+        text = (
+            "app = OpenCCM.Deployment {\n"
+            "  nodes = {\n"
+            "    apply FOR(i,0,2) {\n"
+            "      node-%{i} = Grid5000_NODE { hostname = StaticHost(simnode-%{i}) EMPTY }\n"
+            "    }\n"
+            "    EMPTY\n"
+            "  }\n"
+            "  services = {\n"
+            "    apply FOR(i,0,2) {\n"
+            "      ns-%{i} = OpenCCM.NameService { node = nodes/node-%{i} apply FOR(k,1,0) { q = nodes/missing-%{j} } }\n"
+            "    }\n"
+            "    EMPTY\n"
+            "  }\n"
+            "}\n"
+        )
+        templates, ports = [], []
+        generator = sys.modules["gridforge.assembly"]._Generator
+        template, port = generator._template, generator._ports
+        monkeypatch.setattr(generator, "_template", lambda self, *a: templates.append(a[0]) or template(self, *a))
+        monkeypatch.setattr(generator, "_ports", lambda self, *a: ports.append(a[0]) or port(self, *a))
+        with_empty = assembly_for(text.replace("EMPTY", empty), registry_m)
+        assert (templates, ports) == (["nodes/node-0"], ["services/ns-0"])
+        without = assembly_for(text.replace("EMPTY", ""), registry_m)
+        assert emit_text(with_empty, plan(with_empty)) == emit_text(without, plan(without))
+        assert len(without.composites) == 3
+
     def test_ordinals_unaffected_by_earlier_static_nodes(self, registry_m):
         asm = assembly_for(reserved(3, granted=3), registry_m)
         for i in range(3):

@@ -454,6 +454,43 @@ class TestExpansionPinned:
             assert err.value.args[0] == "%{j} is not bound by any enclosing FOR", where
             assert (err.value.line, err.value.column) == (line, column), where
 
+    def test_unbound_variable_reported_ahead_of_an_earlier_duplicate_name(self):
+        """Every unbound variable is refused before any name is checked."""
+        with pytest.raises(UnboundLoopVariable) as err:
+            expand_text(
+                "app = K {\n"
+                "  items = {\n"
+                "    x = T\n"
+                "    x = T\n"
+                "    apply FOR(i,0,1) { y-%{j} = T }\n"
+                "  }\n"
+                "}\n"
+            )
+        assert err.value.args[0] == "%{j} is not bound by any enclosing FOR"
+        assert (err.value.line, err.value.column) == (5, 24)
+
+    def test_unbound_variable_in_name_then_argument_then_body(self):
+        """Within one entry the name is checked first, then its arguments or
+        path, then its body."""
+        cases = [
+            ("x-%{j} = T(%{k}) { p = items/y-%{m} }", "j", 24),
+            ("x-%{i} = T(%{k}) { p = items/y-%{m} }", "k", 35),
+            ("x-%{i} = T(%{i}) { p = items/y-%{m} }", "m", 47),
+            ("x-%{i} = items/y-%{m}/z-%{k}", "m", 33),
+        ]
+        for body, var, column in cases:
+            with pytest.raises(UnboundLoopVariable) as err:
+                expand_text("app = K {\n  items = {\n    apply FOR(i,0,1) { " + body + " }\n  }\n}\n")
+            assert err.value.args[0] == f"%{{{var}}} is not bound by any enclosing FOR", body
+            assert (err.value.line, err.value.column) == (3, column), body
+
+    def test_loop_that_runs_no_iteration_is_not_checked(self):
+        """An unbound variable, a duplicate name and a dangling reference in
+        a loop that runs no iteration are accepted, as the loop is absent."""
+        for body in ("x-%{j} = T", "d = T\nd = T", "r = T { p = items/missing }", "q = items/missing-%{i}"):
+            config = expand_text("app = K {\n  items = {\n    apply FOR(i,1,0) {\n" + body + "\n    }\n  }\n}\n")
+            assert list(iterations(config)) == ["items"], body
+
     def test_duplicate_name_position_and_message(self):
         with pytest.raises(DuplicateName) as err:
             expand_text(
