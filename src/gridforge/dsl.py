@@ -298,11 +298,12 @@ class Cell(str):
     """A name, argument or path segment that holds a loop variable, compiled
     once.  It is the text as written; `parts` alternates literal text and
     variable names, literal first and last; `fill` gives its text for one
-    iteration."""
+    iteration.  Both derive from the text, so a copy or unpickling, which
+    passes only the text, rebuilds them."""
 
-    def __new__(cls, written: str, parts: list[str]):
+    def __new__(cls, written: str):
         cell = super().__new__(cls, written)
-        cell.parts = tuple(parts)
+        cell.parts = parts = tuple(_INTERP.split(written))
         cell.pattern = "".join(p.replace("%", "%%") if i % 2 == 0 else f"%({p})s" for i, p in enumerate(parts))
         return cell
 
@@ -331,7 +332,7 @@ def each(entries: list, env: dict[str, int]):
 def joined(path: tuple) -> str:
     """The key a reference path names, a Cell if a segment is one."""
     written = "/".join(path)
-    return Cell(written, _INTERP.split(written)) if any(isinstance(p, Cell) for p in path) else written
+    return Cell(written) if any(isinstance(p, Cell) for p in path) else written
 
 
 @dataclass
@@ -361,7 +362,7 @@ def _compile(text: str, bound: frozenset, span: Span) -> str:
     for var in parts[1::2]:
         if var not in bound:
             raise UnboundLoopVariable(f"%{{{var}}} is not bound by any enclosing FOR", span)
-    return Cell(text, parts)
+    return Cell(text)
 
 
 class _Compiler:

@@ -1,6 +1,7 @@
 """Configuration language: parsing, loop expansion, merging, diagnostics."""
 
 import copy
+import pickle
 from pathlib import Path
 
 import pytest
@@ -441,6 +442,20 @@ class TestExpansionPinned:
         expand(ast)
         assert ast == before
         assert unparse(ast) == unparse(before)
+
+    def test_expanded_config_and_parse_tree_copy_and_pickle(self):
+        """Deep copies and unpickled copies of a tree that holds cells equal
+        it, and their cells fill in as the originals do."""
+        ast = parse("app = K {\n  items = {\n    apply FOR(i,0,1) { x-%{i} = T(a-%{i}) }\n  }\n}\n")
+        config = expand(ast)
+        for tree in (ast, config):
+            for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+                assert copied == tree
+        copied = pickle.loads(pickle.dumps(config))
+        (loop,) = copied.root.entries[0].value.entries
+        name, arg = loop.body[0].name, loop.body[0].value.args[0].text
+        assert isinstance(name, Cell) and name.parts == ("x-", "i", "")
+        assert (fill(name, {"i": 1}), fill(arg, {"i": 1})) == ("x-1", "a-1")
 
     def test_unbound_variable_position_and_message(self):
         cases = {
