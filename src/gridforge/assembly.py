@@ -266,11 +266,12 @@ class _Generator:
         The roles are checked in the order they are written, then the
         kind's default roles, so the first node with a fault reports it.  A
         role `Entry` checked for an earlier body is not checked again, nor
-        is a role list laid out twice.  A body with a loop, or a role whose
-        name or reference holds a loop variable, is compiled per node."""
+        is a role list laid out twice.  A body with a loop that runs, or a
+        role whose name or reference holds a loop variable, is compiled per
+        node."""
         body = entry.value.body.entries if entry.value.body is not None else []
         roles = [(self._checked(comp_id, child, child_env), child_env) for child, child_env in each(body, env)]
-        fixed = not any(isinstance(child, Loop) or _per_node(child) for child in body)
+        fixed = not any(child.lo <= child.hi if isinstance(child, Loop) else _per_node(child) for child in body)
         declared = {role.key[0] for role, _ in roles}
         for role, kind_name in spec.defaults:
             if role not in declared:
@@ -413,7 +414,8 @@ class _Generator:
     def _ports(self, cid: str, entry: Entry, spec: KindSpec, env: dict) -> tuple[list, ConfigError | None]:
         """(port, target, span, name) per reference of the service's body up
         to the first that binds no port, and the refusal of that one.  Kept
-        for the entry unless its body holds a loop or a varying name."""
+        for the entry unless its body holds a loop that runs or a varying
+        name."""
         body = (entry.value.body or Block()).entries
         ports = {p.name: p for p in spec.ports}
         binds, refusal = [], None
@@ -429,7 +431,7 @@ class _Generator:
             target = joined(child.value.path)  # filled in per service, unless a loop of the body fills it in
             binds.append((port, target if child_env is env else fill(target, child_env), child.span, name))
         compiled = binds, refusal
-        if not any(isinstance(child, Loop) or isinstance(child.name, Cell) for child in body):
+        if not any(child.lo <= child.hi if isinstance(child, Loop) else isinstance(child.name, Cell) for child in body):
             self._binds[id(entry)] = compiled
         return compiled
 

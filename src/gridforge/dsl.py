@@ -1,4 +1,4 @@
-"""Configuration language: parse, unparse, loop compilation, name and reference checks.
+"""Configuration language: parse, unparse, loop variable, name and reference checks.
 
 The language is deliberately small.  A file holds one root block:
 
@@ -23,10 +23,12 @@ resource requests (`gdx=300|azur=100`), anything else a plain string.
 Extra files are fragments whose top-level blocks (`nodes = {...}`,
 `services = {...}`) merge into the root configuration in order.
 
-Expansion keeps each loop: `expand` compiles every `%{var}` cell once into
-a `Cell` and checks names and references for the whole loop where it can
-show them sound, else iteration by iteration; generation stamps the
-iterations.  No entry is copied per iteration.
+The reader compiles every `%{var}` cell once into a `Cell` as it reads
+it.  Expansion keeps each loop and copies nothing: `expand` checks the
+parsed tree, refusing unbound variables, and checks names and references
+for the whole loop where it can show them sound, else iteration by
+iteration; generation stamps the iterations.  A loop that runs no
+iteration is absent to every check and to generation.
 
 Every node and refusal carries a `Span`: the reader moves by compiled
 patterns matched at an offset, and turns an offset into a line and column
@@ -72,6 +74,25 @@ def arg_kind(text: str) -> str:
     if text.startswith(("~", "/")):
         return "path"
     return "str"
+
+
+class Cell(str):
+    """A name, argument or path segment that holds a loop variable, compiled
+    once, as the reader reads it.  It is the text as written; `parts`
+    alternates literal text and variable names, literal first and last;
+    `fill` gives its text for one iteration.  Both derive from the text, so
+    a copy or unpickling, which passes only the text, rebuilds them."""
+
+    def __new__(cls, written: str):
+        cell = super().__new__(cls, written)
+        cell.parts = parts = tuple(_INTERP.split(written))
+        cell.pattern = "".join(p.replace("%", "%%") if i % 2 == 0 else f"%({p})s" for i, p in enumerate(parts))
+        return cell
+
+
+def _cell(text: str) -> str:
+    """`text`, or its Cell if it holds a loop variable."""
+    return Cell(text) if "%{" in text and _INTERP.search(text) else text
 
 
 @dataclass
@@ -207,15 +228,17 @@ class _Reader:
         if "/" in name:
             self.fail(f"entry name {name!r} may not contain '/'")
         self.take("=")
-        return Entry(name, self._value(), span)
+        return Entry(_cell(name), self._value(), span)
 
     def _value(self):
         if self.peek() == "{":
             return self._block()
         word, span = self.word()
         if "/" in word:
-            return Ref(tuple(word.split("/")), span)
+            return Ref(tuple([_cell(p) for p in word.split("/")]), span)
         args = self.raw_args() if self.peek() == "(" else []
+        for arg in args:
+            arg.text = _cell(arg.text)
         body = self._block() if self.peek() == "{" else None
         return Ctor(word, args, body, span)
 
@@ -294,20 +317,6 @@ def _unparse_value(value, depth: int) -> str:
 # -- expansion ---------------------------------------------------------------
 
 
-class Cell(str):
-    """A name, argument or path segment that holds a loop variable, compiled
-    once.  It is the text as written; `parts` alternates literal text and
-    variable names, literal first and last; `fill` gives its text for one
-    iteration.  Both derive from the text, so a copy or unpickling, which
-    passes only the text, rebuilds them."""
-
-    def __new__(cls, written: str):
-        cell = super().__new__(cls, written)
-        cell.parts = parts = tuple(_INTERP.split(written))
-        cell.pattern = "".join(p.replace("%", "%%") if i % 2 == 0 else f"%({p})s" for i, p in enumerate(parts))
-        return cell
-
-
 def fill(text: str, env: dict[str, int]) -> str:
     """`text` for one iteration: a Cell filled in from `env`, else as is."""
     return text.pattern % env if isinstance(text, Cell) else text
@@ -337,86 +346,48 @@ def joined(path: tuple) -> str:
 
 @dataclass
 class ExpandedConfig:
-    """A checked configuration whose loops are kept, each compiled once.
+    """A checked configuration: the root block's parsed body, loops kept.
 
-    `root` holds the root block's entries with each non-empty `apply FOR`
-    as one `Loop`; every name, argument text and reference segment in it
-    that holds a loop variable is a `Cell`.  `table` keys each entry that
-    no loop repeats by its path."""
+    Every name, argument text and reference segment in `root` that holds a
+    loop variable is a `Cell`, as `parse` read it, and `each` walks its
+    iterations; a loop that runs no iteration is absent."""
 
     root_name: str
     root_kind: str
     root: Block
-    table: dict[str, Entry] = field(default_factory=dict)
     root_span: Span = field(default=Span(), compare=False)  # where the root kind is written
 
 
-def _compile(text: str, bound: frozenset, span: Span) -> str:
-    """`text`, or its Cell if it names a loop variable, each of which an
-    enclosing FOR must bind."""
-    if "%" not in text:
-        return text
-    parts = _INTERP.split(text)
-    if len(parts) == 1:
-        return text
-    for var in parts[1::2]:
-        if var not in bound:
-            raise UnboundLoopVariable(f"%{{{var}}} is not bound by any enclosing FOR", span)
-    return Cell(text)
+def _refuse_unbound(text: str, bound: frozenset, span: Span) -> None:
+    """Refuse `text` if it is a Cell naming a variable that no enclosing
+    FOR binds."""
+    if isinstance(text, Cell):
+        for var in text.parts[1::2]:
+            if var not in bound:
+                raise UnboundLoopVariable(f"%{{{var}}} is not bound by any enclosing FOR", span)
 
 
-class _Compiler:
-    """One expansion.  A source subtree with no `%` in any name, argument
-    or path segment and no loop inside is the same in every iteration, so
-    it is kept as it is; the rest is copied once, with each `%{...}` cell
-    compiled and each loop that runs no iteration dropped."""
-
-    def __init__(self) -> None:
-        self._invariant: dict[int, bool] = {}  # id(source node) -> loop-invariant
-
-    def invariant(self, node) -> bool:
-        known = self._invariant.get(id(node))
-        if known is None:
-            known = self._invariant[id(node)] = self._scan(node)
-        return known
-
-    def _scan(self, node) -> bool:
-        if isinstance(node, Entry):
-            return "%" not in node.name and self.invariant(node.value)
-        if isinstance(node, Ref):
-            return not any("%" in p for p in node.path)
-        if isinstance(node, Block):
-            return all(self.invariant(e) for e in node.entries)
-        if isinstance(node, Ctor):
-            return not any("%" in a.text for a in node.args) and (
-                node.body is None or self.invariant(node.body)
-            )
-        return False  # a Loop
-
-    def entries(self, entries, bound: frozenset) -> list:
-        out: list = []
-        for entry in entries:
-            if isinstance(entry, Loop):
-                if entry.lo <= entry.hi:
-                    body = self.entries(entry.body, bound | {entry.var})
-                    out.append(Loop(entry.var, entry.lo, entry.hi, body, entry.span))
-            elif self.invariant(entry):
-                out.append(entry)
-            else:
-                name = _compile(entry.name, bound, entry.span)
-                out.append(Entry(name, self.value(entry.value, bound), entry.span))
-        return out
-
-    def value(self, value, bound: frozenset):
-        if self.invariant(value):
-            return value
+def _check_bound(entries: list, bound: frozenset) -> None:
+    """Refuse the first loop variable that no enclosing FOR binds: entry by
+    entry, in its name, then its arguments or path, then its body.  A loop
+    that runs no iteration is not looked into."""
+    for entry in entries:
+        if isinstance(entry, Loop):
+            if entry.lo <= entry.hi:
+                _check_bound(entry.body, bound | {entry.var})
+            continue
+        _refuse_unbound(entry.name, bound, entry.span)
+        value = entry.value
         if isinstance(value, Ref):
-            return Ref(tuple([_compile(p, bound, value.span) for p in value.path]), value.span)
-        if isinstance(value, Block):
-            return Block(self.entries(value.entries, bound), value.span)
-        args = [Arg(_compile(a.text, bound, a.span), a.span) for a in value.args]
-        body = self.value(value.body, bound) if value.body is not None else None
-        return Ctor(value.kind, args, body, value.span)
+            for segment in value.path:
+                _refuse_unbound(segment, bound, value.span)
+        elif isinstance(value, Block):
+            _check_bound(value.entries, bound)
+        else:
+            for arg in value.args:
+                _refuse_unbound(arg.text, bound, arg.span)
+            if value.body is not None:
+                _check_bound(value.body.entries, bound)
 
 
 _DECIMAL = re.compile(r"^-?[0-9]+$")
@@ -480,22 +451,23 @@ class _Names:
     head and tail whose range covers the variable's.  What is not shown is
     in doubt, and `_index` then checks each iteration."""
 
-    def __init__(self, table: dict[str, Entry]) -> None:
-        self.table = table  # keys no loop repeats -> their entries
+    def __init__(self) -> None:
         self.scopes: dict[int, _Scope] = {}  # id(block) -> its names
         self.refs: list[tuple[Ref, dict]] = []  # each reference, with its loop ranges
         self.doubt = False
 
     def shown(self, root: Block) -> bool:
-        self.block(root, "", {})
+        self.block(root, {})
         return not self.doubt and all(self.resolves(root, ref, ranges) for ref, ranges in self.refs)
 
-    def block(self, block: Block, prefix: str | None, ranges: dict) -> None:
-        """Declare the names of `block`, whose key is `prefix` unless a loop
-        repeats it (None), and collect its references."""
+    def block(self, block: Block, ranges: dict) -> None:
+        """Declare the names of `block` and collect its references; a loop
+        that runs no iteration is absent."""
         scope = self.scopes[id(block)] = _Scope()
         for entry in block.entries:
             if isinstance(entry, Loop):
+                if entry.lo > entry.hi:
+                    continue
                 inner = {**ranges, entry.var: (entry.lo, entry.hi)}
                 for child in entry.body:
                     parts = child.name.parts if isinstance(child, Entry) and isinstance(child.name, Cell) else ()
@@ -506,22 +478,20 @@ class _Names:
                     if not scope.distinct(head, tail, entry.lo, entry.hi):
                         self.doubt = True
                     scope.loops.append((head, tail, entry.lo, entry.hi, child))
-                    self.value(child.value, None, inner)
+                    self.value(child.value, inner)
                 continue
             name = entry.name
             if isinstance(name, Cell) or scope.find(name) is not None:
                 self.doubt = True
                 continue
             scope.names[name] = entry
-            if prefix is not None:
-                self.table[prefix + name] = entry
-            self.value(entry.value, None if prefix is None else f"{prefix}{name}/", ranges)
+            self.value(entry.value, ranges)
 
-    def value(self, value, prefix: str | None, ranges: dict) -> None:
+    def value(self, value, ranges: dict) -> None:
         if isinstance(value, Ref):
             self.refs.append((value, ranges))
         elif (child := value.body if isinstance(value, Ctor) else value) is not None:
-            self.block(child, prefix, ranges)
+            self.block(child, ranges)
 
     def resolves(self, root: Block, ref: Ref, ranges: dict) -> bool:
         block, looped = root, False
@@ -582,30 +552,33 @@ def _refuse_roots(message: str, entries: list) -> ConfigError:
 
 
 def expand(ast: ConfigAST) -> ExpandedConfig:
-    """Compile loops and interpolations once, and verify names and references.
+    """Check the parsed configuration: loop variables, names and references.
 
-    Loops stay loops: each is compiled once, every unbound variable being
-    refused as it is met.  Names and references are then shown sound for
-    each loop as a whole (`_Names`); where that is in doubt, one walk keys
-    the entry of every iteration, which finds any duplicate name, and
-    collects every reference, each resolved once the keys are whole, so a
-    duplicate anywhere is reported ahead of a dangling reference.  The
-    result shares every loop-invariant subtree with `ast`, so neither may
-    be mutated afterwards; `merge` fragments in before expanding."""
+    Loops stay loops, and nothing is copied: the result's `root` is the
+    parsed root body, each `%{...}` cell compiled as it was read.  One walk
+    refuses the first variable no enclosing FOR binds.  Names and
+    references are then shown sound for each loop as a whole (`_Names`);
+    where that is in doubt, one walk keys the entry of every iteration,
+    which finds any duplicate name, and collects every reference, each
+    resolved once the keys are whole, so a duplicate anywhere is reported
+    ahead of a dangling reference.  A loop that runs no iteration is
+    absent to every check.  The result shares the tree with `ast`, so
+    neither may be mutated afterwards; `merge` fragments in before
+    expanding."""
     entries = ast.entries
     if len(entries) != 1 or not _is_root(entries[0]):
         raise _refuse_roots("configuration needs exactly one root block `Name = Kind { ... }`", entries)
     root_entry = entries[0]
-    body = _Compiler().value(root_entry.value.body, frozenset())
-    config = ExpandedConfig(root_entry.name, root_entry.value.kind, body, root_span=root_entry.value.span)
-    if not _Names(config.table).shown(body):
+    body = root_entry.value.body
+    _check_bound(body.entries, frozenset())
+    if not _Names().shown(body):
         keys: dict[str, Entry] = {}
         refs: list[tuple[str, Span]] = []
         _index(body.entries, "", {}, keys, refs)
         for key, span in refs:
             if key not in keys:
                 raise DanglingReference(f"reference {key} resolves to nothing", span)
-    return config
+    return ExpandedConfig(root_entry.name, root_entry.value.kind, body, root_entry.value.span)
 
 
 def merge(primary: ConfigAST, *fragments: ConfigAST) -> ConfigAST:

@@ -236,11 +236,11 @@ class TestExpansion:
     def test_paper_counts(self, paper_config):
         config = load_config([paper_config])
         assert config.root_name == "MyDeployment"
-        hostname, nodes = config.table["nodes"].value.entries  # hostname + one loop of nodes
-        assert (hostname.name, nodes.hi - nodes.lo + 1) == ("hostname", 501)
-        (servers,) = config.table["services/servers"].value.body.entries
-        assert servers.hi - servers.lo + 1 == 500
         keys = iterations(config)
+        hostname, nodes = keys["nodes"][0].value.entries  # hostname + one loop of nodes
+        assert (hostname.name, nodes.hi - nodes.lo + 1) == ("hostname", 501)
+        (servers,) = keys["services/servers"][0].value.body.entries
+        assert servers.hi - servers.lo + 1 == 500
         assert sum(key.count("/") == 1 for key in keys if key.startswith("nodes/")) == 1 + 501
         assert sum(key.count("/") == 2 for key in keys if key.startswith("services/servers/")) == 500
 
@@ -266,8 +266,11 @@ class TestExpansion:
         assert sum(key.startswith("items/") for key in iterations(config)) == expected
 
     def test_empty_loop_when_reversed(self):
+        """The loop is kept as parsed, and runs no iteration."""
         config = expand_text(LOOP_TEMPLATE.format(lo=5, hi=2))
-        assert config.table["items"].value.entries == []
+        (loop,) = iterations(config)["items"][0].value.entries
+        assert (loop.lo, loop.hi) == (5, 2)
+        assert list(iterations(config)) == ["items"]
 
     def test_nested_loops(self):
         config = expand_text(
@@ -407,14 +410,13 @@ class TestExpansionPinned:
         unrolled = expand(merge(parse(unroll(PINNED_APP)), parse(PINNED_FRAGMENT)))
         assert (unrolled.root_name, unrolled.root_kind) == ("app", "Root")
         assert unrolled.root == expected
-        assert list(unrolled.table) == keys
+        assert list(iterations(unrolled)) == keys
 
         config = expand(_pinned_ast())
         assert (config.root_name, config.root_kind) == ("app", "Root")
         assert list(iterations(config)) == keys
-        assert list(config.table) == ["nodes", "services", "services/ns", "services/ns/node", "services/extra", "services/extra/node"]
         for key, (entry, env) in iterations(config).items():
-            written = unrolled.table[key]
+            written = iterations(unrolled)[key][0]
             assert fill(entry.name, env) == written.name, key
             value = entry.value
             if isinstance(value, Ctor):
@@ -422,19 +424,21 @@ class TestExpansionPinned:
             elif isinstance(value, Ref):
                 assert tuple(fill(p, env) for p in value.path) == written.value.path, key
 
-    def test_loop_invariant_subtree_is_shared(self):
+    def test_every_entry_is_the_parsed_object(self):
+        """expand copies nothing: its root is the parsed root body, and the
+        entry of every iteration is the parsed entry, its cells compiled
+        once as they were read."""
         ast = _pinned_ast()
+        config = expand(ast)
+        assert config.root is ast.entries[0].value.body
+        parsed = {id(node) for node, _ in _spanned(ast.entries)}
+        keys = iterations(config)
+        assert all(id(entry) in parsed for entry, _ in keys.values())
         loop = ast.entries[0].value.body.entries[0].value.entries[0]
-        source_jre = loop.body[0].value.body.entries[0]
-        keys = iterations(expand(ast))
-        jre_0 = keys["nodes/node-0/jre"][0]
-        assert jre_0 is keys["nodes/node-1/jre"][0] is source_jre
-        # What varies is compiled once, into one entry that every iteration fills in.
         node = keys["nodes/node-0"][0]
-        assert node is keys["nodes/node-1"][0] is not loop.body[0]
+        assert node is keys["nodes/node-1"][0] is loop.body[0]
         assert isinstance(node.name, Cell) and node.name.parts == ("node-", "i", "")
-        peer = keys["nodes/node-0/peer"][0]
-        assert peer is keys["nodes/node-1/peer"][0] is not loop.body[0].value.body.entries[1]
+        assert keys["nodes/node-0/peer"][0] is keys["nodes/node-1/peer"][0] is loop.body[0].value.body.entries[1]
 
     def test_parse_tree_unchanged_by_expand(self):
         ast = _pinned_ast()
@@ -626,17 +630,18 @@ class TestLoopNames:
         others are checked per iteration (the last three hold a duplicate
         name, a duplicate name and a dangling reference)."""
         block = parse("app = K {\n  items = {\n" + body + "\n  }\n}\n").entries[0].value.body
-        assert dsl._Names({}).shown(dsl._Compiler().value(block, frozenset())) == shown
+        assert dsl._Names().shown(block) == shown
 
 
 class TestMerge:
     def test_fragment_appends_into_matching_blocks(self, paper_config, reservation_config):
         config = load_config([paper_config, reservation_config])
-        nodes = config.table["nodes"].value
+        keys = iterations(config)
+        nodes = keys["nodes"][0].value
         written = [e.name if isinstance(e, Entry) else e.hi - e.lo + 1 for e in nodes.entries]
         assert written == ["hostname", 501, "oar_server"]  # hostname, a loop of 501 nodes, oar_server
-        assert "nodes/oar_server" in config.table
-        assert "services/reservation" in config.table
+        assert "nodes/oar_server" in keys
+        assert "services/reservation" in keys
 
     def test_merge_preserves_primary_order(self, paper_config, reservation_config):
         merged = merge(

@@ -229,8 +229,8 @@ def _counted(run):
 
 # Python calls expand may make per added node (400 -> 1,600).  Before loops
 # were kept it made 56 on the middleware configuration and 8 on reserved;
-# the middleware gate is a quarter of that, the reserved one no more.
-EXPAND_CALLS_PER_NODE = {"middleware": 14, "reserved": 8}
+# since, it checks each loop once, whatever its range, and makes none.
+EXPAND_CALLS_PER_NODE = {"middleware": 0, "reserved": 0}
 
 # Python calls each layer may make per added node, on the middleware
 # configuration and on reserved nodes, pinned at the counts of the tree that
@@ -295,7 +295,7 @@ def test_parse_execute_and_undeploy_calls_grow_linearly(sim_home):
             assert max(first, second) <= bound + 0.01, shown
     for config, bound in EXPAND_CALLS_PER_NODE.items():
         small, large = counts[f"expand {config}", n], counts[f"expand {config}", 4 * n]
-        assert (large - small) / (3 * n) <= bound, f"expand {config}: {small} -> {large} calls"
+        assert (large - small) / (3 * n) <= bound + 0.01, f"expand {config}: {small} -> {large} calls"
 
 
 def test_execute_resolves_each_node_once_and_sorts_each_layout_once(sim_home, monkeypatch):
