@@ -19,7 +19,8 @@ service share its `args` dict, which nothing mutates.  Autobind
 decisions, and the child order they give, are memoised per body shape and
 block.
 Autobind numbers each composite as it wires it, and binding a service's
-Node port records its node; only the nodelist bindings, whose providers
+Node port records its node, the composite that owns the port's server (a
+server no node owns is refused); only the nodelist bindings, whose providers
 are services declared after the nodes, take a pass of their own.
 Generation resolves every binding's server before recording it, so each
 binding joins two components and its server provides its interface.
@@ -396,18 +397,20 @@ class _Generator:
     # bindings
 
     def _service_bindings(self, cid: str, entry: Entry, spec: KindSpec, env: dict) -> None:
-        """Bind the ports the service's body names, and record its node."""
+        """Bind the ports the service's body names, and record its node: the
+        composite owning the server of its Node port, which a node must."""
         binds, refusal = self._binds.get(id(entry)) or self._ports(cid, entry, spec, env)
         for port, target, span, name in binds:
             target = fill(target, env)
             server = self.asm.provider_id(target, port.interface)
             if server is None:
                 raise DanglingNodeRef(f"{cid}: {name} = {target} provides no {port.interface}", span)
-            self.asm.add_binding(tuple.__new__(Binding, (cid, port.name, server, port.interface)))
-            if port.interface == NODE:  # a node's barrier stands for the node
+            if port.interface == NODE:
                 owner = self.asm.components[server].owner
-                barrier = owner is not None and self.asm.composites[owner].children[BARRIER_ROLE] == server
-                self.asm.node_assignment[cid] = owner if barrier else server
+                if owner is None:
+                    raise DanglingNodeRef(f"{cid}: {name} = {target} is owned by no node", span)
+                self.asm.node_assignment[cid] = owner
+            self.asm.add_binding(tuple.__new__(Binding, (cid, port.name, server, port.interface)))
         if refusal is not None:
             raise refusal
 

@@ -335,8 +335,10 @@ class TestGeneration:
 
     def test_services_are_assigned_the_node_their_node_port_reaches(self, registry_m):
         """A service written against a node is bound to the node's barrier
-        and assigned the node; one bound to a shared NodeReady, or to a
-        NodeReady role that is not the barrier, is assigned that component."""
+        and assigned the node; one bound to a NodeReady role that is not
+        the barrier is bound to that role and assigned the node that owns
+        it.  A shared NodeReady, which no node owns, is refused
+        (`test_refusals`)."""
         asm = assembly_for(
             "app = OpenCCM.Deployment {\n"
             "  nodes = {\n"
@@ -349,7 +351,6 @@ class TestGeneration:
             "  }\n"
             "  services = {\n"
             "    ns = OpenCCM.NameService { node = nodes/node-1 }\n"
-            "    spare = OpenCCM.NameService { node = nodes/nr }\n"
             "    image = Kadeploy { node = nodes/node-1/extra }\n"
             "    idle = Kadeploy\n"
             "  }\n"
@@ -359,13 +360,11 @@ class TestGeneration:
         served = {b.client: b.server for b in asm.bindings if b.client.startswith("services/")}
         assert served == {
             "services/ns": "nodes/node-1/ready",
-            "services/spare": "nodes/nr",
             "services/image": "nodes/node-1/extra",
         }
         assert asm.node_assignment == {
             "services/ns": "nodes/node-1",
-            "services/spare": "nodes/nr",
-            "services/image": "nodes/node-1/extra",
+            "services/image": "nodes/node-1",
         }
 
     def test_barrier_guards_every_owned_child(self, combined):
@@ -782,18 +781,15 @@ def ordinals_by_scan(asm):
 
 def nodes_by_scan(asm):
     """service id -> node, by the whole-assembly scan that assigned nodes
-    before generate assigned them while binding: the server of the
-    service's Node binding, or the composite whose barrier that is."""
-    barrier_owner = {c.children["ready"]: c.id for c in asm.composites.values()}
+    before generate assigned them while binding: the composite that owns
+    the server of the service's Node binding."""
     node_server = {b.client: b.server for b in asm.bindings if b.interface == "Node"}
-    return {
-        s.id: barrier_owner.get(node_server[s.id], node_server[s.id]) for s in asm.services if s.id in node_server
-    }
+    return {s.id: asm.components[node_server[s.id]].owner for s in asm.services if s.id in node_server}
 
 
 class TestRandomConfigs:
     def test_ordinals_and_node_assignment_match_whole_assembly_scans(self, registry_m):
-        """On 1,000 seeded random configurations, generate numbers the
+        """On 1,100 seeded random configurations, generate numbers the
         composites and assigns the services' nodes as the whole-assembly
         scans do, and fixes each composite's child order as a fresh sort
         finds it.  The sample holds nodes numbered through another node's
@@ -802,7 +798,7 @@ class TestRandomConfigs:
         and nodes that share one order."""
         rng = random.Random(4409)
         built = through_another_node = through_its_own_role = to_a_non_barrier = sharing = 0
-        for _ in range(1000):
+        for _ in range(1100):
             try:
                 asm = assembly_for(random_config(rng), registry_m)
             except ConfigError:
@@ -815,12 +811,16 @@ class TestRandomConfigs:
             through_another_node += any(owner not in (None, cid) for cid, owner in owners.items())
             # `h` is written only with `hostname = nodes/node-<i>/h` in its own body
             through_its_own_role += any(asm.composites[cid].children.get("h") == s for cid, s in servers.items())
-            to_a_non_barrier += any(node not in asm.composites for node in asm.node_assignment.values())
+            barriers = {c.children["ready"] for c in asm.composites.values()}
+            services = {s.id for s in asm.services}
+            to_a_non_barrier += any(
+                b.interface == "Node" and b.client in services and b.server not in barriers for b in asm.bindings
+            )
             for composite in asm.composites.values():
                 assert asm.child_order(composite.id) == asm._sorted_children(composite)
             orders = [id(c.order) for c in asm.composites.values() if c.order is not None]
             sharing += len(set(orders)) < len(orders)
-        assert built > 800
+        assert built > 800, built
         assert through_another_node > 50 and to_a_non_barrier > 50, (through_another_node, to_a_non_barrier)
         assert through_its_own_role > 200, through_its_own_role
         assert sharing > 500, sharing

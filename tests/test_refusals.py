@@ -130,6 +130,10 @@ REFUSALS = {
         GENERATE, service("node = nodes/n/hostname"), DanglingNodeRef,
         "services/ns: node = nodes/n/hostname provides no Node", 9, 7,
     ),
+    "Node port bound to a shared NodeReady": (
+        GENERATE, service("node = nodes/nr").replace("  nodes = {\n", "  nodes = {\n    nr = NodeReady\n"),
+        DanglingNodeRef, "services/ns: node = nodes/nr is owned by no node", 10, 7,
+    ),
     # unimplemented protocols and shells are not kinds
     "Telnet protocol": (GENERATE, node("protocol = Telnet"), UnknownKind, "unknown kind 'Telnet' for protocol", 4, 18),
     "CSH shell": (GENERATE, node("shell = CSH"), UnknownKind, "unknown kind 'CSH' for shell", 4, 15),
