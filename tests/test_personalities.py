@@ -250,6 +250,81 @@ def _sent(deployment) -> list:
     return sent
 
 
+# A scripted role that needs a shell, and kinds that leave a shell or a
+# protocol without what it needs to reach a node.
+GUARD_KINDS = """\
+kinds:
+  - kind: Banner
+    provides: [Banner]
+    ports:
+      - {name: shell, interface: Shell, required: true}
+    scripts:
+      start:
+        steps:
+          - [SetVar, BANNER, hello]
+  - kind: LoneShell
+    provides: [Shell]
+  - kind: Mosh
+    provides: [Protocol]
+  - kind: Notice
+    provides: [Notice]
+    ports:
+      - {name: node, interface: Node, required: false}
+    scripts:
+      start:
+        steps:
+          - [SetVar, NOTICE, hello]
+"""
+
+
+def guarded_deploy(tmp_path, roles: str, services: str = "") -> StageFailed:
+    """The StageFailed of a deploy of one node with `roles` beside a
+    Banner, and `services`, with GUARD_KINDS registered."""
+    (tmp_path / "guards.yaml").write_text(GUARD_KINDS)
+    registry = default_registry([str(tmp_path)])
+    deployment = build_from_text(
+        "app = OpenCCM.Deployment {\n"
+        "  nodes = {\n"
+        "    node-0 = Grid5000_NODE {\n"
+        "      hostname = StaticHost(simnode-0)\n"
+        f"      {roles}\n"
+        "    }\n"
+        "  }\n"
+        f"  services = {{\n    {services}\n  }}\n"
+        "}\n",
+        registry=registry,
+    )
+    with pytest.raises(StageFailed) as err:
+        deployment.execute()
+    return err.value
+
+
+class TestUnreachableShell:
+    """A component whose actions cannot reach a node's shell fails its
+    stage naming it and the port that is unbound (the UnboundPort guards),
+    however the kinds of a personality directory leave the shell out of
+    reach, and not with an AttributeError or a KeyError."""
+
+    def test_shell_without_a_protocol_port(self, tmp_path):
+        failure = guarded_deploy(tmp_path, "motd = Banner\n      shell = LoneShell")
+        assert str(failure) == (
+            "stage 0 failed at nodes/node-0: nodes/node-0/motd: START failed: nodes/node-0/shell: protocol port unbound"
+        )
+
+    def test_protocol_without_a_hostname_port(self, tmp_path):
+        failure = guarded_deploy(tmp_path, "motd = Banner\n      protocol = Mosh")
+        assert str(failure) == (
+            "stage 0 failed at nodes/node-0: nodes/node-0/motd: START failed: nodes/node-0/protocol: hostname port unbound"
+        )
+
+    def test_service_whose_only_node_port_is_optional_and_unbound(self, tmp_path):
+        failure = guarded_deploy(tmp_path, "", "notice = Notice")
+        assert str(failure) == (
+            "stage 1 failed at services/notice: services/notice: START failed: "
+            "services/notice: no shell reachable through bound ports"
+        )
+
+
 class TestCompiledScripts:
     """A payload is built once per (kind, action, argument values) and registry."""
 
