@@ -398,19 +398,19 @@ class _Generator:
 
     def _service_bindings(self, cid: str, entry: Entry, spec: KindSpec, env: dict) -> None:
         """Bind the ports the service's body names, and record its node: the
-        composite owning the server of its Node port, which a node must."""
+        composite that owns its Node port's server, refused if none does."""
         binds, refusal = self._binds.get(id(entry)) or self._ports(cid, entry, spec, env)
         for port, target, span, name in binds:
             target = fill(target, env)
             server = self.asm.provider_id(target, port.interface)
             if server is None:
                 raise DanglingNodeRef(f"{cid}: {name} = {target} provides no {port.interface}", span)
+            self.asm.add_binding(tuple.__new__(Binding, (cid, port.name, server, port.interface)))
             if port.interface == NODE:
                 owner = self.asm.components[server].owner
                 if owner is None:
                     raise DanglingNodeRef(f"{cid}: {name} = {target} is owned by no node", span)
                 self.asm.node_assignment[cid] = owner
-            self.asm.add_binding(tuple.__new__(Binding, (cid, port.name, server, port.interface)))
         if refusal is not None:
             raise refusal
 

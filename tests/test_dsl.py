@@ -410,13 +410,14 @@ class TestExpansionPinned:
         unrolled = expand(merge(parse(unroll(PINNED_APP)), parse(PINNED_FRAGMENT)))
         assert (unrolled.root_name, unrolled.root_kind) == ("app", "Root")
         assert unrolled.root == expected
-        assert list(iterations(unrolled)) == keys
+        unrolled_keys = iterations(unrolled)
+        assert list(unrolled_keys) == keys
 
         config = expand(_pinned_ast())
         assert (config.root_name, config.root_kind) == ("app", "Root")
         assert list(iterations(config)) == keys
         for key, (entry, env) in iterations(config).items():
-            written = iterations(unrolled)[key][0]
+            written = unrolled_keys[key][0]
             assert fill(entry.name, env) == written.name, key
             value = entry.value
             if isinstance(value, Ctor):
