@@ -244,7 +244,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def _save_if_changed(deployment: Deployment, key: str, found: bool) -> None:
     """Save unless the loaded file is already current: an empty journal
-    means no hook ran, so no component state and no SimNode changed."""
+    means no action ran, so no component state and no SimNode changed."""
     if found and len(deployment.assembly.journal) == 0:
         return
     save_state(deployment, key)

@@ -1,7 +1,8 @@
 """Component model: lifecycle state machine, ports, bindings, composites.
 
 Every deployable thing is a component with the four generic lifecycle
-actions (install, start, stop, uninstall).  Ordering between components is
+actions (install, start, stop, uninstall), which its kind's `Behavior`
+performs through one method, `act`.  Ordering between components is
 never stored here; it is derived from bindings by the planner.  Within a
 composite the children are ordered by their bindings: generation fixes the
 order of each node body once and the composites stamped from it share it
@@ -71,39 +72,18 @@ ENSURE_PATHS: dict[tuple[LifecycleState, LifecycleState], tuple[LifecycleAction,
     (S.STARTED, S.STARTED): (),
 }
 
-# The Behavior method that performs each action.
-_HOOKS: dict[LifecycleAction, str] = {action: action.name.lower() for action in LifecycleAction}
-
 
 class Behavior:
-    """Per-kind lifecycle implementation.  Hooks may raise to abort an action.
+    """Per-kind lifecycle implementation.
 
-    Hooks receive the component and the execution context (transport, clock,
-    assembly); pure-model components ignore the context.  `overrides` holds
-    the actions whose hook a subclass defines, itself or through a base
-    class other than Behavior; the others do nothing, so
-    `Assembly.transition` does not call them.
+    `act(action, component, ctx=None)` performs one lifecycle action and
+    may raise to abort it; it receives the execution context (transport,
+    clock, assembly), which pure-model components ignore.  The base class
+    has no `act` (None): its components' actions do nothing, so
+    `Assembly.transition` calls and meters nothing for them.
     """
 
-    overrides: frozenset[LifecycleAction] = frozenset()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.overrides = frozenset(
-            action for action, hook in _HOOKS.items() if getattr(cls, hook) is not getattr(Behavior, hook)
-        )
-
-    def install(self, component: "Component", ctx=None) -> None:
-        pass
-
-    def start(self, component: "Component", ctx=None) -> None:
-        pass
-
-    def stop(self, component: "Component", ctx=None) -> None:
-        pass
-
-    def uninstall(self, component: "Component", ctx=None) -> None:
-        pass
+    act = None
 
 
 @dataclass(slots=True)
@@ -162,9 +142,9 @@ class Composite:
 
 class JournalRecord(NamedTuple):
     """One performed action.  A named tuple, as `Binding` is: the executor
-    makes one per transition.  `millis` is what the hook's own meter read,
-    and 0.0 for a hook the behaviour inherits unchanged from `Behavior`,
-    which is not called."""
+    makes one per transition.  `millis` is what the meter around the
+    behaviour's `act` read, and 0.0 for a behaviour without one, which
+    is not called."""
 
     component_id: str
     action: LifecycleAction
@@ -274,14 +254,13 @@ class Assembly:
     # -- lifecycle -------------------------------------------------------
 
     def transition(self, component_id: str, action: LifecycleAction, ctx=None) -> LifecycleState:
-        """Run one raw lifecycle action.  State is untouched if the hook fails.
+        """Run one raw lifecycle action.  State is untouched if `act` fails.
 
-        Only a hook in `behavior.overrides` is called, under a meter of its
-        own (nested in the caller's, so its charges fold outward as they
-        did); a hook inherited unchanged from `Behavior` does nothing and is
-        neither called nor metered, and its record reads 0.0 ms.  The
-        record is built in C (`tuple.__new__`), as generation builds
-        bindings."""
+        A behaviour's `act` is called under a meter of its own (nested in
+        the caller's, so its charges fold outward as they did); a behaviour
+        without one does nothing, is neither called nor metered, and its
+        record reads 0.0 ms.  The record is built in C (`tuple.__new__`),
+        as generation builds bindings."""
         component = self.components.get(component_id)
         if component is None:
             raise UnknownComponent(component_id)
@@ -295,15 +274,15 @@ class Assembly:
                 raise UnboundPort(f"{component_id}: required ports unbound: {missing}")
         failure = None
         millis = 0.0
-        behavior = component.behavior
-        if action in behavior.overrides:
+        act = component.behavior.act
+        if act is not None:
             clock = getattr(ctx, "clock", None)
             if clock is None:
                 started = time.monotonic()
             else:
                 clock.begin_action()
             try:
-                getattr(behavior, _HOOKS[action])(component, ctx)
+                act(action, component, ctx)
             except Exception as exc:
                 failure = exc
             millis = clock.end_action() if clock is not None else (time.monotonic() - started) * 1000.0
@@ -345,7 +324,7 @@ class Assembly:
     def ensure(self, target_id: str, target: LifecycleState, ctx=None) -> list[tuple[str, LifecycleAction]]:
         """Perform transitions_to(target_id, target) and return the pairs.
 
-        Idempotent: returns [] when already there.  On a hook failure the
+        Idempotent: returns [] when already there.  On a failed action the
         failing component stays in the last state it actually reached.
         """
         performed = self.transitions_to(target_id, target)

@@ -21,7 +21,7 @@ class IllegalTransition(DeploymentError):
 
 
 class ActionFailed(DeploymentError):
-    """A lifecycle hook raised; the component keeps its pre-action state."""
+    """A behaviour's `act` raised; the component keeps its pre-action state."""
 
     def __init__(self, component_id: str, action, cause: BaseException):
         super().__init__(f"{component_id}: {action.name} failed: {cause}")

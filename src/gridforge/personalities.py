@@ -3,7 +3,9 @@
 A personality teaches the generic engine how to deploy one technology. It
 is declared in a YAML file: kind name, provided interfaces, ports,
 constructor parameters, and per-action step scripts with ${param}
-placeholders.  The bundled families (jre, openccm, oargrid, kadeploy,
+placeholders, each under its action's key (install, start, stop,
+uninstall).  `ScriptBehavior.act` runs the script of the action it is
+asked to perform.  The bundled families (jre, openccm, oargrid, kadeploy,
 variable) plus the node template live under data/.
 """
 
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import yaml
 
-from .core import Behavior, Component, PortSpec
+from .core import Behavior, Component, LifecycleAction, PortSpec
 from .errors import (
     ConfigError,
     InsufficientNodes,
@@ -47,6 +49,9 @@ from .stdlib import (
 from .transports import Payload
 
 _PLACEHOLDER = re.compile(r"\$\{(\w+)\}")
+
+# The key under a kind's `scripts` that holds each action's script.
+_SCRIPT = {action: action.name.lower() for action in LifecycleAction}
 
 # libyaml's loader when PyYAML was built with it: the same documents as
 # SafeLoader, parsed about ten times faster.
@@ -128,10 +133,10 @@ class Scripts(dict):
 class ScriptBehavior(Behavior):
     """Runs declared step scripts through the component's shell.
 
-    Scripts come from the personality data file, and the component's
-    `args` fill their placeholders; an `unless_exists` guard on an action
-    skips its steps when the guard path is already present on the node
-    (installation idempotency).
+    Scripts come from the personality data file, one per action under its
+    `_SCRIPT` key, and the component's `args` fill their placeholders; an
+    `unless_exists` guard on an action skips its steps when the guard path
+    is already present on the node (installation idempotency).
     """
 
     def __init__(self, scripts: dict):
@@ -153,12 +158,13 @@ class ScriptBehavior(Behavior):
                 return assembly.components[composite.exports[SHELL]]
         raise UnboundPort(f"{component.id}: no shell reachable through bound ports")
 
-    def _run(self, action: str, component: Component, ctx) -> None:
-        payload, guard = self.scripts.build(action, component.args)
+    def act(self, action: LifecycleAction, component: Component, ctx=None) -> None:
+        key = _SCRIPT[action]
+        payload, guard = self.scripts.build(key, component.args)
         if payload is None:
             return
         if ctx is None:
-            raise UnboundPort(f"{component.id}: {action} needs an execution context")
+            raise UnboundPort(f"{component.id}: {key} needs an execution context")
         access = ctx.access.get(component.id)
         if access is None:
             access = ctx.access[component.id] = shell_access(ctx, self._shell(ctx, component))
@@ -167,18 +173,6 @@ class ScriptBehavior(Behavior):
         status, output = ctx.transport.send(access, payload)
         if status != 0:
             raise RemoteError(status, output)
-
-    def install(self, component: Component, ctx=None) -> None:
-        self._run("install", component, ctx)
-
-    def start(self, component: Component, ctx=None) -> None:
-        self._run("start", component, ctx)
-
-    def stop(self, component: Component, ctx=None) -> None:
-        self._run("stop", component, ctx)
-
-    def uninstall(self, component: Component, ctx=None) -> None:
-        self._run("uninstall", component, ctx)
 
 
 def parse_resource_request(request: str) -> list[tuple[str, int]]:
@@ -200,13 +194,24 @@ class OarGridBehavior(ScriptBehavior):
     `simnode-0..N-1`, the local backend maps every slot to localhost.
     """
 
-    def start(self, component: Component, ctx=None) -> None:
+    def act(self, action: LifecycleAction, component: Component, ctx=None) -> None:
+        if action is LifecycleAction.START:
+            self._reserve(component, ctx)
+            return
+        super().act(action, component, ctx)
+        if action is LifecycleAction.STOP:
+            path = os.path.expanduser(component.args["nodelist"])
+            if os.path.exists(path):
+                with open(path, "w", encoding="utf-8"):
+                    pass
+
+    def _reserve(self, component: Component, ctx) -> None:
         request = component.args["request"]
         total = sum(count for _, count in parse_resource_request(request))
         if total <= 0:
             raise InsufficientNodes(f"request {request!r} allocates no nodes")
         try:
-            self._run("start", component, ctx)
+            super().act(LifecycleAction.START, component, ctx)
         except (RemoteError, TransportError) as exc:
             raise ReservationFailed(str(exc)) from exc
         if ctx.transport.name == "sim":
@@ -216,13 +221,6 @@ class OarGridBehavior(ScriptBehavior):
         path = os.path.expanduser(component.args["nodelist"])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(hostnames) + "\n")
-
-    def stop(self, component: Component, ctx=None) -> None:
-        self._run("stop", component, ctx)
-        path = os.path.expanduser(component.args["nodelist"])
-        if os.path.exists(path):
-            with open(path, "w", encoding="utf-8"):
-                pass
 
 
 _BEHAVIOR_CLASSES = {"script": ScriptBehavior, "oargrid": OarGridBehavior}

@@ -17,13 +17,13 @@ Per action only what varies per node is worked out again.  Within one run
 (one `DeployContext`, which a deploy and its inverse share in process) the
 access of each node shell is resolved once (`stdlib.shell_access`), the
 access each scripted component's actions reach is found once and kept in
-the same memo (`ScriptBehavior._run`).  The nodes stamped from one body
+the same memo (`ScriptBehavior.act`).  The nodes stamped from one body
 share the child order that generation fixed for it
 (`core.Assembly.child_order`).  Each action runs under a meter of its own;
-within it, only the hooks a behaviour defines are called, each under a
-nested meter, while a hook inherited unchanged from `core.Behavior` is
-neither called nor metered (`core.Assembly.transition`), so the node
-shells, hosts and barriers of a stack cost no hook call.
+within it, each transition of a behaviour that has an `act` calls it under
+a nested meter, while a behaviour without one is neither called nor
+metered (`core.Assembly.transition`), so the node shells, hosts and
+barriers of a stack cost no call.
 """
 
 from __future__ import annotations

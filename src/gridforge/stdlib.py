@@ -1,7 +1,7 @@
 """Reusable infrastructure components: hosts, ports, users, protocols, shells.
 
 Each kind is an ordinary lifecycle component.  A build makes one behavior
-per kind, shared by every component of that kind, so hooks and queries
+per kind, shared by every component of that kind, so `act` and queries
 read the component's own `args`.  Host, port and user behaviors answer
 queries (`get`, `key_path`); protocols, shells, file transfer and the
 node-ready barrier run the base `Behavior`, because their mechanism is the

@@ -150,8 +150,8 @@ class TestRandomWalks:
             def __init__(self):
                 self.fail_next = False
 
-            def start(self, component, ctx=None):
-                if self.fail_next:
+            def act(self, action, component, ctx=None):
+                if action is A.START and self.fail_next:
                     raise RuntimeError("boom")
 
         asm, comp = fresh(behavior=Flaky())
@@ -165,8 +165,9 @@ class TestRandomWalks:
 class TestFailureSemantics:
     def test_failed_hook_preserves_state(self):
         class Broken(Behavior):
-            def start(self, component, ctx=None):
-                raise RuntimeError("no start for you")
+            def act(self, action, component, ctx=None):
+                if action is A.START:
+                    raise RuntimeError("no start for you")
 
         asm, comp = fresh(behavior=Broken())
         asm.transition("c", A.INSTALL)
@@ -178,7 +179,7 @@ class TestFailureSemantics:
 
     def test_failure_journaled_as_fail(self):
         class Broken(Behavior):
-            def install(self, component, ctx=None):
+            def act(self, action, component, ctx=None):
                 raise RuntimeError("nope")
 
         asm, _ = fresh(behavior=Broken())
@@ -329,11 +330,13 @@ class TestJournal:
         assert actions == [A.INSTALL, A.START]
 
 
-class TestInheritedHooks:
-    def test_only_an_overridden_hook_is_called_and_metered(self):
-        """A behaviour that defines only `start` has it called inside a
-        meter of its own; its other three actions call no hook and open no
-        meter, and each journals one ok record of 0.0 ms."""
+class TestAct:
+    def test_act_is_called_and_metered_for_every_action_or_for_none(self):
+        """A behaviour with an `act`, its own or inherited, has it called
+        for each of the four actions inside a meter of its own.  One
+        without (`Behavior` itself, or a subclass that defines none) calls
+        nothing and opens no meter, and each action journals one ok record
+        of 0.0 ms."""
         events = []
 
         class Clock(VirtualClock):
@@ -345,28 +348,36 @@ class TestInheritedHooks:
                 events.append("end")
                 return super().end_action()
 
-        class StartOnly(Behavior):
-            def start(self, component, ctx=None):
-                events.append("start")
-                ctx.clock.charge(7.5)
+        class Acting(Behavior):
+            def act(self, action, component, ctx=None):
+                events.append(action)
+                if action is A.START:
+                    ctx.clock.charge(7.5)
 
-        class Subclass(StartOnly):
+        class Subclass(Acting):
             pass
 
-        assert StartOnly.overrides == Subclass.overrides == frozenset({A.START})
-        assert Behavior.overrides == frozenset()
-        asm, comp = fresh(behavior=Subclass())
+        class Inert(Behavior):
+            pass
+
+        assert Behavior.act is None and Inert.act is None
+        actions = (A.INSTALL, A.START, A.STOP, A.UNINSTALL)
         ctx = SimpleNamespace(clock=Clock())
-        for action in (A.INSTALL, A.START, A.STOP, A.UNINSTALL):
-            asm.transition("c", action, ctx)
-        assert events == ["begin", "start", "end"]
-        assert comp.state == S.UNINSTALLED
-        assert [(r.action, r.ok, r.millis) for r in asm.journal.records()] == [
+        records = {}
+        for behavior in (Subclass(), Inert()):
+            asm, comp = fresh(behavior=behavior)
+            for action in actions:
+                asm.transition("c", action, ctx)
+            assert comp.state == S.UNINSTALLED
+            records[type(behavior)] = [(r.action, r.ok, r.millis) for r in asm.journal.records()]
+        assert events == [event for action in actions for event in ("begin", action, "end")]
+        assert records[Subclass] == [
             (A.INSTALL, True, 0.0),
             (A.START, True, 7.5),
             (A.STOP, True, 0.0),
             (A.UNINSTALL, True, 0.0),
         ]
+        assert records[Inert] == [(action, True, 0.0) for action in actions]
 
 
 class TestComposites:

@@ -46,3 +46,11 @@ def test_behavior_defines_a_method(cls):
         if inspect.isfunction(value) and name != "__init__"
     ]
     assert methods, f"{cls.__name__} defines no method besides __init__"
+
+
+@pytest.mark.parametrize("cls", behavior_subclasses(), ids=lambda c: c.__name__)
+def test_behavior_acts_only_through_act(cls):
+    """A behaviour performs its actions through `act`; a method named after
+    one action would never be called."""
+    hooks = [name for name in ("install", "start", "stop", "uninstall") if name in vars(cls)]
+    assert not hooks, f"{cls.__name__} defines {hooks}, which no action calls; define act instead"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from configs import MINI, chain, reserved
 from gridforge import cli, personalities
-from gridforge.core import Component, LifecycleState
+from gridforge.core import Component, LifecycleAction, LifecycleState
 from gridforge.errors import ConfigError, StageFailed, UnboundPort
 from gridforge.personalities import (
     Registry,
@@ -53,7 +53,7 @@ class TestRegistry:
         behavior = registry.get("Kadeploy").factory()
         component = Component(id="k", kind="Kadeploy", behavior=behavior, args={"image": ""})
         assert behavior.scripts.build("install", component.args) == (None, None)
-        behavior.install(component, None)
+        behavior.act(LifecycleAction.INSTALL, component, None)
 
     def test_extra_dir_kinds_load(self, tmp_path):
         (tmp_path / "custom.yaml").write_text(
@@ -225,7 +225,7 @@ class TestScriptBehavior:
         behavior = ScriptBehavior({"start": {"steps": [["SetVar", "A", "1"]]}})
         component = Component(id="k", kind="K")
         with pytest.raises(UnboundPort):
-            behavior.start(component, None)
+            behavior.act(LifecycleAction.START, component, None)
 
     def test_unknown_placeholder_rejected(self):
         behavior = ScriptBehavior({"start": {"steps": [["SetVar", "A", "${missing}"]]}})
@@ -234,7 +234,7 @@ class TestScriptBehavior:
 
     def test_actions_without_scripts_are_noops(self):
         behavior = ScriptBehavior({})
-        behavior.install(Component(id="k", kind="K"), None)  # empty script list, context unused
+        behavior.act(LifecycleAction.INSTALL, Component(id="k", kind="K"), None)  # empty script list, context unused
 
 
 def _sent(deployment) -> list:

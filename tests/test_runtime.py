@@ -11,13 +11,14 @@ import pytest
 from configs import MINI, chain, reserved
 from gridforge import core
 from gridforge.assembly import DeploymentPlan, PlanAction, PlanStage
-from gridforge.core import Assembly, Behavior, Component, LifecycleState
+from gridforge.core import Assembly, Behavior, Component, LifecycleAction, LifecycleState
 from gridforge.errors import StageFailed
 from gridforge.pipeline import DeployContext, build_from_text
 from gridforge.runtime import ExecOptions, execute
 from gridforge.simgrid import SimClockConfig, VirtualClock, WallClock
 
 S = LifecycleState
+A = LifecycleAction
 
 # Per-action virtual costs under the default latency model (connect 5,
 # step 10, probe 5), derived from the shipped personality scripts.
@@ -37,8 +38,9 @@ class Charge(Behavior):
     def __init__(self, cost):
         self.cost = cost
 
-    def install(self, component, ctx=None):
-        ctx.clock.charge(self.cost)
+    def act(self, action, component, ctx=None):
+        if action is A.INSTALL:
+            ctx.clock.charge(self.cost)
 
 
 def wave(behaviors, mode="parallel", clock=None):
@@ -135,7 +137,7 @@ class TestVirtualTiming:
         seen = set()
 
         class Where(Behavior):
-            def install(self, component, ctx=None):
+            def act(self, action, component, ctx=None):
                 seen.add(threading.get_ident())
 
         _, plan, ctx = wave([Where()] * 8)
@@ -191,7 +193,7 @@ def counting_wave(count, concurrency_box=None, fail_at=None, delay=0.0, clock=No
     live = {"value": 0}
 
     class Probe(Behavior):
-        def install(self, component, ctx=None):
+        def act(self, action, component, ctx=None):
             if concurrency_box is not None:
                 with lock:
                     live["value"] += 1
@@ -286,8 +288,9 @@ class TestFailureHandling:
         deployment = build_from_text(chain(3))
 
         class Broken(Behavior):
-            def start(self, component, ctx=None):
-                raise RuntimeError("injected outage")
+            def act(self, action, component, ctx=None):
+                if action is A.START:
+                    raise RuntimeError("injected outage")
 
         deployment.assembly.components["services/dci"].behavior = Broken()
         with pytest.raises(StageFailed) as err:

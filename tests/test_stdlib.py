@@ -7,7 +7,7 @@ import subprocess
 
 import pytest
 
-from gridforge.core import Assembly, Behavior, Binding, Component, Composite, PortSpec
+from gridforge.core import Assembly, Behavior, Binding, Component, Composite, LifecycleAction, PortSpec
 from gridforge.errors import IndexOutOfRange, NodeListMissing, RemoteError
 from gridforge.personalities import ScriptBehavior, default_registry
 from gridforge.pipeline import DeployContext
@@ -24,6 +24,8 @@ from gridforge.stdlib import (
     shell_access,
 )
 from gridforge.transports import LocalTransport, NodeAccess, Payload, SimTransport, SshTransport
+
+A = LifecycleAction
 
 
 def component(kind, **args):
@@ -150,27 +152,27 @@ class TestShellExecution:
     def test_steps_reach_the_right_node(self):
         asm = node_stack()
         app, ctx = scripted(asm, ["SetVar", "A", "1"]), sim_ctx(asm)
-        app.behavior.start(app, ctx)
+        app.behavior.act(A.START, app, ctx)
         assert ctx.fleet.nodes["simnode-0"].env == {"A": "1"}
 
     def test_empty_steps_skip_the_transport(self):
         asm = node_stack()
         app = scripted(asm)
         ctx = DeployContext(asm, None, VirtualClock())  # would explode if used
-        app.behavior.start(app, ctx)
+        app.behavior.act(A.START, app, ctx)
         assert ctx.access == {}
 
     def test_nonzero_exit_raises_remote_error(self):
         asm = node_stack()
         app, ctx = scripted(asm, ["Exec", "exit 3"]), sim_ctx(asm)
         with pytest.raises(RemoteError) as err:
-            app.behavior.start(app, ctx)
+            app.behavior.act(A.START, app, ctx)
         assert err.value.status == 3
 
     def test_latency_charged_per_connect_and_step(self):
         asm = node_stack()
         app, ctx = scripted(asm, ["SetVar", "A", "1"], ["SetVar", "B", "2"]), sim_ctx(asm)
-        app.behavior.start(app, ctx)
+        app.behavior.act(A.START, app, ctx)
         assert ctx.clock.now_ms() == 5.0 + 2 * 10.0
 
     def test_access_is_resolved_once_per_shell_per_run(self, tmp_path):
@@ -213,9 +215,9 @@ class TestVariables:
 
     def test_variable_sets_then_clears(self):
         var, ctx = self.wire(name="MODE", value="grid")
-        var.behavior.start(var, ctx)
+        var.behavior.act(A.START, var, ctx)
         assert ctx.fleet.nodes["simnode-0"].env == {"MODE": "grid"}
-        var.behavior.stop(var, ctx)
+        var.behavior.act(A.STOP, var, ctx)
         assert ctx.fleet.nodes["simnode-0"].env == {}
 
     @pytest.mark.parametrize(
@@ -231,8 +233,8 @@ class TestVariables:
 
     def test_install_and_uninstall_send_nothing(self):
         var, ctx = self.wire(name="MODE", value="grid")
-        var.behavior.install(var, ctx)
-        var.behavior.uninstall(var, ctx)
+        var.behavior.act(A.INSTALL, var, ctx)
+        var.behavior.act(A.UNINSTALL, var, ctx)
         assert ctx.clock.now_ms() == 0.0 and ctx.access == {}
 
 
