@@ -4,9 +4,10 @@ A personality teaches the generic engine how to deploy one technology. It
 is declared in a YAML file: kind name, provided interfaces, ports,
 constructor parameters, and per-action step scripts with ${param}
 placeholders, each under its action's key (install, start, stop,
-uninstall).  `ScriptBehavior.act` runs the script of the action it is
-asked to perform.  The bundled families (jre, openccm, oargrid, kadeploy,
-variable) plus the node template live under data/.
+uninstall; any other key is refused at load).  `ScriptBehavior.act` runs
+the script of the action it is asked to perform.  The bundled families
+(jre, openccm, oargrid, kadeploy, variable) plus the node template live
+under data/.
 """
 
 from __future__ import annotations
@@ -103,9 +104,13 @@ class Scripts(dict):
     each action's placeholder names, and `build` memoises the action's
     frozen Payload (None without steps) and guard by those parameters'
     values, so components with equal values send the very same Payload.
-    On the thread pool a race only builds one payload twice."""
+    On the thread pool a race only builds one payload twice.  A key that
+    names no lifecycle action is refused: no action would ever run it."""
 
     def __init__(self, scripts: dict):
+        for key in scripts:
+            if key not in _SCRIPT.values():
+                raise ConfigError(f"scripts key {key!r} names no lifecycle action")
         super().__init__(scripts)
         self.names = {action: _placeholders(action, script or {}) for action, script in scripts.items()}
         self._built: dict[tuple, tuple[Payload | None, str | None]] = {}

@@ -147,8 +147,12 @@ class TestMalformedPersonalityFiles:
             ("kinds:\n  - kind: P\n    provides: 5\n", "P: 'provides' must be a list"),
             ("kinds:\n  - kind: P\n    defaults: 5\n", "P: 'defaults' must be a mapping"),
             ("kinds:\n  - kind: P\n    scripts: [install]\n", "P: 'scripts' must be a mapping"),
+            (
+                "kinds:\n  - kind: Typo\n    scripts:\n      strat:\n        steps:\n          - [Exec, \"echo never\"]\n",
+                "Typo: scripts key 'strat' names no lifecycle action",
+            ),
         ],
-        ids=["kinds-str", "ports-int", "port-row-int", "params-str", "provides-int", "defaults-int", "scripts-list"],
+        ids=["kinds-str", "ports-int", "port-row-int", "params-str", "provides-int", "defaults-int", "scripts-list", "scripts-key"],
     )
     def test_wrongly_typed_field(self, tmp_path, text, complaint):
         assert complaint in self._load(tmp_path, text)
