@@ -25,10 +25,11 @@ Extra files are fragments whose top-level blocks (`nodes = {...}`,
 
 The reader compiles every `%{var}` cell once into a `Cell` as it reads
 it.  Expansion keeps each loop and copies nothing: `expand` checks the
-parsed tree, refusing unbound variables, and checks names and references
-for the whole loop where it can show them sound, else iteration by
-iteration; generation stamps the iterations.  A loop that runs no
-iteration is absent to every check and to generation.
+parsed tree in one walk, refusing unbound variables and checking names
+and references for the whole loop where it can show them sound, and only
+where it cannot does a second walk check them iteration by iteration;
+generation stamps the iterations.  A loop that runs no iteration is
+absent to every check and to generation.
 
 Every node and refusal carries a `Span`: the reader moves by compiled
 patterns matched at an offset, and turns an offset into a line and column
@@ -358,36 +359,13 @@ class ExpandedConfig:
     root_span: Span = field(default=Span(), compare=False)  # where the root kind is written
 
 
-def _refuse_unbound(text: str, bound: frozenset, span: Span) -> None:
+def _refuse_unbound(text: str, bound: dict, span: Span) -> None:
     """Refuse `text` if it is a Cell naming a variable that no enclosing
-    FOR binds."""
+    FOR binds (no key of `bound`)."""
     if isinstance(text, Cell):
         for var in text.parts[1::2]:
             if var not in bound:
                 raise UnboundLoopVariable(f"%{{{var}}} is not bound by any enclosing FOR", span)
-
-
-def _check_bound(entries: list, bound: frozenset) -> None:
-    """Refuse the first loop variable that no enclosing FOR binds: entry by
-    entry, in its name, then its arguments or path, then its body.  A loop
-    that runs no iteration is not looked into."""
-    for entry in entries:
-        if isinstance(entry, Loop):
-            if entry.lo <= entry.hi:
-                _check_bound(entry.body, bound | {entry.var})
-            continue
-        _refuse_unbound(entry.name, bound, entry.span)
-        value = entry.value
-        if isinstance(value, Ref):
-            for segment in value.path:
-                _refuse_unbound(segment, bound, value.span)
-        elif isinstance(value, Block):
-            _check_bound(value.entries, bound)
-        else:
-            for arg in value.args:
-                _refuse_unbound(arg.text, bound, arg.span)
-            if value.body is not None:
-                _check_bound(value.body.entries, bound)
 
 
 _DECIMAL = re.compile(r"^-?[0-9]+$")
@@ -440,7 +418,10 @@ class _Scope:
 
 class _Names:
     """Shows, once per loop rather than once per iteration, that every name
-    is declared once and that every reference resolves.
+    is declared once and that every reference resolves.  Its one walk of
+    the tree also refuses the first loop variable that no enclosing FOR
+    binds: entry by entry, in its name, then its arguments or path, then
+    its body.
 
     Within one block instance, names are shown distinct when each is
     written without a variable, or is an entry directly in a loop of the
@@ -462,36 +443,54 @@ class _Names:
 
     def block(self, block: Block, ranges: dict) -> None:
         """Declare the names of `block` and collect its references; a loop
-        that runs no iteration is absent."""
+        that runs no iteration is absent.  `ranges` maps each variable an
+        enclosing FOR binds to its range."""
         scope = self.scopes[id(block)] = _Scope()
         for entry in block.entries:
             if isinstance(entry, Loop):
-                if entry.lo > entry.hi:
-                    continue
-                inner = {**ranges, entry.var: (entry.lo, entry.hi)}
-                for child in entry.body:
-                    parts = child.name.parts if isinstance(child, Entry) and isinstance(child.name, Cell) else ()
-                    if len(parts) != 3 or parts[1] != entry.var:
-                        self.doubt = True
-                        continue
-                    head, _, tail = parts
-                    if not scope.distinct(head, tail, entry.lo, entry.hi):
-                        self.doubt = True
-                    scope.loops.append((head, tail, entry.lo, entry.hi, child))
-                    self.value(child.value, inner)
+                self.loop(scope, entry, ranges)
                 continue
             name = entry.name
+            _refuse_unbound(name, ranges, entry.span)
             if isinstance(name, Cell) or scope.find(name) is not None:
                 self.doubt = True
-                continue
-            scope.names[name] = entry
+            else:
+                scope.names[name] = entry
             self.value(entry.value, ranges)
+
+    def loop(self, scope: _Scope, loop: Loop, ranges: dict) -> None:
+        """Declare the names a loop adds to its block's `scope`."""
+        if loop.lo > loop.hi:
+            return
+        inner = {**ranges, loop.var: (loop.lo, loop.hi)}
+        for child in loop.body:
+            if isinstance(child, Loop):
+                self.doubt = True
+                self.loop(scope, child, inner)
+                continue
+            _refuse_unbound(child.name, inner, child.span)
+            parts = child.name.parts if isinstance(child.name, Cell) else ()
+            if len(parts) != 3 or parts[1] != loop.var:
+                self.doubt = True
+            else:
+                head, _, tail = parts
+                if not scope.distinct(head, tail, loop.lo, loop.hi):
+                    self.doubt = True
+                scope.loops.append((head, tail, loop.lo, loop.hi, child))
+            self.value(child.value, inner)
 
     def value(self, value, ranges: dict) -> None:
         if isinstance(value, Ref):
+            for segment in value.path:
+                _refuse_unbound(segment, ranges, value.span)
             self.refs.append((value, ranges))
-        elif (child := value.body if isinstance(value, Ctor) else value) is not None:
-            self.block(child, ranges)
+            return
+        if isinstance(value, Ctor):
+            for arg in value.args:
+                _refuse_unbound(arg.text, ranges, arg.span)
+            value = value.body
+        if value is not None:
+            self.block(value, ranges)
 
     def resolves(self, root: Block, ref: Ref, ranges: dict) -> bool:
         block, looped = root, False
@@ -556,21 +555,19 @@ def expand(ast: ConfigAST) -> ExpandedConfig:
 
     Loops stay loops, and nothing is copied: the result's `root` is the
     parsed root body, each `%{...}` cell compiled as it was read.  One walk
-    refuses the first variable no enclosing FOR binds.  Names and
-    references are then shown sound for each loop as a whole (`_Names`);
-    where that is in doubt, one walk keys the entry of every iteration,
-    which finds any duplicate name, and collects every reference, each
-    resolved once the keys are whole, so a duplicate anywhere is reported
-    ahead of a dangling reference.  A loop that runs no iteration is
-    absent to every check.  The result shares the tree with `ast`, so
-    neither may be mutated afterwards; `merge` fragments in before
-    expanding."""
+    (`_Names`) refuses the first variable no enclosing FOR binds and shows
+    names and references sound for each loop as a whole; where that is in
+    doubt, a second walk keys the entry of every iteration, which finds
+    any duplicate name, and collects every reference, each resolved once
+    the keys are whole, so a duplicate anywhere is reported ahead of a
+    dangling reference.  A loop that runs no iteration is absent to every
+    check.  The result shares the tree with `ast`, so neither may be
+    mutated afterwards; `merge` fragments in before expanding."""
     entries = ast.entries
     if len(entries) != 1 or not _is_root(entries[0]):
         raise _refuse_roots("configuration needs exactly one root block `Name = Kind { ... }`", entries)
     root_entry = entries[0]
     body = root_entry.value.body
-    _check_bound(body.entries, frozenset())
     if not _Names().shown(body):
         keys: dict[str, Entry] = {}
         refs: list[tuple[str, Span]] = []

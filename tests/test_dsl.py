@@ -609,7 +609,7 @@ class TestLoopNames:
         iteration, and as the hand-unrolled text (same class and message)."""
         refusal = _refusal(text)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dsl._Names, "shown", lambda self, root: False)
+            patch.setattr(dsl._Names, "shown", lambda self, root: self.block(root, {}) or False)
             assert _refusal(text) == refusal, text
         assert _refusal(unroll(text), at=False) == (refusal and refusal[:2]), text
 
