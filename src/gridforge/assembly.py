@@ -416,7 +416,8 @@ class _Generator:
 
     def _ports(self, cid: str, entry: Entry, spec: KindSpec, env: dict) -> tuple[list, ConfigError | None]:
         """(port, target, span, name) per reference of the service's body up
-        to the first that binds no port, and the refusal of that one.  Kept
+        to the first that binds no port, and the refusal of that one; the
+        span is the reference path's, where a dangling path is placed.  Kept
         for the entry unless its body holds a loop that runs or a varying
         name."""
         body = (entry.value.body or Block()).entries
@@ -432,7 +433,7 @@ class _Generator:
                 refusal = ConfigError(f"{cid}: kind {spec.name} has no port named {name!r}", child.span)
                 break
             target = joined(child.value.path)  # filled in per service, unless a loop of the body fills it in
-            binds.append((port, target if child_env is env else fill(target, child_env), child.span, name))
+            binds.append((port, target if child_env is env else fill(target, child_env), child.value.span, name))
         compiled = binds, refusal
         if not any(child.lo <= child.hi if isinstance(child, Loop) else isinstance(child.name, Cell) for child in body):
             self._binds[id(entry)] = compiled

@@ -155,8 +155,9 @@ def random_config(rng) -> str:
     with shared ones, role references to shared hosts, to another node's
     own host (`hostname = nodes/node-0/hostname`, or `nodes/node-0/h`) and
     to the node's own `h` (`hostname = nodes/node-3/h` in node-3's body),
-    loops, written-out and bodiless nodes.  Services bind to nodes (through their barrier), to
-    shared `NodeReady` units and to `NodeReady` node roles.
+    loops, written-out and bodiless nodes.  Services bind to nodes
+    (through their barrier) and to `NodeReady` node roles, never to a
+    shared `NodeReady` unit, which generation always refuses.
     Some hold a fault that expand, generate, validate or the planner
     reports: a duplicate name, a dangling or misdirected reference, an
     unbound loop variable, an unknown kind, a missing argument, the
@@ -230,8 +231,6 @@ def random_config(rng) -> str:
     def target() -> str:
         name = rng.choice(list(roles_of))
         choices = [f"nodes/{name}"] * 4
-        if "nr" in shared:
-            choices.append("nodes/nr")
         if "extra" in roles_of[name]:
             choices.append(f"nodes/{name}/extra")
         if chance(0.03):

@@ -789,7 +789,7 @@ def nodes_by_scan(asm):
 
 class TestRandomConfigs:
     def test_ordinals_and_node_assignment_match_whole_assembly_scans(self, registry_m):
-        """On 1,100 seeded random configurations, generate numbers the
+        """On 1,000 seeded random configurations, generate numbers the
         composites and assigns the services' nodes as the whole-assembly
         scans do, and fixes each composite's child order as a fresh sort
         finds it.  The sample holds nodes numbered through another node's
@@ -798,7 +798,7 @@ class TestRandomConfigs:
         and nodes that share one order."""
         rng = random.Random(4409)
         built = through_another_node = through_its_own_role = to_a_non_barrier = sharing = 0
-        for _ in range(1100):
+        for _ in range(1000):
             try:
                 asm = assembly_for(random_config(rng), registry_m)
             except ConfigError:

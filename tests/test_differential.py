@@ -37,11 +37,7 @@ from gridforge.simgrid import Fleet, SimClockConfig
 
 INPUTS = 2000
 RELATION_INPUTS = 500  # the first of the INPUTS, for the relations that deploy twice
-# The unrolling relation runs on more inputs than the digest, so that more
-# than 1,000 of those with a loop run, now that generation refuses a
-# service on a node that no composite owns.
-LOOP_INPUTS = 2200
-DIGEST = "4ca70086598710a473bbace3bb7b57166dfcfaabb84d05136384ca8fb638c3ef"
+DIGEST = "5ecb69f03671308c3bf117828f8348589d48cc70500b7fe8509d8d28b34acc60"
 
 
 def _reset_nodelists(home) -> None:
@@ -206,7 +202,7 @@ def test_loops_give_what_their_unrolled_text_gives(registry, sim_home):
     emit_text with the plan, state key, and deploy and undeploy on the sim."""
     rng = random.Random(2207)
     looped = refused = ran = 0
-    for _ in range(LOOP_INPUTS):
+    for _ in range(INPUTS):
         text = random_config(rng)
         if "apply FOR" not in text:
             continue

@@ -128,11 +128,11 @@ REFUSALS = {
     ),
     "reference to a component without the port's interface": (
         GENERATE, service("node = nodes/n/hostname"), DanglingNodeRef,
-        "services/ns: node = nodes/n/hostname provides no Node", 9, 7,
+        "services/ns: node = nodes/n/hostname provides no Node", 9, 14,
     ),
     "Node port bound to a shared NodeReady": (
         GENERATE, service("node = nodes/nr").replace("  nodes = {\n", "  nodes = {\n    nr = NodeReady\n"),
-        DanglingNodeRef, "services/ns: node = nodes/nr is owned by no node", 10, 7,
+        DanglingNodeRef, "services/ns: node = nodes/nr is owned by no node", 10, 14,
     ),
     # unimplemented protocols and shells are not kinds
     "Telnet protocol": (GENERATE, node("protocol = Telnet"), UnknownKind, "unknown kind 'Telnet' for protocol", 4, 18),
