@@ -416,8 +416,8 @@ class _Generator:
 
     def _ports(self, cid: str, entry: Entry, spec: KindSpec, env: dict) -> tuple[list, ConfigError | None]:
         """(port, target, span, name) per reference of the service's body up
-        to the first that binds no port, and the refusal of that one; the
-        span is the reference path's, where a dangling path is placed.  Kept
+        to the first that binds no port, and the refusal of that one; each
+        span is its path's, where `expand` places a dangling path too.  Kept
         for the entry unless its body holds a loop that runs or a varying
         name."""
         body = (entry.value.body or Block()).entries

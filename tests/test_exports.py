@@ -39,18 +39,14 @@ def test_behaviors_found():
 @pytest.mark.parametrize("cls", behavior_subclasses(), ids=lambda c: c.__name__)
 def test_behavior_defines_a_method(cls):
     """A kind whose actions are all no-ops runs the base Behavior; a
-    subclass that only stores its arguments adds nothing."""
+    subclass that only stores its arguments adds nothing.  A behaviour
+    performs its actions through `act`, so a method named after one action
+    would never be called."""
     methods = [
         name
         for name, value in vars(cls).items()
         if inspect.isfunction(value) and name != "__init__"
     ]
     assert methods, f"{cls.__name__} defines no method besides __init__"
-
-
-@pytest.mark.parametrize("cls", behavior_subclasses(), ids=lambda c: c.__name__)
-def test_behavior_acts_only_through_act(cls):
-    """A behaviour performs its actions through `act`; a method named after
-    one action would never be called."""
-    hooks = [name for name in ("install", "start", "stop", "uninstall") if name in vars(cls)]
+    hooks = [name for name in ("install", "start", "stop", "uninstall") if name in methods]
     assert not hooks, f"{cls.__name__} defines {hooks}, which no action calls; define act instead"
