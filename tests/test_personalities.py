@@ -152,7 +152,10 @@ class TestMalformedPersonalityFiles:
                 "Typo: scripts key 'strat' names no lifecycle action",
             ),
         ],
-        ids=["kinds-str", "ports-int", "port-row-int", "params-str", "provides-int", "defaults-int", "scripts-list", "scripts-key"],
+        ids=[
+            "kinds-str", "ports-int", "port-row-int", "params-str", "provides-int", "defaults-int", "scripts-list",
+            "scripts-key",
+        ],
     )
     def test_wrongly_typed_field(self, tmp_path, text, complaint):
         assert complaint in self._load(tmp_path, text)
