@@ -147,8 +147,8 @@ class _Generator:
         self._roles: dict[int, _Role] = {}  # id(role Entry) -> its checked role
         self._default_roles: dict[tuple, Entry] = {}  # (composite kind, role) -> its default
         self._shapes: dict[tuple, _Shape] = {}  # the roles' keys, in order -> shape
-        # (id(shape), block) -> [decisions, hostname server, child order]
-        self._wirings: dict[tuple, list] = {}
+        # (id(shape), block) -> (decisions, hostname server, edges, child order)
+        self._wirings: dict[tuple, tuple] = {}
         self._stamped: list[tuple] = []  # (block, template, composite, child components) per composite
 
     def run(self) -> Assembly:
@@ -446,9 +446,9 @@ class _Generator:
         A same-named role reference wins, then a sibling, then any role
         reference, then a shared component of the composite's block.  The
         choice is made once per body shape (roles, kinds, role references)
-        and block, and so is the child order, sorted on the first composite
-        it wires; the others share it, except one that a role reference
-        binds to its own child, which is sorted on its own.
+        and block, and so is the child order; the composites wired alike
+        share it, except one that a role reference binds to its own child,
+        which gets an order of its own.
 
         A composite's ordinal, which picks a nodelist line, counts the
         composites before it whose first hostname binding has its server.
@@ -461,37 +461,31 @@ class _Generator:
             key = (id(template.shape), block)
             wiring = wirings.get(key)
             if wiring is None:
-                wiring = wirings[key] = [*self._wiring(template, block), None]
-            decisions, hostname, _ = wiring
-            own = False  # a role reference binds one of this composite's children
+                wiring = wirings[key] = self._wiring(template, block)
+            decisions, hostname, edges, order = wiring
+            own = []  # (client, server) child indices of each role reference bound to its own child
             for client, port, iface, sibling, server in decisions:
                 component = comps[client]
                 if server is None:
                     server = comps[sibling].id
                 elif components[server].owner == composite.id:
-                    own = True
+                    own.append((client, [c.id for c in comps].index(server)))
                 binding = component.bound[port] = tuple.__new__(Binding, (component.id, port, server, iface))
                 bindings.append(binding)
-            if own:
-                composite.order = self._order(composite)
-            else:
-                composite.order = wiring[2] = wiring[2] or self._order(composite)
+            composite.order = _sort_children(len(comps), edges + own) if own else order
             if isinstance(hostname, int):
                 hostname = comps[hostname].id
             hostname = hostname or composite.id  # no hostname binding: alone
             composite.ordinal = numbered.get(hostname, 0)
             numbered[hostname] = composite.ordinal + 1
 
-    def _order(self, composite: Composite) -> tuple[int, ...]:
-        """The positions of the composite's children, in sorted order."""
-        position = {cid: i for i, cid in enumerate(composite.children.values())}
-        return tuple([position[cid] for cid in self.asm._sorted_children(composite)])
-
-    def _wiring(self, template: _Template, block: str) -> tuple[list[tuple], int | str | None]:
+    def _wiring(self, template: _Template, block: str) -> tuple:
         """(client index, port, interface, sibling index, server id) for each
         port that autobind binds: a sibling serves it, or the server id does.
         Then the child index or server id serving the first hostname
-        binding, the barrier's before autobind's, or None."""
+        binding, the barrier's before autobind's, or None; the (client,
+        server) child indices of each binding between two children; and
+        the child order they give."""
         role_refs = template.shape.role_refs
         siblings: dict[str, list[int]] = {}  # interface -> children providing it, in order
         for i, child in enumerate(template.children):
@@ -506,7 +500,10 @@ class _Generator:
                     decisions.append((i, port.name, port.interface, *server))
         hostname = [i for _, iface, i in template.shape.bindings if iface == HOSTNAME]
         hostname += [server or sibling for _, _, iface, sibling, server in decisions if iface == HOSTNAME]
-        return decisions, hostname[0] if hostname else None
+        count = len(template.children)
+        edges = [(count - 1, i) for _, _, i in template.shape.bindings]  # the barrier's
+        edges += [(client, sibling) for client, _, _, sibling, server in decisions if server is None]
+        return decisions, hostname[0] if hostname else None, edges, _sort_children(count, edges)
 
     def _shared_providers(self, block: str) -> dict[str, str]:
         """interface -> the first shared component of `block` providing it."""
@@ -557,6 +554,25 @@ class _Generator:
                 if provider.args["nodelist"] == path:
                     self.asm.add_binding(tuple.__new__(Binding, (comp.id, port.name, provider.id, NODELIST)))
                     break
+
+
+def _sort_children(count: int, edges: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The indices of `count` children in dependency order, given the
+    (client, server) indices of the bindings between them.  Each round takes,
+    in declaration order, every child whose servers are placed; a round with
+    none ready (a cycle inside the node) takes the first remaining child."""
+    needs = [set() for _ in range(count)]
+    for client, server in edges:
+        needs[client].add(server)
+    order: list[int] = []
+    placed: set[int] = set()
+    remaining = range(count)
+    while remaining:
+        ready = [i for i in remaining if needs[i] <= placed] or [remaining[0]]
+        order += ready
+        placed.update(ready)
+        remaining = [i for i in remaining if i not in placed]
+    return tuple(order)
 
 
 def generate(config: ExpandedConfig, registry: Registry) -> Assembly:

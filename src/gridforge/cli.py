@@ -231,14 +231,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
         actions = stage.all_actions
         lines.append(f"stage {i}: {stage.label} [{stage.mode}] {len(actions)} action(s)\n")
         lines.extend(f"  {action.target} -> {action.state.name.lower()}\n" for action in actions)
-    sys.stdout.write("".join(lines))
-    if args.emit:
-        text = emit_text(deployment.assembly, deployment.plan)
-        if args.emit == "-":
-            sys.stdout.write(text)
-        else:
-            with _open_output(args.emit) as fh:
-                fh.write(text)
+    # Opened before anything is written: a path that cannot be written is
+    # refused with nothing on stdout.
+    output = contextlib.nullcontext(sys.stdout) if args.emit in (None, "-") else _open_output(args.emit)
+    with output as emit:
+        sys.stdout.write("".join(lines))
+        if args.emit:
+            emit.write(emit_text(deployment.assembly, deployment.plan))
     return EXIT_OK
 
 

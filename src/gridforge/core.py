@@ -6,7 +6,7 @@ performs through one method, `act`.  Ordering between components is
 never stored here; it is derived from bindings by the planner.  Within a
 composite the children are ordered by their bindings: generation fixes the
 order of each node body once and the composites stamped from it share it
-(`Composite.order`); one without an order is sorted on each use.
+(`Composite.order`).
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ class Composite:
     children: dict[str, str] = field(default_factory=dict)  # role -> component id
     exports: dict[str, str] = field(default_factory=dict)  # interface -> child id
     ordinal: int = 0  # position among nodes sharing one hostname provider
-    # Child positions in `child_order`'s order, shared by the composites
-    # wired alike; None sorts this one on each use.
-    order: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    # Child positions in `child_order`'s order, which generation fixes and
+    # the composites wired alike share.
+    order: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 class JournalRecord(NamedTuple):
@@ -230,18 +230,9 @@ class Assembly:
 
     def add_binding(self, binding: Binding) -> Binding:
         """Record a binding of an existing client.  Its server is not
-        checked: the caller resolves it first, as generation does.  A binding
-        between two children of one composite drops that composite's fixed
-        child order."""
-        client = self.components[binding.client]
-        client.bound[binding.port] = binding
+        checked: the caller resolves it first, as generation does."""
+        self.components[binding.client].bound[binding.port] = binding
         self.bindings.append(binding)
-        if client.owner is not None:
-            server = self.components.get(binding.server)
-            if server is not None and server.owner == client.owner:
-                composite = self.composites.get(client.owner)
-                if composite is not None:
-                    composite.order = None
         return binding
 
     def dependency_graph(self) -> dict[str, list[str]]:
@@ -333,37 +324,12 @@ class Assembly:
         return performed
 
     def child_order(self, composite_id: str) -> list[str]:
-        """Children of a composite, topologically sorted by their bindings.
-
-        Declaration order breaks ties.  Only edges between two children of
-        this composite count; external dependencies are the planner's job.
-        A composite with a fixed `order` reads its children by position.
-        """
+        """Children of a composite in the order generation fixed: bound
+        children after their servers among its children, declaration order
+        breaking ties.  External dependencies are the planner's job."""
         composite = self.composites[composite_id]
-        if composite.order is None:
-            return self._sorted_children(composite)
         children = list(composite.children.values())
         return list(map(children.__getitem__, composite.order))
-
-    def _sorted_children(self, composite: Composite) -> list[str]:
-        members = list(composite.children.values())
-        member_set = set(members)
-        deps: dict[str, set[str]] = {
-            m: {b.server for b in self.components[m].bound.values() if b.server in member_set}
-            for m in members
-        }
-        order: list[str] = []
-        placed: set[str] = set()
-        remaining = list(members)
-        while remaining:
-            ready = [m for m in remaining if deps[m] <= placed]
-            if not ready:
-                # cycle inside a composite; surface deterministically
-                ready = [remaining[0]]
-            order.extend(ready)
-            placed.update(ready)
-            remaining = [m for m in remaining if m not in placed]
-        return order
 
     def status(self) -> dict[str, LifecycleState]:
         return {cid: c.state for cid, c in self.components.items()}

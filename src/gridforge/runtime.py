@@ -67,7 +67,6 @@ class ExecutionReport:
     actions: list = field(default_factory=list)  # ActionOutcome
     stages: list = field(default_factory=list)  # StageMetric
     total_ms: float = 0.0
-    dry_run: bool = False
 
     def metrics_csv(self) -> str:
         lines = ["stage,mode,actions,wall_ms"]
@@ -173,7 +172,7 @@ def execute(plan: DeploymentPlan, ctx, options: ExecOptions | None = None) -> Ex
     """Run every stage of the plan; raises StageFailed on the first broken
     stage with the partial report attached."""
     options = options or ExecOptions()
-    report = ExecutionReport(dry_run=options.dry_run)
+    report = ExecutionReport()
     clock = ctx.clock
     start = clock.now_ms()
     runner = _StageRunner(ctx, options, report)

@@ -65,3 +65,31 @@ def count_decoded(values, is_counted) -> int:
         elif isinstance(value, list):
             pending.extend(value)
     return count
+
+
+def sorted_children(asm, composite) -> list[str]:
+    """The reference child order, read from the bindings by component id:
+    each round takes, in declaration order, every child whose servers among
+    the composite's children are placed, or the first remaining child when
+    none is (a cycle inside the node).  Generation fixes the same order on
+    child indices."""
+    members = list(composite.children.values())
+    member_set = set(members)
+    deps = {m: {b.server for b in asm.components[m].bound.values() if b.server in member_set} for m in members}
+    order: list[str] = []
+    placed: set[str] = set()
+    remaining = members
+    while remaining:
+        ready = [m for m in remaining if deps[m] <= placed] or remaining[:1]
+        order.extend(ready)
+        placed.update(ready)
+        remaining = [m for m in remaining if m not in placed]
+    return order
+
+
+def fix_order(asm, composite_id: str) -> None:
+    """Give a composite built by hand the child order generation would fix:
+    its children's positions in `sorted_children`'s order."""
+    composite = asm.composites[composite_id]
+    position = {cid: i for i, cid in enumerate(composite.children.values())}
+    composite.order = tuple(position[cid] for cid in sorted_children(asm, composite))

@@ -7,12 +7,13 @@ import sys
 import pytest
 
 from configs import MINI, chain, paper_pair, random_config, reserved
-from conftest import DATA
+from conftest import DATA, sorted_children
 from gridforge.assembly import (
     DeploymentPlan,
     PlanAction,
     PlanStage,
     ServiceEntry,
+    _sort_children,
     emit_text,
     generate,
     plan,
@@ -423,11 +424,28 @@ class TestGeneration:
             "nodes/ref/g": "nodes/spare",
         }
 
+    def test_sort_on_child_indices_is_the_reference_sort(self):
+        """On 500 seeded random graphs of bindings between a node's
+        children, cycles and self-bindings included, the sort generation
+        runs on child indices gives the reference order."""
+        rng = random.Random(61)
+        for _ in range(500):
+            n = rng.randint(1, 7)
+            ids = [f"n/c{i}" for i in range(n)]
+            asm = Assembly()
+            for cid in ids:
+                asm.components[cid] = Component(id=cid, kind="T", owner="n")
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            for k, (client, server) in enumerate(edges):
+                asm.add_binding(Binding(ids[client], f"p{k}", ids[server], "I"))
+            composite = Composite(id="n", kind="Node", children={f"c{i}": cid for i, cid in enumerate(ids)})
+            assert [ids[i] for i in _sort_children(n, edges)] == sorted_children(asm, composite), edges
+
     def test_nodes_of_one_body_share_their_child_order(self, registry_m):
         """Generate fixes the child order of the nodes of one loop once, and
         they share that tuple; node-0, whose role reference binds its
         protocol to its own host, has an order of its own.  Every order
-        equals a fresh sort."""
+        equals the reference sort."""
         asm = assembly_for(
             "app = OpenCCM.Deployment {\n"
             "  nodes = {\n"
@@ -444,44 +462,11 @@ class TestGeneration:
         )
         first, second, third = (asm.composites[f"nodes/node-{i}"] for i in range(3))
         assert second.order is third.order
-        assert first.order is not None and first.order != second.order
+        assert first.order != second.order
         for composite in (first, second, third):
-            assert asm.child_order(composite.id) == asm._sorted_children(composite)
+            assert asm.child_order(composite.id) == sorted_children(asm, composite)
         assert asm.child_order(first.id)[:2] == ["nodes/node-0/h", "nodes/node-0/protocol"]
         assert asm.child_order(second.id)[:2] == ["nodes/node-1/protocol", "nodes/node-1/h"]
-
-    def test_binding_added_after_generate_drops_the_shared_order(self, registry_m):
-        """A binding between two children of a node, added after generate,
-        drops that node's fixed order, so it is sorted on each use, and
-        leaves the others sharing theirs.  No generated port is free to
-        bind, so the test gives node-1's jre one more optional port first."""
-        asm = assembly_for(
-            "app = OpenCCM.Deployment {\n"
-            "  nodes = {\n"
-            "    apply FOR(i,0,2) {\n"
-            "      node-%{i} = Grid5000_NODE {\n"
-            "        hostname = StaticHost(simnode-%{i})\n"
-            "        jre = Jre(/opt/java/jre)\n"
-            "        var = Variable(MODE)\n"
-            "      }\n"
-            "    }\n"
-            "  }\n"
-            "}\n",
-            registry_m,
-        )
-        shared = [asm.child_order(f"nodes/node-{i}") for i in range(3)]
-        assert [cid.rsplit("/", 1)[1] for cid in shared[1]] == ["hostname", "protocol", "shell", "jre", "var", "ready"]
-        jre = asm.components["nodes/node-1/jre"]
-        jre.ports = (*jre.ports, PortSpec("after", "Variable", required=False))
-        asm.add_binding(Binding(jre.id, "after", "nodes/node-1/var", "Variable"))
-        node1 = asm.composites["nodes/node-1"]
-        assert node1.order is None
-        assert asm.child_order(node1.id) == asm._sorted_children(node1)
-        assert [cid.rsplit("/", 1)[1] for cid in asm.child_order(node1.id)] == [
-            "hostname", "protocol", "shell", "var", "jre", "ready"
-        ]
-        assert [asm.child_order(f"nodes/node-{i}") for i in (0, 2)] == [shared[0], shared[2]]
-        assert asm.composites["nodes/node-0"].order is asm.composites["nodes/node-2"].order is not None
 
 
 class TestGenerationErrors:
@@ -791,9 +776,9 @@ class TestRandomConfigs:
     def test_ordinals_and_node_assignment_match_whole_assembly_scans(self, registry_m):
         """On 1,000 seeded random configurations, generate numbers the
         composites and assigns the services' nodes as the whole-assembly
-        scans do, and fixes each composite's child order as a fresh sort
-        finds it.  The sample holds nodes numbered through another node's
-        own host, nodes whose role reference binds one of their own
+        scans do, and fixes each composite's child order as the reference
+        sort finds it.  The sample holds nodes numbered through another
+        node's own host, nodes whose role reference binds one of their own
         children, services bound to NodeReady units that are not a barrier,
         and nodes that share one order."""
         rng = random.Random(4409)
@@ -817,8 +802,8 @@ class TestRandomConfigs:
                 b.interface == "Node" and b.client in services and b.server not in barriers for b in asm.bindings
             )
             for composite in asm.composites.values():
-                assert asm.child_order(composite.id) == asm._sorted_children(composite)
-            orders = [id(c.order) for c in asm.composites.values() if c.order is not None]
+                assert asm.child_order(composite.id) == sorted_children(asm, composite)
+            orders = [id(c.order) for c in asm.composites.values()]
             sharing += len(set(orders)) < len(orders)
         assert built > 800, built
         assert through_another_node > 50 and to_a_non_barrier > 50, (through_another_node, to_a_non_barrier)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import fix_order
 from gridforge.core import (
     ENSURE_PATHS,
     TRANSITIONS,
@@ -395,6 +396,7 @@ class TestComposites:
         asm.composites["n"] = Composite(id="n", kind="Node", children={"a": "n/a", "b": "n/b", "c": "n/c", "d": "n/d"})
         for client, port, server in (("n/b", "dep", "n/a"), ("n/c", "dep", "n/a"), ("n/d", "dep", "n/b"), ("n/d", "dep2", "n/c")):
             asm.add_binding(Binding(client, port, server, "I"))
+        fix_order(asm, "n")
         return asm
 
     def test_child_order_is_topological(self):
@@ -421,8 +423,10 @@ class TestComposites:
         asm.composites["n"] = Composite(id="n", kind="Node", children={"a": "n/a", "b": "n/b", "c": "n/c"})
         asm.add_binding(Binding("n/c", "dep", "ext", "I"))
         asm.add_binding(Binding("n/b", "dep", "n/a", "I"))
+        fix_order(asm, "n")
         assert asm.child_order("n") == ["n/a", "n/c", "n/b"]
         asm.composites["m"] = Composite(id="m", kind="Node", children={"c": "n/c", "b": "n/b", "a": "n/a"})
+        fix_order(asm, "m")
         assert asm.child_order("m") == ["n/c", "n/a", "n/b"]
 
     def test_cascade_up_then_down(self):
@@ -469,5 +473,7 @@ class TestComposites:
         asm.components["shared"] = Component(id="shared", kind="Test", provides=frozenset({"I"}))
         asm.composites["p1"] = Composite(id="p1", kind="Node", children={"s": "shared"})
         asm.composites["p2"] = Composite(id="p2", kind="Node", children={"s": "shared"})
+        fix_order(asm, "p1")
+        fix_order(asm, "p2")
         assert asm.ensure("p1", S.STARTED) != []
         assert asm.ensure("p2", S.STARTED) == []

@@ -13,8 +13,9 @@ checked for what generation guarantees and validate leaves unchecked
 (`_assert_well_formed`).
 
 The metamorphic relations need no recorded answer: an input with loops
-gives what its unrolled text gives; parse, unparse and parse again gives
-the first parse; a deploy at one worker leaves the SimNodes as one at three
+gives what its unrolled text gives; an input split into a primary and a
+fragment gives, through `merge`, what the whole text gives; parse, unparse
+and parse again gives the first parse; a deploy at one worker leaves the SimNodes as one at three
 workers does, and as a save and restore of the fleet gives them back; and
 the undeploy that follows leaves every SimNode pristine.
 """
@@ -29,7 +30,7 @@ from conftest import seed_nodelist
 from gridforge.assembly import emit_text, generate, plan, validate
 from gridforge.cli import _state_key
 from gridforge.core import Binding
-from gridforge.dsl import expand, parse, unparse
+from gridforge.dsl import Block, ConfigAST, Entry, expand, merge, parse, unparse
 from gridforge.errors import ConfigError, CyclicDependency, StageFailed
 from gridforge.pipeline import Deployment, make_context
 from gridforge.runtime import ExecOptions
@@ -212,6 +213,61 @@ def test_loops_give_what_their_unrolled_text_gives(registry, sim_home):
         refused += outcome.startswith("refused ")
         ran += "\ndeploy " in outcome
     assert looped > 1000 and refused > 100 and ran > 1000, (looped, refused, ran)
+
+
+def _split(text: str, rng) -> tuple[str, str]:
+    """`text` as a primary and a fragment, cut at a seeded boundary between
+    two entries of its root's blocks, or before the first: the primary keeps
+    the entries before the cut, and the fragment holds the rest, at least
+    one entry, block by block, so that
+    `merge` appends each where it stood.  A block left empty is dropped
+    from the primary."""
+    ast = parse(text)
+    body = ast.entries[0].value.body
+    cut = rng.randrange(sum(len(block.value.entries) for block in body.entries))
+    moved = []
+    for block in body.entries:
+        entries = block.value.entries
+        if entries[cut:]:
+            moved.append(Entry(block.name, Block(entries[cut:])))
+        block.value.entries = entries[:cut]
+        cut = max(0, cut - len(entries))
+    body.entries = [block for block in body.entries if block.value.entries]
+    return unparse(ast), unparse(ConfigAST(moved))
+
+
+def _built(ast: ConfigAST, registry) -> str:
+    """The refusal's class and message, validate's diagnostics, the
+    planner's refusal, or `emit_text` with the plan and the state key."""
+    try:
+        asm = generate(expand(ast), registry)
+    except ConfigError as err:
+        return f"refused {type(err).__name__} {err.args[0]}\n"
+    diagnostics = validate(asm)
+    if diagnostics:
+        return "diagnostics\n" + "".join(f"{d}\n" for d in diagnostics)
+    try:
+        return emit_text(asm, plan(asm)) + _state_key(asm)
+    except CyclicDependency as err:
+        return f"unplanned {err}\n"
+
+
+def test_a_fragment_gives_what_the_whole_text_gives(registry):
+    """The fragment relation: each seeded input, split into a primary and a
+    fragment at a seeded boundary (`_split`), gives through `merge` what
+    the whole text gives: the same refusal class and message, though not
+    the same line and column, or the same diagnostics, or the same
+    `emit_text` with the plan and state key."""
+    rng, cuts = random.Random(2207), random.Random(3301)
+    refused = planned = 0
+    for _ in range(INPUTS):
+        text = random_config(rng)
+        primary, fragment = _split(text, cuts)
+        whole = _built(parse(text), registry)
+        assert _built(merge(parse(primary), parse(fragment)), registry) == whole, (text, primary, fragment)
+        refused += whole.startswith("refused ")
+        planned += whole.startswith("[components]")
+    assert refused > 100 and planned > 1000, (refused, planned)
 
 
 def test_parse_of_unparse_is_the_parse():

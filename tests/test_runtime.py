@@ -338,8 +338,7 @@ class TestFailureHandling:
 class TestDryRun:
     def test_nothing_touched(self):
         deployment = build_from_text(MINI)
-        report = deployment.execute(ExecOptions(dry_run=True))
-        assert report.dry_run
+        deployment.execute(ExecOptions(dry_run=True))
         assert deployment.ctx.fleet.nodes == {}  # no node ever contacted
         assert len(deployment.assembly.journal.records()) == 0
         states = set(deployment.assembly.status().values())

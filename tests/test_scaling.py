@@ -26,7 +26,6 @@ from gridforge import assembly, cli, stdlib
 from gridforge.assembly import _Generator, emit_text, generate, plan, plan_inverse, validate
 from gridforge.bench import middleware_config
 from gridforge.cli import load_state, save_state
-from gridforge.core import Assembly
 from gridforge.dsl import expand, merge, parse
 from gridforge.personalities import ScriptBehavior, default_registry
 from gridforge.pipeline import build_from_text
@@ -312,8 +311,8 @@ def test_execute_resolves_each_node_once_and_sorts_each_layout_once(sim_home, mo
     monkeypatch.setattr(stdlib, "resolve_access", lambda asm, protocol: resolved.append(protocol.id) or resolve(asm, protocol))
     shell = ScriptBehavior._shell
     monkeypatch.setattr(ScriptBehavior, "_shell", lambda self, ctx, comp: walked.append(comp.id) or shell(self, ctx, comp))
-    sort = Assembly._sorted_children
-    monkeypatch.setattr(Assembly, "_sorted_children", lambda self, composite: sorts.append(composite.id) or sort(self, composite))
+    sort = assembly._sort_children
+    monkeypatch.setattr(assembly, "_sort_children", lambda count, edges: sorts.append(count) or sort(count, edges))
     sorted_per_command = {}
     for n in (SMALL, LARGE):
         config = sim_home / f"reserved-{n}.gdf"
