@@ -6,13 +6,13 @@ performs through one method, `act`.  Ordering between components is
 never stored here; it is derived from bindings by the planner.  Within a
 composite the children are ordered by their bindings: generation fixes the
 order of each node body once and the composites stamped from it share it
-(`Composite.order`).
+(`Composite.order`).  Time is not measured here: the executor meters each
+plan action, whatever transitions it takes (`runtime._measured`).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -80,7 +80,7 @@ class Behavior:
     may raise to abort it; it receives the execution context (transport,
     clock, assembly), which pure-model components ignore.  The base class
     has no `act` (None): its components' actions do nothing, so
-    `Assembly.transition` calls and meters nothing for them.
+    `Assembly.transition` calls nothing for them.
     """
 
     act = None
@@ -142,14 +142,12 @@ class Composite:
 
 class JournalRecord(NamedTuple):
     """One performed action.  A named tuple, as `Binding` is: the executor
-    makes one per transition.  `millis` is what the meter around the
-    behaviour's `act` read, and 0.0 for a behaviour without one, which
-    is not called."""
+    makes one per transition.  What it cost is metered once per plan
+    action, by the executor (`runtime.ActionOutcome.millis`)."""
 
     component_id: str
     action: LifecycleAction
     ok: bool
-    millis: float
 
 
 class Journal:
@@ -245,13 +243,13 @@ class Assembly:
     # -- lifecycle -------------------------------------------------------
 
     def transition(self, component_id: str, action: LifecycleAction, ctx=None) -> LifecycleState:
-        """Run one raw lifecycle action.  State is untouched if `act` fails.
+        """Run one raw lifecycle action.  State is untouched if `act` fails,
+        but the failure is journalled (`ok` False) before `ActionFailed` is
+        raised.
 
-        A behaviour's `act` is called under a meter of its own (nested in
-        the caller's, so its charges fold outward as they did); a behaviour
-        without one does nothing, is neither called nor metered, and its
-        record reads 0.0 ms.  The record is built in C (`tuple.__new__`),
-        as generation builds bindings."""
+        A behaviour without an `act` does nothing and is not called.  The
+        record is built in C (`tuple.__new__`), as generation builds
+        bindings."""
         component = self.components.get(component_id)
         if component is None:
             raise UnknownComponent(component_id)
@@ -263,23 +261,14 @@ class Assembly:
             if port.required and port.name not in bound:
                 missing = ", ".join(component.unbound_required_ports())
                 raise UnboundPort(f"{component_id}: required ports unbound: {missing}")
-        failure = None
-        millis = 0.0
         act = component.behavior.act
         if act is not None:
-            clock = getattr(ctx, "clock", None)
-            if clock is None:
-                started = time.monotonic()
-            else:
-                clock.begin_action()
             try:
                 act(action, component, ctx)
             except Exception as exc:
-                failure = exc
-            millis = clock.end_action() if clock is not None else (time.monotonic() - started) * 1000.0
-        self.journal.append(tuple.__new__(JournalRecord, (component_id, action, failure is None, millis)))
-        if failure is not None:
-            raise ActionFailed(component_id, action, failure) from failure
+                self.journal.append(tuple.__new__(JournalRecord, (component_id, action, False)))
+                raise ActionFailed(component_id, action, exc) from exc
+        self.journal.append(tuple.__new__(JournalRecord, (component_id, action, True)))
         component.state = reached
         return reached
 

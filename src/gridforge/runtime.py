@@ -19,11 +19,10 @@ access of each node shell is resolved once (`stdlib.shell_access`), the
 access each scripted component's actions reach is found once and kept in
 the same memo (`ScriptBehavior.act`).  The nodes stamped from one body
 share the child order that generation fixed for it
-(`core.Assembly.child_order`).  Each action runs under a meter of its own;
-within it, each transition of a behaviour that has an `act` calls it under
-a nested meter, while a behaviour without one is neither called nor
-metered (`core.Assembly.transition`), so the node shells, hosts and
-barriers of a stack cost no call.
+(`core.Assembly.child_order`).  Time is metered here only, once per plan
+action (`_measured`): the transitions within it are not metered, and a
+behaviour without an `act` is not called (`core.Assembly.transition`),
+so the node shells, hosts and barriers of a stack cost no call.
 """
 
 from __future__ import annotations
@@ -80,13 +79,13 @@ class ExecutionReport:
 def _measured(ctx, action: PlanAction, start_ms: float | None = None) -> ActionOutcome:
     clock = ctx.clock
     start_ms = clock.now_ms() if start_ms is None else start_ms
-    clock.begin_action()
+    begun = clock.begin_action()
     error = None
     try:
         ctx.assembly.ensure(action.target, action.state, ctx)
     except DeploymentError as exc:
         error = str(exc)
-    return ActionOutcome(action.target, action.state, error is None, clock.end_action(), error, start_ms)
+    return ActionOutcome(action.target, action.state, error is None, clock.end_action(begun), error, start_ms)
 
 
 class _StageRunner:

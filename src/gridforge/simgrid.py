@@ -6,14 +6,15 @@ same few steps on every node, so a saved fleet holds each distinct step
 once, in a step table, and each node's log as indices into it.  The
 virtual clock is advanced by latency charges from the sim transport,
 never by wall time, so identical configuration and seed give identical
-reported durations.
+reported durations.  The executor meters each plan action once through
+its clock (`begin_action`, `end_action`), and is the meter's only user.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import threading
+import time
 import zlib
 from dataclasses import dataclass
 
@@ -243,54 +244,51 @@ class Fleet:
 class VirtualClock:
     """Monotonic logical clock advanced by latency charges.
 
-    Charges made while an action meter is open accumulate on that meter
-    instead of moving global time; the executor folds meter totals into
-    global time stage by stage, which is how a parallel stage costs its
-    slot schedule's latest end rather than the sum of its actions.  The sim
+    Charges made while the action meter is open accumulate on it instead
+    of moving global time; the executor folds meter totals into global
+    time stage by stage, which is how a parallel stage costs its slot
+    schedule's latest end rather than the sum of its actions.  The sim
     starts no worker threads (every action runs on the calling thread, and
-    a failure stops dispatch at the failing action), so one meter stack
-    serves all actions.
+    a failure stops dispatch at the failing action), and the executor
+    meters each plan action once, so one meter serves all actions.
     """
 
     virtual = True
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._meters: list[float] = []
+        self._meter: float | None = None  # None while no action is metered
 
     def now_ms(self) -> float:
         return self._now
 
     def charge(self, ms: float) -> None:
-        if self._meters:
-            self._meters[-1] += ms
-        else:
+        if self._meter is None:
             self._now += ms
+        else:
+            self._meter += ms
 
     def advance(self, ms: float) -> None:
         self._now += ms
 
     def begin_action(self) -> None:
-        self._meters.append(0.0)
+        self._meter = 0.0
 
-    def end_action(self) -> float:
-        total = self._meters.pop()
-        if self._meters:
-            self._meters[-1] += total  # nested meters fold outward
+    def end_action(self, begun=None) -> float:
+        total, self._meter = self._meter, None
         return total
 
 
 class WallClock:
-    """Real-time counterpart of VirtualClock for local/ssh transports."""
+    """Real-time counterpart of VirtualClock for local/ssh transports.
+
+    It keeps no state: `begin_action` returns the start, which the caller
+    hands back to `end_action`, so actions metered side by side on a pool's
+    threads each read their own elapsed time."""
 
     virtual = False
 
-    def __init__(self) -> None:
-        self._meters = threading.local()
-
     def now_ms(self) -> float:
-        import time
-
         return time.monotonic() * 1000.0
 
     def charge(self, ms: float) -> None:
@@ -299,12 +297,8 @@ class WallClock:
     def advance(self, ms: float) -> None:
         pass
 
-    def begin_action(self) -> None:
-        stack = getattr(self._meters, "stack", None)
-        if stack is None:
-            stack = self._meters.stack = []
-        stack.append(self.now_ms())
+    def begin_action(self) -> float:
+        return self.now_ms()
 
-    def end_action(self) -> float:
-        stack = self._meters.stack
-        return self.now_ms() - stack.pop()
+    def end_action(self, begun: float) -> float:
+        return self.now_ms() - begun

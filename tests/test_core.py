@@ -1,7 +1,6 @@
 """Lifecycle state machine: transition table, ensure paths, journal replay."""
 
 from collections import deque
-from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +24,6 @@ from gridforge.errors import (
     UnboundPort,
     UnknownComponent,
 )
-from gridforge.simgrid import VirtualClock
 
 S = LifecycleState
 A = LifecycleAction
@@ -332,28 +330,16 @@ class TestJournal:
 
 
 class TestAct:
-    def test_act_is_called_and_metered_for_every_action_or_for_none(self):
+    def test_act_is_called_for_every_action_or_for_none(self):
         """A behaviour with an `act`, its own or inherited, has it called
-        for each of the four actions inside a meter of its own.  One
-        without (`Behavior` itself, or a subclass that defines none) calls
-        nothing and opens no meter, and each action journals one ok record
-        of 0.0 ms."""
+        for each of the four actions.  One without (`Behavior` itself, or a
+        subclass that defines none) calls nothing.  Either way each action
+        journals one ok record."""
         events = []
-
-        class Clock(VirtualClock):
-            def begin_action(self):
-                events.append("begin")
-                super().begin_action()
-
-            def end_action(self):
-                events.append("end")
-                return super().end_action()
 
         class Acting(Behavior):
             def act(self, action, component, ctx=None):
                 events.append(action)
-                if action is A.START:
-                    ctx.clock.charge(7.5)
 
         class Subclass(Acting):
             pass
@@ -363,22 +349,15 @@ class TestAct:
 
         assert Behavior.act is None and Inert.act is None
         actions = (A.INSTALL, A.START, A.STOP, A.UNINSTALL)
-        ctx = SimpleNamespace(clock=Clock())
         records = {}
         for behavior in (Subclass(), Inert()):
             asm, comp = fresh(behavior=behavior)
             for action in actions:
-                asm.transition("c", action, ctx)
+                asm.transition("c", action)
             assert comp.state == S.UNINSTALLED
-            records[type(behavior)] = [(r.action, r.ok, r.millis) for r in asm.journal.records()]
-        assert events == [event for action in actions for event in ("begin", action, "end")]
-        assert records[Subclass] == [
-            (A.INSTALL, True, 0.0),
-            (A.START, True, 7.5),
-            (A.STOP, True, 0.0),
-            (A.UNINSTALL, True, 0.0),
-        ]
-        assert records[Inert] == [(action, True, 0.0) for action in actions]
+            records[type(behavior)] = [(r.action, r.ok) for r in asm.journal.records()]
+        assert events == list(actions)
+        assert records[Subclass] == records[Inert] == [(action, True) for action in actions]
 
 
 class TestComposites:

@@ -18,12 +18,24 @@ fragment gives, through `merge`, what the whole text gives; parse, unparse
 and parse again gives the first parse; a deploy at one worker leaves the SimNodes as one at three
 workers does, and as a save and restore of the fleet gives them back; and
 the undeploy that follows leaves every SimNode pristine.
+
+Run as a script, `python tests/test_differential.py --dump FILE` writes
+the digest's outcomes to FILE in digest order, each after a `### <index>`
+line, so that `diff` of two checkouts' files shows what moved a digest.
 """
 
+import argparse
 import hashlib
+import os
+import pathlib
 import random
+import sys
+import tempfile
 
 import pytest
+
+if __name__ == "__main__":  # run as a script: import gridforge from this checkout
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from configs import paper_pair, random_config, unroll
 from conftest import seed_nodelist
@@ -151,14 +163,19 @@ def _outcome(text: str, registry, home, placed: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _outcomes(registry, home):
+    """The outcomes of the 2,000 seeded inputs, in digest order."""
+    rng = random.Random(2207)
+    for _ in range(INPUTS):
+        yield _outcome(random_config(rng), registry, home)
+
+
 def test_pipeline_digest(registry, sim_home):
     """The digest of 2,000 seeded inputs; more than 1,000 of them plan and
     run both ways, and some of those runs fail part way."""
-    rng = random.Random(2207)
     digest = hashlib.sha256()
     ran = failed = 0
-    for _ in range(INPUTS):
-        outcome = _outcome(random_config(rng), registry, sim_home)
+    for outcome in _outcomes(registry, sim_home):
         digest.update(outcome.encode())
         ran += "\ndeploy " in outcome
         failed += "\ndeploy stage " in outcome
@@ -338,3 +355,20 @@ def test_workers_do_not_change_what_a_deploy_leaves_and_undeploy_leaves_nothing(
             assert all(state == pristine for state in undeployed.values()), text
         deployed += 1
     assert deployed > RELATION_INPUTS // 2, deployed
+
+
+def _dump(path: str) -> None:
+    """Write each outcome the digest hashes to `path`, after a `### <index>`
+    line, with HOME pointed at a scratch directory for the nodelists."""
+    from gridforge.personalities import default_registry
+
+    with tempfile.TemporaryDirectory() as home, open(path, "w", encoding="utf-8") as out:
+        os.environ["HOME"] = home
+        for index, outcome in enumerate(_outcomes(default_registry(), pathlib.Path(home))):
+            out.write(f"### {index}\n{outcome}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Dump the pipeline digest's outcomes.")
+    parser.add_argument("--dump", metavar="FILE", required=True, help="where to write the outcomes")
+    _dump(parser.parse_args().dump)
