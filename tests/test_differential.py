@@ -50,7 +50,7 @@ from gridforge.simgrid import Fleet, SimClockConfig
 
 INPUTS = 2000
 RELATION_INPUTS = 500  # the first of the INPUTS, for the relations that deploy twice
-DIGEST = "5ecb69f03671308c3bf117828f8348589d48cc70500b7fe8509d8d28b34acc60"
+DIGEST = "6f8e7a5bcb9250156c37f28285f78546196407a422b7ae8429c7e059fa436544"
 
 
 def _reset_nodelists(home) -> None:
