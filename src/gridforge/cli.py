@@ -49,6 +49,7 @@ import functools
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -362,6 +363,15 @@ def _workers(text: str) -> int:
     return workers
 
 
+def _latency(text: str) -> float:
+    """A latency in ms, refused unless it is finite and at least 0: the
+    slot schedule's `max` would drop a NaN without a word."""
+    latency = float(text)
+    if not math.isfinite(latency) or latency < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number of ms, at least 0, got {text}")
+    return latency
+
+
 def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
     parser.add_argument(
         "-c",
@@ -377,9 +387,11 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -
 
 def _add_sim_clock(parser: argparse.ArgumentParser) -> None:
     """--connect-latency, --step-latency and --jitter-seed, one per
-    SimClockConfig field, typed and defaulted by the field's default."""
+    SimClockConfig field, defaulted by the field's default and typed by
+    it: a float field is a latency (`_latency`)."""
     for field in fields(SimClockConfig):
-        parser.add_argument(f"--{field.name.replace('_', '-')}", type=type(field.default), default=field.default)
+        kind = _latency if isinstance(field.default, float) else type(field.default)
+        parser.add_argument(f"--{field.name.replace('_', '-')}", type=kind, default=field.default)
 
 
 def _add_exec(parser: argparse.ArgumentParser) -> None:

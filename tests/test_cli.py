@@ -759,6 +759,24 @@ class TestFailures:
         assert "--max-workers: must be at least 1, got 0" in capsys.readouterr().err
         assert state_files(workdir) == []
 
+    @pytest.mark.parametrize("command", ["deploy", "undeploy", "plan", "status", "bench"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--step-latency", "-50"), ("--connect-latency", "nan"), ("--step-latency", "inf"), ("--connect-latency", "-inf")],
+    )
+    def test_latency_below_0_or_not_finite_exits_2(self, workdir, capsys, command, flag, value):
+        config = [] if command == "bench" else ["-c", str(workdir / "mini.gdf")]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, *config, f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        assert f"{flag}: must be a finite number of ms, at least 0, got {value}" in capsys.readouterr().err
+        assert state_files(workdir) == []
+
+    def test_zero_latency_is_accepted(self, workdir, capsys):
+        cfg = str(workdir / "mini.gdf")
+        assert cli.main(["deploy", "-c", cfg, "--step-latency", "0", "--connect-latency", "0"]) == 0
+        assert "effective 0.0 ms" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["deploy", "undeploy"])
     def test_unwritable_metrics_path_exits_2_before_any_action(self, workdir, capsys, command):
         """One line of stderr names the path, and no action runs: the state
