@@ -233,12 +233,16 @@ _BEHAVIOR_CLASSES = {"script": ScriptBehavior, "oargrid": OarGridBehavior}
 _PARAM_TYPES = {"str", "int", "path", "resources"}
 
 
-def _typed(data: dict, field: str, kind: type, owner):
-    """data[field], an empty `kind` when absent; ConfigError when it is
-    present but not a `kind` (a list or a dict)."""
-    value = data.get(field, kind())
+_TYPE_NAMES = {list: "list", dict: "mapping", bool: "boolean"}
+
+
+def _typed(data: dict, field: str, kind: type, owner, default=None):
+    """data[field], `default` or else an empty (or False) `kind` when
+    absent; ConfigError when it is present but not a `kind` (a list, a
+    dict or a bool: a flag is never read as truthy)."""
+    value = data.get(field, kind() if default is None else default)
     if not isinstance(value, kind):
-        raise ConfigError(f"{owner}: {field!r} must be a {'list' if kind is list else 'mapping'}")
+        raise ConfigError(f"{owner}: {field!r} must be a {_TYPE_NAMES[kind]}")
     return value
 
 
@@ -253,14 +257,14 @@ def _rows(data: dict, field: str, owner) -> list[dict]:
 def _load_kind(data: dict) -> KindSpec:
     name = data["kind"]
     ports = tuple(
-        PortSpec(p["name"], p["interface"], p.get("required", True))
+        PortSpec(p["name"], p["interface"], _typed(p, "required", bool, f"{name}: port {p['name']!r}", True))
         for p in _rows(data, "ports", name)
     )
     params = tuple(
         ParamSpec(
             p["name"],
             kind=p.get("type", "str"),
-            required=p.get("required", True),
+            required=_typed(p, "required", bool, f"{name}: param {p['name']!r}", True),
             default=p.get("default"),
         )
         for p in _rows(data, "params", name)
@@ -288,9 +292,9 @@ def _load_kind(data: dict) -> KindSpec:
         ports=ports,
         params=params,
         factory=partial(cls, scripts),
-        composite=data.get("composite", False),
-        group=data.get("group", False),
-        root=data.get("root", False),
+        composite=_typed(data, "composite", bool, name),
+        group=_typed(data, "group", bool, name),
+        root=_typed(data, "root", bool, name),
         defaults=tuple(_typed(data, "defaults", dict, name).items()),
     )
 

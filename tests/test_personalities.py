@@ -151,10 +151,21 @@ class TestMalformedPersonalityFiles:
                 "kinds:\n  - kind: Typo\n    scripts:\n      strat:\n        steps:\n          - [Exec, \"echo never\"]\n",
                 "Typo: scripts key 'strat' names no lifecycle action",
             ),
+            ("kinds:\n  - kind: P\n    composite: \"no\"\n", "P: 'composite' must be a boolean"),
+            ("kinds:\n  - kind: P\n    group: 1\n", "P: 'group' must be a boolean"),
+            ("kinds:\n  - kind: P\n    root: null\n", "P: 'root' must be a boolean"),
+            (
+                "kinds:\n  - kind: P\n    ports:\n      - {name: dep, interface: I, required: \"no\"}\n",
+                "P: port 'dep': 'required' must be a boolean",
+            ),
+            (
+                "kinds:\n  - kind: P\n    params:\n      - {name: size, type: int, required: 0}\n",
+                "P: param 'size': 'required' must be a boolean",
+            ),
         ],
         ids=[
             "kinds-str", "ports-int", "port-row-int", "params-str", "provides-int", "defaults-int", "scripts-list",
-            "scripts-key",
+            "scripts-key", "composite-str", "group-int", "root-null", "port-required-str", "param-required-int",
         ],
     )
     def test_wrongly_typed_field(self, tmp_path, text, complaint):
