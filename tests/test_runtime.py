@@ -258,6 +258,27 @@ class TestWorkerPool:
         assert len(asm.journal) == 65
         assert acquired == [64]
 
+    def test_overlapping_actions_each_read_their_own_time(self):
+        """On two workers, a 100 ms action and a 120 ms one overlap, the
+        second starting once a 40 ms action frees its worker.  Each reads
+        at least its own delay and less than the sum of both: a meter
+        shared between the threads would give the first the second's
+        start, and read it short."""
+
+        class Sleep(Behavior):
+            def __init__(self, ms):
+                self.ms = ms
+
+            def act(self, action, component, ctx=None):
+                time.sleep(self.ms / 1000)
+
+        delays = {"c0": 100, "c1": 40, "c2": 120}
+        _, plan, ctx = wave([Sleep(ms) for ms in delays.values()], clock=WallClock())
+        report = execute(plan, ctx, ExecOptions(max_workers=2))
+        millis = {outcome.target: outcome.millis for outcome in report.actions}
+        for target in ("c0", "c2"):
+            assert delays[target] <= millis[target] < delays["c0"] + delays["c2"], millis
+
     def test_concurrency_never_exceeds_max_workers(self):
         box = [0]
         asm, plan, ctx = counting_wave(12, concurrency_box=box, delay=0.005, clock=WallClock())
