@@ -44,6 +44,7 @@ from gridforge.cli import _state_key
 from gridforge.core import Binding
 from gridforge.dsl import Block, ConfigAST, Entry, expand, merge, parse, unparse
 from gridforge.errors import ConfigError, CyclicDependency, StageFailed
+from gridforge.personalities import default_registry
 from gridforge.pipeline import Deployment, make_context
 from gridforge.runtime import ExecOptions
 from gridforge.simgrid import Fleet, SimClockConfig
@@ -359,9 +360,7 @@ def test_workers_do_not_change_what_a_deploy_leaves_and_undeploy_leaves_nothing(
 
 def _dump(path: str) -> None:
     """Write each outcome the digest hashes to `path`, after a `### <index>`
-    line, with HOME pointed at a scratch directory for the nodelists."""
-    from gridforge.personalities import default_registry
-
+    line, with HOME pointed at a temporary directory for the nodelists."""
     with tempfile.TemporaryDirectory() as home, open(path, "w", encoding="utf-8") as out:
         os.environ["HOME"] = home
         for index, outcome in enumerate(_outcomes(default_registry(), pathlib.Path(home))):
