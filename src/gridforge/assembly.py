@@ -14,10 +14,11 @@ bindings.  Stamping only makes ids, components, the composite and
 bindings, and fills in the cells that vary (`StaticHost(simnode-%{i})`,
 `nodes/node-%{i}`); an argument filled in is classed and checked again.
 A body with a loop of its own, or a role whose name or reference varies,
-is compiled per node instead.  Components stamped from one role or one
-service share its `args` dict, which nothing mutates.  Autobind
-decisions, and the child order they give, are memoised per body shape and
-block.
+is compiled for each node instead, every role checked again, and nothing
+of it is kept.  Components stamped from one role or one service share its
+`args` dict, which nothing mutates.  Autobind decisions, and the child
+order they give, are memoised per role list and block; each block's first
+shared provider of each interface is indexed once per build.
 Autobind numbers each composite as it wires it, and binding a service's
 Node port records its node, the composite that owns the port's server (a
 server no node owns is refused); only the nodelist bindings, whose providers
@@ -75,7 +76,7 @@ class ServiceEntry:
 
 def _per_node(child: Entry) -> bool:
     """Whether a role's name or referenced path holds a loop variable, so
-    that each node checks the role anew."""
+    that its body is compiled for each node."""
     value = child.value
     return isinstance(child.name, Cell) or (isinstance(value, Ref) and any(isinstance(p, Cell) for p in value.path))
 
@@ -102,32 +103,25 @@ def _restamp(kind: str, args: dict, varying: tuple, env: dict[str, int]) -> dict
 
 
 class _Role(NamedTuple):
-    """One role of a node body, checked once per `Entry` unless its name
-    or reference holds a loop variable."""
+    """One role of a node body, checked each time the body is compiled."""
 
     key: tuple  # (role, kind, None), or (role, None, referenced path) for a role reference
     part: tuple | None  # (role, kind, provides, ports, behavior, args) it stamps; None for a reference
-    varying: tuple  # (param, Arg) per argument holding a loop variable: the part's args are one node's
-
-
-class _Shape(NamedTuple):
-    """What the roles, kinds and role references of a node body fix,
-    whatever its arguments.  `_shapes` keeps each one for the build, so its
-    id keys the autobind memo."""
-
-    barrier: tuple  # the readiness barrier's part
-    bindings: tuple  # (port, interface, child index) per barrier binding
-    exports: tuple  # (interface, child index) in export order
-    role_refs: dict  # role -> referenced path
+    varying: tuple  # (param, Arg) per argument holding a loop variable
 
 
 class _Template(NamedTuple):
-    """A node body compiled once per build: each node written with it is
-    stamped from it."""
+    """A node body compiled: once per build for a fixed body, every node
+    written with it being stamped from it, or once per node otherwise.  Its
+    role keys fix everything but the arguments, so with the block they key
+    the autobind memo."""
 
     kind: str
+    key: tuple  # each role's key, in order
     children: tuple  # each child's part, the barrier last
-    shape: _Shape
+    bindings: tuple  # (port, interface, child index) per barrier binding
+    exports: tuple  # (interface, child index) in export order
+    role_refs: dict  # role -> referenced path
     varying: tuple  # (child index, its role's varying args) per child restamped for each node
 
 
@@ -138,17 +132,12 @@ class _Generator:
         self.asm = Assembly()
         self._behaviors: dict[str, Behavior] = {}  # kind -> the behaviour its components share
         # What each entry compiles to, keyed by object identity: a loop's
-        # entries are the same objects in every iteration.  The config and
-        # `_default_roles` keep every keyed object alive while the build lasts.
+        # entries are the same objects in every iteration, and the config
+        # keeps every keyed object alive while the build lasts.
         self._specs: dict[int, KindSpec] = {}  # id(component Entry) -> its checked kind
         self._argsets: dict[int, tuple] = {}  # id(Ctor) -> (args, varying args)
         self._binds: dict[int, tuple] = {}  # id(service Entry) -> its checked port bindings
-        self._templates: dict[int, _Template] = {}  # id(composite Entry) -> template
-        self._roles: dict[int, _Role] = {}  # id(role Entry) -> its checked role
-        self._default_roles: dict[tuple, Entry] = {}  # (composite kind, role) -> its default
-        self._shapes: dict[tuple, _Shape] = {}  # the roles' keys, in order -> shape
-        # (id(shape), block) -> (decisions, hostname server, edges, child order)
-        self._wirings: dict[tuple, tuple] = {}
+        self._templates: dict[int, _Template] = {}  # id(composite Entry) -> its fixed body's template
         self._stamped: list[tuple] = []  # (block, template, composite, child components) per composite
 
     def run(self) -> Assembly:
@@ -195,13 +184,11 @@ class _Generator:
             self._group(cid, entry, env)
         elif spec.root:
             raise ConfigError(f"{cid}: {spec.name} cannot be nested", entry.span)
+        elif in_services:
+            self._service(cid, entry, spec, env, None)
         else:
-            self._component(cid, spec, self._ctor_args(entry.value, spec, env), None)
-            if in_services:
-                self.asm.services.append(ServiceEntry(cid))
-                self._service_bindings(cid, entry, spec, env)
-            else:
-                self.asm.shared.append(cid)
+            self._component(cid, spec, self._ctor_args(entry.value, spec, env))
+            self.asm.shared.append(cid)
 
     def _kind(self, value: Ctor, name: str) -> KindSpec:
         spec = self.registry.get(value.kind)
@@ -248,64 +235,32 @@ class _Generator:
             behavior = self._behaviors[spec.name] = spec.factory()
         return behavior
 
-    def _component(self, cid: str, spec: KindSpec, args: dict, owner: str | None) -> None:
-        self.asm.components[cid] = Component(
-            id=cid,
-            kind=spec.name,
-            provides=spec.provides,
-            ports=spec.ports,
-            behavior=self._behavior(spec),
-            args=args,
-            owner=owner,
-        )
+    def _component(self, cid: str, spec: KindSpec, args: dict) -> None:
+        """A service or shared component: no node owns it."""
+        self.asm.components[cid] = Component(cid, spec.name, spec.provides, spec.ports, self._behavior(spec), args)
 
-    # composites: each node body is compiled once, then every node is stamped
+    # composites: a fixed node body is compiled once, then every node is stamped
 
     def _template(self, comp_id: str, entry: Entry, spec: KindSpec, env: dict) -> _Template:
-        """Compile the body of `entry`, the first composite written with it.
+        """Compile the body of `entry` for the composite `comp_id`.
 
         The roles are checked in the order they are written, then the
         kind's default roles, so the first node with a fault reports it.  A
-        role `Entry` checked for an earlier body is not checked again, nor
-        is a role list laid out twice.  A body with a loop that runs, or a
-        role whose name or reference holds a loop variable, is compiled per
-        node."""
+        body with a loop that runs, or a role whose name or reference holds a
+        loop variable, is compiled for each node, with that node's
+        arguments.  Any other body is compiled once and kept: its arguments
+        that hold a loop variable are filled in per node when stamped."""
         body = entry.value.body.entries if entry.value.body is not None else []
-        roles = [(self._checked(comp_id, child, child_env), child_env) for child, child_env in each(body, env)]
-        fixed = not any(child.lo <= child.hi if isinstance(child, Loop) else _per_node(child) for child in body)
-        declared = {role.key[0] for role, _ in roles}
+        roles = [self._role(comp_id, child, child_env) for child, child_env in each(body, env)]
+        declared = {role.key[0] for role in roles}
         for role, kind_name in spec.defaults:
             if role not in declared:
-                default = self._default_roles.get((spec.name, role))
-                if default is None:
-                    default = self._default_roles[spec.name, role] = Entry(role, Ctor(kind_name), entry.span)
-                roles.append((self._checked(comp_id, default, env), env))
-        key = tuple([r.key for r, _ in roles])
-        shape = self._shapes.get(key)
-        if shape is None:
-            shape = self._shapes[key] = self._shape([r for r, _ in roles])
-        parts, varying = [], []
-        for role, role_env in roles:
-            part = role.part
-            if part is None:
-                continue
-            if role.varying and fixed:
-                varying.append((len(parts), role.varying))
-            elif role.varying:
-                part = (*part[:5], _restamp(part[1], part[5], role.varying, role_env))
-            parts.append(part)
-        template = _Template(spec.name, (*parts, shape.barrier), shape, tuple(varying))
+                roles.append(self._role(comp_id, Entry(role, Ctor(kind_name), entry.span), env))
+        fixed = not any(child.lo <= child.hi if isinstance(child, Loop) else _per_node(child) for child in body)
+        template = self._shape(spec.name, roles, fixed)
         if fixed:
             self._templates[id(entry)] = template
         return template
-
-    def _checked(self, comp_id: str, child: Entry, env: dict) -> _Role:
-        role = self._roles.get(id(child))
-        if role is None:
-            role = self._role(comp_id, child, env)
-            if not _per_node(child):
-                self._roles[id(child)] = role
-        return role
 
     def _role(self, comp_id: str, child: Entry, env: dict) -> _Role:
         role = fill(child.name, env)
@@ -331,10 +286,13 @@ class _Generator:
         part = (role, spec.name, spec.provides, spec.ports, self._behavior(spec), args)
         return _Role((role, spec.name, None), part, varying)
 
-    def _shape(self, roles: list[_Role]) -> _Shape:
-        """The barrier guards every child; each interface is exported by its
-        first provider, in sorted order per child, and Node by the barrier."""
-        children = [r.part for r in roles if r.part]
+    def _shape(self, kind: str, roles: list[_Role], fixed: bool) -> _Template:
+        """The template of a `kind` body with `roles`.  The barrier guards
+        every child; each interface is exported by its first provider, in
+        sorted order per child, and Node by the barrier.  A fixed body's
+        arguments that hold a loop variable are filled in per node."""
+        parted = [r for r in roles if r.part]
+        children = [r.part for r in parted]
         ports = tuple(PortSpec(part[0], min(part[2], default=""), required=True) for part in children)
         spec = self.registry.get("NodeReady")
         barrier = (BARRIER_ROLE, spec.name, spec.provides, ports, self._behavior(spec), {})
@@ -343,11 +301,15 @@ class _Generator:
             for iface in sorted(part[2]):
                 exports.setdefault(iface, i)
         exports[NODE] = len(children)
-        return _Shape(
-            barrier,
+        varying = [(i, r.varying) for i, r in enumerate(parted) if r.varying and fixed]
+        return _Template(
+            kind,
+            tuple([r.key for r in roles]),
+            (*children, barrier),
             tuple((port.name, port.interface, i) for i, port in enumerate(ports)),
             tuple(exports.items()),
             {r.key[0]: r.key[2] for r in roles if not r.part},
+            tuple(varying),
         )
 
     def _make_composite(self, block: str, comp_id: str, template: _Template, env: dict) -> None:
@@ -368,11 +330,11 @@ class _Generator:
             comps.append(component)
         barrier = comps[-1]
         bindings = self.asm.bindings
-        for port, iface, i in template.shape.bindings:
+        for port, iface, i in template.bindings:
             binding = barrier.bound[port] = tuple.__new__(Binding, (barrier.id, port, comps[i].id, iface))
             bindings.append(binding)
         exports = {}
-        for iface, i in template.shape.exports:
+        for iface, i in template.exports:
             exports[iface] = comps[i].id
         composite = self.asm.composites[comp_id] = Composite(comp_id, template.kind, children, exports)
         self._stamped.append((block, template, composite, comps))
@@ -388,17 +350,18 @@ class _Generator:
                     raise ConfigError(f"{group_id}: group members must be constructors", child.span)
                 spec = self._specs[id(child)] = self._kind(child.value, name)
             cid = f"{group_id}/{name}"
-            self._component(cid, spec, self._ctor_args(child.value, spec, child_env), None)
-            self.asm.services.append(ServiceEntry(cid, group=group_id))
-            self._service_bindings(cid, child, spec, child_env)
+            self._service(cid, child, spec, child_env, group_id)
             members.append(cid)
         self.asm.groups[group_id] = members
 
     # bindings
 
-    def _service_bindings(self, cid: str, entry: Entry, spec: KindSpec, env: dict) -> None:
-        """Bind the ports the service's body names, and record its node: the
-        composite that owns its Node port's server, refused if none does."""
+    def _service(self, cid: str, entry: Entry, spec: KindSpec, env: dict, group: str | None) -> None:
+        """Make the service `cid` and bind the ports its body names, and
+        record its node: the composite that owns its Node port's server,
+        refused if none does."""
+        self._component(cid, spec, self._ctor_args(entry.value, spec, env))
+        self.asm.services.append(ServiceEntry(cid, group))
         binds, refusal = self._binds.get(id(entry)) or self._ports(cid, entry, spec, env)
         for port, target, span, name in binds:
             target = fill(target, env)
@@ -444,24 +407,33 @@ class _Generator:
         each composite's child order, and number each composite.
 
         A same-named role reference wins, then a sibling, then any role
-        reference, then a shared component of the composite's block.  The
-        choice is made once per body shape (roles, kinds, role references)
-        and block, and so is the child order; the composites wired alike
-        share it, except one that a role reference binds to its own child,
-        which gets an order of its own.
+        reference, then a shared component of the composite's block: one
+        index, built first, gives each block's first provider of each
+        interface.  The choice is made once per role list (roles, kinds,
+        role references) and block, and so is the child order; the
+        composites wired alike share it, except one that a role reference
+        binds to its own child, which gets an order of its own.
 
         A composite's ordinal, which picks a nodelist line, counts the
         composites before it whose first hostname binding has its server.
         """
-        wirings = self._wirings
         bindings = self.asm.bindings
         components = self.asm.components
+        shared: dict[str, dict[str, str]] = {}  # block -> interface -> first shared provider
+        for cid in self.asm.shared:
+            at = cid.find("/")
+            while at != -1:  # each prefix of the id up to a "/" may be its block
+                providers = shared.setdefault(cid[:at], {})
+                for iface in components[cid].provides:
+                    providers.setdefault(iface, cid)
+                at = cid.find("/", at + 1)
+        wirings: dict[tuple, tuple] = {}  # (role keys, block) -> (decisions, hostname server, edges, child order)
         numbered: dict[str, int] = {}  # hostname server -> composites numbered through it
         for block, template, composite, comps in self._stamped:
-            key = (id(template.shape), block)
+            key = (template.key, block)
             wiring = wirings.get(key)
             if wiring is None:
-                wiring = wirings[key] = self._wiring(template, block)
+                wiring = wirings[key] = self._wiring(template, shared.get(block, {}))
             decisions, hostname, edges, order = wiring
             own = []  # (client, server) child indices of each role reference bound to its own child
             for client, port, iface, sibling, server in decisions:
@@ -479,40 +451,31 @@ class _Generator:
             composite.ordinal = numbered.get(hostname, 0)
             numbered[hostname] = composite.ordinal + 1
 
-    def _wiring(self, template: _Template, block: str) -> tuple:
+    def _wiring(self, template: _Template, shared: dict[str, str]) -> tuple:
         """(client index, port, interface, sibling index, server id) for each
         port that autobind binds: a sibling serves it, or the server id does.
         Then the child index or server id serving the first hostname
         binding, the barrier's before autobind's, or None; the (client,
         server) child indices of each binding between two children; and
-        the child order they give."""
-        role_refs = template.shape.role_refs
+        the child order they give.  `shared`: interface -> the block's
+        first shared provider."""
+        role_refs = template.role_refs
         siblings: dict[str, list[int]] = {}  # interface -> children providing it, in order
         for i, child in enumerate(template.children):
             for iface in child[2]:
                 siblings.setdefault(iface, []).append(i)
-        shared = self._shared_providers(block)
         decisions = []
         for i, child in enumerate(template.children[:-1]):  # not the barrier
             for port in child[3]:
                 server = self._find_provider(role_refs, siblings, shared, i, port)
                 if server is not None:
                     decisions.append((i, port.name, port.interface, *server))
-        hostname = [i for _, iface, i in template.shape.bindings if iface == HOSTNAME]
+        hostname = [i for _, iface, i in template.bindings if iface == HOSTNAME]
         hostname += [server or sibling for _, _, iface, sibling, server in decisions if iface == HOSTNAME]
         count = len(template.children)
-        edges = [(count - 1, i) for _, _, i in template.shape.bindings]  # the barrier's
+        edges = [(count - 1, i) for _, _, i in template.bindings]  # the barrier's
         edges += [(client, sibling) for client, _, _, sibling, server in decisions if server is None]
         return decisions, hostname[0] if hostname else None, edges, _sort_children(count, edges)
-
-    def _shared_providers(self, block: str) -> dict[str, str]:
-        """interface -> the first shared component of `block` providing it."""
-        providers: dict[str, str] = {}
-        for cid in self.asm.shared:
-            if cid.startswith(block + "/"):
-                for iface in self.asm.components[cid].provides:
-                    providers.setdefault(iface, cid)
-        return providers
 
     def _find_provider(self, role_refs, siblings, shared, client: int, port) -> tuple | None:
         """(sibling index, None) or (None, server id) serving `port` of child

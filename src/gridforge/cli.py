@@ -49,7 +49,6 @@ import functools
 import gc
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -59,7 +58,7 @@ from .core import Assembly, LifecycleState
 from .errors import ConfigError, DeploymentError, StageFailed, ValidationFailed
 from .pipeline import Deployment, assemble, build
 from .runtime import ExecOptions
-from .simgrid import Fleet, SimClockConfig
+from .simgrid import Fleet, SimClockConfig, is_latency
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -364,10 +363,9 @@ def _workers(text: str) -> int:
 
 
 def _latency(text: str) -> float:
-    """A latency in ms, refused unless it is finite and at least 0: the
-    slot schedule's `max` would drop a NaN without a word."""
+    """A latency in ms, refused as `SimClockConfig` refuses it."""
     latency = float(text)
-    if not math.isfinite(latency) or latency < 0:
+    if not is_latency(latency):
         raise argparse.ArgumentTypeError(f"must be a finite number of ms, at least 0, got {text}")
     return latency
 

@@ -13,6 +13,7 @@ its clock (`begin_action`, `end_action`), and is the meter's only user.
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 import zlib
@@ -27,17 +28,30 @@ class SimClockConfig:
 
     jitter_seed 0 disables jitter; any other value perturbs each latency
     deterministically (pure function of seed, node, payload and step index,
-    so durations do not depend on worker interleaving).
+    so durations do not depend on worker interleaving).  A NaN, infinite
+    or negative latency is refused when the config is built.
     """
 
     connect_latency: float = 5.0
     step_latency: float = 10.0
     jitter_seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("connect_latency", "step_latency"):
+            ms = getattr(self, name)
+            if not is_latency(ms):
+                raise ValueError(f"{name} must be a finite number of ms, at least 0, got {ms}")
+
     def latency(self, base: float, *salt: str) -> float:
         if self.jitter_seed == 0 or base == 0.0:
             return base
         return jittered(base, zlib.crc32("|".join((str(self.jitter_seed),) + salt).encode()))
+
+
+def is_latency(ms: float) -> bool:
+    """Whether `ms` is finite and at least 0: the slot schedule's `max`
+    would drop a NaN without a word."""
+    return math.isfinite(ms) and ms >= 0
 
 
 def jittered(base: float, key_crc: int) -> float:

@@ -17,6 +17,8 @@ from .errors import AuthFailed, ConnectFailed, TransportError
 from .simgrid import Fleet, SimClockConfig, VirtualClock, jittered
 from .steps import Step, render_sh
 
+SSH_CONNECT_TIMEOUT = 10  # seconds ssh waits for a node to answer
+
 
 @dataclass(frozen=True, slots=True)
 class NodeAccess:
@@ -135,11 +137,8 @@ class SshTransport(Transport):
 
     name = "ssh"
 
-    def __init__(self, connect_timeout: int = 10):
-        self.connect_timeout = connect_timeout
-
     def command(self, access: NodeAccess, script: str) -> list[str]:
-        argv = ["ssh", "-o", "BatchMode=yes", "-o", f"ConnectTimeout={self.connect_timeout}"]
+        argv = ["ssh", "-o", "BatchMode=yes", "-o", f"ConnectTimeout={SSH_CONNECT_TIMEOUT}"]
         if access.port != 22:
             argv += ["-p", str(access.port)]
         if access.identity:

@@ -195,17 +195,18 @@ def test_execute_and_undeploy_grow_linearly(sim_home):
         assert large / small < MAX_RATIO, f"{verb}: {small * 1e3:.1f} ms -> {large * 1e3:.1f} ms"
 
 
-def _python_calls(run) -> int:
+def _python_calls(run, builtins: bool = False) -> int:
     """How many Python function calls (generator resumptions included)
-    `run()` makes; built-in calls are not counted.  The cyclic collector is
-    paused meanwhile, as `cli.main` pauses it for a command: a collection
-    would run the Python callbacks other code leaves in `gc.callbacks`
-    (the hypothesis plugin's, once a property has run)."""
+    `run()` makes, and with `builtins` its calls of built-in functions too.
+    The cyclic collector is paused meanwhile, as `cli.main` pauses it for a
+    command: a collection would run the Python callbacks other code leaves
+    in `gc.callbacks` (the hypothesis plugin's, once a property has run)."""
     calls = 0
+    counted = ("call", "c_call") if builtins else ("call",)
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event in counted:
             calls += 1
 
     enabled = gc.isenabled()
@@ -235,18 +236,19 @@ EXPAND_CALLS_PER_NODE = {"middleware": 0, "reserved": 0}
 # configuration and on reserved nodes, pinned at the counts of the tree that
 # stopped calling per node for bindings, plan actions and journal records,
 # for each component's required ports, for each node stack's readiness and
-# for inherited no-op hooks, and that performs each scripted action through
-# one `act` call.  Before, they were 44 / 16 (generate), 26 / 14 (validate),
-# 11 / 13 (plan), 4 / 2 (plan inverse), 198 / 93 (execute) and 165 / 74
-# (undeploy); before one `act` per behaviour, execute made 155 / 63 and
-# undeploy 118 / 42.
+# for inherited no-op hooks, that performs each scripted action through
+# one `act` call and that meters each plan action once.  Before, they were
+# 44 / 16 (generate), 26 / 14 (validate), 11 / 13 (plan), 4 / 2 (plan
+# inverse), 198 / 93 (execute) and 165 / 74 (undeploy); before one `act`
+# per behaviour, execute made 155 / 63 and undeploy 118 / 42, and before
+# one meter per plan action, 149 / 61 and 112 / 40.
 CALLS_PER_NODE = {
     "generate": {"middleware": 31, "reserved": 9},
     "validate": {"middleware": 0, "reserved": 0},
     "plan": {"middleware": 0, "reserved": 0},
     "plan inverse": {"middleware": 0, "reserved": 0},
-    "execute": {"middleware": 149, "reserved": 61},
-    "undeploy": {"middleware": 112, "reserved": 40},
+    "execute": {"middleware": 137, "reserved": 57},
+    "undeploy": {"middleware": 100, "reserved": 36},
 }
 
 
@@ -297,6 +299,49 @@ def test_parse_execute_and_undeploy_calls_grow_linearly(sim_home):
     for config, bound in EXPAND_CALLS_PER_NODE.items():
         small, large = counts[f"expand {config}", n], counts[f"expand {config}", 4 * n]
         assert (large - small) / (3 * n) <= bound + 0.01, f"expand {config}: {small} -> {large} calls"
+
+
+def _host_per_node(n: int) -> str:
+    """N nodes, each with a shared StaticHost of its own that its hostname
+    role references (`hostname = nodes/host-%{i}`): a role reference that
+    varies, so each node body is compiled for its node."""
+    return f"""
+app = OpenCCM.Deployment {{
+  nodes = {{
+    apply FOR(i,0,{n - 1}) {{
+      host-%{{i}} = StaticHost(simnode-%{{i}})
+    }}
+    apply FOR(i,0,{n - 1}) {{
+      node-%{{i}} = Grid5000_NODE {{
+        hostname = nodes/host-%{{i}}
+        jre = Jre(/opt/java/jre)
+      }}
+    }}
+  }}
+  services = {{
+    ns = OpenCCM.NameService {{
+      node = nodes/node-0
+    }}
+  }}
+}}
+"""
+
+
+def test_generate_compiling_each_node_body_grows_linearly():
+    """Counted at 400, 800 and 1,600 nodes whose bodies are compiled per
+    node: generate's Python and built-in calls per added node agree within
+    1% over 400 -> 800 and over 800 -> 1,600, so no node's wiring scans
+    every shared component of its block."""
+    n = 400
+    registry = default_registry()
+    counts = []
+    for size in (n, 2 * n, 4 * n):
+        expanded = expand(parse(_host_per_node(size)))
+        counts.append(_python_calls(lambda: generate(expanded, registry), builtins=True))
+    small, middle, large = counts
+    first, second = (middle - small) / n, (large - middle) / (2 * n)
+    shown = f"generate: {small} -> {middle} -> {large} calls, {first:.3f} and {second:.3f} per node"
+    assert abs(first - second) <= 0.01 * max(first, second), shown
 
 
 def test_execute_resolves_each_node_once_and_sorts_each_layout_once(sim_home, monkeypatch):

@@ -1,7 +1,9 @@
 """Simulated fleet: node semantics, log replay, virtual time, jitter."""
 
 import json
+import math
 import os
+import re
 import pathlib
 import random
 import subprocess
@@ -14,6 +16,7 @@ import pytest
 
 from configs import reserved
 from gridforge import simgrid
+from gridforge.core import Assembly
 from gridforge.pipeline import build_from_text
 from gridforge.runtime import ExecOptions
 from gridforge.simgrid import Fleet, SimClockConfig, SimNode, VirtualClock, WallClock, replay_log
@@ -391,6 +394,25 @@ class TestJitter:
         a = SimClockConfig(jitter_seed=1).latency(10.0, "n", "0")
         b = SimClockConfig(jitter_seed=2).latency(10.0, "n", "0")
         assert a != b
+
+
+class TestLatencies:
+    """The library path refuses the latencies `--connect-latency` and
+    `--step-latency` refuse, as the config is built."""
+
+    @pytest.mark.parametrize("field", ["connect_latency", "step_latency"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -50.0])
+    def test_not_finite_or_below_0_is_refused_before_any_action(self, sim_home, monkeypatch, field, value):
+        actions = []
+        monkeypatch.setattr(Assembly, "transition", lambda self, *args: actions.append(args))
+        message = f"{field} must be a finite number of ms, at least 0, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_from_text(reserved(3, 3), sim_config=SimClockConfig(**{field: value})).execute()
+        assert actions == []
+
+    def test_zero_is_accepted(self, sim_home):
+        config = SimClockConfig(connect_latency=0, step_latency=0.0)
+        assert build_from_text(reserved(3, 3), sim_config=config).execute().total_ms == 0.0
 
 
 class TestSimCharges:

@@ -279,11 +279,11 @@ class TestSshCommand:
 
     def test_custom_port_user_identity(self):
         access = NodeAccess("h.example", port=2200, user="aflissi", identity="~/.ssh/id_rsa.pub")
-        argv = SshTransport(connect_timeout=3).command(access, "true")
+        argv = SshTransport().command(access, "true")
         assert "-p" in argv and "2200" in argv
         assert "-i" in argv
         assert "aflissi@h.example" in argv
-        assert "ConnectTimeout=3" in " ".join(argv)
+        assert "ConnectTimeout=10" in " ".join(argv)
 
     def test_exists_quotes_the_path(self, monkeypatch):
         sent = []
