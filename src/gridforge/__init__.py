@@ -29,7 +29,7 @@ from .core import (
     PortSpec,
     replay,
 )
-from .dsl import ConfigAST, ExpandedConfig, expand, load_config, merge, parse, unparse
+from .dsl import ConfigAST, ExpandedConfig, expand, load_config, merge, parse
 from .errors import (
     ConfigError,
     DeploymentError,
@@ -39,8 +39,8 @@ from .errors import (
 from .personalities import Registry, default_registry
 from .pipeline import DeployContext, Deployment, assemble, build, build_from_text, make_context
 from .runtime import ExecOptions, ExecutionReport, execute
-from .simgrid import Fleet, SimClockConfig, SimNode, VirtualClock, WallClock, replay_log
-from .steps import Step, StepKind, parse_sh, render_sh
+from .simgrid import Fleet, SimClockConfig, SimNode, VirtualClock, WallClock
+from .steps import Step, StepKind, render_sh
 from .transports import LocalTransport, NodeAccess, Payload, SimTransport, SshTransport
 
 __version__ = "0.1.0"
@@ -94,12 +94,9 @@ __all__ = [
     "make_context",
     "merge",
     "parse",
-    "parse_sh",
     "plan",
     "plan_inverse",
     "render_sh",
     "replay",
-    "replay_log",
-    "unparse",
     "validate",
 ]

@@ -187,8 +187,14 @@ def save_state(deployment: Deployment, key: str) -> str:
 
 class _StateLock:
     def __init__(self) -> None:
-        os.makedirs(state_dir(), exist_ok=True)
-        self._fh = open(os.path.join(state_dir(), ".lock"), "w")
+        # Taken before any state is read: a directory that cannot be used
+        # is refused as a configuration problem, by one line that names it.
+        directory = state_dir()
+        try:
+            os.makedirs(directory, exist_ok=True)
+            self._fh = open(os.path.join(directory, ".lock"), "w")
+        except OSError as exc:
+            raise ConfigError(f"cannot use state directory {directory}: {exc.strerror}") from None
 
     def __enter__(self) -> "_StateLock":
         fcntl.flock(self._fh, fcntl.LOCK_EX)

@@ -1,4 +1,4 @@
-"""Configuration language: parse, unparse, loop variable, name and reference checks.
+"""Configuration language: parse, loop variable, name and reference checks.
 
 The language is deliberately small.  A file holds one root block:
 
@@ -275,44 +275,6 @@ class _Reader:
 
 def parse(text: str) -> ConfigAST:
     return _Reader(text).parse()
-
-
-# -- unparse -----------------------------------------------------------------
-
-
-def unparse(ast: ConfigAST) -> str:
-    lines: list[str] = []
-    for entry in ast.entries:
-        _unparse_entry(entry, 0, lines)
-    return "\n".join(lines) + "\n"
-
-
-def _unparse_entry(entry, depth: int, lines: list[str]) -> None:
-    pad = "  " * depth
-    if isinstance(entry, Loop):
-        lines.append(f"{pad}apply FOR({entry.var},{entry.lo},{entry.hi}) {{")
-        for child in entry.body:
-            _unparse_entry(child, depth + 1, lines)
-        lines.append(f"{pad}}}")
-        return
-    lines.append(f"{pad}{entry.name} = {_unparse_value(entry.value, depth)}")
-
-
-def _unparse_value(value, depth: int) -> str:
-    pad = "  " * depth
-    if isinstance(value, Ref):
-        return "/".join(value.path)
-    if isinstance(value, Block):
-        inner: list[str] = []
-        for child in value.entries:
-            _unparse_entry(child, depth + 1, inner)
-        return "{\n" + "\n".join(inner) + f"\n{pad}}}"
-    text = value.kind
-    if value.args:
-        text += "(" + ",".join(a.text for a in value.args) + ")"
-    if value.body is not None:
-        text += " " + _unparse_value(value.body, depth)
-    return text
 
 
 # -- expansion ---------------------------------------------------------------

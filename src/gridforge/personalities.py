@@ -118,7 +118,7 @@ class Scripts(dict):
     def build(self, action: str, params: dict) -> tuple[Payload | None, str | None]:
         names = self.names.get(action, ())
         try:
-            key = (action, *[str(params[name]) for name in names])
+            key = (action, *map(str, map(params.__getitem__, names)))
         except KeyError as exc:
             raise ConfigError(f"script placeholder ${{{exc.args[0]}}} has no parameter") from None
         built = self._built.get(key)

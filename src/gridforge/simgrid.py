@@ -174,14 +174,6 @@ class SimNode:
         return node
 
 
-def replay_log(log: list[Step]) -> SimNode:
-    """Independent rebuild of node state by re-applying a recorded log."""
-    node = SimNode("replay")
-    for step in log:
-        node.apply(step)
-    return node
-
-
 class Fleet:
     """A set of SimNodes, keyed by hostname.
 

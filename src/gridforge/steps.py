@@ -1,9 +1,7 @@
 """Transport-independent deployment steps and the sh dialect.
 
 A Step is the unit the simulated backend applies directly and the real
-backends receive as rendered shell text.  render_sh/parse_sh_line are exact
-inverses for every step kind, which is what lets one personality codebase
-drive both kinds of transport.
+backends receive as rendered shell text.
 """
 
 from __future__ import annotations
@@ -99,61 +97,5 @@ def render_sh(steps: list[Step]) -> str:
     return "\n".join(render_sh_line(s) for s in steps)
 
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _PROC = r"[A-Za-z0-9_.\-]+"
 PROCESS_NAME = re.compile(_PROC)  # what a pid file path carries unquoted
-_RE_UNSET = re.compile(rf"^unset ({_NAME})$")
-_RE_EXPORT = re.compile(rf"^export ({_NAME})=(.*)$")
-_RE_PATH = re.compile(r"^PATH=\$PATH:(.*)$")
-_RE_FETCH = re.compile(r"^curl -f -s --create-dirs -o (.+) (\S+|'[^']*')$")
-_RE_START = re.compile(
-    rf"^nohup (.+) >{_PID_DIR}/gf\.({_PROC})\.log 2>&1 & echo \$! >{_PID_DIR}/gf\.\2\.pid$"
-)
-_RE_STOP = re.compile(
-    rf'^kill "\$\(cat {_PID_DIR}/gf\.({_PROC})\.pid\)" 2>/dev/null; rm -f {_PID_DIR}/gf\.\1\.pid$'
-)
-_RE_REMOVE = re.compile(r"^rm -rf (.+)$")
-
-
-def _unquote(text: str) -> str:
-    parts = shlex.split(text)
-    if len(parts) != 1:
-        raise ValueError(f"expected a single token, got {text!r}")
-    return parts[0]
-
-
-def parse_sh_line(line: str) -> Step:
-    """Inverse of render_sh_line.
-
-    A line matching none of the known renderings parses as Exec, so an
-    Exec command that imitates a reserved rendering does not round-trip.
-    """
-    try:
-        m = _RE_UNSET.match(line)
-        if m:
-            return set_var(m.group(1), "")
-        m = _RE_EXPORT.match(line)
-        if m:
-            return set_var(m.group(1), _unquote(m.group(2)))
-        m = _RE_PATH.match(line)
-        if m:
-            return append_path(_unquote(m.group(1)))
-        m = _RE_FETCH.match(line)
-        if m:
-            return fetch(_unquote(m.group(2)), _unquote(m.group(1)))
-        m = _RE_START.match(line)
-        if m:
-            return start_process(m.group(2), m.group(1))
-        m = _RE_STOP.match(line)
-        if m:
-            return stop_process(m.group(1))
-        m = _RE_REMOVE.match(line)
-        if m:
-            return remove(_unquote(m.group(1)))
-    except ValueError:
-        pass
-    return exec_cmd(line)
-
-
-def parse_sh(script: str) -> list[Step]:
-    return [parse_sh_line(line) for line in script.splitlines() if line.strip()]

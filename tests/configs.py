@@ -2,7 +2,8 @@
 
 import re
 
-from gridforge.dsl import Arg, Block, ConfigAST, Ctor, Entry, Loop, Ref, parse, unparse
+from gridforge.dsl import Arg, Block, ConfigAST, Ctor, Entry, Loop, Ref, parse
+from oracles import unparse
 
 # One node, one naming service. The smallest thing that exercises the
 # whole pipeline: composite generation, barrier binding, service planning.

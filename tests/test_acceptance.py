@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from conftest import DATA, seed_nodelist
+from oracles import parse_sh_line
 from test_assembly import all_topological_orders, emitted_order, service_dag
 
 from gridforge.assembly import generate, plan, plan_inverse, validate
@@ -34,7 +35,6 @@ from gridforge.steps import (
     append_path,
     exec_cmd,
     fetch,
-    parse_sh_line,
     remove,
     render_sh,
     render_sh_line,

@@ -799,6 +799,39 @@ class TestFailures:
         assert cli.main(["plan", "-c", str(workdir / "mini.gdf"), "--emit", str(emit)]) == 2
         assert capsys.readouterr() == ("", f"cannot write {emit}: No such file or directory\n")
 
+    @pytest.mark.parametrize("command", ["deploy", "undeploy", "status"])
+    @pytest.mark.parametrize(
+        "under, reason",
+        [("", "File exists"), ("sub", "Not a directory")],
+        ids=["is-a-file", "under-a-file"],
+    )
+    def test_unusable_state_dir_exits_2(self, workdir, capsys, monkeypatch, command, under, reason):
+        """A state directory that is a regular file, or lies under one, is
+        refused by one line of stderr that names it, before any action
+        runs or any state is read; the file is left as it was."""
+        blocker = workdir / "blocker"
+        blocker.write_text("not a directory\n")
+        directory = blocker / under if under else blocker
+        monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(directory))
+        assert cli.main([command, "-c", str(workdir / "mini.gdf")]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"cannot use state directory {directory}: {reason}\n")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["is-a-file", "under-a-file"])
+    def test_plan_and_status_listing_ignore_an_unusable_state_dir(self, workdir, capsys, monkeypatch, under):
+        """`plan` reads no state, and `status` without -c lists no deployment
+        from a state directory that is not one."""
+        blocker = workdir / "blocker"
+        blocker.write_text("not a directory\n")
+        monkeypatch.setenv("GRIDFORGE_STATE_DIR", str(blocker / under if under else blocker))
+        assert cli.main(["plan", "-c", str(workdir / "mini.gdf")]) == 0
+        assert cli.main(["status"]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith("no recorded deployments\n") and err == ""
+        assert blocker.read_text() == "not a directory\n"
+
 
 # Three nodes and nothing else: no role runs a script, so a deploy through
 # any transport sends nothing.

@@ -39,10 +39,11 @@ if __name__ == "__main__":  # run as a script: import gridforge from this checko
 
 from configs import paper_pair, random_config, unroll
 from conftest import seed_nodelist
+from oracles import unparse
 from gridforge.assembly import emit_text, generate, plan, validate
 from gridforge.cli import _state_key
 from gridforge.core import Binding
-from gridforge.dsl import Block, ConfigAST, Entry, expand, merge, parse, unparse
+from gridforge.dsl import Block, ConfigAST, Entry, expand, merge, parse
 from gridforge.errors import ConfigError, CyclicDependency, StageFailed
 from gridforge.personalities import default_registry
 from gridforge.pipeline import Deployment, make_context

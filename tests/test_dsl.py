@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from configs import unroll
+from oracles import unparse
 from gridforge import dsl
 from gridforge.dsl import (
     Arg,
@@ -24,7 +25,6 @@ from gridforge.dsl import (
     load_config,
     merge,
     parse,
-    unparse,
 )
 from gridforge.errors import (
     ConfigError,

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from configs import MINI, chain, reserved
+from oracles import parse_sh_line
 from gridforge import cli, personalities
 from gridforge.core import Component, LifecycleAction, LifecycleState
 from gridforge.errors import ConfigError, StageFailed, UnboundPort
@@ -20,7 +21,7 @@ from gridforge.personalities import (
 )
 from gridforge.pipeline import build_from_text
 from gridforge.stdlib import BUILTIN_KINDS
-from gridforge.steps import parse_sh_line, render_sh_line, set_var, start_process, stop_process
+from gridforge.steps import render_sh_line, set_var, start_process, stop_process
 from conftest import seed_nodelist
 
 PAPER_KINDS = [

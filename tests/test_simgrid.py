@@ -15,11 +15,12 @@ import zlib
 import pytest
 
 from configs import reserved
+from oracles import replay_log
 from gridforge import simgrid
 from gridforge.core import Assembly
 from gridforge.pipeline import build_from_text
 from gridforge.runtime import ExecOptions
-from gridforge.simgrid import Fleet, SimClockConfig, SimNode, VirtualClock, WallClock, replay_log
+from gridforge.simgrid import Fleet, SimClockConfig, SimNode, VirtualClock, WallClock
 from gridforge.steps import (
     append_path,
     exec_cmd,

@@ -5,13 +5,13 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_sh, parse_sh_line
+
 from gridforge.steps import (
     StepKind,
     append_path,
     exec_cmd,
     fetch,
-    parse_sh,
-    parse_sh_line,
     remove,
     render_sh,
     render_sh_line,
