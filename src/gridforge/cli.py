@@ -273,7 +273,7 @@ def _run(args: argparse.Namespace, inverse: bool) -> int:
         except StageFailed as exc:
             report, failure = exc.report, exc
         # A failed run keeps what it did: its metrics and the states reached.
-        if report is not None and metrics is not None:
+        if metrics is not None:
             metrics.write(report.metrics_csv())
         if not options.dry_run:
             _save_if_changed(deployment, key, found)

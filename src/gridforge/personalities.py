@@ -81,17 +81,22 @@ _STEP_KINDS = {
 
 def _placeholders(action: str, script) -> tuple[str, ...]:
     """The parameter names an action's cells and guard use, in first-use
-    order; ConfigError for a step row of unknown kind or cell count."""
+    order; ConfigError for steps that are not a list, a guard that is not
+    a string or null, and a step row of unknown kind or cell count."""
     if not isinstance(script, dict):
         raise ConfigError(f"script {action!r} must be a mapping")
-    for row in script.get("steps", []):
+    steps = _typed(script, "steps", list, f"action {action!r}")
+    guard = script.get("unless_exists")
+    if not (guard is None or isinstance(guard, str)):
+        raise ConfigError(f"action {action!r}: 'unless_exists' must be a string")
+    for row in steps:
         if not (isinstance(row, list) and row and isinstance(row[0], str) and row[0] in _STEP_KINDS):
             raise ConfigError(f"action {action!r}: unknown step {row!r}")
         fewest, most, _ = _STEP_KINDS[row[0]]
         if not fewest <= len(row) - 1 <= most:
             raise ConfigError(f"action {action!r}: {row[0]} takes {fewest}..{most} cells, got {len(row) - 1}")
-    texts = [str(cell) for row in script.get("steps", []) for cell in row[1:]]
-    texts.append(str(script.get("unless_exists") or ""))
+    texts = [str(cell) for row in steps for cell in row[1:]]
+    texts.append(guard or "")
     return tuple(dict.fromkeys(_PLACEHOLDER.findall("\n".join(texts))))
 
 

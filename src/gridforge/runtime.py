@@ -1,17 +1,20 @@
-"""Plan execution: sequential stages in order, parallel stages on a
-bounded set of worker slots, with per-action and per-stage accounting.
+"""Plan execution: `execute` runs the stages in order in one loop.  Each
+stage dispatches its prelude, its actions and its postlude, appends one
+`StageMetric`, and at its first failed action raises StageFailed with the
+report so far.  A parallel stage runs on maxWorkers worker slots, in an
+order shuffled per stage when a seed is set; a sequential one on one slot.
+A dry run takes the same loop and runs nothing: it lists the transitions
+that `Assembly.transitions_to` expands each plan action into.
 
-Under the virtual clock (the sim) no worker thread is started: a parallel
-stage runs its actions inline in dispatch order, each on the earliest-free
-of maxWorkers slots (Graham's list scheduling), and costs the latest slot
-end.  A sequential stage costs the sum of its action costs.  Action costs
-are pure functions of configuration and seed, so reports and metrics are
+Under the virtual clock (the sim) no worker thread is started: actions run
+inline in dispatch order, each on the earliest-free slot (Graham's list
+scheduling), and a stage costs its latest slot end.  Action costs are pure
+functions of configuration and seed, so reports and metrics are
 reproducible byte for byte.  Real transports (local, ssh) run a parallel
-stage with maxWorkers above 1 on a thread pool of maxWorkers threads, the
-only place where worker threads append to the journal, so only there do
-appends take a lock (`core.Journal.shared`).  Either way a failure stops
-dispatch at the failing action; on the pool, actions already running
-finish.
+stage with maxWorkers above 1 on a thread pool, the only place where
+worker threads append to the journal, so only there do appends take a
+lock (`core.Journal.shared`).  There a failure cancels the actions not yet
+started, and those already running finish.
 
 Per action only what varies per node is worked out again.  Within one run
 (one `DeployContext`, which a deploy and its inverse share in process) the
@@ -31,7 +34,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 
-from .assembly import DeploymentPlan, PlanAction, PlanStage
+from .assembly import DeploymentPlan, PlanAction
 from .core import LifecycleState
 from .errors import DeploymentError, StageFailed
 
@@ -88,83 +91,49 @@ def _measured(ctx, action: PlanAction, start_ms: float | None = None) -> ActionO
     return ActionOutcome(action.target, action.state, error is None, clock.end_action(begun), error, start_ms)
 
 
-class _StageRunner:
-    def __init__(self, ctx, options: ExecOptions, report: ExecutionReport):
-        self.ctx = ctx
-        self.options = options
-        self.report = report
+def _dispatch(ctx, report: ExecutionReport, order: tuple | list, width: int) -> ActionOutcome | None:
+    """Run `order` on `width` worker slots, stopping at the first
+    failure.  On a wall clock more than one slot is a thread pool;
+    otherwise each action runs inline on the earliest-free slot and
+    starts there, and the segment costs the latest slot end."""
+    clock = ctx.clock
+    if width > 1 and not clock.virtual:
+        return _pooled(ctx, report, order, width)
+    if width < 1:  # as the pool would refuse it
+        raise ValueError("max_workers must be greater than 0")
+    start = clock.now_ms()
+    slots = [0.0] * width
+    latest = 0.0
+    failed: ActionOutcome | None = None
+    for action in order:
+        free = heapq.heappop(slots)
+        outcome = _measured(ctx, action, start + free)
+        end = free + outcome.millis
+        latest = max(latest, end)
+        heapq.heappush(slots, end)
+        report.actions.append(outcome)
+        if not outcome.ok:
+            failed = outcome
+            break
+    clock.advance(latest)
+    return failed
 
-    def run(self, index: int, stage: PlanStage) -> None:
-        clock = self.ctx.clock
-        start = clock.now_ms()
-        count = len(stage.all_actions)
-        if self.options.dry_run:
-            self._dry(stage)
-            self.report.stages.append(StageMetric(stage.label, stage.mode, count, 0.0))
-            return
-        order = list(stage.actions)
-        width = 1
-        if stage.mode == "parallel":
-            width = self.options.max_workers
-            if self.options.seed is not None:
-                random.Random(f"{self.options.seed}:{index}").shuffle(order)
-        failed = self._dispatch(stage.prelude, 1) or self._dispatch(order, width) or self._dispatch(stage.postlude, 1)
-        wall = clock.now_ms() - start
-        self.report.stages.append(StageMetric(stage.label, stage.mode, count, wall))
-        if failed is not None:
-            raise StageFailed(index, failed.target, failed.error, self.report)
 
-    def _dry(self, stage: PlanStage) -> None:
-        for action in stage.all_actions:
-            for cid, step in self.ctx.assembly.transitions_to(action.target, action.state):
-                self.report.actions.append(
-                    ActionOutcome(f"{cid}:{step.name.lower()}", action.state, True, 0.0)
-                )
-
-    def _dispatch(self, order: tuple | list, width: int) -> ActionOutcome | None:
-        """Run `order` on `width` worker slots, stopping at the first
-        failure.  On a wall clock more than one slot is a thread pool;
-        otherwise each action runs inline on the earliest-free slot and
-        starts there, and the segment costs the latest slot end."""
-        clock = self.ctx.clock
-        if width > 1 and not clock.virtual:
-            return self._pooled(order, width)
-        if width < 1:  # as the pool would refuse it
-            raise ValueError("max_workers must be greater than 0")
-        start = clock.now_ms()
-        slots = [0.0] * width
-        latest = 0.0
-        failed: ActionOutcome | None = None
-        for action in order:
-            free = heapq.heappop(slots)
-            outcome = _measured(self.ctx, action, start + free)
-            end = free + outcome.millis
-            latest = max(latest, end)
-            heapq.heappush(slots, end)
-            self.report.actions.append(outcome)
-            if not outcome.ok:
-                failed = outcome
-                break
-        clock.advance(latest)
-        return failed
-
-    def _pooled(self, order: list, width: int) -> ActionOutcome | None:
-        from concurrent.futures import ThreadPoolExecutor  # real transports only
-        outcomes: list[ActionOutcome | None] = [None] * len(order)
-        first_failure: ActionOutcome | None = None
-        with self.ctx.assembly.journal.shared(), ThreadPoolExecutor(max_workers=width) as pool:
-            futures = [pool.submit(_measured, self.ctx, action) for action in order]
-            for i, future in enumerate(futures):
-                if future.cancelled():
-                    continue
-                outcome = future.result()
-                outcomes[i] = outcome
-                if not outcome.ok and first_failure is None:
-                    first_failure = outcome
-                    for later in futures[i + 1 :]:
-                        later.cancel()
-        self.report.actions.extend(o for o in outcomes if o is not None)
-        return first_failure
+def _pooled(ctx, report: ExecutionReport, order: list, width: int) -> ActionOutcome | None:
+    from concurrent.futures import ThreadPoolExecutor  # real transports only
+    first_failure: ActionOutcome | None = None
+    with ctx.assembly.journal.shared(), ThreadPoolExecutor(max_workers=width) as pool:
+        futures = [pool.submit(_measured, ctx, action) for action in order]
+        for future in futures:
+            if future.cancelled():
+                continue
+            outcome = future.result()
+            report.actions.append(outcome)
+            if not outcome.ok and first_failure is None:
+                first_failure = outcome
+                for later in futures:
+                    later.cancel()
+    return first_failure
 
 
 def execute(plan: DeploymentPlan, ctx, options: ExecOptions | None = None) -> ExecutionReport:
@@ -174,10 +143,28 @@ def execute(plan: DeploymentPlan, ctx, options: ExecOptions | None = None) -> Ex
     report = ExecutionReport()
     clock = ctx.clock
     start = clock.now_ms()
-    runner = _StageRunner(ctx, options, report)
     try:
         for index, stage in enumerate(plan.stages):
-            runner.run(index, stage)
+            if options.dry_run:
+                report.actions.extend(
+                    ActionOutcome(f"{cid}:{step.name.lower()}", action.state, True, 0.0)
+                    for action in stage.all_actions
+                    for cid, step in ctx.assembly.transitions_to(action.target, action.state)
+                )
+                report.stages.append(StageMetric(stage.label, stage.mode, len(stage.all_actions), 0.0))
+                continue
+            stage_start = clock.now_ms()
+            order, width = list(stage.actions), 1
+            if stage.mode == "parallel":
+                width = options.max_workers
+                if options.seed is not None:
+                    random.Random(f"{options.seed}:{index}").shuffle(order)
+            failed = (_dispatch(ctx, report, stage.prelude, 1) or _dispatch(ctx, report, order, width)
+                      or _dispatch(ctx, report, stage.postlude, 1))
+            wall = clock.now_ms() - stage_start
+            report.stages.append(StageMetric(stage.label, stage.mode, len(stage.all_actions), wall))
+            if failed is not None:
+                raise StageFailed(index, failed.target, failed.error, report)
     finally:
         report.total_ms = clock.now_ms() - start
     return report

@@ -710,6 +710,16 @@ class TestRandomDags:
         with pytest.raises(CyclicDependency):
             plan(asm)
 
+    def test_cycle_among_unreferenced_components_refused(self):
+        """Nothing needs infra/sh or infra/ssh, and each needs the other:
+        the sweep of unreferenced units refuses instead of looping."""
+        text = "app = OpenCCM.Deployment {\n  infra = {\n    sh = SH\n    ssh = SSH\n  }\n}\n"
+        asm = generate(expand(parse(text)), default_registry())
+        asm.add_binding(Binding("infra/sh", "protocol", "infra/ssh", "Protocol"))
+        asm.add_binding(Binding("infra/ssh", "hostname", "infra/sh", "Shell"))
+        with pytest.raises(CyclicDependency, match="^unreferenced components form a cycle: infra/sh, infra/ssh$"):
+            plan(asm)
+
 
 class TestRandomAssemblies:
     """Plans of 500 seeded random assemblies: the invariants every plan

@@ -163,10 +163,23 @@ class TestMalformedPersonalityFiles:
                 "kinds:\n  - kind: P\n    params:\n      - {name: size, type: int, required: 0}\n",
                 "P: param 'size': 'required' must be a boolean",
             ),
+            (
+                "kinds:\n  - kind: P\n    scripts:\n      install:\n        steps: null\n",
+                "P: action 'install': 'steps' must be a list",
+            ),
+            (
+                "kinds:\n  - kind: P\n    scripts:\n      stop:\n        steps: 5\n",
+                "P: action 'stop': 'steps' must be a list",
+            ),
+            (
+                "kinds:\n  - kind: P\n    scripts:\n      install:\n        unless_exists: 5\n        steps: []\n",
+                "P: action 'install': 'unless_exists' must be a string",
+            ),
         ],
         ids=[
             "kinds-str", "ports-int", "port-row-int", "params-str", "provides-int", "defaults-int", "scripts-list",
             "scripts-key", "composite-str", "group-int", "root-null", "port-required-str", "param-required-int",
+            "steps-null", "steps-int", "guard-int",
         ],
     )
     def test_wrongly_typed_field(self, tmp_path, text, complaint):

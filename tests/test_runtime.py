@@ -337,6 +337,26 @@ class TestFailureHandling:
         assert 3 <= len(executed) <= 6
         assert asm.components["c29"].state == S.UNINSTALLED
 
+    def test_pool_failure_cancels_actions_not_yet_started(self):
+        """On two pool workers c0 fails at once while c1 sleeps.  Reading
+        c0 first, the pool cancels the queue: only c1 and the one action
+        the freed worker took meanwhile still run."""
+
+        class FailFirst(Behavior):
+            def act(self, action, component, ctx=None):
+                if component.id == "c0":
+                    raise RuntimeError("injected")
+                time.sleep(0.02)
+
+        asm, plan, ctx = wave([FailFirst() for _ in range(20)], clock=WallClock())
+        with pytest.raises(StageFailed) as err:
+            execute(plan, ctx, ExecOptions(max_workers=2))
+        assert err.value.component_id == "c0"
+        actions = err.value.report.actions
+        assert (actions[0].target, actions[0].ok) == ("c0", False)
+        assert [a.target for a in actions] == [f"c{i}" for i in range(len(actions))]
+        assert len(asm.journal) <= 3
+
     def test_virtual_parallel_failure_stops_dispatch(self):
         asm, plan, ctx = counting_wave(30, fail_at=2)
         with pytest.raises(StageFailed) as err:

@@ -8,10 +8,10 @@ import subprocess
 import pytest
 
 from gridforge.core import Assembly, Behavior, Binding, Component, Composite, LifecycleAction, PortSpec
-from gridforge.errors import IndexOutOfRange, NodeListMissing, RemoteError
+from gridforge.errors import AuthFailed, ConnectFailed, IndexOutOfRange, NodeListMissing, RemoteError, TransportError
 from gridforge.personalities import ScriptBehavior, default_registry
-from gridforge.pipeline import DeployContext
-from gridforge.simgrid import Fleet, VirtualClock
+from gridforge.pipeline import DeployContext, make_context
+from gridforge.simgrid import Fleet, VirtualClock, WallClock
 from gridforge.steps import exec_cmd, fetch, set_var
 from gridforge.stdlib import (
     BUILTIN_KINDS,
@@ -323,3 +323,38 @@ class TestRegistryBuiltins:
         b = Payload.of([set_var("A", "2")])
         assert a.digest != b.digest
         assert a.digest == Payload.of([set_var("A", "1")]).digest
+
+
+class TestSshSend:
+    """What the ssh client reports, classified without running ssh."""
+
+    def send(self, monkeypatch, outcome):
+        def fake_run(argv, **kwargs):
+            if isinstance(outcome, OSError):
+                raise outcome
+            return subprocess.CompletedProcess(argv, *outcome)
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        return SshTransport().send(NodeAccess("h.example", user="me"), Payload.of([exec_cmd("true")]))
+
+    def test_ssh_context_runs_on_a_wall_clock(self):
+        ctx = make_context(Assembly(), "ssh")
+        assert type(ctx.transport) is SshTransport
+        assert type(ctx.clock) is WallClock
+
+    @pytest.mark.parametrize(
+        "outcome, error",
+        [
+            ((255, "", "me@h.example: Permission denied (publickey).\n"), AuthFailed),
+            ((255, "", "ssh: connect to host h.example port 22: Connection refused\n"), ConnectFailed),
+            (FileNotFoundError(2, "No such file or directory", "ssh"), TransportError),
+        ],
+        ids=["auth", "connect", "no-client"],
+    )
+    def test_failure_classified(self, monkeypatch, outcome, error):
+        with pytest.raises(TransportError) as info:
+            self.send(monkeypatch, outcome)
+        assert type(info.value) is error
+
+    def test_remote_exit_status_returned_with_output(self, monkeypatch):
+        assert self.send(monkeypatch, (3, "out\n", "err\n")) == (3, "out\nerr\n")
